@@ -26,7 +26,7 @@ from .graphmodel import (
     load_checkpoint,
     save_checkpoint,
 )
-from .losses import LossSpec, MarginState, UserLossInput, batch_loss, user_loss
+from .losses import LossSpec, MarginState, batch_loss
 from .metrics import evaluate_ranking, ndcg_at_k, recall_at_k
 from .trainer import TrainConfig, TrainReport, train
 from .verify import run_suites
@@ -45,7 +45,6 @@ __all__ = [
     "NoiseConfig",
     "TrainConfig",
     "TrainReport",
-    "UserLossInput",
     "batch_loss",
     "evaluate_ranking",
     "inner_max_bruteforce",
@@ -62,7 +61,6 @@ __all__ = [
     "split_iid",
     "split_temporal",
     "train",
-    "user_loss",
 ]
 
 __version__ = "0.1.0"

@@ -10,9 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-SPLIT_KINDS = ("iid", "temporal_ood", "noise")
-
-
 class ParseError(ValueError):
     """Malformed interaction file; carries the offending line number."""
 
@@ -242,6 +239,22 @@ def split_temporal(log: InteractionLog, test_frac=0.2, val_frac_of_train=0.1):
     return DatasetSplit(train, val, test, "temporal_ood", log.num_users, log.num_items)
 
 
+def _member(sorted_keys, keys):
+    """Elementwise membership of `keys` in the sorted key array."""
+    at = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+
+
+def _heldout_pools(split, users):
+    """Each row's held-out pool as CSR arrays (starts, sizes, items) over
+    the sorted held-out items of the distinct users."""
+    distinct, row_user = np.unique(users, return_inverse=True)
+    pools = [sorted(split.heldout(int(u))) for u in distinct]
+    sizes = np.array([len(p) for p in pools], dtype=np.int64)
+    items = np.fromiter((i for p in pools for i in p), dtype=np.int64, count=sizes.sum())
+    return (np.cumsum(sizes) - sizes)[row_user], sizes[row_user], items
+
+
 def sample_batch(
     split: DatasetSplit,
     batch_size,
@@ -255,7 +268,12 @@ def sample_batch(
     Under a noise config with p > 0 each negative slot is, with probability
     p, drawn from the configured pool of the user's positives (held-out by
     default, or their train positives) and flagged as a false negative;
-    otherwise it is drawn outside the user's train positives.
+    otherwise it is drawn outside the user's train positives. Users with
+    an empty pool get no flips. Rows whose user has no item outside the
+    train set are skipped, with one warning per call.
+
+    All slots are drawn at once; a draw that hits one of the user's train
+    positives (a sorted `user * num_items + item` key lookup) is redrawn.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -265,44 +283,36 @@ def sample_batch(
     if len(train_pairs) == 0:
         raise ValueError("split has no train interactions")
     num_items = split.num_items
-    pairs = []
-    negatives = []
-    masks = []
-    idx = rng.integers(0, len(train_pairs), size=batch_size)
-    for row in idx:
-        user, pos = train_pairs[row]
-        train_pos = split.train[user]
-        if len(train_pos) >= num_items:
-            warnings.warn(f"user {user} has no negative pool; skipping")
-            continue
+    train_keys = np.sort(train_pairs[:, 0] * num_items + train_pairs[:, 1])
+    pairs = train_pairs[rng.integers(0, len(train_pairs), size=batch_size)]
+    # each row's train items are train_keys[start:start + degree]
+    start = np.searchsorted(train_keys, pairs[:, 0] * num_items)
+    degree = np.searchsorted(train_keys, (pairs[:, 0] + 1) * num_items) - start
+    full = degree >= num_items
+    if full.any():
+        warnings.warn(f"skipped {int(full.sum())} of {batch_size} sampled rows: "
+                      "their users have no negative pool")
+        pairs, start, degree = pairs[~full], start[~full], degree[~full]
+    users = pairs[:, 0]
+
+    negatives = rng.integers(0, num_items, size=(len(pairs), n_neg))
+    flat = negatives.reshape(-1)
+    base = np.repeat(users * num_items, n_neg)
+    redraw = np.flatnonzero(_member(train_keys, base + flat))
+    while redraw.size:
+        flat[redraw] = rng.integers(0, num_items, size=redraw.size)
+        redraw = redraw[_member(train_keys, base[redraw] + flat[redraw])]
+
+    flips = np.zeros(negatives.shape, dtype=bool)
+    if noise.p > 0 and len(pairs):
         if noise.pool == "train":
-            flip_pool = sorted(train_pos)
+            starts, sizes, items = start, degree, train_keys % num_items
         else:
-            flip_pool = sorted(split.heldout(user))
-        negs = np.empty(n_neg, dtype=np.int64)
-        mask = np.zeros(n_neg, dtype=bool)
-        use_noise = (
-            noise.p > 0 and flip_pool
-        )
-        flips = rng.random(n_neg) < noise.p if use_noise else np.zeros(n_neg, dtype=bool)
-        for k in range(n_neg):
-            if flips[k]:
-                negs[k] = flip_pool[rng.integers(0, len(flip_pool))]
-                mask[k] = True
-            else:
-                while True:
-                    cand = int(rng.integers(0, num_items))
-                    if cand not in train_pos:
-                        negs[k] = cand
-                        break
-        pairs.append((user, pos))
-        negatives.append(negs)
-        masks.append(mask)
-    return BatchSample(
-        np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-        np.asarray(negatives, dtype=np.int64).reshape(-1, n_neg),
-        np.asarray(masks, dtype=bool).reshape(-1, n_neg),
-    )
+            starts, sizes, items = _heldout_pools(split, users)
+        flips = (rng.random(negatives.shape) < noise.p) & (sizes > 0)[:, None]
+        rows = np.nonzero(flips)[0]
+        negatives[flips] = items[starts[rows] + rng.integers(0, sizes[rows])]
+    return BatchSample(pairs, negatives, flips)
 
 
 def write_split(split: DatasetSplit, outdir):

@@ -1,5 +1,5 @@
 """Embedding tables, backbone propagation (MF / LightGCN / XSimGCL),
-cosine scoring with analytic Jacobians, and binary checkpoints."""
+cosine scoring, the XSimGCL InfoNCE term, and binary checkpoints."""
 
 from __future__ import annotations
 
@@ -165,31 +165,6 @@ def backward(grad_user, grad_item, graph: InteractionGraph | None, cfg: Backbone
         acc_u += gu
         acc_i += gi
     return acc_u / (cfg.layers + 1), acc_i / (cfg.layers + 1)
-
-
-def score(e_u, e_i):
-    """Cosine similarity between one user and one item vector."""
-    e_u = np.asarray(e_u, dtype=float)
-    e_i = np.asarray(e_i, dtype=float)
-    nu = np.linalg.norm(e_u)
-    ni = np.linalg.norm(e_i)
-    if nu == 0 or ni == 0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    return float(e_u @ e_i / (nu * ni))
-
-
-def score_gradient(e_u, e_i):
-    """Analytic cosine Jacobians: d f / d e_u = (i_hat - f u_hat) / ||e_u||."""
-    e_u = np.asarray(e_u, dtype=float)
-    e_i = np.asarray(e_i, dtype=float)
-    nu = np.linalg.norm(e_u)
-    ni = np.linalg.norm(e_i)
-    if nu == 0 or ni == 0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    u_hat = e_u / nu
-    i_hat = e_i / ni
-    f = float(u_hat @ i_hat)
-    return (i_hat - f * u_hat) / nu, (u_hat - f * i_hat) / ni
 
 
 def cosine_matrix(user_emb, item_emb):

@@ -4,7 +4,7 @@ plus the learnable per-user margin machinery for the robust Renyi loss."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,91 +62,76 @@ class MarginState:
         return MarginState(self.beta.copy())
 
 
-@dataclass
-class UserLossInput:
-    pos_scores: np.ndarray
-    neg_scores: np.ndarray
-    false_negative_mask: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.pos_scores = np.asarray(self.pos_scores, dtype=float)
-        self.neg_scores = np.asarray(self.neg_scores, dtype=float)
-
-
-@dataclass
-class LossOutput:
-    value: float
-    d_pos: np.ndarray
-    d_neg: np.ndarray
-
-
-def _require_positives(inp):
-    if inp.pos_scores.size == 0:
+def _check_scores(f_pos, f_neg, need_negatives=None):
+    if f_pos.shape[1] == 0:
         raise ValueError("loss needs at least one positive score")
+    if need_negatives and f_neg.shape[1] == 0:
+        raise ValueError(f"{need_negatives} needs at least one negative score")
+
+
+def _column(x):
+    """A per-row vector (B,) as a (B, 1) column; a scalar passes through."""
+    return np.asarray(x, dtype=float)[:, None] if np.ndim(x) else x
 
 
 def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def mse_loss(inp: UserLossInput) -> LossOutput:
+# Loss kernels. Each takes positive scores f_pos (B, P) and negative scores
+# f_neg (B, n) and returns per-row values (B,) and the gradients of each
+# row's value with respect to its scores, d_pos (B, P) and d_neg (B, n).
+
+
+def mse_loss(f_pos, f_neg):
     """Squared error against targets 1 (positives) and 0 (negatives)."""
-    _require_positives(inp)
-    fp, fn = inp.pos_scores, inp.neg_scores
-    value = np.mean((fp - 1.0) ** 2)
-    d_pos = 2.0 * (fp - 1.0) / fp.size
-    if fn.size:
-        value = value + np.mean(fn**2)
-        d_neg = 2.0 * fn / fn.size
+    _check_scores(f_pos, f_neg)
+    value = ((f_pos - 1.0) ** 2).sum(axis=1) / f_pos.shape[1]
+    d_pos = 2.0 * (f_pos - 1.0) / f_pos.shape[1]
+    if f_neg.shape[1]:
+        value = value + (f_neg**2).sum(axis=1) / f_neg.shape[1]
+        d_neg = 2.0 * f_neg / f_neg.shape[1]
     else:
-        d_neg = np.zeros(0)
-    return LossOutput(float(value), d_pos, d_neg)
+        d_neg = np.zeros_like(f_neg)
+    return value, d_pos, d_neg
 
 
-def bce_loss(inp: UserLossInput) -> LossOutput:
-    _require_positives(inp)
-    fp, fn = inp.pos_scores, inp.neg_scores
-    value = -np.mean(np.log(_sigmoid(fp)))
-    d_pos = -(1.0 - _sigmoid(fp)) / fp.size
-    if fn.size:
-        value = value - np.mean(np.log(1.0 - _sigmoid(fn)))
-        d_neg = _sigmoid(fn) / fn.size
+def bce_loss(f_pos, f_neg):
+    _check_scores(f_pos, f_neg)
+    value = -np.log(_sigmoid(f_pos)).sum(axis=1) / f_pos.shape[1]
+    d_pos = -(1.0 - _sigmoid(f_pos)) / f_pos.shape[1]
+    if f_neg.shape[1]:
+        value = value - np.log(1.0 - _sigmoid(f_neg)).sum(axis=1) / f_neg.shape[1]
+        d_neg = _sigmoid(f_neg) / f_neg.shape[1]
     else:
-        d_neg = np.zeros(0)
-    return LossOutput(float(value), d_pos, d_neg)
+        d_neg = np.zeros_like(f_neg)
+    return value, d_pos, d_neg
 
 
-def bpr_loss(inp: UserLossInput) -> LossOutput:
+def bpr_loss(f_pos, f_neg):
     """Mean over all (positive, negative) pairs of -log sigmoid(f+ - f-)."""
-    _require_positives(inp)
-    fp, fn = inp.pos_scores, inp.neg_scores
-    if fn.size == 0:
-        raise ValueError("pairwise loss needs at least one negative score")
-    diff = fp[:, None] - fn[None, :]
-    sig = _sigmoid(diff)
-    n_pairs = diff.size
-    value = float(np.mean(-np.log(sig)))
-    d_pos = (sig - 1.0).sum(axis=1) / n_pairs
-    d_neg = (1.0 - sig).sum(axis=0) / n_pairs
-    return LossOutput(value, d_pos, d_neg)
+    _check_scores(f_pos, f_neg, "pairwise loss")
+    sig = _sigmoid(f_pos[:, :, None] - f_neg[:, None, :])
+    n_pairs = f_pos.shape[1] * f_neg.shape[1]
+    value = (-np.log(sig)).sum(axis=(1, 2)) / n_pairs
+    d_pos = (sig - 1.0).sum(axis=2) / n_pairs
+    d_neg = (1.0 - sig).sum(axis=1) / n_pairs
+    return value, d_pos, d_neg
 
 
-def softmax_loss(inp: UserLossInput, tau) -> LossOutput:
+def softmax_loss(f_pos, f_neg, tau):
     """Negatives-only softmax form: -mean(f+)/tau + log sum_j exp(f-/tau)."""
-    _require_positives(inp)
+    _check_scores(f_pos, f_neg, "softmax loss")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    fp, fn = inp.pos_scores, inp.neg_scores
-    if fn.size == 0:
-        raise ValueError("softmax loss needs at least one negative score")
-    z = fn / tau
-    zmax = z.max()
+    z = f_neg / tau
+    zmax = z.max(axis=1, keepdims=True)
     expz = np.exp(z - zmax)
-    lse = zmax + math.log(expz.sum())
-    value = float(-np.mean(fp) / tau + lse)
-    d_pos = np.full(fp.size, -1.0 / (tau * fp.size))
-    d_neg = expz / expz.sum() / tau
-    return LossOutput(value, d_pos, d_neg)
+    total = expz.sum(axis=1, keepdims=True)
+    value = -(f_pos.sum(axis=1) / f_pos.shape[1]) / tau + (zmax + np.log(total))[:, 0]
+    d_pos = np.full(f_pos.shape, -1.0 / (tau * f_pos.shape[1]))
+    d_neg = expz / total / tau
+    return value, d_pos, d_neg
 
 
 def sl_worst_case_weights(neg_scores, tau):
@@ -159,85 +144,76 @@ def sl_worst_case_weights(neg_scores, tau):
     return expz / expz.mean()
 
 
-def ccl_loss(inp: UserLossInput, alpha, margin) -> LossOutput:
-    """Truncated point-wise loss: -mean(f+) + (alpha/n) sum (f- - margin)_+."""
-    _require_positives(inp)
+def ccl_loss(f_pos, f_neg, alpha, margin):
+    """Truncated point-wise loss: -mean(f+) + (alpha/n) sum (f- - margin)_+;
+    `margin` is a scalar or one value per row."""
+    _check_scores(f_pos, f_neg)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    fp, fn = inp.pos_scores, inp.neg_scores
-    value = -np.mean(fp)
-    d_pos = np.full(fp.size, -1.0 / fp.size)
-    if fn.size:
-        hinge = np.maximum(fn - margin, 0.0)
-        value = value + alpha * np.mean(hinge)
+    margin = _column(margin)
+    value = -f_pos.sum(axis=1) / f_pos.shape[1]
+    d_pos = np.full(f_pos.shape, -1.0 / f_pos.shape[1])
+    if f_neg.shape[1]:
+        hinge = np.maximum(f_neg - margin, 0.0)
+        value = value + alpha * (hinge.sum(axis=1) / f_neg.shape[1])
         # subgradient 0 at the kink f = margin
-        d_neg = np.where(fn > margin, alpha / fn.size, 0.0)
+        d_neg = np.where(f_neg > margin, alpha / f_neg.shape[1], 0.0)
     else:
-        d_neg = np.zeros(0)
-    return LossOutput(float(value), d_pos, d_neg)
+        d_neg = np.zeros_like(f_neg)
+    return value, d_pos, d_neg
 
 
-def _drrl_negative_term(fn, gamma_star, c, eps, beta):
-    """M = (mean [c (f - beta)_+ + eps]^{g*})^{1/g*} and its pieces."""
-    hinge = np.maximum(fn - beta, 0.0)
-    inner = c * hinge + eps
-    power = np.mean(inner**gamma_star)
-    m = power ** (1.0 / gamma_star)
-    return m, inner, hinge
+def _drrl_negative_term(f_neg, gamma_star, c, eps, beta):
+    """Per-row M = (mean [c (f - beta)_+ + eps]^{g*})^{1/g*} as a (B, 1)
+    column, with the (B, n) inner terms; `beta` is a scalar or a (B, 1) column."""
+    inner = c * np.maximum(f_neg - beta, 0.0) + eps
+    m = ((inner**gamma_star).sum(axis=1, keepdims=True) / f_neg.shape[1]) ** (1.0 / gamma_star)
+    return m, inner
 
 
-def drrl_loss(inp: UserLossInput, gamma_star, c, eps, beta_u) -> LossOutput:
-    """Robust Renyi loss with margin beta_u:
+def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta):
+    """M per row and dM/df (B, n) = M^{1-g*}/n [c (f-beta)_+ + eps]^{g*-1} c 1[f > beta];
+    a fully truncated row with eps = 0 (M = 0) takes its one-sided limit 0."""
+    m, inner = _drrl_negative_term(f_neg, gamma_star, c, eps, beta)
+    scale = np.power(m, 1.0 - gamma_star, where=m > 0.0, out=np.zeros_like(m)) / f_neg.shape[1]
+    return m[:, 0], scale * inner ** (gamma_star - 1.0) * c * (f_neg > beta)
+
+
+def drrl_loss(f_pos, f_neg, gamma_star, c, eps, beta):
+    """Robust Renyi loss with per-row margins `beta` (scalar or (B,)):
     -mean(f+) + (mean [c (f- - beta)_+ + eps]^{g*})^{1/g*}."""
-    _require_positives(inp)
+    _check_scores(f_pos, f_neg)
     if gamma_star < 1 or c <= 0 or eps < 0:
         raise ValueError("need gamma_star >= 1, c > 0, eps >= 0")
-    fp, fn = inp.pos_scores, inp.neg_scores
-    value = -np.mean(fp)
-    d_pos = np.full(fp.size, -1.0 / fp.size)
-    if fn.size == 0:
-        return LossOutput(float(value), d_pos, np.zeros(0))
-    m, inner, _ = _drrl_negative_term(fn, gamma_star, c, eps, beta_u)
-    value = value + m
-    if m == 0.0:
-        # fully truncated with eps = 0: one-sided limit, all-zero gradient
-        d_neg = np.zeros(fn.size)
-    else:
-        d_neg = (
-            m ** (1.0 - gamma_star)
-            / fn.size
-            * inner ** (gamma_star - 1.0)
-            * c
-            * (fn > beta_u)
-        )
-    return LossOutput(float(value), d_pos, d_neg)
+    value = -f_pos.sum(axis=1) / f_pos.shape[1]
+    d_pos = np.full(f_pos.shape, -1.0 / f_pos.shape[1])
+    if f_neg.shape[1] == 0:
+        return value, d_pos, np.zeros_like(f_neg)
+    m, d_neg = _drrl_negative_weights(f_neg, gamma_star, c, eps, _column(beta))
+    return value + m, d_pos, d_neg
 
 
 def drrl_beta_objective(neg_scores, gamma_star, c, eps, beta):
-    """Margin objective beta + M(beta); convex in beta."""
-    fn = np.asarray(neg_scores, dtype=float)
-    m, _, _ = _drrl_negative_term(fn, gamma_star, c, eps, beta)
-    return float(beta + m)
+    """One user's margin objective beta + M(beta); convex in beta."""
+    f_neg = np.asarray(neg_scores, dtype=float)[None, :]
+    m, _ = _drrl_negative_term(f_neg, gamma_star, c, eps, beta)
+    return float(beta + m[0, 0])
 
 
-def drrl_beta_gradient(neg_scores, gamma_star, c, eps, beta):
-    """d/d beta of the margin objective:
-    1 - (M^{1-g*}/n) sum [c (f-beta)_+ + eps]^{g*-1} c 1[f > beta]."""
-    fn = np.asarray(neg_scores, dtype=float)
-    m, inner, _ = _drrl_negative_term(fn, gamma_star, c, eps, beta)
-    if m == 0.0:
-        return 1.0
-    s = np.sum(inner ** (gamma_star - 1.0) * c * (fn > beta))
-    return float(1.0 - m ** (1.0 - gamma_star) / fn.size * s)
+def drrl_beta_gradient(f_neg, gamma_star, c, eps, beta):
+    """d/d beta of each row's margin objective, (B,):
+    1 - (M^{1-g*}/n) sum [c (f-beta)_+ + eps]^{g*-1} c 1[f > beta];
+    a fully truncated row (M = 0) has gradient 1."""
+    _, d_neg = _drrl_negative_weights(f_neg, gamma_star, c, eps, _column(beta))
+    return 1.0 - d_neg.sum(axis=1)
 
 
-def beta_step(state: MarginState, beta_grads: dict, lr_beta) -> MarginState:
-    """SGD descent step on the per-user margins; users absent from
-    `beta_grads` are untouched."""
+def beta_step(state: MarginState, grad, lr_beta) -> MarginState:
+    """SGD descent step on the margins: `grad` holds one gradient per user
+    (zero leaves a user untouched) or one scalar for a shared margin."""
     if lr_beta <= 0:
         raise ValueError("lr_beta must be positive")
-    for user, grad in beta_grads.items():
-        state.beta[user] -= lr_beta * grad
+    state.beta -= lr_beta * grad
     return state
 
 
@@ -260,41 +236,34 @@ def drrl_worst_case_weights(neg_scores, gamma, c, beta):
     return w, False
 
 
-def user_loss(inp: UserLossInput, spec: LossSpec, beta_u=None) -> LossOutput:
-    """Dispatch a single user's loss by spec kind."""
+def batch_loss(f_pos, f_neg, spec: LossSpec, beta=None):
+    """Mean loss over a batch of B rows: positive scores f_pos (B, P),
+    negative scores f_neg (B, n) and, for DrRL, each row's margin beta (B,).
+
+    Returns the scalar batch loss and the gradients d_pos (B, P) and
+    d_neg (B, n) of that mean.
+    """
+    f_pos = np.asarray(f_pos, dtype=float)
+    f_neg = np.asarray(f_neg, dtype=float)
+    if len(f_pos) == 0:
+        raise ValueError("empty batch")
     kind = spec.kind
     if kind == "mse":
-        return mse_loss(inp)
-    if kind == "bce":
-        return bce_loss(inp)
-    if kind == "bpr":
-        return bpr_loss(inp)
-    if kind == "sl":
-        return softmax_loss(inp, spec.tau)
-    if kind == "ccl":
-        return ccl_loss(inp, spec.alpha, spec.margin)
-    if kind == "drrl":
-        if beta_u is None:
-            raise ValueError("drrl loss needs the user's margin")
-        return drrl_loss(inp, spec.gamma_star, spec.c, spec.eps, beta_u)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def batch_loss(pair_inputs, spec: LossSpec, margins: MarginState | None = None):
-    """Average per-pair losses over a batch.
-
-    `pair_inputs` is a sequence of (user_id, UserLossInput); returns the
-    scalar batch loss and the per-pair LossOutput list with gradients scaled
-    by 1/len(pair_inputs).
-    """
-    if not pair_inputs:
-        raise ValueError("empty batch")
-    n = len(pair_inputs)
-    outputs = []
-    total = 0.0
-    for user, inp in pair_inputs:
-        beta_u = margins.beta[user] if (margins is not None and spec.kind == "drrl") else None
-        out = user_loss(inp, spec, beta_u)
-        total += out.value
-        outputs.append(LossOutput(out.value, out.d_pos / n, out.d_neg / n))
-    return total / n, outputs
+        out = mse_loss(f_pos, f_neg)
+    elif kind == "bce":
+        out = bce_loss(f_pos, f_neg)
+    elif kind == "bpr":
+        out = bpr_loss(f_pos, f_neg)
+    elif kind == "sl":
+        out = softmax_loss(f_pos, f_neg, spec.tau)
+    elif kind == "ccl":
+        out = ccl_loss(f_pos, f_neg, spec.alpha, spec.margin)
+    elif kind == "drrl":
+        if beta is None:
+            raise ValueError("drrl loss needs the rows' margins")
+        out = drrl_loss(f_pos, f_neg, spec.gamma_star, spec.c, spec.eps, beta)
+    else:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    value, d_pos, d_neg = out
+    n = len(f_pos)
+    return float(np.mean(value)), d_pos / n, d_neg / n

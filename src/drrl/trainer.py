@@ -9,9 +9,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import losses as L
-from .dataio import BatchSample, DatasetSplit, NoiseConfig, sample_batch
+from .dataio import DatasetSplit, NoiseConfig, sample_batch
 from .graphmodel import (
     BackboneConfig,
     EmbeddingTable,
@@ -24,6 +25,11 @@ from .graphmodel import (
 from .metrics import evaluate_ranking
 
 MARGIN_MODES = ("per_user", "shared", "fixed")
+
+# Byte budget of the negative-scoring chunks in `loss_and_gradients`: the
+# gathered (rows, n_neg, d) item rows of one chunk take at most half of it,
+# so the step's memory is set by this constant, not by B * n_neg * d.
+CHUNK_BYTES = 16 << 20
 
 
 @dataclass
@@ -90,13 +96,14 @@ class Adam:
 
 
 def apply_weight_decay(table: EmbeddingTable, grad_user, grad_item, batch_users, batch_items, wd):
-    """Add 2 * wd * e to the gradient of every embedding touched by the batch."""
+    """Add 2 * wd * e to the gradient of every embedding touched by the batch,
+    once per row however often the id arrays repeat it."""
     if wd == 0.0:
         return
-    if len(batch_users):
-        grad_user[batch_users] += 2.0 * wd * table.user[batch_users]
-    if len(batch_items):
-        grad_item[batch_items] += 2.0 * wd * table.item[batch_items]
+    for ids, emb, grad in ((batch_users, table.user, grad_user),
+                           (batch_items, table.item, grad_item)):
+        rows = _touched(ids, len(emb))
+        grad[rows] += 2.0 * wd * emb[rows]
 
 
 @dataclass
@@ -133,10 +140,22 @@ class TrainReport:
                 )
 
 
-def _rowwise_cosine(a, b):
-    na = np.linalg.norm(a, axis=-1)
-    nb = np.linalg.norm(b, axis=-1)
-    return np.sum(a * b, axis=-1) / (na * nb), na, nb
+def _unit_rows(emb):
+    """Row-normalized copy of an embedding matrix, and the row norms."""
+    norms = np.linalg.norm(emb, axis=1)
+    return emb / norms[:, None], norms
+
+
+def _normalization_pullback(grad_hat, unit, norms):
+    """Gradient with respect to e from the gradient with respect to
+    e / ||e||, row by row: (g - (g . e_hat) e_hat) / ||e||."""
+    radial = np.einsum("rd,rd->r", grad_hat, unit)
+    return (grad_hat - radial[:, None] * unit) / norms[:, None]
+
+
+def _touched(ids, size):
+    """Sorted distinct ids (as np.unique) of an id array over range(size)."""
+    return np.flatnonzero(np.bincount(np.ravel(ids), minlength=size))
 
 
 def _pullback_layer(grad_u, grad_i, graph, layer):
@@ -146,15 +165,17 @@ def _pullback_layer(grad_u, grad_i, graph, layer):
     return grad_u, grad_i
 
 
-def _margin_gradients(batch: BatchSample, neg_scores, spec: L.LossSpec, margins: L.MarginState):
-    """Summed margin-objective gradients per batch user."""
-    grads: dict = {}
-    for b, (user, _pos) in enumerate(batch.pairs):
-        g = L.drrl_beta_gradient(
-            neg_scores[b], spec.gamma_star, spec.c, spec.eps, margins.beta[user]
-        )
-        grads[int(user)] = grads.get(int(user), 0.0) + g
-    return grads
+def _negative_scores(user_rows, item_unit, negatives):
+    """Cosine scores (B, n_neg) of each row's user against its negatives,
+    gathered in row chunks of at most CHUNK_BYTES / 2 bytes."""
+    n_neg, d = negatives.shape[1], item_unit.shape[1]
+    rows = max(1, CHUNK_BYTES // (2 * 8 * n_neg * d))
+    f_neg = np.empty(negatives.shape)
+    for start in range(0, len(negatives), rows):
+        chunk = slice(start, start + rows)
+        np.einsum("bd,bjd->bj", user_rows[chunk], item_unit[negatives[chunk]],
+                  out=f_neg[chunk])
+    return f_neg
 
 
 def loss_and_gradients(
@@ -168,56 +189,50 @@ def loss_and_gradients(
     out = forward(table, graph, backbone_cfg, noise_rng)
     users = batch.pairs[:, 0]
     pos_items = batch.pairs[:, 1]
-    eu = out.final_user[users]
-    ei = out.final_item[pos_items]
-    en = out.final_item[batch.negatives]
-    f_pos, nu, ni = _rowwise_cosine(eu, ei)
-    f_neg, _, nn = _rowwise_cosine(eu[:, None, :], en)
+    user_unit, user_norms = _unit_rows(out.final_user)
+    item_unit, item_norms = _unit_rows(out.final_item)
+    batch_users = user_unit[users]
+    f_pos = np.einsum("bd,bd->b", batch_users, item_unit[pos_items])
+    f_neg = _negative_scores(batch_users, item_unit, batch.negatives)
 
     # margin update precedes the embedding step (DrRL only)
-    if margin_update is not None and spec.kind == "drrl" and margin_update != "fixed":
-        grads = _margin_gradients(batch, f_neg, spec, margins)
-        if margin_update == "shared":
-            total = sum(grads.values())
-            margins.beta -= spec.lr_beta * total
-        else:
-            L.beta_step(margins, grads, spec.lr_beta)
+    beta = None
+    if spec.kind == "drrl":
+        if margin_update in ("per_user", "shared"):
+            grad = L.drrl_beta_gradient(f_neg, spec.gamma_star, spec.c, spec.eps,
+                                        margins.beta[users])
+            if margin_update == "shared":
+                grad = grad.sum()
+            else:
+                grad = np.bincount(users, weights=grad, minlength=len(margins.beta))
+            L.beta_step(margins, grad, spec.lr_beta)
+        beta = margins.beta[users]
+    value, d_pos, d_neg = L.batch_loss(f_pos[:, None], f_neg, spec, beta)
 
-    pair_inputs = [
-        (int(users[b]), L.UserLossInput(f_pos[b : b + 1], f_neg[b]))
-        for b in range(len(users))
-    ]
-    value, outputs = L.batch_loss(pair_inputs, spec, margins)
-
-    d_pos = np.array([o.d_pos[0] for o in outputs])
-    d_neg = np.stack([o.d_neg for o in outputs])
-
-    un = eu / nu[:, None]
-    pn = ei / ni[:, None]
-    nnorm = en / nn[:, :, None]
-    grad_final_u = np.zeros_like(out.final_user)
-    grad_final_i = np.zeros_like(out.final_item)
-
-    gu = d_pos[:, None] * (pn - f_pos[:, None] * un) / nu[:, None]
-    gu += (
-        np.einsum("bj,bjd->bd", d_neg, nnorm)
-        - np.sum(d_neg * f_neg, axis=1)[:, None] * un
-    ) / nu[:, None]
-    gp = d_pos[:, None] * (un - f_pos[:, None] * pn) / ni[:, None]
-    gn = d_neg[:, :, None] * (un[:, None, :] - f_neg[:, :, None] * nnorm) / nn[:, :, None]
-
-    np.add.at(grad_final_u, users, gu)
-    np.add.at(grad_final_i, pos_items, gp)
-    np.add.at(grad_final_i, batch.negatives.ravel(), gn.reshape(-1, gn.shape[-1]))
-
-    grad_user, grad_item = backward(grad_final_u, grad_final_i, graph, backbone_cfg)
+    # score gradients as a (B x items) matrix: row b holds d_pos at its
+    # positive and d_neg at each of its negatives (repeats add up)
+    items = np.hstack([pos_items[:, None], batch.negatives])
+    coeff = sp.csr_matrix(
+        (
+            np.hstack([d_pos, d_neg]).ravel(),
+            items.ravel(),
+            np.arange(0, items.size + 1, items.shape[1]),
+        ),
+        shape=(len(users), len(item_unit)),
+    )
+    grad_user_unit = np.zeros_like(user_unit)
+    np.add.at(grad_user_unit, users, coeff @ item_unit)
+    grad_final_u = _normalization_pullback(grad_user_unit, user_unit, user_norms)
+    grad_final_i = _normalization_pullback(coeff.T @ batch_users, item_unit, item_norms)
 
     if backbone_cfg.kind == "xsimgcl" and backbone_cfg.infonce_weight > 0:
-        uu = np.unique(users)
-        ii = np.unique(np.concatenate([pos_items, batch.negatives.ravel()]))
-        for idx, final, contrast, is_user in (
-            (uu, out.final_user, out.contrast_user, True),
-            (ii, out.final_item, out.contrast_item, False),
+        grad_contrast_u = np.zeros_like(grad_final_u)
+        grad_contrast_i = np.zeros_like(grad_final_i)
+        uu = _touched(users, len(grad_final_u))
+        ii = _touched(items, len(grad_final_i))
+        for idx, final, contrast, grad_final, grad_contrast in (
+            (uu, out.final_user, out.contrast_user, grad_final_u, grad_contrast_u),
+            (ii, out.final_item, out.contrast_item, grad_final_i, grad_contrast_i),
         ):
             aux, d_final, d_contrast = infonce_auxiliary(
                 final[idx],
@@ -226,21 +241,14 @@ def loss_and_gradients(
                 backbone_cfg.infonce_weight,
             )
             value += aux
-            gf_u = np.zeros_like(out.final_user)
-            gf_i = np.zeros_like(out.final_item)
-            gc_u = np.zeros_like(out.final_user)
-            gc_i = np.zeros_like(out.final_item)
-            if is_user:
-                gf_u[idx] = d_final
-                gc_u[idx] = d_contrast
-            else:
-                gf_i[idx] = d_final
-                gc_i[idx] = d_contrast
-            bu, bi = backward(gf_u, gf_i, graph, backbone_cfg)
-            cu, ci = _pullback_layer(gc_u, gc_i, graph, backbone_cfg.contrast_layer)
-            grad_user += bu + cu
-            grad_item += bi + ci
+            grad_final[idx] += d_final
+            grad_contrast[idx] = d_contrast
+        grad_user, grad_item = backward(grad_final_u, grad_final_i, graph, backbone_cfg)
+        cu, ci = _pullback_layer(grad_contrast_u, grad_contrast_i, graph,
+                                 backbone_cfg.contrast_layer)
+        return value, grad_user + cu, grad_item + ci
 
+    grad_user, grad_item = backward(grad_final_u, grad_final_i, graph, backbone_cfg)
     return value, grad_user, grad_item
 
 
@@ -263,15 +271,9 @@ def train_step(
         table, graph, backbone_cfg, spec, margins, batch,
         noise_rng=noise_rng, margin_update=train_cfg.margin_mode,
     )
-    users = batch.pairs[:, 0]
-    pos_items = batch.pairs[:, 1]
     apply_weight_decay(
-        table,
-        grad_user,
-        grad_item,
-        np.unique(users),
-        np.unique(np.concatenate([pos_items, batch.negatives.ravel()])),
-        train_cfg.weight_decay,
+        table, grad_user, grad_item, batch.pairs[:, 0],
+        np.hstack([batch.pairs[:, 1:], batch.negatives]), train_cfg.weight_decay,
     )
     params = {"user": table.user, "item": table.item}
     adam.step(params, {"user": grad_user, "item": grad_item}, train_cfg.lr)

@@ -149,16 +149,17 @@ def suite_degeneracy(seed=0, count=1000, tol=1e-12):
     for _ in range(count):
         n_pos = int(rng.integers(1, 4))
         n_neg = int(rng.integers(1, 16))
-        inp = L.UserLossInput(rng.uniform(-1, 1, n_pos), rng.uniform(-1, 1, n_neg))
+        pos = rng.uniform(-1, 1, (1, n_pos))
+        neg = rng.uniform(-1, 1, (1, n_neg))
         alpha = float(rng.uniform(0.5, 4.0))
         beta = float(rng.uniform(-1, 1))
-        a = L.drrl_loss(inp, gamma_star=1.0, c=alpha, eps=0.0, beta_u=beta)
-        b = L.ccl_loss(inp, alpha, beta)
+        a_value, a_pos, a_neg = L.drrl_loss(pos, neg, gamma_star=1.0, c=alpha, eps=0.0, beta=beta)
+        b_value, b_pos, b_neg = L.ccl_loss(pos, neg, alpha, beta)
         worst = max(
             worst,
-            abs(a.value - b.value),
-            float(np.max(np.abs(a.d_neg - b.d_neg), initial=0.0)),
-            float(np.max(np.abs(a.d_pos - b.d_pos), initial=0.0)),
+            abs(a_value[0] - b_value[0]),
+            float(np.max(np.abs(a_neg - b_neg), initial=0.0)),
+            float(np.max(np.abs(a_pos - b_pos), initial=0.0)),
         )
     return [
         {"name": "drrl-ccl-degeneracy", "passed": worst <= tol, "instances": count,
@@ -167,16 +168,16 @@ def suite_degeneracy(seed=0, count=1000, tol=1e-12):
 
 
 def _loss_closures(rng):
-    """(name, builder) pairs; builder(scores) -> LossOutput for FD checks."""
+    """(name, kernel) pairs for FD checks; kernel(f_pos, f_neg) as in `losses`."""
     beta = float(rng.uniform(-0.4, 0.4))
     return [
-        ("mse", lambda inp: L.mse_loss(inp)),
-        ("bce", lambda inp: L.bce_loss(inp)),
-        ("bpr", lambda inp: L.bpr_loss(inp)),
-        ("sl", lambda inp: L.softmax_loss(inp, 0.2)),
-        ("ccl", lambda inp: L.ccl_loss(inp, 2.0, beta)),
-        ("drrl", lambda inp: L.drrl_loss(inp, 2.0, 1.5, 1e-10, beta)),
-        ("drrl-eps", lambda inp: L.drrl_loss(inp, 1.5, 1.0, 0.1, beta)),
+        ("mse", L.mse_loss),
+        ("bce", L.bce_loss),
+        ("bpr", L.bpr_loss),
+        ("sl", lambda fp, fn: L.softmax_loss(fp, fn, 0.2)),
+        ("ccl", lambda fp, fn: L.ccl_loss(fp, fn, 2.0, beta)),
+        ("drrl", lambda fp, fn: L.drrl_loss(fp, fn, 2.0, 1.5, 1e-10, beta)),
+        ("drrl-eps", lambda fp, fn: L.drrl_loss(fp, fn, 1.5, 1.0, 0.1, beta)),
     ], beta
 
 
@@ -185,13 +186,13 @@ def _fd_check_loss(builder, n_pos, n_neg, rng, beta, h=1e-5, kink_gap=1e-3):
     neg = rng.uniform(-1, 1, n_neg)
     # keep scores away from the truncation kink
     neg = np.where(np.abs(neg - beta) < kink_gap, beta + 2 * kink_gap, neg)
-    out = builder(L.UserLossInput(pos, neg))
+    _, d_pos, d_neg = builder(pos[None], neg[None])
 
     def value_of(scores):
-        return builder(L.UserLossInput(scores[:n_pos], scores[n_pos:])).value
+        return builder(scores[None, :n_pos], scores[None, n_pos:])[0][0]
 
     fd = central_difference(value_of, np.concatenate([pos, neg]), h)
-    analytic = np.concatenate([out.d_pos, out.d_neg])
+    analytic = np.concatenate([d_pos[0], d_neg[0]])
     return relative_error(analytic, fd)
 
 
@@ -253,7 +254,7 @@ def suite_gradients(seed=0, tol=1e-4, h=1e-5):
         gstar = float(rng.uniform(1.2, 3.0))
         c = float(rng.uniform(0.5, 2.0))
         eps = float(rng.choice([0.0, 1e-3]))
-        analytic = L.drrl_beta_gradient(neg, gstar, c, eps, beta0)
+        analytic = L.drrl_beta_gradient(neg[None], gstar, c, eps, beta0)[0]
         fd = central_difference(
             lambda b: L.drrl_beta_objective(neg, gstar, c, eps, b[0]), np.array([beta0]), h
         )[0]
@@ -368,4 +369,6 @@ def run_suites(names=None, seed=0, tolerances=None, instance_options=None):
         if instance_options and name in ("duality", "lambda"):
             kwargs.update(instance_options)
         checks.extend(runners[name](**kwargs))
+    for check in checks:
+        check["passed"] = bool(check["passed"])  # numpy bools do not serialize to JSON
     return {"passed": all(c["passed"] for c in checks), "checks": checks}

@@ -173,7 +173,7 @@ class TestCli:
         out = tmp_path / "verify.json"
         code = cli.main(
             ["verify", "--suite", "degeneracy", "--suite", "convexity",
-             "--output", str(out)]
+             "--suite", "gradients", "--output", str(out)]
         )
         assert code == 0
         report = json.loads(out.read_text())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from drrl import dataio
 
@@ -137,6 +138,68 @@ class TestSampleBatch:
             for item, flagged in zip(negs.tolist(), mask.tolist()):
                 if flagged:
                     assert item in split.train[user]
+
+    def test_same_seed_gives_same_batch(self):
+        split = _toy_split()
+        noise = dataio.NoiseConfig(0.3)
+        a = dataio.sample_batch(split, 64, 8, noise, np.random.default_rng(5))
+        b = dataio.sample_batch(split, 64, 8, noise, np.random.default_rng(5))
+        np.testing.assert_array_equal(a.pairs, b.pairs)
+        np.testing.assert_array_equal(a.negatives, b.negatives)
+        np.testing.assert_array_equal(a.false_negative_mask, b.false_negative_mask)
+
+    def test_clean_negatives_uniform_over_non_train_items(self):
+        # chi-square goodness of fit per user at a fixed seed: the statistic
+        # stays below the 1 - 1e-6 quantile of chi2 with (candidates - 1) dof
+        split = _toy_split()
+        batch = dataio.sample_batch(split, 4000, 16, None, np.random.default_rng(0))
+        for user in range(split.num_users):
+            negs = batch.negatives[batch.pairs[:, 0] == user].ravel()
+            counts = np.bincount(negs, minlength=split.num_items)
+            assert counts[sorted(split.train[user])].sum() == 0
+            candidates = sorted(set(range(split.num_items)) - split.train[user])
+            expected = negs.size / len(candidates)
+            chi2 = np.sum((counts[candidates] - expected) ** 2 / expected)
+            assert chi2 < stats.chi2.ppf(1 - 1e-6, len(candidates) - 1)
+
+    @pytest.mark.parametrize("pool", ["heldout", "train"])
+    def test_flips_occur_at_rate_p_from_the_pool(self, pool):
+        split = _toy_split()
+        p = 0.3
+        batch = dataio.sample_batch(split, 2000, 16, dataio.NoiseConfig(p, pool),
+                                    np.random.default_rng(3))
+        mask = batch.false_negative_mask
+        # Binomial(slots, p) flip count, within 5 standard deviations
+        slots = mask.size
+        assert abs(mask.sum() - slots * p) <= 5 * np.sqrt(slots * p * (1 - p))
+        for user in range(split.num_users):
+            rows = batch.pairs[:, 0] == user
+            allowed = split.train[user] if pool == "train" else split.heldout(user)
+            assert set(batch.negatives[rows][mask[rows]].tolist()) <= allowed
+
+    def test_user_with_empty_pool_gets_no_flips(self):
+        split = dataio.DatasetSplit(
+            train=[{0, 1}, {2}], validation=[{3}, set()], test=[{4}, set()],
+            split_kind="iid", num_users=2, num_items=8,
+        )
+        batch = dataio.sample_batch(split, 200, 8, dataio.NoiseConfig(0.9),
+                                    np.random.default_rng(4))
+        empty_pool = batch.pairs[:, 0] == 1
+        assert empty_pool.any() and not batch.false_negative_mask[empty_pool].any()
+        assert batch.false_negative_mask[~empty_pool].any()
+
+    def test_user_covering_every_item_is_skipped_with_one_warning(self):
+        split = dataio.DatasetSplit(
+            train=[{0, 1, 2, 3}, {0}], validation=[set(), {1}], test=[set(), {2}],
+            split_kind="iid", num_users=2, num_items=4,
+        )
+        with pytest.warns(UserWarning) as record:
+            batch = dataio.sample_batch(split, 100, 4, None, np.random.default_rng(0))
+        assert len(record) == 1
+        skipped = 100 - len(batch.pairs)
+        assert skipped > 0 and f"skipped {skipped} of 100" in str(record[0].message)
+        assert (batch.pairs[:, 0] == 1).all()
+        assert not (batch.negatives == 0).any()
 
     def test_bad_noise_config_rejected(self):
         with pytest.raises(ValueError):

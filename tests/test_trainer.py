@@ -1,12 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import scalar_reference
 from drrl import trainer as tr
 from drrl.dataio import BatchSample, split_iid
 from drrl.graphmodel import BackboneConfig, EmbeddingTable, InteractionGraph
-from drrl.losses import LossSpec, MarginState
+from drrl.losses import LOSS_KINDS, LossSpec, MarginState
 from drrl.synthetic import make_block_log
 
 
@@ -41,7 +43,8 @@ def test_weight_decay_touches_only_batch_rows():
     table = EmbeddingTable.init_normal(3, 3, 2, seed=0)
     gu = np.zeros((3, 2))
     gi = np.zeros((3, 2))
-    tr.apply_weight_decay(table, gu, gi, np.array([1]), np.array([0, 2]), 0.5)
+    # repeated ids decay their row once
+    tr.apply_weight_decay(table, gu, gi, np.array([1, 1]), np.array([0, 2, 0]), 0.5)
     np.testing.assert_allclose(gu[1], table.user[1])
     assert not gu[0].any() and not gu[2].any()
     assert not gi[1].any()
@@ -88,6 +91,67 @@ def test_fixed_margin_mode_leaves_margins_alone():
     tr.loss_and_gradients(table, graph, cfg, spec, margins, batch,
                           margin_update="fixed")
     np.testing.assert_array_equal(margins.beta, np.full(4, 0.2))
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("margin_mode", tr.MARGIN_MODES)
+@pytest.mark.parametrize("backbone", ["mf", "lightgcn", "xsimgcl"])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_matches_scalar_reference(kind, backbone, margin_mode, monkeypatch):
+    n_users, n_items, d, n_neg = 6, 9, 4, 7
+    rng = np.random.default_rng(11)
+    table = EmbeddingTable.init_normal(n_users, n_items, d, seed=3)
+    pairs = [(u, i) for u in range(n_users) for i in range(n_items) if (u * 3 + i) % 4 == 0]
+    graph = InteractionGraph(np.asarray(pairs), n_users, n_items)
+    cfg = BackboneConfig(kind=backbone, layers=2, noise_modulus=0.0, infonce_weight=0.5)
+    # repeated users and items, and a last chunk shorter than the others
+    batch = BatchSample(
+        np.array([[0, 1], [2, 3], [0, 4], [5, 1], [3, 8]]),
+        rng.integers(0, n_items, size=(5, n_neg)),
+        np.zeros((5, n_neg), dtype=bool),
+    )
+    monkeypatch.setattr(tr, "CHUNK_BYTES", 2 * 2 * 8 * n_neg * d)
+    spec = LossSpec(kind=kind, tau=0.2, alpha=2.0, margin=0.1, gamma_star=2.0, c=1.2,
+                    eps=0.1, beta0=0.1, lr_beta=0.05)
+    start = MarginState(rng.uniform(-0.2, 0.4, n_users))
+    margins, ref_margins = start.copy(), start.copy()
+    value, gu, gi = tr.loss_and_gradients(table, graph, cfg, spec, margins, batch,
+                                          margin_update=margin_mode)
+    ref_value, ref_gu, ref_gi = scalar_reference.loss_and_gradients(
+        table, graph, cfg, spec, ref_margins, batch, margin_update=margin_mode)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert _relative_gap(gu, ref_gu) <= 1e-12
+    assert _relative_gap(gi, ref_gi) <= 1e-12
+    assert _relative_gap(margins.beta, ref_margins.beta) <= 1e-12
+    if kind == "drrl" and margin_mode != "fixed":
+        assert not np.array_equal(margins.beta, start.beta)
+
+
+def test_loss_and_gradients_memory_bounded_by_chunk_budget():
+    n_users, n_items, d, batch_size, n_neg = 100, 200, 128, 64, 512
+    # one float64 (B, n_neg, d) array would exceed the budget
+    assert 8 * batch_size * n_neg * d > tr.CHUNK_BYTES
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable.init_normal(n_users, n_items, d, seed=0)
+    batch = BatchSample(
+        np.stack([rng.integers(0, n_users, batch_size),
+                  rng.integers(0, n_items, batch_size)], axis=1),
+        rng.integers(0, n_items, size=(batch_size, n_neg)),
+        np.zeros((batch_size, n_neg), dtype=bool),
+    )
+    spec = LossSpec(kind="drrl", gamma_star=2.0, c=1.2, eps=0.1)
+    margins = MarginState.initialize(n_users, 0.1)
+    tracemalloc.start()
+    try:
+        tr.loss_and_gradients(table, None, BackboneConfig(kind="mf"), spec, margins, batch,
+                              margin_update="per_user")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tr.CHUNK_BYTES
 
 
 def _smoke_train(spec, seed=0, **overrides):
