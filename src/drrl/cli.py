@@ -49,11 +49,6 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
-def _load_split_for(args):
-    split = dataio.read_split(args.split)
-    return split
-
-
 def _graph_for(split, backbone_cfg):
     if backbone_cfg.kind == "mf":
         return None
@@ -100,7 +95,6 @@ def _resolve_split(cfg):
     log = dataio.load_interactions(path)
     if cfg.split.kind == "temporal":
         return dataio.split_temporal(log, cfg.split.test_frac, cfg.split.val_frac)
-    # "noise" shares the iid partition; the noise rate acts at sampling time
     return dataio.split_iid(log, cfg.split.train_frac, cfg.split.val_frac,
                             seed=cfg.split.seed)
 
@@ -130,7 +124,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     table, _ = load_checkpoint(args.checkpoint)
-    split = _load_split_for(args)
+    split = dataio.read_split(args.split)
     _check_dims(table, split)
     backbone_cfg = _backbone_from_args(args)
     scores = diagnostics.checkpoint_scores(table, _graph_for(split, backbone_cfg),
@@ -146,7 +140,7 @@ def cmd_evaluate(args):
 
 def cmd_stats(args):
     table, margin_values = load_checkpoint(args.checkpoint)
-    split = _load_split_for(args)
+    split = dataio.read_split(args.split)
     _check_dims(table, split)
     spec = LossSpec(
         kind=args.loss, tau=args.tau, alpha=args.alpha,

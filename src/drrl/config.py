@@ -23,21 +23,16 @@ class DataConfig:
 
 @dataclass
 class SplitConfig:
-    kind: str = "iid"  # iid | temporal | noise
+    kind: str = "iid"  # iid | temporal
     train_frac: float = 0.8
     val_frac: float = 0.1
     test_frac: float = 0.2
     seed: int = 0
 
     def validate(self):
-        if self.kind not in ("iid", "temporal", "noise"):
-            raise ValueError(f"split.kind must be iid, temporal or noise, got {self.kind!r}")
+        if self.kind not in ("iid", "temporal"):
+            raise ValueError(f"split.kind must be iid or temporal, got {self.kind!r}")
         return self
-
-
-@dataclass
-class EvalConfig:
-    ks: tuple = (20,)
 
 
 @dataclass
@@ -52,7 +47,6 @@ class RunConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     loss: LossSpec = field(default_factory=LossSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def validate(self):
@@ -73,7 +67,6 @@ _SECTIONS = {
     "backbone": BackboneConfig,
     "loss": LossSpec,
     "train": TrainConfig,
-    "eval": EvalConfig,
     "output": OutputConfig,
 }
 
@@ -89,8 +82,6 @@ def _coerce(raw, example):
         return int(raw)
     if isinstance(example, float):
         return float(raw)
-    if isinstance(example, tuple):
-        return tuple(int(x) for x in raw.replace(",", " ").split())
     return raw
 
 
@@ -168,10 +159,7 @@ def dump_config(cfg: RunConfig) -> str:
         target = getattr(cfg, section)
         lines.append(f"[{section}]")
         for f in fields(target):
-            value = getattr(target, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{f.name} = {value}")
+            lines.append(f"{f.name} = {getattr(target, f.name)}")
         lines.append("")
     return "\n".join(lines)
 

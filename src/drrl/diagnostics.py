@@ -29,15 +29,6 @@ class UserDiagnostics:
     degenerate: bool
 
 
-def _user_weights(neg_scores, spec: L.LossSpec, beta):
-    if spec.kind == "sl":
-        return L.sl_worst_case_weights(neg_scores, spec.tau), False
-    if spec.kind == "ccl" or spec.gamma_star == 1.0:
-        w = np.where(neg_scores > beta, spec.alpha if spec.kind == "ccl" else spec.c, 0.0)
-        return w, bool(np.all(w == 0.0))
-    return L.drrl_worst_case_weights(neg_scores, spec.gamma, spec.c, beta)
-
-
 def user_diagnostics(
     score_matrix,
     split,
@@ -61,16 +52,18 @@ def user_diagnostics(
             f"diagnostics support {DIAGNOSABLE}"
         )
     num_items = score_matrix.shape[1]
+    positive = np.zeros((1, 1))  # the kernels' d_neg does not depend on it
     rows = []
     for user in range(score_matrix.shape[0]):
+        in_train = np.zeros(num_items, dtype=bool)
+        in_train[list(split.train[user])] = True
         if noise_pool == "train":
-            candidates = np.arange(num_items, dtype=np.int64)
-            flagged = np.array([int(i) in split.train[user] for i in candidates])
+            candidates, flagged = np.arange(num_items), in_train
         else:
-            candidates = np.asarray(
-                sorted(set(range(num_items)) - split.train[user]), dtype=np.int64
-            )
-            flagged = np.array([int(i) in split.heldout(user) for i in candidates])
+            candidates = np.flatnonzero(~in_train)
+            in_heldout = np.zeros(num_items, dtype=bool)
+            in_heldout[list(split.heldout(user))] = True
+            flagged = in_heldout[candidates]
         if candidates.size == 0:
             continue
         f = score_matrix[user, candidates]
@@ -86,18 +79,21 @@ def user_diagnostics(
                 beta = float(margins.beta[user])
             else:
                 beta = spec.beta0
-        w, degenerate = _user_weights(f, spec, beta)
-        if degenerate or np.all(w == 0.0):
-            rows.append(UserDiagnostics(user, float("nan"), None,
-                                        None if beta is None else truncation_ratio(f, beta),
-                                        beta, True))
-            continue
-        stats = weight_stats(w, flagged if flagged.any() else None)
+        # The worst-case weights are the kernel's negative-score gradient up
+        # to a constant factor, which k1 and k2 (ratios to the mean) ignore;
+        # DrRL's are taken at eps = 0, the Renyi ball's own distribution.
+        if spec.kind == "sl":
+            _, _, d_neg = L.softmax_loss(positive, f[None], spec.tau)
+        elif spec.kind == "ccl":
+            _, _, d_neg = L.ccl_loss(positive, f[None], spec.alpha, beta)
+        else:
+            _, _, d_neg = L.drrl_loss(positive, f[None], spec.gamma_star, spec.c, 0.0, beta)
+        stats = weight_stats(d_neg[0], flagged)
         rows.append(
             UserDiagnostics(
                 user, stats.k1, stats.k2,
                 None if beta is None else truncation_ratio(f, beta),
-                beta, False,
+                beta, stats.degenerate,
             )
         )
     return rows

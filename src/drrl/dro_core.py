@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
+from .losses import drrl_beta_objective
+
 KL = "kl"
 WORST_REGRET = "worst_regret"
 CRESSIE_READ = "cressie_read"
@@ -377,14 +379,6 @@ def inner_max_bruteforce(
     return InnerMaxResult(best_v, best_q, achieved, converged)
 
 
-def dual_value(inst: DroInstance, gamma, beta):
-    """Closed-form dual objective beta + c_gamma(eta) * ||(f - beta)_+||_{g*}
-    (norm under the empirical uniform distribution)."""
-    gstar = gamma_conjugate(gamma)
-    hinge = np.maximum(inst.scores - beta, 0.0)
-    return float(beta + c_gamma(inst.eta, gamma) * np.mean(hinge**gstar) ** (1.0 / gstar))
-
-
 def dual_lagrangian(inst: DroInstance, gamma, lam, rho):
     """Two-multiplier dual  lam * eta + rho + lam * E[phi*((f - rho)/lam)]."""
     if lam <= 0.0:
@@ -422,37 +416,44 @@ def _expand_bracket(fn, lo, hi, max_doublings=40):
     return lo
 
 
-def solve_beta(inst: DroInstance, gamma, tol=1e-8, oracle_seed=0) -> DualCertificate:
-    """Golden-section minimization of the dual over the margin, plus the
-    multiplier certificate and a brute-force primal value."""
+def minimize_beta_objective(neg_scores, gamma_star, c, eps=0.0, tol=1e-8):
+    """Minimize the margin objective  beta + M(beta),
+    M(beta) = (mean [c (f - beta)_+ + eps]^{g*})^{1/g*}  (`losses`), over beta.
+
+    This is the one margin solver: (g*, c_gamma(eta), 0) gives the Renyi
+    dual of `solve_beta`, (1, alpha, 0) the truncated CCL dual, and
+    gamma_star = 1 is allowed throughout. Returns (beta*, objective value).
+
+    For c < 1 the objective is unbounded below (its slope tends to 1 - c > 0
+    as beta -> -inf), so it is rejected. At c = 1 it decreases toward its
+    infimum mean(f) + eps as beta -> -inf without reaching it, except at
+    g* = 1, eps = 0, where it is flat below min(scores). beta* is then near
+    the lower bracket edge, where two probes first came out level to 1e-14:
+    a point on the flat tail, not a minimizer, and its location is
+    arbitrary (tens of thousands below the scores on long rows).
+    """
+    if c < 1:
+        raise ValueError(
+            f"margin objective needs c >= 1, got c = {c}: for c < 1 it is unbounded below"
+        )
     if tol <= 0:
         raise ValueError("tol must be positive")
-    fn = lambda b: dual_value(inst, gamma, b)
-    hi = float(np.max(inst.scores))
-    lo = _expand_bracket(fn, float(np.min(inst.scores)) - 1.0, hi)
-    beta_star, value = golden_section(fn, lo, hi, tol)
+    scores = np.asarray(neg_scores, dtype=float)
+    fn = lambda beta: drrl_beta_objective(scores, gamma_star, c, eps, beta)
+    hi = float(scores.max())
+    lo = _expand_bracket(fn, float(scores.min()) - 1.0, hi)
+    return golden_section(fn, lo, hi, tol)
+
+
+def solve_beta(inst: DroInstance, gamma, tol=1e-8, oracle_seed=0) -> DualCertificate:
+    """Minimize the Renyi dual  beta + c_gamma(eta) ||(f - beta)_+||_{g*}
+    (norm under the empirical uniform distribution) over the margin, plus
+    the multiplier certificate and a brute-force primal value."""
+    beta_star, value = minimize_beta_objective(
+        inst.scores, gamma_conjugate(gamma), c_gamma(inst.eta, gamma), 0.0, tol)
     lam = lambda_star(inst, gamma, beta_star)
     primal = inner_max_bruteforce(inst, DivergenceKind.cressie_read(gamma), seed=oracle_seed)
     return DualCertificate(beta_star, lam, value, primal.value)
-
-
-def minimize_beta_objective(neg_scores, gamma_star, c, eps=0.0, tol=1e-8):
-    """Minimize the practical margin objective
-    beta + (mean [c (f - beta)_+ + eps]^{g*})^{1/g*}  over beta.
-
-    Handles gamma_star = 1 (the CCL-limit objective) as well.
-    """
-    scores = np.asarray(neg_scores, dtype=float)
-    lo = float(scores.min()) - 1.0
-    hi = float(scores.max())
-
-    def objective(beta):
-        hinge = np.maximum(scores - beta, 0.0)
-        return beta + np.mean((c * hinge + eps) ** gamma_star) ** (1.0 / gamma_star)
-
-    lo = _expand_bracket(objective, lo, hi)
-    beta, value = golden_section(objective, lo, hi, tol)
-    return beta, value
 
 
 def verify_ccl_ball_equivalence(inst: DroInstance, alpha, tol_beta=1e-10):
@@ -460,16 +461,9 @@ def verify_ccl_ball_equivalence(inst: DroInstance, alpha, tol_beta=1e-10):
     margin-form dual  min_beta { beta + alpha * mean (f - beta)_+ }."""
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    scores = inst.scores
-    wr_inst = DroInstance(scores, math.log(alpha))
+    wr_inst = DroInstance(inst.scores, math.log(alpha))
     primal = inner_max_bruteforce(wr_inst, DivergenceKind.worst_regret())
-
-    def ccl_dual(beta):
-        return beta + alpha * np.mean(np.maximum(scores - beta, 0.0))
-
-    hi = float(scores.max())
-    lo = _expand_bracket(ccl_dual, float(scores.min()) - 1.0, hi)
-    beta, dual = golden_section(ccl_dual, lo, hi, tol_beta)
+    beta, dual = minimize_beta_objective(inst.scores, 1.0, alpha, 0.0, tol_beta)
     return {
         "alpha": float(alpha),
         "primal": primal.value,

@@ -4,7 +4,7 @@ cosine scoring, the XSimGCL InfoNCE term, and binary checkpoints."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,8 +63,6 @@ class InteractionGraph:
         deg_i = np.asarray(adj.sum(axis=0)).ravel()
         inv_u = np.where(deg_u > 0, 1.0 / np.sqrt(np.maximum(deg_u, 1)), 0.0)
         inv_i = np.where(deg_i > 0, 1.0 / np.sqrt(np.maximum(deg_i, 1)), 0.0)
-        self.user_degrees = deg_u
-        self.item_degrees = deg_i
         # normalized user-item operator; isolated nodes propagate nothing
         self.norm_adj = sp.diags(inv_u) @ adj @ sp.diags(inv_i)
         self.norm_adj = self.norm_adj.tocsr()
@@ -102,8 +100,6 @@ class BackboneConfig:
 class ForwardOutput:
     final_user: np.ndarray
     final_item: np.ndarray
-    user_layers: list = field(default_factory=list)
-    item_layers: list = field(default_factory=list)
     contrast_user: np.ndarray | None = None
     contrast_item: np.ndarray | None = None
 
@@ -123,7 +119,7 @@ def forward(table: EmbeddingTable, graph: InteractionGraph | None, cfg: Backbone
     and exposes the contrast-layer representations.
     """
     if cfg.kind == "mf":
-        return ForwardOutput(table.user, table.item, [table.user], [table.item])
+        return ForwardOutput(table.user, table.item)
     if graph is None:
         raise ValueError("graph backbones need an interaction graph")
     noisy = cfg.kind == "xsimgcl" and cfg.noise_modulus > 0
@@ -140,7 +136,7 @@ def forward(table: EmbeddingTable, graph: InteractionGraph | None, cfg: Backbone
         i_layers.append(i_next)
     final_u = np.mean(u_layers, axis=0)
     final_i = np.mean(i_layers, axis=0)
-    out = ForwardOutput(final_u, final_i, u_layers, i_layers)
+    out = ForwardOutput(final_u, final_i)
     if cfg.kind == "xsimgcl":
         out.contrast_user = u_layers[cfg.contrast_layer]
         out.contrast_item = i_layers[cfg.contrast_layer]
@@ -223,21 +219,35 @@ def save_checkpoint(path, table: EmbeddingTable, margins=None):
             fh.write(beta.tobytes())
 
 
+def _read_part(fh, size, path, part):
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(
+            f"truncated checkpoint {path}: the {part} needs {size} bytes, "
+            f"found {len(data)}"
+        )
+    return data
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (EmbeddingTable, margins-or-None)."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        version, n_users, n_items, d = struct.unpack("<IIII", fh.read(16))
+        version, n_users, n_items, d = struct.unpack(
+            "<IIII", _read_part(fh, 16, path, "header"))
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        user = np.frombuffer(fh.read(n_users * d * 4), dtype="<f4").reshape(n_users, d)
-        item = np.frombuffer(fh.read(n_items * d * 4), dtype="<f4").reshape(n_items, d)
+        user = np.frombuffer(_read_part(fh, n_users * d * 4, path, "user block"),
+                             dtype="<f4").reshape(n_users, d)
+        item = np.frombuffer(_read_part(fh, n_items * d * 4, path, "item block"),
+                             dtype="<f4").reshape(n_items, d)
         margins = None
         tag = fh.read(4)
         if tag == _MARGIN_TAG:
-            margins = np.frombuffer(fh.read(n_users * 4), dtype="<f4").astype(float)
+            margins = np.frombuffer(_read_part(fh, n_users * 4, path, "margin section"),
+                                    dtype="<f4").astype(float)
         elif tag:
-            raise ValueError(f"unknown checkpoint section {tag!r}")
+            raise ValueError(f"unknown checkpoint section {tag!r} in {path}")
     return EmbeddingTable(user.astype(float), item.astype(float)), margins

@@ -35,6 +35,10 @@ class LossSpec:
             errors.append("loss.gamma_star must be at least 1")
         if self.c <= 0:
             errors.append("loss.c must be positive")
+        elif self.kind == "drrl" and self.c < 1:
+            # c = c_gamma(eta) >= 1 for every radius eta >= 0; below 1 the
+            # margin objective beta + M(beta) is unbounded below
+            errors.append("loss.c must be at least 1 for drrl")
         if self.eps < 0:
             errors.append("loss.eps must be nonnegative")
         if errors:
@@ -135,13 +139,11 @@ def softmax_loss(f_pos, f_neg, tau):
 
 
 def sl_worst_case_weights(neg_scores, tau):
-    """Mean-one exponential weights  w_j = exp(f_j/tau) / mean_k exp(f_k/tau)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    f = np.asarray(neg_scores, dtype=float)
-    z = f / tau
-    expz = np.exp(z - z.max())
-    return expz / expz.mean()
+    """Mean-one exponential weights  w_j = exp(f_j/tau) / mean_k exp(f_k/tau),
+    read off the softmax kernel as n tau d_neg."""
+    f = np.asarray(neg_scores, dtype=float)[None, :]
+    _, _, d_neg = softmax_loss(np.zeros((1, 1)), f, tau)
+    return f.size * tau * d_neg[0]
 
 
 def ccl_loss(f_pos, f_neg, alpha, margin):
@@ -219,21 +221,18 @@ def beta_step(state: MarginState, grad, lr_beta) -> MarginState:
 
 def drrl_worst_case_weights(neg_scores, gamma, c, beta):
     """Polynomial worst-case weights
-    w_j = c (f_j - beta)_+^{1/(g-1)} / (mean (f - beta)_+^{g*})^{1/g}.
+    w_j = c (f_j - beta)_+^{1/(g-1)} / (mean (f - beta)_+^{g*})^{1/g},
+    read off the DrRL kernel at eps = 0 as n d_neg.
 
     Returns (weights, degenerate_flag); the flag is set when every score is
     truncated and the weights are identically zero.
     """
     if gamma <= 1:
         raise ValueError("gamma must exceed 1")
-    f = np.asarray(neg_scores, dtype=float)
-    gstar = gamma / (gamma - 1.0)
-    hinge = np.maximum(f - beta, 0.0)
-    denom_power = np.mean(hinge**gstar)
-    if denom_power == 0.0:
-        return np.zeros(f.size), True
-    w = c * hinge ** (1.0 / (gamma - 1.0)) / denom_power ** (1.0 / gamma)
-    return w, False
+    f = np.asarray(neg_scores, dtype=float)[None, :]
+    # at a zero positive score the row's value is M itself
+    m, _, d_neg = drrl_loss(np.zeros((1, 1)), f, gamma / (gamma - 1.0), c, 0.0, beta)
+    return f.size * d_neg[0], bool(m[0] == 0.0)
 
 
 def batch_loss(f_pos, f_neg, spec: LossSpec, beta=None):

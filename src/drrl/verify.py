@@ -314,9 +314,10 @@ def suite_convexity(seed=0, count=1000, tol=1e-10):
 
 
 def suite_weights(seed=0, count=200, tol=1e-3, sl_tol=1e-12):
-    """Worst-case weights at beta* are a mean-one density whose
-    expectation of the scores reproduces the primal value; SL weights are
-    mean-one by construction."""
+    """Worst-case weights at beta* (n times the DrRL kernel's negative-score
+    gradient) are a mean-one density whose expectation of the scores
+    reproduces the brute-force primal value; SL weights (n tau times the
+    softmax kernel's) are mean-one by construction."""
     rng = np.random.default_rng(seed)
     worst_mass = 0.0
     worst_val = 0.0

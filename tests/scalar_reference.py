@@ -1,6 +1,7 @@
 """Scalar references for the vectorized training path: cosine scores and
-their Jacobians for one (user, item) pair, and a loss-and-gradients pass
-that loops over pairs and negatives one at a time."""
+their Jacobians for one (user, item) pair, the closed-form worst-case
+weights, and a loss-and-gradients pass that loops over pairs and negatives
+one at a time."""
 
 import numpy as np
 
@@ -31,6 +32,26 @@ def score_gradient(e_u, e_i):
     i_hat = e_i / ni
     f = float(u_hat @ i_hat)
     return (i_hat - f * u_hat) / nu, (u_hat - f * i_hat) / ni
+
+
+def sl_worst_case_weights(neg_scores, tau):
+    """Closed-form mean-one exponential weights exp(f_j/tau) / mean_k exp(f_k/tau)."""
+    z = np.asarray(neg_scores, dtype=float) / tau
+    expz = np.exp(z - z.max())
+    return expz / expz.mean()
+
+
+def drrl_worst_case_weights(neg_scores, gamma, c, beta):
+    """Closed-form polynomial worst-case weights
+    w_j = c (f_j - beta)_+^{1/(g-1)} / (mean (f - beta)_+^{g*})^{1/g},
+    with the flag set when every score is truncated."""
+    f = np.asarray(neg_scores, dtype=float)
+    gstar = gamma / (gamma - 1.0)
+    hinge = np.maximum(f - beta, 0.0)
+    denom_power = np.mean(hinge**gstar)
+    if denom_power == 0.0:
+        return np.zeros(f.size), True
+    return c * hinge ** (1.0 / (gamma - 1.0)) / denom_power ** (1.0 / gamma), False
 
 
 def _beta_gradient(neg, spec, beta):

@@ -54,6 +54,15 @@ class TestConfigParse:
         with pytest.raises(ValueError, match="tau"):
             cfg.validate()
 
+    def test_removed_eval_section_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown section \[eval\]"):
+            config.parse_config("[eval]\nks = 10,20\n")
+
+    def test_noise_split_kind_rejected(self):
+        cfg = config.parse_config("[split]\nkind = noise\n")
+        with pytest.raises(ValueError, match="split.kind must be iid or temporal"):
+            cfg.validate()
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = config.parse_config("# header\n\n[loss]\nkind = bpr  # inline\n")
         assert cfg.loss.kind == "bpr"

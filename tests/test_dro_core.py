@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drrl import dro_core as dc
+from drrl import losses as L
 
 finite_floats = st.floats(-1.0, 1.0, allow_nan=False)
 score_arrays = st.lists(finite_floats, min_size=2, max_size=10).map(np.asarray)
@@ -145,6 +146,31 @@ def test_minimize_beta_objective_gamma_star_one():
     scores = np.array([0.0, 1.0])
     beta, value = dc.minimize_beta_objective(scores, 1.0, 2.0)
     assert value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_minimize_beta_objective_rejects_c_below_one():
+    scores = np.array([0.2, -0.4, 0.7])
+    with pytest.raises(ValueError, match="needs c >= 1"):
+        dc.minimize_beta_objective(scores, 2.0, 0.99, 0.1)
+    # c = 1 still runs: no minimizer, beta* lies on the flat tail below the
+    # scores and the value just above the infimum mean(f) + eps
+    beta, value = dc.minimize_beta_objective(scores, 2.0, 1.0, 0.1)
+    assert beta < scores.min()
+    assert 0.0 <= value - (scores.mean() + 0.1) <= 1e-4
+
+
+def test_margin_solver_and_training_gradient_agree():
+    # the training kernel's margin gradient changes sign across the solver's beta*
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        row = rng.uniform(-1, 1, (1, int(rng.integers(2, 30))))
+        gamma_star = float(rng.uniform(1.0, 4.0))
+        c = float(rng.uniform(1.05, 3.0))
+        eps = float(rng.choice([0.0, 1e-2]))
+        beta, _ = dc.minimize_beta_objective(row[0], gamma_star, c, eps)
+        below, above = L.drrl_beta_gradient(np.vstack([row, row]), gamma_star, c, eps,
+                                            np.array([beta - 1e-6, beta + 1e-6]))
+        assert below <= 0.0 <= above, (gamma_star, c, eps, beta)
 
 
 def test_ccl_ball_equivalence_boundary_cases():

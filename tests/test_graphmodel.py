@@ -46,10 +46,12 @@ def test_xsimgcl_noise_has_fixed_norm_per_node():
     graph = gm.InteractionGraph(pairs, 4, 5)
     cfg = gm.BackboneConfig(kind="xsimgcl", layers=1, noise_modulus=0.3)
     rng = np.random.default_rng(0)
-    lgcn = gm.forward(table, graph, gm.BackboneConfig(kind="lightgcn", layers=1))
+    clean = gm.forward(table, graph, gm.BackboneConfig(kind="xsimgcl", layers=1,
+                                                        noise_modulus=0.0))
     out = gm.forward(table, graph, cfg, rng)
-    # layer-1 output differs from the clean propagation by a norm-0.3 vector
-    delta = out.user_layers[1] - lgcn.user_layers[1]
+    # the layer-1 (contrast) output differs from the clean propagation by a
+    # norm-0.3 vector
+    delta = out.contrast_user - clean.contrast_user
     np.testing.assert_allclose(np.linalg.norm(delta, axis=1), 0.3, atol=1e-9)
 
 
@@ -150,6 +152,26 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"nope" + b"\x00" * 32)
     with pytest.raises(ValueError):
         gm.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut, part, needs, found", [
+    (4 + 10, "header", 16, 10),
+    (20 + 5, "user block", 24, 5),
+    (20 + 24 + 9, "item block", 32, 9),
+    (20 + 24 + 32 + 4 + 6, "margin section", 12, 6),
+])
+def test_checkpoint_truncation_names_file_and_sizes(tmp_path, cut, part, needs, found):
+    # 3 users, 4 items, d = 2: 4-byte magic, 16-byte header, 24- and 32-byte
+    # blocks, 4-byte tag and 12-byte margin section
+    table = gm.EmbeddingTable.init_normal(3, 4, 2, seed=7)
+    path = tmp_path / "ck.bin"
+    gm.save_checkpoint(path, table, np.array([0.1, -0.2, 0.3]))
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError) as exc:
+        gm.load_checkpoint(path)
+    message = str(exc.value)
+    assert f"truncated checkpoint {path}" in message
+    assert f"{part} needs {needs} bytes, found {found}" in message
 
 
 def test_backbone_config_validation():

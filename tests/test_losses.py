@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as ref
 from drrl import losses as L
 
 scores = st.floats(-1.0, 1.0, allow_nan=False)
@@ -22,6 +23,11 @@ def test_spec_validation():
         L.LossSpec(kind="sl", tau=0.0).validate()
     with pytest.raises(ValueError):
         L.LossSpec(kind="drrl", gamma_star=0.5).validate()
+    # no radius eta >= 0 gives c_gamma(eta) < 1, and below 1 the margin
+    # objective is unbounded below
+    with pytest.raises(ValueError, match="loss.c must be at least 1 for drrl"):
+        L.LossSpec(kind="drrl", c=0.9).validate()
+    L.LossSpec(kind="drrl", c=1.0).validate()
     assert L.LossSpec(kind="drrl", gamma_star=1.0).gamma == np.inf
     assert L.LossSpec(kind="drrl", gamma_star=2.0).gamma == pytest.approx(2.0)
 
@@ -95,6 +101,23 @@ def test_drrl_worst_case_weights_hand_values():
     )
     assert not degenerate
     assert w == pytest.approx([1.69842, 0.33968, 0.0], abs=1e-5)
+
+
+@pytest.mark.parametrize("gamma", [1.2, 1.5, 2.0, 3.0, 6.0])
+def test_worst_case_weights_match_closed_forms(gamma):
+    # the kernel-derived weights against the closed forms at equal margins
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        neg = rng.uniform(-1, 1, int(rng.integers(2, 40)))
+        beta = float(rng.uniform(-1.5, 0.8))
+        c = float(rng.uniform(1.0, 3.0))
+        w, degenerate = L.drrl_worst_case_weights(neg, gamma, c, beta)
+        w_ref, degenerate_ref = ref.drrl_worst_case_weights(neg, gamma, c, beta)
+        assert degenerate == degenerate_ref
+        np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0.0)
+        tau = float(rng.uniform(0.05, 1.0))
+        np.testing.assert_allclose(L.sl_worst_case_weights(neg, tau),
+                                   ref.sl_worst_case_weights(neg, tau), rtol=1e-12, atol=0.0)
 
 
 def test_drrl_fully_truncated_degenerates():
