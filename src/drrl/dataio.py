@@ -283,7 +283,9 @@ def sample_batch(
     if len(train_pairs) == 0:
         raise ValueError("split has no train interactions")
     num_items = split.num_items
-    train_keys = np.sort(train_pairs[:, 0] * num_items + train_pairs[:, 1])
+    train_keys = train_pairs[:, 0] * num_items + train_pairs[:, 1]
+    if np.any(train_keys[1:] < train_keys[:-1]):  # split.train_pairs() is in order
+        train_keys = np.sort(train_keys)
     pairs = train_pairs[rng.integers(0, len(train_pairs), size=batch_size)]
     # each row's train items are train_keys[start:start + degree]
     start = np.searchsorted(train_keys, pairs[:, 0] * num_items)

@@ -14,7 +14,7 @@ import numpy as np
 from . import losses as L
 from .dro_core import minimize_beta_objective
 from .graphmodel import cosine_matrix, forward
-from .metrics import truncation_ratio, weight_stats
+from .metrics import block_rows, item_mask, truncation_ratio, weight_stats
 
 DIAGNOSABLE = ("sl", "ccl", "drrl")
 
@@ -51,19 +51,22 @@ def user_diagnostics(
             f"no worst-case weight notion for loss {spec.kind!r}; "
             f"diagnostics support {DIAGNOSABLE}"
         )
-    num_items = score_matrix.shape[1]
+    num_users, num_items = score_matrix.shape
     positive = np.zeros((1, 1))  # the kernels' d_neg does not depend on it
     rows = []
-    for user in range(score_matrix.shape[0]):
-        in_train = np.zeros(num_items, dtype=bool)
-        in_train[list(split.train[user])] = True
+    step = block_rows(num_items)
+    for user in range(num_users):
+        slot = user % step  # the user's row in the block masks
+        if slot == 0:
+            block = range(user, min(user + step, num_users))
+            in_train = item_mask([split.train[u] for u in block], num_items)
+            if noise_pool != "train":
+                in_heldout = item_mask([split.heldout(u) for u in block], num_items)
         if noise_pool == "train":
-            candidates, flagged = np.arange(num_items), in_train
+            candidates, flagged = np.arange(num_items), in_train[slot]
         else:
-            candidates = np.flatnonzero(~in_train)
-            in_heldout = np.zeros(num_items, dtype=bool)
-            in_heldout[list(split.heldout(user))] = True
-            flagged = in_heldout[candidates]
+            candidates = np.flatnonzero(~in_train[slot])
+            flagged = in_heldout[slot, candidates]
         if candidates.size == 0:
             continue
         f = score_matrix[user, candidates]

@@ -189,13 +189,20 @@ def infonce_auxiliary(layer_final, layer_lstar, temperature, weight):
     lhat = zl / nl
     cos = fhat @ lhat.T
     s = cos / temperature
+    diag = np.diag_indices(n)
     smax = s.max(axis=1, keepdims=True)
-    expz = np.exp(s - smax)
-    p = expz / expz.sum(axis=1, keepdims=True)
-    loss = float(np.mean(-s[np.diag_indices(n)] + smax.ravel() + np.log(expz.sum(axis=1))))
-    g_cos = weight * (p - np.eye(n)) / (n * temperature)
-    row = (g_cos * cos).sum(axis=1, keepdims=True)
-    col = (g_cos * cos).sum(axis=0)[:, None]
+    s_diag = s[diag]
+    # g_cos = weight * (softmax(s) - I) / (n * temperature), built in s's buffer
+    g_cos = np.exp(np.subtract(s, smax, out=s), out=s)
+    total = g_cos.sum(axis=1, keepdims=True)
+    loss = float(np.mean(-s_diag + smax.ravel() + np.log(total.ravel())))
+    g_cos /= total
+    g_cos[diag] -= 1.0
+    g_cos *= weight
+    g_cos /= n * temperature
+    weighted = g_cos * cos
+    row = weighted.sum(axis=1, keepdims=True)
+    col = weighted.sum(axis=0)[:, None]
     d_final = (g_cos @ lhat - row * fhat) / nf
     d_lstar = (g_cos.T @ fhat - col * lhat) / nl
     return weight * loss, d_final, d_lstar

@@ -175,9 +175,11 @@ def _drrl_negative_term(f_neg, gamma_star, c, eps, beta):
 
 def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta):
     """M per row and dM/df (B, n) = M^{1-g*}/n [c (f-beta)_+ + eps]^{g*-1} c 1[f > beta];
-    a fully truncated row with eps = 0 (M = 0) takes its one-sided limit 0."""
+    a fully truncated row with eps = 0 (M = 0) takes its one-sided limit 0.
+    At g* = 1 the factor M^0 is 1, also where M underflows to 0."""
     m, inner = _drrl_negative_term(f_neg, gamma_star, c, eps, beta)
-    scale = np.power(m, 1.0 - gamma_star, where=m > 0.0, out=np.zeros_like(m)) / f_neg.shape[1]
+    scale = np.power(m, 1.0 - gamma_star, where=(m > 0.0) | (gamma_star == 1.0),
+                     out=np.zeros_like(m)) / f_neg.shape[1]
     return m[:, 0], scale * inner ** (gamma_star - 1.0) * c * (f_neg > beta)
 
 

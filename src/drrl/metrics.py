@@ -3,9 +3,15 @@ statistics."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+# Working-memory budget of one block of score rows. The ranking kernel holds
+# a float64 copy of the block, argpartition's int64 index block and boolean
+# masks: at most 20 bytes per score.
+BLOCK_BYTES = 16 << 20
 
 
 @dataclass
@@ -15,18 +21,64 @@ class WeightStats:
     degenerate: bool = False
 
 
+def block_rows(num_items):
+    """Rows per block of a (users x num_items) score matrix."""
+    return max(1, BLOCK_BYTES // (20 * max(1, num_items)))
+
+
+def _flat_items(item_sets):
+    """(row, item) index arrays of every id in a list of per-row id sets."""
+    sizes = np.fromiter(map(len, item_sets), dtype=np.int64, count=len(item_sets))
+    items = np.fromiter(itertools.chain.from_iterable(item_sets), dtype=np.int64,
+                        count=int(sizes.sum()))
+    return np.repeat(np.arange(len(item_sets)), sizes), items
+
+
+def item_mask(item_sets, num_items):
+    """(len(item_sets), num_items) boolean mask of each row's item ids."""
+    mask = np.zeros((len(item_sets), num_items), dtype=bool)
+    mask[_flat_items(item_sets)] = True
+    return mask
+
+
+def _top_lists(masked, exclude_sets, k):
+    """Top-k item ids of every row of the float block `masked`, which is
+    overwritten: excluded and non-finite scores never rank. Items are ordered
+    by score descending, then item id ascending; a row with fewer than k
+    ranked items is padded with -1."""
+    if k < 1:
+        raise ValueError(f"K must be at least 1, got {k}")
+    masked[_flat_items(exclude_sets)] = -np.inf
+    masked[~np.isfinite(masked)] = -np.inf
+    num_items = masked.shape[1]
+    k = min(k, num_items)
+    if k == 0:
+        return np.empty((masked.shape[0], 0), dtype=np.intp)
+    # (a copy: a view would keep the whole index block alive)
+    top = np.argpartition(masked, num_items - k, axis=1)[:, num_items - k:].copy()
+    scores = np.take_along_axis(masked, top, axis=1)
+    kth = scores.min(axis=1, keepdims=True)
+    # argpartition picks arbitrary items among those tied with a row's k-th
+    # best score: swap in the lowest ids of each such tie group
+    picked = scores == kth
+    need = np.count_nonzero(picked, axis=1)
+    ties = np.flatnonzero(np.count_nonzero(masked == kth, axis=1) > need)
+    if ties.size:
+        rows, items = np.nonzero(masked[ties] == kth[ties])  # ids ascend per row
+        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+        slot_rows, slot_cols = np.nonzero(picked[ties])
+        top[ties[slot_rows], slot_cols] = items[rank < need[ties][rows]]
+    order = np.lexsort((top, -scores), axis=1)
+    top = np.take_along_axis(top, order, axis=1)
+    top[np.take_along_axis(scores, order, axis=1) == -np.inf] = -1
+    return top
+
+
 def top_k_items(scores, exclude, k):
     """Indices of the top-k items by score, excluding `exclude`; ties broken
     by ascending item id."""
-    scores = np.asarray(scores, dtype=float)
-    masked = scores.copy()
-    if exclude:
-        masked[sorted(exclude)] = -np.inf
-    ids = np.arange(masked.size)
-    # lexsort: last key is primary; -score descending, then id ascending
-    order = np.lexsort((ids, -masked))
-    order = order[np.isfinite(masked[order])]
-    return order[:k]
+    top = _top_lists(np.array(scores, dtype=float)[None], [exclude], k)[0]
+    return top[top >= 0]
 
 
 def recall_at_k(scores, exclude, truth, k):
@@ -54,23 +106,53 @@ def ndcg_at_k(scores, exclude, truth, k):
 def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
     """Average Recall@K / NDCG@K over users with nonempty ground truth.
 
-    Returns {(metric, K): value}; users with empty truth are skipped.
+    Ranks blocks of `block_rows` users at a time, once to max(ks), and reads
+    every K off that one top list. Returns {(metric, K): value}; users with
+    empty truth are skipped.
     """
+    score_matrix = np.asarray(score_matrix)
+    num_users, num_items = score_matrix.shape
+    for name, sets in (("exclude_sets", exclude_sets), ("truth_sets", truth_sets)):
+        if len(sets) != num_users:
+            raise ValueError(
+                f"{name} has {len(sets)} entries for {num_users} score rows"
+            )
+    ks = list(dict.fromkeys(ks))
+    if any(k < 1 for k in ks):
+        raise ValueError(f"every K must be at least 1, got {ks}")
+    scored = np.flatnonzero([len(truth) > 0 for truth in truth_sets])
+    if scored.size == 0:
+        raise ValueError("no user has ground-truth items")
     sums = {("recall", k): 0.0 for k in ks}
     sums.update({("ndcg", k): 0.0 for k in ks})
-    n_scored = 0
-    for user, truth in enumerate(truth_sets):
-        if not truth:
-            continue
-        n_scored += 1
-        row = score_matrix[user]
-        exclude = exclude_sets[user]
+    if not ks:
+        return sums
+    discount = 1.0 / np.log2(np.arange(2, min(max(ks), num_items) + 2))
+    ideal_dcg = np.cumsum(discount)
+    step = block_rows(num_items)
+    for lo in range(0, scored.size, step):
+        users = scored[lo:lo + step]
+        truth = [truth_sets[u] for u in users]
+        rows, items = _flat_items(truth)
+        if items.min() < 0 or items.max() >= num_items:
+            raise ValueError(
+                f"truth item ids must lie in [0, {num_items}), "
+                f"got {items.min()}..{items.max()}"
+            )
+        top = _top_lists(np.asarray(score_matrix[users], dtype=float),
+                         [exclude_sets[u] for u in users], max(ks))
+        is_truth = np.zeros((users.size, num_items), dtype=bool)
+        is_truth[rows, items] = True
+        hits = is_truth[np.arange(users.size)[:, None], top] & (top >= 0)
+        n_truth = np.bincount(rows, minlength=users.size)
+        hit_count = np.cumsum(hits, axis=1)
+        dcg = np.cumsum(hits * discount, axis=1)
         for k in ks:
-            sums[("recall", k)] += recall_at_k(row, exclude, truth, k)
-            sums[("ndcg", k)] += ndcg_at_k(row, exclude, truth, k)
-    if n_scored == 0:
-        raise ValueError("no user has ground-truth items")
-    return {key: val / n_scored for key, val in sums.items()}
+            col = min(k, top.shape[1]) - 1
+            sums[("recall", k)] += float(np.sum(hit_count[:, col] / n_truth))
+            sums[("ndcg", k)] += float(np.sum(
+                dcg[:, col] / ideal_dcg[np.minimum(k, n_truth) - 1]))
+    return {key: val / scored.size for key, val in sums.items()}
 
 
 def weight_stats(weights, false_negative_mask=None) -> WeightStats:

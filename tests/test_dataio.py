@@ -108,12 +108,14 @@ class TestSplitTemporal:
 class TestSampleBatch:
     def test_clean_batch_avoids_train_positives(self):
         split = _toy_split()
-        rng = np.random.default_rng(0)
-        batch = dataio.sample_batch(split, 64, 8, None, rng)
-        assert not batch.false_negative_mask.any()
-        for (user, pos), negs in zip(batch.pairs, batch.negatives):
-            assert pos in split.train[user]
-            assert not (set(negs.tolist()) & split.train[user])
+        # the default train pairs come in key order; a caller's may not
+        for train_pairs in (None, split.train_pairs()[::-1]):
+            rng = np.random.default_rng(0)
+            batch = dataio.sample_batch(split, 64, 8, None, rng, train_pairs=train_pairs)
+            assert not batch.false_negative_mask.any()
+            for (user, pos), negs in zip(batch.pairs, batch.negatives):
+                assert pos in split.train[user]
+                assert not (set(negs.tolist()) & split.train[user])
 
     def test_noise_flips_draw_from_heldout(self):
         split = _toy_split()

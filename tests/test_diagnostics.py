@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from drrl import losses as L
+from drrl import metrics
 from drrl.dataio import DatasetSplit
 from drrl.diagnostics import user_diagnostics
 
@@ -66,3 +67,14 @@ def test_user_with_no_candidates_is_skipped():
     split = DatasetSplit([{0, 1}, {0}], [set(), {1}], [set(), set()], "iid", 2, 2)
     rows = user_diagnostics(np.array([[0.3, 0.1], [0.2, 0.4]]), split, CCL)
     assert [r.user for r in rows] == [1]
+    no_items = DatasetSplit([set()], [set()], [set()], "iid", 1, 0)
+    assert user_diagnostics(np.zeros((1, 0)), no_items, CCL) == []
+
+
+@pytest.mark.parametrize("noise_pool", ["heldout", "train"])
+def test_rows_do_not_depend_on_mask_block_size(noise_pool, monkeypatch):
+    whole = rows_of(CCL, noise_pool=noise_pool)
+    for users_per_block in (1, 2):
+        monkeypatch.setattr(metrics, "BLOCK_BYTES", 20 * SPLIT.num_items * users_per_block)
+        assert metrics.block_rows(SPLIT.num_items) == users_per_block
+        assert repr(rows_of(CCL, noise_pool=noise_pool)) == repr(whole)

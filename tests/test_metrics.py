@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,86 @@ def test_evaluate_ranking_skips_empty_truth():
     score_matrix = np.array([[0.9, 0.1, 0.2], [0.3, 0.8, 0.1]])
     res = metrics.evaluate_ranking(score_matrix, [set(), set()], [{0}, set()], [1])
     assert res[("recall", 1)] == 1.0
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_evaluate_ranking_matches_bruteforce_with_ties(seed):
+    # integer scores force ties, also across the K-th position; many
+    # exclusions leave rows with fewer candidates than max K; small blocks
+    # split the users over several kernel calls
+    rng = np.random.default_rng(seed)
+    n_users, n_items = int(rng.integers(1, 9)), int(rng.integers(0, 31))
+    scores = rng.integers(0, 4, size=(n_users, n_items)).astype(float)
+    excludes, truths = [], []
+    for _ in range(n_users):
+        exclude = set(rng.choice(n_items, size=int(rng.integers(0, n_items + 1)),
+                                 replace=False).tolist())
+        pool = [i for i in range(n_items) if i not in exclude]
+        size = int(rng.integers(0, len(pool) + 1))
+        excludes.append(exclude)
+        truths.append(set(rng.choice(pool, size=size, replace=False).tolist()) if size else set())
+    scored = [u for u in range(n_users) if truths[u]]
+    ks = sorted(set(rng.integers(1, n_items + 4, size=int(rng.integers(1, 4))).tolist()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "BLOCK_BYTES", 20 * n_items * int(rng.integers(1, 4)))
+        for u in range(n_users):
+            want = sorted((i for i in range(n_items) if i not in excludes[u]),
+                          key=lambda i: (-scores[u, i], i))[:max(ks)]
+            assert metrics.top_k_items(scores[u], excludes[u], max(ks)).tolist() == want
+        if not scored:
+            with pytest.raises(ValueError, match="no user has ground-truth"):
+                metrics.evaluate_ranking(scores, excludes, truths, ks)
+            return
+        got = metrics.evaluate_ranking(scores, excludes, truths, ks)
+    assert list(got) == [(m, k) for m in ("recall", "ndcg") for k in ks]
+    for k in ks:
+        for name, brute in (("recall", brute_recall), ("ndcg", brute_ndcg)):
+            want = np.mean([brute(scores[u], excludes[u], truths[u], k) for u in scored])
+            assert got[(name, k)] == pytest.approx(want, abs=1e-12)
+
+
+def test_evaluate_ranking_rejects_mismatched_set_lengths():
+    scores = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="exclude_sets has 1 entries for 2 score rows"):
+        metrics.evaluate_ranking(scores, [set()], [{0}, {1}], [1])
+    with pytest.raises(ValueError, match="truth_sets has 3 entries for 2 score rows"):
+        metrics.evaluate_ranking(scores, [set(), set()], [{0}, {1}, {2}], [1])
+
+
+def test_evaluate_ranking_rejects_k_below_one():
+    with pytest.raises(ValueError, match="every K must be at least 1"):
+        metrics.evaluate_ranking(np.zeros((1, 3)), [set()], [{0}], [5, 0])
+
+
+def test_evaluate_ranking_rejects_truth_outside_items():
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=r"truth item ids must lie in \[0, 3\)"):
+            metrics.evaluate_ranking(np.zeros((2, 3)), [set(), set()], [{0}, {1, bad}], [1])
+
+
+def _evaluator_peak(n_users, n_items):
+    rng = np.random.default_rng(0)
+    scores = rng.normal(size=(n_users, n_items))
+    excludes = [set(rng.choice(n_items, size=20, replace=False).tolist())
+                for _ in range(n_users)]
+    truths = [{int(i)} for i in rng.integers(0, n_items, size=n_users)]
+    tracemalloc.start()
+    try:
+        metrics.evaluate_ranking(scores, excludes, truths, [10, 20, 50])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_evaluator_memory_bounded_by_block_budget():
+    n_items = 2000
+    # one float64 copy of the score matrix would exceed the budget
+    assert 8 * 1200 * n_items > metrics.BLOCK_BYTES
+    small, large = _evaluator_peak(1200, n_items), _evaluator_peak(2400, n_items)
+    assert small < metrics.BLOCK_BYTES
+    assert large < 1.05 * small
 
 
 def test_evaluate_ranking_all_empty_rejected():
