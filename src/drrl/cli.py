@@ -146,6 +146,10 @@ def cmd_stats(args):
         kind=args.loss, tau=args.tau, alpha=args.alpha,
         gamma_star=args.gamma_star, c=args.c, eps=args.eps, beta0=args.beta0,
     ).validate()
+    if args.resolve_margin and spec.kind == "drrl" and spec.c == 1.0:
+        print("warning: at --c 1 the margin objective has no minimizer, so beta*, "
+              "truncation and k1 describe an arbitrary point on its flat tail; "
+              "pass --c above 1", file=sys.stderr)
     margins = None
     if margin_values is not None:
         margins = MarginState(np.asarray(margin_values, dtype=float))

@@ -3,9 +3,10 @@ constrained inner maximization  max_Q E_Q[f]  s.t.  D(Q, P) <= eta,
 with P uniform over the sampled negatives.
 
 The brute-force route is deliberately independent of the closed-form dual:
-it climbs the feasible set directly (projected ascent with feasibility
-bisection, Dirichlet restarts, and an SLSQP polish) so that the dual
-formulas can be certified numerically against it.
+it climbs the feasible set directly (projected ascent from all starts in
+lockstep, a grid-bracketed search for the ball's boundary, Dirichlet
+restarts, and an SLSQP polish) so that the dual formulas can be certified
+numerically against it.
 """
 
 from __future__ import annotations
@@ -162,14 +163,14 @@ def divergence(q, p, kind: DivergenceKind):
 
 
 def project_simplex(v):
-    """Euclidean projection onto the probability simplex."""
+    """Euclidean projection onto the probability simplex, of a vector `(n,)`
+    or of each row of an `(m, n)` array."""
     v = np.asarray(v, dtype=float)
-    n = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, n + 1)
-    rho = np.count_nonzero(u - css / ind > 0)
-    theta = css[rho - 1] / rho
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    ind = np.arange(1, v.shape[-1] + 1)
+    rho = np.count_nonzero(u - css / ind > 0, axis=-1)[..., None]
+    theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
     return np.maximum(v - theta, 0.0)
 
 
@@ -203,66 +204,79 @@ def golden_section(fn, a, b, tol=1e-8):
     return d, yd
 
 
-def _div_fast(q, p, kind):
-    """Divergence without validation, for the bisection hot path."""
+def _div_rows(q, kind):
+    """Divergence from uniform of each row of `q` (`(..., n)` -> `(...)`),
+    without validation, for the oracle's hot path. Rows are nonnegative;
+    zero coordinates add nothing to KL."""
+    n = q.shape[-1]
     if kind.kind == KL:
-        support = q > 0
-        return float(np.sum(q[support] * np.log(q[support] * q.size)))
+        return np.sum(q * np.log(np.where(q > 0, q * n, 1.0)), axis=-1)
     g = kind.gamma
-    t = q * q.size
-    return float(np.mean(t**g - g * t + g - 1.0)) / (g * (g - 1.0))
+    t = q * n
+    return np.sum(t**g - g * t + g - 1.0, axis=-1) / n / (g * (g - 1.0))
 
 
-def _feasible_toward(p, q, kind, eta, iters=60):
-    """Largest point on the segment P -> Q with divergence <= eta.
+_GRID = 32  # grid intervals per round of the boundary search
+_ROUNDS = 10  # 32^10 = 2^50: the resolution of a 50-step bisection
 
-    D is convex with D(P) = 0, so the feasible t form an interval [0, t*].
+
+def _boundary_rows(a, b, kind, eta):
+    """Row-wise largest feasible point on the segment from a feasible `a`
+    (`(n,)` or `(m, n)`) toward a target `b` (`(m, n)`).
+
+    D is convex, so the feasible t in [0, 1] form an interval [0, t*]. Rows
+    whose target is feasible return it; the others bracket t* on a grid of
+    `_GRID` intervals per round, moving to the grid point before the first
+    infeasible one, for `_ROUNDS` rounds. Points are (1 - t) a + t b, which
+    stays nonnegative in floating point (a + t (b - a) can round a zero
+    coordinate below zero, and a fractional power of that is NaN).
     """
-    if _div_fast(q, kind=kind, p=p) <= eta:
-        return q
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if _div_fast((1 - mid) * p + mid * q, p, kind) <= eta:
-            lo = mid
-        else:
-            hi = mid
-    return (1 - lo) * p + lo * q
+    a = np.broadcast_to(a, b.shape)
+    out = b.copy()
+    rows = np.flatnonzero(_div_rows(b, kind) > eta)
+    if rows.size == 0:
+        return out
+    a, b = a[rows, None, :], b[rows, None, :]
+    steps = np.arange(1, _GRID)
+    lo = np.zeros(rows.size)
+    width = 1.0
+    for _ in range(_ROUNDS):
+        width /= _GRID
+        t = (lo[:, None] + width * steps)[..., None]
+        feasible = _div_rows((1 - t) * a + t * b, kind) <= eta
+        # move to the last grid point before the first infeasible one
+        lo = lo + width * np.logical_and.accumulate(feasible, axis=1).sum(axis=1)
+    t = lo[:, None]
+    out[rows] = (1 - t) * a[:, 0] + t * b[:, 0]
+    return out
 
 
-def _segment_step(q, target, p, kind, eta, iters=50):
-    """Largest point on the feasible segment from Q toward `target`."""
-    if _div_fast(target, p, kind) <= eta:
-        return target
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        cand = (1 - mid) * q + mid * target
-        if _div_fast(cand, p, kind) <= eta:
-            lo = mid
-        else:
-            hi = mid
-    return (1 - lo) * q + lo * target
+def _ascend(q, f, kind, eta, max_iters=80):
+    """Feasible-direction ascent of the linear objective f . Q from every
+    row of `q` in lockstep; returns the final rows and their values.
 
-
-def _ascend(q, f, p, kind, eta, max_iters=80):
-    """Feasible-direction ascent of the linear objective f . Q.
-
-    The objective is linear and the feasible set convex, so any local
-    maximum found this way is global; restarts are insurance only.
+    Each row keeps its own step, halved when a move does not improve it,
+    and stops once the step drops below 1e-10. The objective is linear and
+    the feasible set convex, so any local maximum found this way is global;
+    restarts are insurance only.
     """
-    value = float(f @ q)
-    step = 1.0
+    q = q.copy()
+    value = q @ f
+    step = np.ones(len(q))
+    active = np.ones(len(q), dtype=bool)
     for _ in range(max_iters):
-        target = project_simplex(q + step * f)
-        cand = _segment_step(q, target, p, kind, eta)
-        cand_value = float(f @ cand)
-        if cand_value > value + 1e-14:
-            q, value = cand, cand_value
-        else:
-            step *= 0.5
-            if step < 1e-10:
-                break
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        target = project_simplex(q[rows] + step[rows, None] * f)
+        cand = _boundary_rows(q[rows], target, kind, eta)
+        cand_value = cand @ f
+        up = cand_value > value[rows] + 1e-14
+        q[rows[up]] = cand[up]
+        value[rows[up]] = cand_value[up]
+        stay = rows[~up]
+        step[stay] *= 0.5
+        active[stay[step[stay] < 1e-10]] = False
     return q, value
 
 
@@ -313,8 +327,7 @@ def _slsqp_polish(q0, f, p, kind, eta):
     s = q.sum()
     if s <= 0:
         return None
-    q = q / s
-    return _feasible_toward(p, q, kind, eta)
+    return _boundary_rows(p, (q / s)[None], kind, eta)[0]
 
 
 def inner_max_bruteforce(
@@ -327,9 +340,10 @@ def inner_max_bruteforce(
 ) -> InnerMaxResult:
     """Numerically maximize E_Q[f] over the divergence ball around uniform P.
 
-    Projected ascent on the simplex with feasibility bisection, restarted
-    from Dirichlet draws (dense grid refinement for very small n), then an
-    SLSQP polish from the best point found.
+    Projected ascent on the simplex with a boundary search for feasibility,
+    restarted from Dirichlet draws (dense grid refinement for very small n),
+    all starts climbing in lockstep, then an SLSQP polish from the best
+    point found.
     """
     f = inst.scores
     p = inst.base
@@ -342,26 +356,16 @@ def inner_max_bruteforce(
         return InnerMaxResult(float(f @ q), q, divergence(q, p, kind), True)
 
     rng = np.random.default_rng(seed)
-    starts = [p.copy()]
-    for draw in rng.dirichlet(np.ones(n), size=restarts):
-        starts.append(_feasible_toward(p, draw, kind, eta))
+    draws = rng.dirichlet(np.ones(n), size=restarts)
+    starts = [p[None], _boundary_rows(p, draws, kind, eta)]
     if n <= 5:
         # dense refinement: push random directions to the ball boundary
-        draws = rng.dirichlet(np.ones(n), size=500)
-        values = []
-        pushed = []
-        for draw in draws:
-            q = _feasible_toward(p, draw, kind, eta, iters=30)
-            pushed.append(q)
-            values.append(f @ q)
-        best = np.argsort(values)[-4:]
-        starts.extend(pushed[i] for i in best)
+        pushed = _boundary_rows(p, rng.dirichlet(np.ones(n), size=500), kind, eta)
+        starts.append(pushed[np.argsort(pushed @ f)[-4:]])
 
-    best_q, best_v = None, -math.inf
-    for q0 in starts:
-        q, v = _ascend(q0, f, p, kind, eta, max_iters=max_iters)
-        if v > best_v:
-            best_q, best_v = q, v
+    q, values = _ascend(np.vstack(starts), f, kind, eta, max_iters=max_iters)
+    best = int(np.argmax(values))
+    best_q, best_v = q[best], float(values[best])
 
     converged = True
     if polish:
@@ -372,7 +376,7 @@ def inner_max_bruteforce(
                 best_q, best_v = polished, v
     achieved = divergence(best_q, p, kind)
     if achieved > eta + 1e-6:
-        best_q = _feasible_toward(p, best_q, kind, eta)
+        best_q = _boundary_rows(p, best_q[None], kind, eta)[0]
         best_v = float(f @ best_q)
         achieved = divergence(best_q, p, kind)
         converged = False

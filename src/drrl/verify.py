@@ -79,14 +79,16 @@ def suite_duality(seed=0, count=200, tol=1e-3, n_range=(4, 10), etas=(0.01, 0.1,
 def suite_lambda(seed=0, count=200, tol=1e-6, n_range=(4, 10), etas=(0.01, 0.1, 0.5),
                  gammas=(1.5, 2.0, 3.0)):
     """The two-multiplier dual at (lambda*, rho* = beta* + lambda*/(g-1))
-    must reproduce the golden-section minimum."""
+    must reproduce the golden-section minimum. Runs the margin solver as
+    `solve_beta` does, without its brute-force primal."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for inst, gamma in _random_instances(rng, count, n_range, etas, gammas):
-        cert = dc.solve_beta(inst, gamma)
-        rho = cert.beta_star + cert.lambda_star / (gamma - 1.0)
-        two_mult = dc.dual_lagrangian(inst, gamma, cert.lambda_star, rho)
-        worst = max(worst, abs(two_mult - cert.dual_value))
+        beta_star, dual_value = dc.minimize_beta_objective(
+            inst.scores, dc.gamma_conjugate(gamma), dc.c_gamma(inst.eta, gamma), 0.0, 1e-8)
+        lam = dc.lambda_star(inst, gamma, beta_star)
+        two_mult = dc.dual_lagrangian(inst, gamma, lam, beta_star + lam / (gamma - 1.0))
+        worst = max(worst, abs(two_mult - dual_value))
     return [
         {"name": "lambda-certificate", "passed": worst <= tol, "instances": count,
          "worst_gap": worst, "tolerance": tol}

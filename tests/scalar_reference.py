@@ -1,10 +1,14 @@
-"""Scalar references for the vectorized training path: cosine scores and
-their Jacobians for one (user, item) pair, the closed-form worst-case
-weights, and a loss-and-gradients pass that loops over pairs and negatives
-one at a time."""
+"""Scalar references for the vectorized code: cosine scores and their
+Jacobians for one (user, item) pair, the closed-form worst-case weights, a
+loss-and-gradients pass that loops over pairs and negatives one at a time,
+and the brute-force inner maximization with one start and one bisection
+step at a time."""
+
+import math
 
 import numpy as np
 
+from drrl import dro_core as dc
 from drrl import losses as L
 from drrl.graphmodel import backward, forward, infonce_auxiliary
 
@@ -120,3 +124,88 @@ def loss_and_gradients(table, graph, backbone_cfg, spec, margins, batch, margin_
             grad_user += bu + cu
             grad_item += bi + ci
     return value, grad_user, grad_item
+
+
+def _div_fast(q, p, kind):
+    """Divergence from uniform P of one vector, without validation."""
+    if kind.kind == dc.KL:
+        support = q > 0
+        return float(np.sum(q[support] * np.log(q[support] * q.size)))
+    g = kind.gamma
+    t = q * q.size
+    return float(np.mean(t**g - g * t + g - 1.0)) / (g * (g - 1.0))
+
+
+def _feasible_toward(p, q, kind, eta, iters=60):
+    """Largest point on the segment P -> Q with divergence <= eta, by bisection."""
+    if _div_fast(q, kind=kind, p=p) <= eta:
+        return q
+    lo, hi = 0.0, 1.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if _div_fast((1 - mid) * p + mid * q, p, kind) <= eta:
+            lo = mid
+        else:
+            hi = mid
+    return (1 - lo) * p + lo * q
+
+
+def _segment_step(q, target, p, kind, eta, iters=50):
+    """Largest point on the feasible segment from Q toward `target`."""
+    if _div_fast(target, p, kind) <= eta:
+        return target
+    lo, hi = 0.0, 1.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        cand = (1 - mid) * q + mid * target
+        if _div_fast(cand, p, kind) <= eta:
+            lo = mid
+        else:
+            hi = mid
+    return (1 - lo) * q + lo * target
+
+
+def _ascend(q, f, p, kind, eta, max_iters=80):
+    """Feasible-direction ascent of f . Q from one start."""
+    value = float(f @ q)
+    step = 1.0
+    for _ in range(max_iters):
+        target = dc.project_simplex(q + step * f)
+        cand = _segment_step(q, target, p, kind, eta)
+        cand_value = float(f @ cand)
+        if cand_value > value + 1e-14:
+            q, value = cand, cand_value
+        else:
+            step *= 0.5
+            if step < 1e-10:
+                break
+    return q, value
+
+
+def inner_max_bruteforce(inst, kind, seed=0, restarts=4, max_iters=40):
+    """`dro_core.inner_max_bruteforce` for the KL and Cressie-Read balls at
+    eta > 0, one start and one bisection step at a time; the SLSQP polish
+    is `dro_core`'s. Returns (value, q)."""
+    f, p, n, eta = inst.scores, inst.base, inst.n, inst.eta
+    rng = np.random.default_rng(seed)
+    starts = [p.copy()]
+    for draw in rng.dirichlet(np.ones(n), size=restarts):
+        starts.append(_feasible_toward(p, draw, kind, eta))
+    if n <= 5:
+        pushed = [_feasible_toward(p, draw, kind, eta, iters=30)
+                  for draw in rng.dirichlet(np.ones(n), size=500)]
+        best = np.argsort([f @ q for q in pushed])[-4:]
+        starts.extend(pushed[i] for i in best)
+
+    best_q, best_v = None, -math.inf
+    for q0 in starts:
+        q, v = _ascend(q0, f, p, kind, eta, max_iters=max_iters)
+        if v > best_v:
+            best_q, best_v = q, v
+    polished = dc._slsqp_polish(best_q, f, p, kind, eta)
+    if polished is not None and float(f @ polished) > best_v:
+        best_q, best_v = polished, float(f @ polished)
+    if dc.divergence(best_q, p, kind) > eta + 1e-6:
+        best_q = _feasible_toward(p, best_q, kind, eta)
+        best_v = float(f @ best_q)
+    return best_v, best_q

@@ -170,6 +170,16 @@ class TestCli:
         assert lines[0].startswith("user,k1,k2")
         assert len(lines) == 31
 
+    def test_stats_warns_when_resolved_margin_has_no_minimizer(self, run_dir, split_dir,
+                                                                 tmp_path, capsys):
+        args = ["stats", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                "--split", str(split_dir), "--loss", "drrl", "--resolve-margin",
+                "--output", str(tmp_path / "stats.csv")]
+        assert cli.main(args) == 0
+        assert "no minimizer" in capsys.readouterr().err
+        assert cli.main(args + ["--c", "1.2"]) == 0
+        assert "no minimizer" not in capsys.readouterr().err
+
     def test_stats_rejects_pairwise_losses(self, run_dir, split_dir, capsys):
         code = cli.main(
             ["stats", "--checkpoint", str(run_dir / "checkpoint.bin"),

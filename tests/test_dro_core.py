@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as ref
 from drrl import dro_core as dc
 from drrl import losses as L
 
@@ -68,6 +69,14 @@ def test_project_simplex_is_a_distribution(v):
     q = dc.project_simplex(np.asarray(v))
     assert np.all(q >= -1e-12)
     assert np.sum(q) == pytest.approx(1.0, abs=1e-9)
+
+
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_project_simplex_rows_match_vector_calls(m, n, seed):
+    rows = np.random.default_rng(seed).uniform(-5, 5, (m, n))
+    expected = np.array([dc.project_simplex(row) for row in rows])
+    np.testing.assert_array_equal(dc.project_simplex(rows), expected)
 
 
 def test_project_simplex_fixpoint():
@@ -187,3 +196,99 @@ def test_verify_kl_limit_report():
     inst = dc.DroInstance(np.array([0.7, -0.3, 0.1, 0.5]), 0.1)
     rep = dc.verify_kl_limit(inst, 1.01)
     assert rep["relative_gap"] <= 1e-1
+
+
+# (gamma, n, eta) cases for the batched oracle against the scalar reference;
+# gamma None is KL. They cover the divergences KL and CR gamma in {1.001,
+# 1.1, 1.5, 2, 3}, n in {1, 2, 4, 5, 6, 10} and eta in {0.01, 0.1, 0.5, 50},
+# each divergence with two n and two radii: the full 144-case product takes
+# about half a minute in the scalar reference.
+REFERENCE_CASES = [
+    (None, 10, 0.01), (None, 2, 0.5),
+    (1.001, 5, 0.1), (1.001, 6, 50.0),
+    (1.1, 4, 0.01), (1.1, 1, 0.5),
+    (1.5, 6, 0.1), (1.5, 2, 50.0),
+    (2.0, 1, 0.01), (2.0, 10, 0.5),
+    (3.0, 5, 0.5), (3.0, 4, 50.0),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+def test_batched_oracle_matches_scalar_reference(case):
+    gamma, n, eta = REFERENCE_CASES[case]
+    kind = dc.DivergenceKind.kl() if gamma is None else dc.DivergenceKind.cressie_read(gamma)
+    inst = dc.DroInstance(np.random.default_rng(case).uniform(-1, 1, n), eta)
+    res = dc.inner_max_bruteforce(inst, kind, seed=case)
+    value, _ = ref.inner_max_bruteforce(inst, kind, seed=case)
+    assert np.all(res.q >= 0.0)
+    assert res.q.sum() == pytest.approx(1.0, abs=1e-12)
+    assert dc.divergence(res.q, inst.base, kind) <= eta + 1e-9
+    # the grid brackets t on the same 2^-50 lattice as the reference's
+    # bisection, but may stop on a neighbouring point of it
+    assert abs(res.value - value) <= 1e-9
+
+
+@st.composite
+def boundary_cases(draw):
+    """A divergence, a radius, feasible starts and targets: Dirichlet draws
+    with some coordinates zeroed, some pulled close to uniform P (feasible)."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 6))
+    kind = draw(st.one_of(
+        st.just(dc.DivergenceKind.kl()),
+        st.floats(1.0001, 1.01).map(dc.DivergenceKind.cressie_read),
+        st.floats(1.01, 4.0).map(dc.DivergenceKind.cressie_read),
+    ))
+    eta = draw(st.floats(1e-3, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = np.full(n, 1.0 / n)
+
+    def simplex_rows(zero_rate):
+        rows = rng.dirichlet(np.full(n, 0.5), size=m)
+        rows[rng.random((m, n)) < zero_rate] = 0.0
+        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    targets = simplex_rows(0.3)
+    near = rng.random(m) < 0.3
+    targets[near] = (1 - 1e-3) * p + 1e-3 * targets[near]
+    starts = simplex_rows(0.2)
+    for row in starts:
+        s = 1.0
+        while dc.divergence((1 - s) * p + s * row, p, kind) > eta:
+            s *= 0.5
+        row[:] = (1 - s) * p + s * row
+    return kind, eta, starts, targets
+
+
+def _rounding_bound(kind, n):
+    """Bound on the float64 rounding error of the search's divergence of an
+    n-vector (uniform P, so n q <= n)."""
+    eps = np.finfo(float).eps
+    if kind.kind == dc.KL:
+        return 16 * eps * n * (1.0 + np.log(n))
+    g = kind.gamma
+    return 16 * eps * (n**g + g * n + g) / (g * (g - 1.0))
+
+
+@given(boundary_cases())
+@settings(max_examples=200, deadline=None)
+def test_boundary_rows_land_on_the_ball(case):
+    kind, eta, starts, targets = case
+    n = starts.shape[1]
+    p = np.full(n, 1.0 / n)
+    out = dc._boundary_rows(starts, targets, kind, eta)
+    assert not np.any(np.isnan(out))
+    assert np.all(out >= 0.0)
+    np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    # the search returns only points its own divergence found feasible
+    assert np.all(dc._div_rows(out, kind) <= eta)
+    for start, row, target in zip(starts, out, targets):
+        if dc._div_rows(target, kind) <= eta:
+            np.testing.assert_array_equal(row, target)
+            continue
+        # on the boundary: short of eta by at most the slope of D along the
+        # segment times the 2^-50 resolution, plus rounding
+        slope = abs((target - start) @ dc._div_grad(row, p, kind))
+        gap = eta - dc.divergence(row, p, kind)
+        assert gap <= slope * 2.0**-49 + 2 * _rounding_bound(kind, n), (gap, slope)
