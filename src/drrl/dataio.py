@@ -10,6 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
+# Byte budget of one block of the boolean (rows x items) train mask that
+# `sample_batch` tests its draws against, so the sampler's memory does not
+# grow with batch size x catalogue size.
+MASK_BYTES = 16 << 20
+
+
 class ParseError(ValueError):
     """Malformed interaction file; carries the offending line number."""
 
@@ -239,10 +245,44 @@ def split_temporal(log: InteractionLog, test_frac=0.2, val_frac_of_train=0.1):
     return DatasetSplit(train, val, test, "temporal_ood", log.num_users, log.num_items)
 
 
-def _member(sorted_keys, keys):
-    """Elementwise membership of `keys` in the sorted key array."""
-    at = np.searchsorted(sorted_keys, keys)
-    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+def _train_mask(train_keys, start, degree, num_items):
+    """Boolean (rows, num_items) mask of each row's train items, the keys
+    train_keys[start:start + degree] (key = user * num_items + item)."""
+    ends = np.cumsum(degree)
+    at = np.arange(ends[-1]) + np.repeat(start - ends + degree, degree)
+    mask = np.zeros((len(start), num_items), dtype=bool)
+    mask[np.repeat(np.arange(len(start)), degree), train_keys[at] % num_items] = True
+    return mask
+
+
+class _TrainMask:
+    """Train-item membership for the rows of a batch, read off boolean
+    `_train_mask` blocks of at most MASK_BYTES. The last block built is
+    kept, so a batch that fits one block builds it once."""
+
+    def __init__(self, train_keys, start, degree, num_items):
+        self.train_keys, self.start, self.degree = train_keys, start, degree
+        self.num_items = num_items
+        self.rows = max(1, MASK_BYTES // num_items)
+        self.built = (None, None)
+
+    def _block(self, first):
+        if self.built[0] != first:
+            rows = slice(first, first + self.rows)
+            self.built = (first, _train_mask(self.train_keys, self.start[rows],
+                                             self.degree[rows], self.num_items))
+        return self.built[1]
+
+    def hits(self, rows, items):
+        """Whether each item is a train item of its batch row; `rows` is
+        ascending, an (n,) vector or an (n, 1) column against (n, k) items."""
+        out = np.empty(items.shape, dtype=bool)
+        for first in range(0, len(self.start), self.rows):
+            lo, hi = np.searchsorted(rows.ravel(), (first, first + self.rows))
+            if lo < hi:
+                keys = items[lo:hi] + self.num_items * (rows[lo:hi] - first)
+                out[lo:hi] = np.take(self._block(first), keys)
+        return out
 
 
 def _heldout_pools(split, users):
@@ -273,7 +313,8 @@ def sample_batch(
     train set are skipped, with one warning per call.
 
     All slots are drawn at once; a draw that hits one of the user's train
-    positives (a sorted `user * num_items + item` key lookup) is redrawn.
+    positives (read off a boolean train mask of the batch rows, built in
+    blocks of at most MASK_BYTES) is redrawn.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -299,11 +340,11 @@ def sample_batch(
 
     negatives = rng.integers(0, num_items, size=(len(pairs), n_neg))
     flat = negatives.reshape(-1)
-    base = np.repeat(users * num_items, n_neg)
-    redraw = np.flatnonzero(_member(train_keys, base + flat))
+    train_mask = _TrainMask(train_keys, start, degree, num_items)
+    redraw = np.flatnonzero(train_mask.hits(np.arange(len(pairs))[:, None], negatives))
     while redraw.size:
         flat[redraw] = rng.integers(0, num_items, size=redraw.size)
-        redraw = redraw[_member(train_keys, base[redraw] + flat[redraw])]
+        redraw = redraw[train_mask.hits(redraw // n_neg, flat[redraw])]
 
     flips = np.zeros(negatives.shape, dtype=bool)
     if noise.p > 0 and len(pairs):

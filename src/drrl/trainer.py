@@ -26,10 +26,19 @@ from .metrics import evaluate_ranking
 
 MARGIN_MODES = ("per_user", "shared", "fixed")
 
-# Byte budget of the negative-scoring chunks in `loss_and_gradients`: the
-# gathered (rows, n_neg, d) item rows of one chunk take at most half of it,
-# so the step's memory is set by this constant, not by B * n_neg * d.
+# Byte budget of the row chunks in `loss_and_gradients`, so the step's
+# memory is set by this constant, not by B * n_neg * d or B * items. A chunk
+# takes at most half of it: in the gather regime its (rows, n_neg, d) item
+# rows, in the catalogue-dense regime its (rows, items) score and gradient
+# blocks with its (rows, n_neg + 1) index and weight arrays.
 CHUNK_BYTES = 16 << 20
+
+# The step scores every item of a chunk's rows with BLAS products when the
+# catalogue has at most this many items per scored (positive or negative)
+# slot of a row; above it, it gathers the sampled items' rows. On 2 vCPUs at
+# B = 1024, d = 64 the dense step won up to 12k items and lost from 16k at
+# n_neg = 1024, and won at 250 items but lost at 500 at n_neg = 64.
+DENSE_ITEMS_PER_SLOT = 8
 
 
 @dataclass
@@ -69,8 +78,16 @@ class TrainConfig:
         return self
 
 
+# Elements in each scratch array of `Adam`, which updates its parameters in
+# row blocks of at most this size: the optimizer allocates nothing per step
+# and holds no parameter-sized array besides the two moments. (64 KiB blocks
+# stay in cache: a 30k x 64 plus 40k x 64 step took 57 ms against 86 ms for
+# whole-array temporaries on 2 vCPUs.)
+ADAM_BLOCK = 1 << 13
+
+
 class Adam:
-    """Bias-corrected adaptive update over named parameter arrays."""
+    """Bias-corrected adaptive update over named parameter arrays, in place."""
 
     def __init__(self, shapes, beta1=0.9, beta2=0.999, floor=1e-8):
         self.beta1 = beta1
@@ -79,27 +96,50 @@ class Adam:
         self.step_count = 0
         self.m = {k: np.zeros(s) for k, s in shapes.items()}
         self.v = {k: np.zeros(s) for k, s in shapes.items()}
+        size = max([ADAM_BLOCK] + [math.prod(s[1:]) for s in shapes.values()])
+        self._scratch = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+
+    def _blocks(self, shape):
+        """Row slices of an array of `shape`, each with views of the scratch
+        arrays in the block's shape."""
+        row = math.prod(shape[1:])
+        rows = max(1, len(self._scratch[0]) // row)
+        for start in range(0, shape[0], rows):
+            n = min(rows, shape[0] - start)
+            yield (slice(start, start + n),
+                   [a[:n * row].reshape((n,) + shape[1:]) for a in self._scratch])
 
     def step(self, params, grads, lr):
-        for g in grads.values():
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError("non-finite gradient")
+        for grad in grads.values():
+            for rows, (_, _, finite) in self._blocks(grad.shape):
+                if not np.isfinite(grad[rows], out=finite).all():
+                    raise FloatingPointError("non-finite gradient")
         self.step_count += 1
         t = self.step_count
         for key, grad in grads.items():
-            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * grad
-            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * grad**2
-            m_hat = self.m[key] / (1 - self.beta1**t)
-            v_hat = self.v[key] / (1 - self.beta2**t)
-            params[key] -= lr * m_hat / (np.sqrt(v_hat) + self.floor)
+            for rows, (step, denom, _) in self._blocks(grad.shape):
+                m, v, g, p = self.m[key][rows], self.v[key][rows], grad[rows], params[key][rows]
+                # the operations, in order, of m = b1 m + (1 - b1) g,
+                # v = b2 v + (1 - b2) g**2 and
+                # p -= lr (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + floor)
+                m *= self.beta1
+                m += np.multiply(g, 1 - self.beta1, out=step)
+                v *= self.beta2
+                np.square(g, out=denom)
+                v += np.multiply(denom, 1 - self.beta2, out=denom)
+                np.divide(m, 1 - self.beta1**t, out=step)
+                step *= lr
+                np.divide(v, 1 - self.beta2**t, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += self.floor
+                step /= denom
+                p -= step
         return params
 
 
 def apply_weight_decay(table: EmbeddingTable, grad_user, grad_item, batch_users, batch_items, wd):
     """Add 2 * wd * e to the gradient of every embedding touched by the batch,
     once per row however often the id arrays repeat it."""
-    if wd == 0.0:
-        return
     for ids, emb, grad in ((batch_users, table.user, grad_user),
                            (batch_items, table.item, grad_item)):
         rows = _touched(ids, len(emb))
@@ -178,6 +218,64 @@ def _negative_scores(user_rows, item_unit, negatives):
     return f_neg
 
 
+def _sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg):
+    """Score gradients pulled back to the batch's unit user rows (B, d) and
+    to every unit item row, through one sparse (B x items) matrix: row b
+    holds d_pos at its positive and d_neg at each of its negatives (repeats
+    add up)."""
+    items = np.hstack([pos_items[:, None], negatives])
+    coeff = sp.csr_matrix(
+        (
+            np.hstack([d_pos, d_neg]).ravel(),
+            items.ravel(),
+            np.arange(0, items.size + 1, items.shape[1]),
+        ),
+        shape=(len(items), len(item_unit)),
+    )
+    return coeff @ item_unit, coeff.T @ user_rows
+
+
+def _dense_rows(num_items, n_neg):
+    """Rows per chunk of the catalogue-dense regime: a chunk's (rows, items)
+    score and gradient blocks and its (rows, n_neg + 1) index and weight
+    arrays together take at most half of CHUNK_BYTES. (At the preset shape
+    that is a 2 MiB block, which fits a core's L2 cache; 4 MiB blocks made
+    both chunk loops twice as slow on 2 vCPUs.)"""
+    return max(1, CHUNK_BYTES // (2 * 8 * 2 * (num_items + n_neg + 1)))
+
+
+def _dense_negative_scores(user_rows, item_unit, negatives):
+    """`_negative_scores` read off one BLAS product per row chunk, the
+    chunk's users against every item."""
+    num_items = len(item_unit)
+    rows = _dense_rows(num_items, negatives.shape[1])
+    f_neg = np.empty(negatives.shape)
+    for start in range(0, len(negatives), rows):
+        chunk = slice(start, start + rows)
+        at = negatives[chunk] + num_items * np.arange(len(negatives[chunk]))[:, None]
+        np.take(user_rows[chunk] @ item_unit.T, at, out=f_neg[chunk])
+    return f_neg
+
+
+def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg):
+    """`_sparse_score_pullback` through a dense (rows x items) block per row
+    chunk, filled by one bincount and applied by two BLAS products."""
+    num_items = len(item_unit)
+    rows = _dense_rows(num_items, negatives.shape[1])
+    grad_rows = np.empty(user_rows.shape)
+    grad_items = np.zeros(item_unit.shape)
+    for start in range(0, len(negatives), rows):
+        chunk = slice(start, start + rows)
+        n = len(negatives[chunk])
+        at = np.hstack([pos_items[chunk, None], negatives[chunk]])
+        at += num_items * np.arange(n)[:, None]
+        block = np.bincount(at.ravel(), np.hstack([d_pos[chunk], d_neg[chunk]]).ravel(),
+                            n * num_items).reshape(n, num_items)
+        np.matmul(block, item_unit, out=grad_rows[chunk])
+        grad_items += block.T @ user_rows[chunk]
+    return grad_rows, grad_items
+
+
 def loss_and_gradients(
     table, graph, backbone_cfg, spec, margins, batch, noise_rng=None, margin_update=None
 ):
@@ -193,7 +291,11 @@ def loss_and_gradients(
     item_unit, item_norms = _unit_rows(out.final_item)
     batch_users = user_unit[users]
     f_pos = np.einsum("bd,bd->b", batch_users, item_unit[pos_items])
-    f_neg = _negative_scores(batch_users, item_unit, batch.negatives)
+    # a catalogue at most DENSE_ITEMS_PER_SLOT times the scored slots of a
+    # row is nearly all touched by each chunk: score and pull back densely
+    dense = len(item_unit) <= DENSE_ITEMS_PER_SLOT * (batch.negatives.shape[1] + 1)
+    score = _dense_negative_scores if dense else _negative_scores
+    f_neg = score(batch_users, item_unit, batch.negatives)
 
     # margin update precedes the embedding step (DrRL only)
     beta = None
@@ -209,27 +311,19 @@ def loss_and_gradients(
         beta = margins.beta[users]
     value, d_pos, d_neg = L.batch_loss(f_pos[:, None], f_neg, spec, beta)
 
-    # score gradients as a (B x items) matrix: row b holds d_pos at its
-    # positive and d_neg at each of its negatives (repeats add up)
-    items = np.hstack([pos_items[:, None], batch.negatives])
-    coeff = sp.csr_matrix(
-        (
-            np.hstack([d_pos, d_neg]).ravel(),
-            items.ravel(),
-            np.arange(0, items.size + 1, items.shape[1]),
-        ),
-        shape=(len(users), len(item_unit)),
-    )
+    pullback = _dense_score_pullback if dense else _sparse_score_pullback
+    grad_rows, grad_item_unit = pullback(batch_users, item_unit, pos_items, batch.negatives,
+                                         d_pos, d_neg)
     grad_user_unit = np.zeros_like(user_unit)
-    np.add.at(grad_user_unit, users, coeff @ item_unit)
+    np.add.at(grad_user_unit, users, grad_rows)
     grad_final_u = _normalization_pullback(grad_user_unit, user_unit, user_norms)
-    grad_final_i = _normalization_pullback(coeff.T @ batch_users, item_unit, item_norms)
+    grad_final_i = _normalization_pullback(grad_item_unit, item_unit, item_norms)
 
     if backbone_cfg.kind == "xsimgcl" and backbone_cfg.infonce_weight > 0:
         grad_contrast_u = np.zeros_like(grad_final_u)
         grad_contrast_i = np.zeros_like(grad_final_i)
         uu = _touched(users, len(grad_final_u))
-        ii = _touched(items, len(grad_final_i))
+        ii = _touched(np.hstack([pos_items[:, None], batch.negatives]), len(grad_final_i))
         for idx, final, contrast, grad_final, grad_contrast in (
             (uu, out.final_user, out.contrast_user, grad_final_u, grad_contrast_u),
             (ii, out.final_item, out.contrast_item, grad_final_i, grad_contrast_i),
@@ -271,10 +365,11 @@ def train_step(
         table, graph, backbone_cfg, spec, margins, batch,
         noise_rng=noise_rng, margin_update=train_cfg.margin_mode,
     )
-    apply_weight_decay(
-        table, grad_user, grad_item, batch.pairs[:, 0],
-        np.hstack([batch.pairs[:, 1:], batch.negatives]), train_cfg.weight_decay,
-    )
+    if train_cfg.weight_decay:
+        apply_weight_decay(
+            table, grad_user, grad_item, batch.pairs[:, 0],
+            np.hstack([batch.pairs[:, 1:], batch.negatives]), train_cfg.weight_decay,
+        )
     params = {"user": table.user, "item": table.item}
     adam.step(params, {"user": grad_user, "item": grad_item}, train_cfg.lr)
     return value

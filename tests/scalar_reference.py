@@ -1,13 +1,15 @@
 """Scalar references for the vectorized code: cosine scores and their
 Jacobians for one (user, item) pair, the closed-form worst-case weights, a
 loss-and-gradients pass that loops over pairs and negatives one at a time,
-and the brute-force inner maximization with one start and one bisection
-step at a time."""
+the brute-force inner maximization with one start and one bisection step at
+a time, the negative sampler with a sorted-key membership test, and Adam with
+a fresh array per intermediate."""
 
 import math
 
 import numpy as np
 
+from drrl import dataio
 from drrl import dro_core as dc
 from drrl import losses as L
 from drrl.graphmodel import backward, forward, infonce_auxiliary
@@ -209,3 +211,72 @@ def inner_max_bruteforce(inst, kind, seed=0, restarts=4, max_iters=40):
         best_q = _feasible_toward(p, best_q, kind, eta)
         best_v = float(f @ best_q)
     return best_v, best_q
+
+
+def _member(sorted_keys, keys):
+    """Elementwise membership of `keys` in the sorted key array."""
+    at = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+
+
+def sample_batch(split, batch_size, n_neg, noise=None, rng=None, train_pairs=None):
+    """`dataio.sample_batch` testing each draw by a binary search for its
+    `user * num_items + item` key among the sorted train keys; same RNG calls."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    noise = noise or dataio.NoiseConfig()
+    if train_pairs is None:
+        train_pairs = split.train_pairs()
+    num_items = split.num_items
+    train_keys = np.sort(train_pairs[:, 0] * num_items + train_pairs[:, 1])
+    pairs = train_pairs[rng.integers(0, len(train_pairs), size=batch_size)]
+    start = np.searchsorted(train_keys, pairs[:, 0] * num_items)
+    degree = np.searchsorted(train_keys, (pairs[:, 0] + 1) * num_items) - start
+    full = degree >= num_items
+    pairs, start, degree = pairs[~full], start[~full], degree[~full]
+    users = pairs[:, 0]
+
+    negatives = rng.integers(0, num_items, size=(len(pairs), n_neg))
+    flat = negatives.reshape(-1)
+    base = np.repeat(users * num_items, n_neg)
+    redraw = np.flatnonzero(_member(train_keys, base + flat))
+    while redraw.size:
+        flat[redraw] = rng.integers(0, num_items, size=redraw.size)
+        redraw = redraw[_member(train_keys, base[redraw] + flat[redraw])]
+
+    flips = np.zeros(negatives.shape, dtype=bool)
+    if noise.p > 0 and len(pairs):
+        if noise.pool == "train":
+            starts, sizes, items = start, degree, train_keys % num_items
+        else:
+            starts, sizes, items = dataio._heldout_pools(split, users)
+        flips = (rng.random(negatives.shape) < noise.p) & (sizes > 0)[:, None]
+        rows = np.nonzero(flips)[0]
+        negatives[flips] = items[starts[rows] + rng.integers(0, sizes[rows])]
+    return dataio.BatchSample(pairs, negatives, flips)
+
+
+class Adam:
+    """`trainer.Adam` computing each moment and the step as new arrays."""
+
+    def __init__(self, shapes, beta1=0.9, beta2=0.999, floor=1e-8):
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.floor = floor
+        self.step_count = 0
+        self.m = {k: np.zeros(s) for k, s in shapes.items()}
+        self.v = {k: np.zeros(s) for k, s in shapes.items()}
+
+    def step(self, params, grads, lr):
+        for g in grads.values():
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError("non-finite gradient")
+        self.step_count += 1
+        t = self.step_count
+        for key, grad in grads.items():
+            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * grad
+            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * grad**2
+            m_hat = self.m[key] / (1 - self.beta1**t)
+            v_hat = self.v[key] / (1 - self.beta2**t)
+            params[key] -= lr * m_hat / (np.sqrt(v_hat) + self.floor)
+        return params

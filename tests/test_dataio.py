@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import scalar_reference
 from drrl import dataio
 
 
@@ -203,6 +204,32 @@ class TestSampleBatch:
         assert (batch.pairs[:, 0] == 1).all()
         assert not (batch.negatives == 0).any()
 
+    @pytest.mark.parametrize("mask_bytes", [dataio.MASK_BYTES, 3 * 40])
+    @pytest.mark.parametrize("noise", [None, dataio.NoiseConfig(0.3),
+                                       dataio.NoiseConfig(0.3, pool="train")])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_sorted_key_reference_bit_for_bit(self, seed, noise, mask_bytes,
+                                                      monkeypatch):
+        # 3 * 40 bytes gives train-mask blocks of 3 rows; the busiest users
+        # hold 36 of the 40 items, so most first draws are redrawn
+        monkeypatch.setattr(dataio, "MASK_BYTES", mask_bytes)
+        split = _busy_split(seed, num_items=40)
+        for train_pairs in (None, split.train_pairs()[::-1]):
+            batch = dataio.sample_batch(split, 50, 16, noise, np.random.default_rng(seed),
+                                        train_pairs=train_pairs)
+            ref = scalar_reference.sample_batch(split, 50, 16, noise,
+                                                np.random.default_rng(seed),
+                                                train_pairs=train_pairs)
+            np.testing.assert_array_equal(batch.pairs, ref.pairs)
+            np.testing.assert_array_equal(batch.negatives, ref.negatives)
+            np.testing.assert_array_equal(batch.false_negative_mask, ref.false_negative_mask)
+        # the same RNG calls without the redraws: most slots hit a train item
+        rng = np.random.default_rng(seed)
+        rows = split.train_pairs()[rng.integers(0, len(split.train_pairs()), 50)]
+        first = rng.integers(0, 40, size=(50, 16))
+        hit = [[j in split.train[u] for j in negs] for (u, _), negs in zip(rows, first)]
+        assert np.mean(hit) > 0.5
+
     def test_bad_noise_config_rejected(self):
         with pytest.raises(ValueError):
             dataio.NoiseConfig(1.5)
@@ -229,6 +256,19 @@ def _uniform_log(num_users, items_per_user, timestamps=False):
     return dataio.InteractionLog(
         inter, num_users, items_per_user, timestamps, {}, {}
     )
+
+
+def _busy_split(seed, num_items):
+    """Twelve users, each with 1 to 0.9 * num_items train items and a few
+    held-out ones."""
+    rng = np.random.default_rng(seed)
+    train, val, test = [], [], []
+    for degree in np.linspace(1, 0.9 * num_items, 12).astype(int):
+        items = rng.permutation(num_items)
+        train.append(set(items[:degree].tolist()))
+        val.append(set(items[degree:degree + 1].tolist()))
+        test.append(set(items[degree + 1:degree + 3].tolist()))
+    return dataio.DatasetSplit(train, val, test, "iid", len(train), num_items)
 
 
 def _toy_split():

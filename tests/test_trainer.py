@@ -38,6 +38,25 @@ class TestAdam:
         with pytest.raises(FloatingPointError):
             adam.step({"w": np.zeros(1)}, {"w": np.array([np.nan])}, 0.1)
 
+    # one block; blocks of 2 rows, the last one short; rows wider than the block
+    @pytest.mark.parametrize("block", [tr.ADAM_BLOCK, 6, 2])
+    def test_matches_fresh_array_reference_bit_for_bit(self, block, monkeypatch):
+        monkeypatch.setattr(tr, "ADAM_BLOCK", block)
+        shapes = {"user": (7, 3), "item": (5, 3), "bias": (4,)}
+        rng = np.random.default_rng(8)
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref_params = {k: p.copy() for k, p in params.items()}
+        adam, ref = tr.Adam(shapes), scalar_reference.Adam(shapes)
+        for _ in range(5):
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s)
+                     for k, s in shapes.items()}
+            adam.step(params, grads, 0.01)
+            ref.step(ref_params, grads, 0.01)
+            for k in shapes:
+                np.testing.assert_array_equal(params[k], ref_params[k])
+                np.testing.assert_array_equal(adam.m[k], ref.m[k])
+                np.testing.assert_array_equal(adam.v[k], ref.v[k])
+
 
 def test_weight_decay_touches_only_batch_rows():
     table = EmbeddingTable.init_normal(3, 3, 2, seed=0)
@@ -130,10 +149,52 @@ def test_matches_scalar_reference(kind, backbone, margin_mode, monkeypatch):
         assert not np.array_equal(margins.beta, start.beta)
 
 
-def test_loss_and_gradients_memory_bounded_by_chunk_budget():
-    n_users, n_items, d, batch_size, n_neg = 100, 200, 128, 64, 512
-    # one float64 (B, n_neg, d) array would exceed the budget
-    assert 8 * batch_size * n_neg * d > tr.CHUNK_BYTES
+@pytest.mark.parametrize("margin_mode", tr.MARGIN_MODES)
+@pytest.mark.parametrize("backbone", ["mf", "lightgcn", "xsimgcl"])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("regime", ["dense", "gather"])
+def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_mode,
+                                                 monkeypatch):
+    # 9 items score densely against 7 negatives, 40 items gather 3; each
+    # budget gives row chunks of 2, 2 and 1
+    n_users, d = 6, 4
+    n_items, n_neg = (9, 7) if regime == "dense" else (40, 3)
+    assert (n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)) == (regime == "dense")
+    if regime == "dense":
+        monkeypatch.setattr(tr, "CHUNK_BYTES", 2 * 2 * 8 * 2 * (n_items + n_neg + 1))
+        assert tr._dense_rows(n_items, n_neg) == 2
+    else:
+        monkeypatch.setattr(tr, "CHUNK_BYTES", 2 * 2 * 8 * n_neg * d)
+    gathered = []
+    monkeypatch.setattr(tr, "_negative_scores",
+                        lambda *a, f=tr._negative_scores: gathered.append(1) or f(*a))
+    rng = np.random.default_rng(12)
+    table = EmbeddingTable.init_normal(n_users, n_items, d, seed=4)
+    pairs = [(u, i) for u in range(n_users) for i in range(n_items) if (u * 7 + i) % 5 == 0]
+    graph = InteractionGraph(np.asarray(pairs), n_users, n_items)
+    cfg = BackboneConfig(kind=backbone, layers=2, noise_modulus=0.0, infonce_weight=0.5)
+    # repeated users, a negative repeated within a row and equal to a positive
+    batch = BatchSample(
+        np.array([[0, 5], [2, 3], [0, 1], [5, 0], [3, n_items - 1]]),
+        np.vstack([[5, 5, 1] + [2] * (n_neg - 3), rng.integers(0, n_items, size=(4, n_neg))]),
+        np.zeros((5, n_neg), dtype=bool),
+    )
+    spec = LossSpec(kind=kind, tau=0.2, alpha=2.0, margin=0.1, gamma_star=2.0, c=1.2,
+                    eps=0.1, beta0=0.1, lr_beta=0.05)
+    start = MarginState(rng.uniform(-0.2, 0.4, n_users))
+    margins, ref_margins = start.copy(), start.copy()
+    value, gu, gi = tr.loss_and_gradients(table, graph, cfg, spec, margins, batch,
+                                          margin_update=margin_mode)
+    ref_value, ref_gu, ref_gi = scalar_reference.loss_and_gradients(
+        table, graph, cfg, spec, ref_margins, batch, margin_update=margin_mode)
+    assert bool(gathered) == (regime == "gather")
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert _relative_gap(gu, ref_gu) <= 1e-12
+    assert _relative_gap(gi, ref_gi) <= 1e-12
+    assert _relative_gap(margins.beta, ref_margins.beta) <= 1e-12
+
+
+def _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg):
     rng = np.random.default_rng(0)
     table = EmbeddingTable.init_normal(n_users, n_items, d, seed=0)
     batch = BatchSample(
@@ -151,6 +212,33 @@ def test_loss_and_gradients_memory_bounded_by_chunk_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_loss_and_gradients_memory_bounded_by_chunk_budget():
+    n_users, n_items, d, batch_size, n_neg = 100, 200, 128, 64, 512
+    assert n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
+    # one float64 (B, n_neg, d) array would exceed the budget
+    assert 8 * batch_size * n_neg * d > tr.CHUNK_BYTES
+    peak = _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg)
+    assert peak < tr.CHUNK_BYTES
+
+
+def test_loss_and_gradients_memory_bounded_by_chunk_budget_in_gather_regime():
+    n_users, n_items, d, batch_size, n_neg = 100, 1000, 128, 512, 64
+    assert n_items > tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
+    # one float64 (B, n_neg, d) array would exceed the budget
+    assert 8 * batch_size * n_neg * d > tr.CHUNK_BYTES
+    peak = _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg)
+    assert peak < tr.CHUNK_BYTES
+
+
+def test_loss_and_gradients_memory_bounded_by_chunk_budget_in_dense_regime():
+    n_users, n_items, d, batch_size, n_neg = 100, 4100, 32, 512, 512
+    assert n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
+    # one float64 (B, items) block would exceed the budget
+    assert 8 * batch_size * n_items > tr.CHUNK_BYTES
+    peak = _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg)
     assert peak < tr.CHUNK_BYTES
 
 
