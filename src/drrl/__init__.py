@@ -5,6 +5,7 @@ from .dataio import (
     DatasetSplit,
     InteractionLog,
     NoiseConfig,
+    UserItems,
     load_interactions,
     sample_batch,
     split_iid,
@@ -45,6 +46,7 @@ __all__ = [
     "NoiseConfig",
     "TrainConfig",
     "TrainReport",
+    "UserItems",
     "batch_loss",
     "evaluate_ranking",
     "inner_max_bruteforce",

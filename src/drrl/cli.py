@@ -80,10 +80,8 @@ def cmd_split(args):
         split = dataio.split_iid(log, args.train, args.val, seed=args.seed)
     else:
         split = dataio.split_temporal(log, args.test, args.val)
-    dataio.write_split(split, args.outdir)
-    counts = {name: sum(len(s) for s in getattr(split, name))
-              for name in ("train", "validation", "test")}
-    print(json.dumps({"outdir": str(args.outdir), **counts}))
+    manifest = dataio.write_split(split, args.outdir)
+    print(json.dumps({"outdir": str(args.outdir), **manifest["counts"]}))
     return 0
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +15,15 @@ import numpy as np
 # grow with batch size x catalogue size.
 MASK_BYTES = 16 << 20
 
+PARTS = ("train", "validation", "test")
+
 
 class ParseError(ValueError):
-    """Malformed interaction file; carries the offending line number."""
+    """Malformed input file; names the file and carries the offending line
+    number."""
 
-    def __init__(self, line_number, message):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number, message, path):
+        super().__init__(f"{path}, line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -28,27 +31,54 @@ class EmptyLogError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Interaction:
-    user_id: int
-    item_id: int
-    timestamp: int = 0
-
-
 @dataclass
 class InteractionLog:
-    interactions: list
+    """Interactions as aligned int64 arrays: user `users[k]` interacted with
+    item `items[k]` at `timestamps[k]` (0 in a log without timestamps)."""
+
+    users: np.ndarray
+    items: np.ndarray
+    timestamps: np.ndarray
     num_users: int
     num_items: int
     has_timestamps: bool = False
-    user_id_map: dict = field(default_factory=dict)  # original -> dense id
-    item_id_map: dict = field(default_factory=dict)
 
-    def items_by_user(self):
-        out = [[] for _ in range(self.num_users)]
-        for it in self.interactions:
-            out[it.user_id].append(it)
-        return out
+
+class UserItems:
+    """One split part as CSR: user u's item ids, ascending, are
+    `items[indptr[u]:indptr[u + 1]]`."""
+
+    def __init__(self, indptr, items):
+        self.indptr = indptr
+        self.items = items
+
+    def gather(self, users):
+        """(row, item) arrays of every item of `users[row]`, row by row with
+        items ascending."""
+        start = self.indptr[users]
+        size = self.indptr[users + 1] - start
+        rows = np.repeat(np.arange(len(start)), size)
+        at = np.arange(rows.size) + np.repeat(start - np.cumsum(size) + size, size)
+        return rows, self.items[at]
+
+    # A read-only per-user view, `part[u]` a frozenset, kept for callers
+    # outside the package (the benchmark's counters and reference ranking
+    # read parts this way); the package itself reads only the arrays.
+    def __len__(self):
+        return len(self.indptr) - 1
+
+    def __getitem__(self, user):
+        return frozenset(self.items[self.indptr[user]:self.indptr[user + 1]].tolist())
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _user_items(users, items, num_users, num_items):
+    """UserItems of (user, item) pairs in any order; repeated pairs collapse."""
+    keys = np.sort(users * num_items + items)  # nonnegative
+    users, items = np.divmod(keys[np.diff(keys, prepend=-1) > 0], max(num_items, 1))
+    return UserItems(np.searchsorted(users, np.arange(num_users + 1)), items)
 
 
 @dataclass(frozen=True)
@@ -65,21 +95,21 @@ class NoiseConfig:
 
 @dataclass
 class DatasetSplit:
-    train: list  # per-user set of item ids
-    validation: list
-    test: list
+    train: UserItems
+    validation: UserItems
+    test: UserItems
     split_kind: str
     num_users: int
     num_items: int
     seed: int | None = None
 
     def train_pairs(self):
-        pairs = [
-            (u, i) for u, items in enumerate(self.train) for i in sorted(items)
-        ]
-        return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        """(user, item) rows of every train interaction, in that order."""
+        return np.column_stack(self.train.gather(np.arange(self.num_users)))
 
     def heldout(self, user):
+        """The user's validation and test items as a frozenset, a per-user
+        view kept for callers outside the package."""
         return self.validation[user] | self.test[user]
 
 
@@ -90,123 +120,120 @@ class BatchSample:
     false_negative_mask: np.ndarray  # (B, n_neg) bool
 
 
+def _first_appearance_ids(ids):
+    """Dense 0-based ids numbered in order of first appearance, and how many."""
+    distinct, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    dense = np.empty(distinct.size, dtype=np.int64)
+    dense[np.argsort(first)] = np.arange(distinct.size)
+    return dense[inverse], distinct.size
+
+
 def load_interactions(path) -> InteractionLog:
     """Parse `user<TAB>item[<TAB>timestamp]` rows; `#` lines are comments.
 
     Ids are remapped to dense 0-based indices in first-appearance order;
-    duplicate (user, item) pairs collapse keeping the earliest timestamp.
+    duplicate (user, item) pairs collapse to their first row, keeping the
+    earliest timestamp.
     """
     path = Path(path)
-    user_map: dict = {}
-    item_map: dict = {}
-    seen: dict = {}
-    has_ts = None
+    rows = []
+    has_ts = True
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ParseError(lineno, f"expected 2 or 3 fields, got {len(parts)}")
+            if len(fields) not in (2, 3):
+                raise ParseError(lineno, f"expected 2 or 3 fields, got {len(fields)}", path)
             try:
-                user_raw, item_raw = int(parts[0]), int(parts[1])
-                ts = int(parts[2]) if len(parts) == 3 else 0
+                rows.append((int(fields[0]), int(fields[1]),
+                             int(fields[2]) if len(fields) == 3 else 0))
             except ValueError:
-                raise ParseError(lineno, f"non-integer field in {line!r}") from None
-            row_has_ts = len(parts) == 3
-            has_ts = row_has_ts if has_ts is None else (has_ts and row_has_ts)
-            u = user_map.setdefault(user_raw, len(user_map))
-            i = item_map.setdefault(item_raw, len(item_map))
-            key = (u, i)
-            if key not in seen or ts < seen[key]:
-                seen[key] = ts
-    if not seen:
+                raise ParseError(lineno, f"non-integer field in {raw.strip()!r}",
+                                 path) from None
+            has_ts = has_ts and len(fields) == 3
+    if not rows:
         raise EmptyLogError(f"no interactions found in {path}")
-    interactions = [Interaction(u, i, ts) for (u, i), ts in seen.items()]
-    return InteractionLog(
-        interactions,
-        num_users=len(user_map),
-        num_items=len(item_map),
-        has_timestamps=bool(has_ts),
-        user_id_map=user_map,
-        item_id_map=item_map,
-    )
+    try:
+        users, items, timestamps = np.array(rows, dtype=np.int64).T.copy()
+    except OverflowError:
+        raise ValueError(f"{path}: an id or timestamp does not fit in 64 bits") from None
+    users, num_users = _first_appearance_ids(users)
+    items, num_items = _first_appearance_ids(items)
+    _, first, pair = np.unique(users * num_items + items, return_index=True,
+                               return_inverse=True)
+    earliest = np.full(first.size, np.iinfo(np.int64).max)
+    np.minimum.at(earliest, pair, timestamps)
+    order = np.argsort(first)
+    return InteractionLog(users[first[order]], items[first[order]], earliest[order],
+                          num_users, num_items, has_timestamps=has_ts)
 
 
 def k_core_filter(log: InteractionLog, user_core, item_core) -> InteractionLog:
     """Iteratively drop users/items below the core thresholds (to fixpoint),
-    then re-densify the id spaces."""
-    pairs = {(it.user_id, it.item_id): it.timestamp for it in log.interactions}
+    then re-densify the id spaces: the rows in (user, item) order, each id
+    space numbered in order of first appearance along them."""
+    users, items, timestamps = log.users, log.items, log.timestamps
     while True:
-        u_deg: dict = {}
-        i_deg: dict = {}
-        for u, i in pairs:
-            u_deg[u] = u_deg.get(u, 0) + 1
-            i_deg[i] = i_deg.get(i, 0) + 1
-        keep = {
-            (u, i): ts
-            for (u, i), ts in pairs.items()
-            if u_deg[u] >= user_core and i_deg[i] >= item_core
-        }
-        if len(keep) == len(pairs):
+        keep = ((np.bincount(users)[users] >= user_core)
+                & (np.bincount(items)[items] >= item_core))
+        if keep.all():
             break
-        pairs = keep
-    if not pairs:
+        users, items, timestamps = users[keep], items[keep], timestamps[keep]
+    if not users.size:
         raise EmptyLogError("k-core filtering removed every interaction")
-    user_map: dict = {}
-    item_map: dict = {}
-    interactions = []
-    for (u, i), ts in sorted(pairs.items()):
-        du = user_map.setdefault(u, len(user_map))
-        di = item_map.setdefault(i, len(item_map))
-        interactions.append(Interaction(du, di, ts))
-    return InteractionLog(
-        interactions,
-        num_users=len(user_map),
-        num_items=len(item_map),
-        has_timestamps=log.has_timestamps,
-        user_id_map=user_map,
-        item_id_map=item_map,
-    )
+    order = np.lexsort((items, users))
+    users, num_users = _first_appearance_ids(users[order])
+    items, num_items = _first_appearance_ids(items[order])
+    return InteractionLog(users, items, timestamps[order], num_users, num_items,
+                          has_timestamps=log.has_timestamps)
 
 
 def _round_nearest(x):
     # plain nearest-integer rounding (half away from zero), not banker's
-    return int(np.floor(x + 0.5))
+    return np.floor(x + 0.5).astype(np.int64)
 
 
-def _split_counts(n, train_frac, val_frac_of_train):
-    """Per-user sizes: nearest-integer rounding with a floor of 1 train item."""
-    n_train_total = _round_nearest(n * train_frac)
-    n_train_total = min(max(n_train_total, 1), n)
-    n_test = n - n_train_total
-    n_val = _round_nearest(n_train_total * val_frac_of_train)
-    n_val = min(n_val, n_train_total - 1)  # keep at least 1 train item
-    n_train = n_train_total - n_val
-    return n_train, n_val, n_test
+def _user_runs(log, *keys):
+    """The log's (users, items) sorted by user, then by `keys` (most
+    significant first), then by item, plus each row's position in its
+    user's run and the run lengths."""
+    order = np.lexsort((log.items, *keys[::-1], log.users))
+    users, items = log.users[order], log.items[order]
+    size = np.bincount(users, minlength=log.num_users)
+    return users, items, np.arange(users.size) - np.repeat(np.cumsum(size) - size, size), size
+
+
+def _pool_parts(users, at, n_pool, val_frac_of_train):
+    """Each row's part, 0 train, 1 validation or 2 test, by its position `at`
+    in its user's run: a user's first n_pool rows are the train pool, whose
+    last round(n_pool * val_frac_of_train) rows (leaving at least 1 train
+    row) are validation."""
+    n_val = np.minimum(_round_nearest(n_pool * val_frac_of_train), n_pool - 1)
+    return (at >= (n_pool - n_val)[users]).astype(np.int64) + (at >= n_pool[users])
+
+
+def _split_of(log, users, items, part, kind, seed=None):
+    """The split that puts row k in part[k]; other values drop the row."""
+    return DatasetSplit(*(_user_items(users[part == p], items[part == p], log.num_users,
+                                      log.num_items) for p in range(3)),
+                        kind, log.num_users, log.num_items, seed)
 
 
 def split_iid(log: InteractionLog, train_frac=0.8, val_frac_of_train=0.1, seed=0):
-    """Per-user random partition into train/validation/test."""
+    """Per-user random partition into train/validation/test: one
+    `rng.permutation` of each non-empty user's ascending items, in user order,
+    sized by nearest-integer rounding with a floor of 1 train item."""
     if not (0 < train_frac < 1) or not (0 < val_frac_of_train < 1):
         raise ValueError("fractions must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
-    train = [set() for _ in range(log.num_users)]
-    val = [set() for _ in range(log.num_users)]
-    test = [set() for _ in range(log.num_users)]
-    for user, inters in enumerate(log.items_by_user()):
-        items = sorted(it.item_id for it in inters)
-        n = len(items)
-        if n == 0:
-            continue
-        n_train, n_val, n_test = _split_counts(n, train_frac, val_frac_of_train)
-        perm = rng.permutation(n)
-        shuffled = [items[j] for j in perm]
-        train[user] = set(shuffled[:n_train])
-        val[user] = set(shuffled[n_train:n_train + n_val])
-        test[user] = set(shuffled[n_train + n_val:])
-    return DatasetSplit(train, val, test, "iid", log.num_users, log.num_items, seed)
+    users, items, at, size = _user_runs(log)
+    # row j of a user's shuffled run holds the perm[j]-th of its items
+    perm = np.concatenate([np.empty(0, dtype=np.int64)]
+                          + [rng.permutation(n) for n in size[size > 0]])
+    part = _pool_parts(users, at, np.clip(_round_nearest(size * train_frac), 1, size),
+                       val_frac_of_train)
+    return _split_of(log, users, items[np.arange(users.size) - at + perm], part, "iid", seed)
 
 
 def split_temporal(log: InteractionLog, test_frac=0.2, val_frac_of_train=0.1):
@@ -221,63 +248,41 @@ def split_temporal(log: InteractionLog, test_frac=0.2, val_frac_of_train=0.1):
         )
     if not (0 <= test_frac < 1):
         raise ValueError("test_frac must lie in [0, 1)")
-    train = [set() for _ in range(log.num_users)]
-    val = [set() for _ in range(log.num_users)]
-    test = [set() for _ in range(log.num_users)]
-    for user, inters in enumerate(log.items_by_user()):
-        # ties broken by ascending item id
-        ordered = sorted(inters, key=lambda it: (it.timestamp, it.item_id))
-        n = len(ordered)
-        if n == 0:
-            continue
-        n_test = int(np.ceil(test_frac * n))
-        n_test = min(n_test, n - 1) if n > 1 else 0
-        pool = ordered[: n - n_test] if n_test else ordered
-        test[user] = {it.item_id for it in ordered[n - n_test:]} if n_test else set()
-        n_pool = len(pool)
-        n_val = _round_nearest(n_pool * val_frac_of_train)
-        n_val = min(n_val, n_pool - 1)
-        train[user] = {it.item_id for it in pool[: n_pool - n_val]}
-        val[user] = {it.item_id for it in pool[n_pool - n_val:]} if n_val else set()
-    trained_items = set().union(*train) if train else set()
-    for user in range(log.num_users):
-        test[user] = {i for i in test[user] if i in trained_items}
-    return DatasetSplit(train, val, test, "temporal_ood", log.num_users, log.num_items)
-
-
-def _train_mask(train_keys, start, degree, num_items):
-    """Boolean (rows, num_items) mask of each row's train items, the keys
-    train_keys[start:start + degree] (key = user * num_items + item)."""
-    ends = np.cumsum(degree)
-    at = np.arange(ends[-1]) + np.repeat(start - ends + degree, degree)
-    mask = np.zeros((len(start), num_items), dtype=bool)
-    mask[np.repeat(np.arange(len(start)), degree), train_keys[at] % num_items] = True
-    return mask
+    # ties broken by ascending item id
+    users, items, at, size = _user_runs(log, log.timestamps)
+    n_test = np.where(size > 1, np.minimum(np.ceil(test_frac * size).astype(np.int64),
+                                           size - 1), 0)
+    part = _pool_parts(users, at, size - n_test, val_frac_of_train)
+    trained = np.zeros(log.num_items, dtype=bool)
+    trained[items[part == 0]] = True
+    part[(part == 2) & ~trained[items]] = 3
+    return _split_of(log, users, items, part, "temporal_ood")
 
 
 class _TrainMask:
     """Train-item membership for the rows of a batch, read off boolean
-    `_train_mask` blocks of at most MASK_BYTES. The last block built is
-    kept, so a batch that fits one block builds it once."""
+    (rows x items) blocks of at most MASK_BYTES gathered from the train part.
+    The last block built is kept, so a batch that fits one block builds it
+    once."""
 
-    def __init__(self, train_keys, start, degree, num_items):
-        self.train_keys, self.start, self.degree = train_keys, start, degree
-        self.num_items = num_items
+    def __init__(self, train, users, num_items):
+        self.train, self.users, self.num_items = train, users, num_items
         self.rows = max(1, MASK_BYTES // num_items)
         self.built = (None, None)
 
     def _block(self, first):
         if self.built[0] != first:
-            rows = slice(first, first + self.rows)
-            self.built = (first, _train_mask(self.train_keys, self.start[rows],
-                                             self.degree[rows], self.num_items))
+            users = self.users[first:first + self.rows]
+            mask = np.zeros((len(users), self.num_items), dtype=bool)
+            mask[self.train.gather(users)] = True
+            self.built = (first, mask)
         return self.built[1]
 
     def hits(self, rows, items):
         """Whether each item is a train item of its batch row; `rows` is
         ascending, an (n,) vector or an (n, 1) column against (n, k) items."""
         out = np.empty(items.shape, dtype=bool)
-        for first in range(0, len(self.start), self.rows):
+        for first in range(0, len(self.users), self.rows):
             lo, hi = np.searchsorted(rows.ravel(), (first, first + self.rows))
             if lo < hi:
                 keys = items[lo:hi] + self.num_items * (rows[lo:hi] - first)
@@ -286,13 +291,12 @@ class _TrainMask:
 
 
 def _heldout_pools(split, users):
-    """Each row's held-out pool as CSR arrays (starts, sizes, items) over
-    the sorted held-out items of the distinct users."""
+    """The held-out (validation and test) items of the distinct users, as
+    UserItems, and each row's index among those users."""
     distinct, row_user = np.unique(users, return_inverse=True)
-    pools = [sorted(split.heldout(int(u))) for u in distinct]
-    sizes = np.array([len(p) for p in pools], dtype=np.int64)
-    items = np.fromiter((i for p in pools for i in p), dtype=np.int64, count=sizes.sum())
-    return (np.cumsum(sizes) - sizes)[row_user], sizes[row_user], items
+    (rv, iv), (rt, it) = split.validation.gather(distinct), split.test.gather(distinct)
+    return _user_items(np.concatenate([rv, rt]), np.concatenate([iv, it]), distinct.size,
+                       split.num_items), row_user
 
 
 def sample_batch(
@@ -324,23 +328,17 @@ def sample_batch(
     if len(train_pairs) == 0:
         raise ValueError("split has no train interactions")
     num_items = split.num_items
-    train_keys = train_pairs[:, 0] * num_items + train_pairs[:, 1]
-    if np.any(train_keys[1:] < train_keys[:-1]):  # split.train_pairs() is in order
-        train_keys = np.sort(train_keys)
     pairs = train_pairs[rng.integers(0, len(train_pairs), size=batch_size)]
-    # each row's train items are train_keys[start:start + degree]
-    start = np.searchsorted(train_keys, pairs[:, 0] * num_items)
-    degree = np.searchsorted(train_keys, (pairs[:, 0] + 1) * num_items) - start
-    full = degree >= num_items
+    full = np.diff(split.train.indptr)[pairs[:, 0]] >= num_items
     if full.any():
         warnings.warn(f"skipped {int(full.sum())} of {batch_size} sampled rows: "
                       "their users have no negative pool")
-        pairs, start, degree = pairs[~full], start[~full], degree[~full]
+        pairs = pairs[~full]
     users = pairs[:, 0]
 
     negatives = rng.integers(0, num_items, size=(len(pairs), n_neg))
     flat = negatives.reshape(-1)
-    train_mask = _TrainMask(train_keys, start, degree, num_items)
+    train_mask = _TrainMask(split.train, users, num_items)
     redraw = np.flatnonzero(train_mask.hits(np.arange(len(pairs))[:, None], negatives))
     while redraw.size:
         flat[redraw] = rng.integers(0, num_items, size=redraw.size)
@@ -348,13 +346,13 @@ def sample_batch(
 
     flips = np.zeros(negatives.shape, dtype=bool)
     if noise.p > 0 and len(pairs):
-        if noise.pool == "train":
-            starts, sizes, items = start, degree, train_keys % num_items
-        else:
-            starts, sizes, items = _heldout_pools(split, users)
+        pools, row = ((split.train, users) if noise.pool == "train"
+                      else _heldout_pools(split, users))
+        starts = pools.indptr[row]
+        sizes = pools.indptr[row + 1] - starts
         flips = (rng.random(negatives.shape) < noise.p) & (sizes > 0)[:, None]
         rows = np.nonzero(flips)[0]
-        negatives[flips] = items[starts[rows] + rng.integers(0, sizes[rows])]
+        negatives[flips] = pools.items[starts[rows] + rng.integers(0, sizes[rows])]
     return BatchSample(pairs, negatives, flips)
 
 
@@ -363,16 +361,12 @@ def write_split(split: DatasetSplit, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     counts = {}
-    for name, sets in (("train", split.train), ("validation", split.validation), ("test", split.test)):
-        n = 0
+    for name in PARTS:
+        users, items = getattr(split, name).gather(np.arange(split.num_users))
         tmp = outdir / f".{name}.tmp"
-        with open(tmp, "w") as fh:
-            for user, items in enumerate(sets):
-                for item in sorted(items):
-                    fh.write(f"{user}\t{item}\n")
-                    n += 1
+        tmp.write_text("".join(f"{u}\t{i}\n" for u, i in zip(users.tolist(), items.tolist())))
         tmp.rename(outdir / f"{name}.tsv")
-        counts[name] = n
+        counts[name] = items.size
     manifest = {
         "num_users": split.num_users,
         "num_items": split.num_items,
@@ -387,27 +381,38 @@ def write_split(split: DatasetSplit, outdir):
     return manifest
 
 
+def _read_part(path, num_users, num_items):
+    """One `user<TAB>item` part file; a malformed row or an id outside
+    [0, num_users) x [0, num_items) raises ParseError naming file and line."""
+    users, items = [], []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = raw.split()
+            if not fields:
+                continue
+            try:
+                user, item = map(int, fields)
+            except ValueError:
+                raise ParseError(lineno, f"expected two integer fields, got {raw.strip()!r}",
+                                 path) from None
+            for name, value, bound in (("user", user, num_users), ("item", item, num_items)):
+                if not 0 <= value < bound:
+                    raise ParseError(lineno, f"{name} id {value} outside the manifest's "
+                                     f"range [0, {bound})", path)
+            users.append(user)
+            items.append(item)
+    return _user_items(np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
+                       num_users, num_items)
+
+
 def read_split(indir) -> DatasetSplit:
     indir = Path(indir)
     with open(indir / "manifest.json") as fh:
         manifest = json.load(fh)
     num_users = manifest["num_users"]
     num_items = manifest["num_items"]
-    parts = {}
-    for name in ("train", "validation", "test"):
-        sets = [set() for _ in range(num_users)]
-        with open(indir / f"{name}.tsv") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                u, i = (int(x) for x in line.split())
-                sets[u].add(i)
-        parts[name] = sets
     return DatasetSplit(
-        parts["train"],
-        parts["validation"],
-        parts["test"],
+        *(_read_part(indir / f"{name}.tsv", num_users, num_items) for name in PARTS),
         manifest["split_kind"],
         num_users,
         num_items,

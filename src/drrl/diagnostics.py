@@ -14,7 +14,7 @@ import numpy as np
 from . import losses as L
 from .dro_core import minimize_beta_objective
 from .graphmodel import cosine_matrix, forward
-from .metrics import block_rows, item_mask, truncation_ratio, weight_stats
+from .metrics import block_rows, truncation_ratio, weight_stats
 
 DIAGNOSABLE = ("sl", "ccl", "drrl")
 
@@ -58,10 +58,13 @@ def user_diagnostics(
     for user in range(num_users):
         slot = user % step  # the user's row in the block masks
         if slot == 0:
-            block = range(user, min(user + step, num_users))
-            in_train = item_mask([split.train[u] for u in block], num_items)
+            block = np.arange(user, min(user + step, num_users))
+            in_train = np.zeros((block.size, num_items), dtype=bool)
+            in_train[split.train.gather(block)] = True
             if noise_pool != "train":
-                in_heldout = item_mask([split.heldout(u) for u in block], num_items)
+                in_heldout = np.zeros_like(in_train)
+                in_heldout[split.validation.gather(block)] = True
+                in_heldout[split.test.gather(block)] = True
         if noise_pool == "train":
             candidates, flagged = np.arange(num_items), in_train[slot]
         else:

@@ -174,7 +174,10 @@ def infonce_auxiliary(layer_final, layer_lstar, temperature, weight):
     """In-batch InfoNCE between two layer views of the same nodes.
 
     Node a's positive is its own view in the other layer; all other in-batch
-    nodes are negatives. Returns (scaled loss, d_final, d_lstar).
+    nodes are negatives. A node whose row is zero in either view (an
+    isolated node's propagated layer, without noise) has no direction and is
+    left out of the contrast set, with zero gradients. Returns (scaled loss,
+    d_final, d_lstar).
     """
     zf = np.asarray(layer_final, dtype=float)
     zl = np.asarray(layer_lstar, dtype=float)
@@ -185,6 +188,12 @@ def infonce_auxiliary(layer_final, layer_lstar, temperature, weight):
         return 0.0, np.zeros_like(zf), np.zeros_like(zl)
     nf = np.linalg.norm(zf, axis=1, keepdims=True)
     nl = np.linalg.norm(zl, axis=1, keepdims=True)
+    live = (nf[:, 0] > 0) & (nl[:, 0] > 0)
+    if not live.all():
+        d_final, d_lstar = np.zeros_like(zf), np.zeros_like(zl)
+        loss, d_final[live], d_lstar[live] = infonce_auxiliary(zf[live], zl[live],
+                                                               temperature, weight)
+        return loss, d_final, d_lstar
     fhat = zf / nf
     lhat = zl / nl
     cos = fhat @ lhat.T

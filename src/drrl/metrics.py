@@ -3,7 +3,6 @@ statistics."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,29 +25,14 @@ def block_rows(num_items):
     return max(1, BLOCK_BYTES // (20 * max(1, num_items)))
 
 
-def _flat_items(item_sets):
-    """(row, item) index arrays of every id in a list of per-row id sets."""
-    sizes = np.fromiter(map(len, item_sets), dtype=np.int64, count=len(item_sets))
-    items = np.fromiter(itertools.chain.from_iterable(item_sets), dtype=np.int64,
-                        count=int(sizes.sum()))
-    return np.repeat(np.arange(len(item_sets)), sizes), items
-
-
-def item_mask(item_sets, num_items):
-    """(len(item_sets), num_items) boolean mask of each row's item ids."""
-    mask = np.zeros((len(item_sets), num_items), dtype=bool)
-    mask[_flat_items(item_sets)] = True
-    return mask
-
-
-def _top_lists(masked, exclude_sets, k):
+def _top_lists(masked, exclude, k):
     """Top-k item ids of every row of the float block `masked`, which is
-    overwritten: excluded and non-finite scores never rank. Items are ordered
-    by score descending, then item id ascending; a row with fewer than k
-    ranked items is padded with -1."""
+    overwritten: the (row, item) index arrays `exclude` and non-finite
+    scores never rank. Items are ordered by score descending, then item id
+    ascending; a row with fewer than k ranked items is padded with -1."""
     if k < 1:
         raise ValueError(f"K must be at least 1, got {k}")
-    masked[_flat_items(exclude_sets)] = -np.inf
+    masked[exclude] = -np.inf
     masked[~np.isfinite(masked)] = -np.inf
     num_items = masked.shape[1]
     k = min(k, num_items)
@@ -77,7 +61,7 @@ def _top_lists(masked, exclude_sets, k):
 def top_k_items(scores, exclude, k):
     """Indices of the top-k items by score, excluding `exclude`; ties broken
     by ascending item id."""
-    top = _top_lists(np.array(scores, dtype=float)[None], [exclude], k)[0]
+    top = _top_lists(np.array(scores, dtype=float)[None], (0, list(exclude)), k)[0]
     return top[top >= 0]
 
 
@@ -106,9 +90,10 @@ def ndcg_at_k(scores, exclude, truth, k):
 def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
     """Average Recall@K / NDCG@K over users with nonempty ground truth.
 
-    Ranks blocks of `block_rows` users at a time, once to max(ks), and reads
-    every K off that one top list. Returns {(metric, K): value}; users with
-    empty truth are skipped.
+    `exclude_sets` and `truth_sets` are split parts (`dataio.UserItems`),
+    one user per score row. Ranks blocks of `block_rows` users at a time,
+    once to max(ks), and reads every K off that one top list. Returns
+    {(metric, K): value}; users with empty truth are skipped.
     """
     score_matrix = np.asarray(score_matrix)
     num_users, num_items = score_matrix.shape
@@ -120,7 +105,7 @@ def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
     ks = list(dict.fromkeys(ks))
     if any(k < 1 for k in ks):
         raise ValueError(f"every K must be at least 1, got {ks}")
-    scored = np.flatnonzero([len(truth) > 0 for truth in truth_sets])
+    scored = np.flatnonzero(np.diff(truth_sets.indptr))
     if scored.size == 0:
         raise ValueError("no user has ground-truth items")
     sums = {("recall", k): 0.0 for k in ks}
@@ -132,15 +117,14 @@ def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
     step = block_rows(num_items)
     for lo in range(0, scored.size, step):
         users = scored[lo:lo + step]
-        truth = [truth_sets[u] for u in users]
-        rows, items = _flat_items(truth)
+        rows, items = truth_sets.gather(users)
         if items.min() < 0 or items.max() >= num_items:
             raise ValueError(
                 f"truth item ids must lie in [0, {num_items}), "
                 f"got {items.min()}..{items.max()}"
             )
         top = _top_lists(np.asarray(score_matrix[users], dtype=float),
-                         [exclude_sets[u] for u in users], max(ks))
+                         exclude_sets.gather(users), max(ks))
         is_truth = np.zeros((users.size, num_items), dtype=bool)
         is_truth[rows, items] = True
         hits = is_truth[np.arange(users.size)[:, None], top] & (top >= 0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import Interaction, InteractionLog
+from .dataio import InteractionLog
 
 
 def make_block_log(
@@ -20,28 +20,24 @@ def make_block_log(
     user_block = np.arange(num_users) % blocks
     item_block = np.arange(num_items) % blocks
     block_items = [np.flatnonzero(item_block == b) for b in range(blocks)]
-    interactions = []
+    rows = []  # (user, item, timestamp): each user's items stamped 0, 1, ... as drawn
     for user in range(num_users):
         own = block_items[user_block[user]]
         other = np.concatenate(
             [block_items[b] for b in range(blocks) if b != user_block[user]]
         )
         chosen: set = set()
-        t = 0
         while len(chosen) < min(interactions_per_user, num_items):
             pool = other if (rng.random() < cross_ratio and other.size) else own
             item = int(pool[rng.integers(0, pool.size)])
             if item not in chosen:
+                rows.append((user, item, len(chosen)))
                 chosen.add(item)
-                interactions.append(Interaction(user, item, timestamp=t))
-                t += 1
     return InteractionLog(
-        interactions,
+        *np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy(),
         num_users=num_users,
         num_items=num_items,
         has_timestamps=True,
-        user_id_map={u: u for u in range(num_users)},
-        item_id_map={i: i for i in range(num_items)},
     )
 
 

@@ -2,8 +2,9 @@
 Jacobians for one (user, item) pair, the closed-form worst-case weights, a
 loss-and-gradients pass that loops over pairs and negatives one at a time,
 the brute-force inner maximization with one start and one bisection step at
-a time, the negative sampler with a sorted-key membership test, and Adam with
-a fresh array per intermediate."""
+a time, the negative sampler with a sorted-key membership test and per-user
+set unions for its held-out pools, and Adam with a fresh array per
+intermediate."""
 
 import math
 
@@ -219,6 +220,16 @@ def _member(sorted_keys, keys):
     return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
 
 
+def _heldout_pools(split, users):
+    """Each row's held-out pool as CSR arrays (starts, sizes, items), from
+    the sorted union of each distinct user's validation and test sets."""
+    distinct, row_user = np.unique(users, return_inverse=True)
+    pools = [sorted(split.heldout(int(u))) for u in distinct]
+    sizes = np.array([len(p) for p in pools], dtype=np.int64)
+    items = np.fromiter((i for p in pools for i in p), dtype=np.int64, count=sizes.sum())
+    return (np.cumsum(sizes) - sizes)[row_user], sizes[row_user], items
+
+
 def sample_batch(split, batch_size, n_neg, noise=None, rng=None, train_pairs=None):
     """`dataio.sample_batch` testing each draw by a binary search for its
     `user * num_items + item` key among the sorted train keys; same RNG calls."""
@@ -249,7 +260,7 @@ def sample_batch(split, batch_size, n_neg, noise=None, rng=None, train_pairs=Non
         if noise.pool == "train":
             starts, sizes, items = start, degree, train_keys % num_items
         else:
-            starts, sizes, items = dataio._heldout_pools(split, users)
+            starts, sizes, items = _heldout_pools(split, users)
         flips = (rng.random(negatives.shape) < noise.p) & (sizes > 0)[:, None]
         rows = np.nonzero(flips)[0]
         negatives[flips] = items[starts[rows] + rng.integers(0, sizes[rows])]

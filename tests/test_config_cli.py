@@ -89,8 +89,8 @@ def log_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "log.tsv"
     log = make_block_log(num_users=30, num_items=20, seed=3)
     with open(path, "w") as fh:
-        for it in log.interactions:
-            fh.write(f"{it.user_id}\t{it.item_id}\t{it.timestamp}\n")
+        for row in zip(log.users, log.items, log.timestamps):
+            fh.write("%d\t%d\t%d\n" % row)
     return path
 
 
@@ -148,8 +148,8 @@ class TestCli:
         log = make_block_log(num_users=40, num_items=20, seed=4)
         big_log = tmp_path / "big.tsv"
         with open(big_log, "w") as fh:
-            for it in log.interactions:
-                fh.write(f"{it.user_id}\t{it.item_id}\n")
+            for row in zip(log.users, log.items):
+                fh.write("%d\t%d\n" % row)
         assert cli.main(["split", str(big_log), str(other)]) == 0
         code = cli.main(
             ["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import scalar_reference
+from builders import log_of, parts, split_of
 from drrl import dataio
 
 
@@ -14,6 +15,19 @@ def write_log(tmp_path, rows, name="log.tsv"):
     return path
 
 
+def rows_of(log):
+    return list(zip(log.users.tolist(), log.items.tolist(), log.timestamps.tolist()))
+
+
+# A fixed log of five users (user 3 has no interaction) over 16 items, with
+# a timestamp tie (user 2) and test items nobody trains on. The expected
+# partitions below are pinned literals, so a change to the RNG stream, the
+# rounding or the tie order shows.
+GOLDEN_LOG = [(0, 3, 5), (0, 1, 3), (0, 4, 9), (0, 15, 1), (0, 9, 0), (0, 2, 7), (0, 6, 2),
+              (0, 5, 8), (0, 8, 4), (0, 7, 6), (1, 0, 0), (2, 11, 2), (2, 12, 2), (2, 13, 1),
+              (4, 2, 10), (4, 4, 11), (4, 6, 12), (4, 8, 13), (4, 10, 14)]
+
+
 class TestLoadInteractions:
     def test_basic_parse_and_remap(self, tmp_path):
         path = write_log(tmp_path, ["# comment", "9\t7", "9\t3", "2\t7"])
@@ -21,20 +35,33 @@ class TestLoadInteractions:
         assert log.num_users == 2
         assert log.num_items == 2
         assert not log.has_timestamps
-        assert log.user_id_map[9] == 0
-        assert log.item_id_map[7] == 0
+        # raw user 9 -> 0, 2 -> 1; raw item 7 -> 0, 3 -> 1
+        assert rows_of(log) == [(0, 0, 0), (0, 1, 0), (1, 0, 0)]
+
+    def test_first_appearance_remap_golden(self, tmp_path):
+        path = write_log(tmp_path, ["# c", "9\t7\t4", "9\t3\t2", "2\t7\t8", "",
+                                    "5\t3\t1", "2\t7\t6", "9\t7\t5", "5\t11\t3"])
+        log = dataio.load_interactions(path)
+        assert (log.num_users, log.num_items, log.has_timestamps) == (3, 3, True)
+        # pairs in order of their first row, each at its earliest timestamp
+        assert rows_of(log) == [(0, 0, 4), (0, 1, 2), (1, 0, 6), (2, 1, 1), (2, 2, 3)]
 
     def test_duplicate_keeps_earliest_timestamp(self, tmp_path):
         path = write_log(tmp_path, ["5\t1\t5", "5\t1\t2", "5\t2\t9"])
         log = dataio.load_interactions(path)
-        ts = {(it.user_id, it.item_id): it.timestamp for it in log.interactions}
-        assert ts[(0, 0)] == 2
+        ts = {(u, i): t for u, i, t in rows_of(log)}
+        assert ts == {(0, 0): 2, (0, 1): 9}
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = write_log(tmp_path, ["1\t2", "only-one-field"])
         with pytest.raises(dataio.ParseError) as exc:
             dataio.load_interactions(path)
         assert exc.value.line_number == 2
+
+    def test_field_outside_int64_rejected(self, tmp_path):
+        path = write_log(tmp_path, ["1\t2", "3\t99999999999999999999"])
+        with pytest.raises(ValueError, match="does not fit in 64 bits"):
+            dataio.load_interactions(path)
 
     def test_empty_log_rejected(self, tmp_path):
         path = write_log(tmp_path, ["# nothing here"])
@@ -48,10 +75,21 @@ def test_k_core_filter_reaches_fixpoint(tmp_path):
     path = write_log(tmp_path, rows)
     log = dataio.load_interactions(path)
     filtered = dataio.k_core_filter(log, 2, 2)
-    pairs = {(it.user_id, it.item_id) for it in filtered.interactions}
+    pairs = {(u, i) for u, i, _ in rows_of(filtered)}
     assert len(pairs) == 4  # users 0 and 2 keep items 10 and 11
     assert filtered.num_users == 2
     assert filtered.num_items == 2
+
+
+def test_k_core_filter_dense_id_order_golden(tmp_path):
+    # raw item 40 and then raw user 5 fall below the core; the rest keeps its
+    # rows in (user, item) order, items renumbered by first appearance there
+    rows = ["1\t10\t5", "2\t20\t4", "2\t30\t3", "3\t20\t2", "3\t30\t1", "1\t30\t0",
+            "4\t10\t9", "4\t20\t8", "5\t40\t7", "5\t10\t6"]
+    filtered = dataio.k_core_filter(dataio.load_interactions(write_log(tmp_path, rows)), 2, 2)
+    assert (filtered.num_users, filtered.num_items) == (4, 3)
+    assert rows_of(filtered) == [(0, 0, 5), (0, 1, 0), (1, 2, 4), (1, 1, 3), (2, 2, 2),
+                                 (2, 1, 1), (3, 0, 9), (3, 2, 8)]
 
 
 class TestSplitIid:
@@ -78,6 +116,19 @@ class TestSplitIid:
         assert train | val | test == set(range(n_items))
         assert len(train) >= 1
 
+    @pytest.mark.parametrize("seed, want", [
+        (0, ([[3, 4, 5, 6, 7, 8, 15], [0], [11, 13], [], [2, 4, 6, 8]],
+             [[1], [], [], [], []],
+             [[2, 9], [], [12], [], [10]])),
+        (1, ([[1, 2, 3, 5, 6, 8, 9], [0], [12, 13], [], [2, 4, 8, 10]],
+             [[15], [], [], [], []],
+             [[4, 7], [], [11], [], [6]])),
+    ])
+    def test_partitions_golden(self, seed, want):
+        split = dataio.split_iid(log_of(GOLDEN_LOG, 5, 16), 0.8, 0.1, seed=seed)
+        assert parts(split) == want
+        assert (split.split_kind, split.seed) == ("iid", seed)
+
 
 class TestSplitTemporal:
     def test_latest_interaction_goes_to_test(self):
@@ -89,11 +140,23 @@ class TestSplitTemporal:
 
     def test_unseen_test_items_dropped(self):
         # item 9 appears only as user 0's latest interaction
-        inter = [dataio.Interaction(0, i, t) for t, i in enumerate([0, 1, 2, 3, 9])]
-        inter += [dataio.Interaction(1, i, t) for t, i in enumerate([0, 1, 2, 3, 4])]
-        log = dataio.InteractionLog(inter, 2, 10, True, {}, {})
-        split = dataio.split_temporal(log, 0.2, 0.1)
+        rows = [(0, i, t) for t, i in enumerate([0, 1, 2, 3, 9])]
+        rows += [(1, i, t) for t, i in enumerate([0, 1, 2, 3, 4])]
+        split = dataio.split_temporal(log_of(rows, 2, 10), 0.2, 0.1)
         assert 9 not in split.test[0]
+
+    @pytest.mark.parametrize("fracs, want", [
+        ((0.2, 0.1), ([[1, 3, 6, 7, 8, 9, 15], [0], [11, 13], [], [2, 4, 6, 8]],
+                      [[2], [], [], [], []],
+                      [[4], [], [], [], []])),
+        ((0.4, 0.3), ([[1, 6, 9, 15], [0], [13], [], [2, 4]],
+                      [[3, 8], [], [], [], [6]],
+                      [[2, 4], [], [], [], []])),
+    ])
+    def test_partitions_golden(self, fracs, want):
+        split = dataio.split_temporal(log_of(GOLDEN_LOG, 5, 16), *fracs)
+        assert parts(split) == want
+        assert split.split_kind == "temporal_ood"
 
     def test_untimestamped_log_rejected(self):
         log = _uniform_log(1, 5, timestamps=False)
@@ -181,10 +244,8 @@ class TestSampleBatch:
             assert set(batch.negatives[rows][mask[rows]].tolist()) <= allowed
 
     def test_user_with_empty_pool_gets_no_flips(self):
-        split = dataio.DatasetSplit(
-            train=[{0, 1}, {2}], validation=[{3}, set()], test=[{4}, set()],
-            split_kind="iid", num_users=2, num_items=8,
-        )
+        split = split_of(train=[{0, 1}, {2}], validation=[{3}, set()], test=[{4}, set()],
+                         num_items=8)
         batch = dataio.sample_batch(split, 200, 8, dataio.NoiseConfig(0.9),
                                     np.random.default_rng(4))
         empty_pool = batch.pairs[:, 0] == 1
@@ -192,10 +253,8 @@ class TestSampleBatch:
         assert batch.false_negative_mask[~empty_pool].any()
 
     def test_user_covering_every_item_is_skipped_with_one_warning(self):
-        split = dataio.DatasetSplit(
-            train=[{0, 1, 2, 3}, {0}], validation=[set(), {1}], test=[set(), {2}],
-            split_kind="iid", num_users=2, num_items=4,
-        )
+        split = split_of(train=[{0, 1, 2, 3}, {0}], validation=[set(), {1}],
+                         test=[set(), {2}], num_items=4)
         with pytest.warns(UserWarning) as record:
             batch = dataio.sample_batch(split, 100, 4, None, np.random.default_rng(0))
         assert len(record) == 1
@@ -243,19 +302,42 @@ def test_split_roundtrip(tmp_path):
     loaded = dataio.read_split(tmp_path / "s")
     assert loaded.num_users == split.num_users
     assert loaded.num_items == split.num_items
-    assert loaded.train == split.train
-    assert loaded.validation == split.validation
-    assert loaded.test == split.test
+    for name in dataio.PARTS:
+        got, want = getattr(loaded, name), getattr(split, name)
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.items, want.items)
+
+
+def test_read_split_collapses_repeated_and_unordered_rows(tmp_path):
+    dataio.write_split(_toy_split(), tmp_path)
+    (tmp_path / "train.tsv").write_text("1\t4\n0\t2\n\n1\t3\n0\t0\n0\t2\n0\t1\n")
+    loaded = dataio.read_split(tmp_path)
+    assert parts(loaded)[0] == [[0, 1, 2], [3, 4]]
+    np.testing.assert_array_equal(loaded.train.indptr, [0, 3, 5])
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1\t2\t3", "expected two integer fields"),
+    ("1\tx", "expected two integer fields"),
+    ("2\t1", r"user id 2 outside the manifest's range \[0, 2\)"),
+    ("-1\t1", r"user id -1 outside"),
+    ("1\t8", r"item id 8 outside the manifest's range \[0, 8\)"),
+    ("0\t-3", r"item id -3 outside"),
+])
+def test_read_split_names_bad_rows_with_file_and_line(tmp_path, row, message):
+    dataio.write_split(_toy_split(), tmp_path)
+    path = tmp_path / "validation.tsv"
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(dataio.ParseError, match=message) as exc:
+        dataio.read_split(tmp_path)
+    assert exc.value.line_number == 3
+    assert str(exc.value).startswith(f"{path}, line 3: ")
 
 
 def _uniform_log(num_users, items_per_user, timestamps=False):
-    inter = []
-    for u in range(num_users):
-        for t in range(items_per_user):
-            inter.append(dataio.Interaction(u, t, t if timestamps else None))
-    return dataio.InteractionLog(
-        inter, num_users, items_per_user, timestamps, {}, {}
-    )
+    rows = [(u, t, t if timestamps else 0)
+            for u in range(num_users) for t in range(items_per_user)]
+    return log_of(rows, num_users, items_per_user, timestamps)
 
 
 def _busy_split(seed, num_items):
@@ -268,15 +350,13 @@ def _busy_split(seed, num_items):
         train.append(set(items[:degree].tolist()))
         val.append(set(items[degree:degree + 1].tolist()))
         test.append(set(items[degree + 1:degree + 3].tolist()))
-    return dataio.DatasetSplit(train, val, test, "iid", len(train), num_items)
+    return split_of(train, val, test, num_items)
 
 
 def _toy_split():
-    return dataio.DatasetSplit(
+    return split_of(
         train=[{0, 1, 2}, {3, 4}],
         validation=[{3}, {0}],
         test=[{4}, {1}],
-        split_kind="iid",
-        num_users=2,
         num_items=8,
     )

@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from builders import split_of
 from drrl import losses as L
 from drrl import metrics
-from drrl.dataio import DatasetSplit
 from drrl.diagnostics import user_diagnostics
 
 # user 0: train {0, 1}, held out {2, 3}; user 1: train {2}, held out {0};
 # user 2: train {4}, held out {1}, every non-train score <= 0
-SPLIT = DatasetSplit(
+SPLIT = split_of(
     train=[{0, 1}, {2}, {4}],
     validation=[{2}, set(), {1}],
     test=[{3}, {0}, set()],
-    split_kind="iid",
-    num_users=3,
     num_items=5,
 )
 SCORES = np.array([
@@ -64,10 +62,10 @@ def test_drrl_rows_use_the_given_margins():
 
 
 def test_user_with_no_candidates_is_skipped():
-    split = DatasetSplit([{0, 1}, {0}], [set(), {1}], [set(), set()], "iid", 2, 2)
+    split = split_of([{0, 1}, {0}], [set(), {1}], [set(), set()], 2)
     rows = user_diagnostics(np.array([[0.3, 0.1], [0.2, 0.4]]), split, CCL)
     assert [r.user for r in rows] == [1]
-    no_items = DatasetSplit([set()], [set()], [set()], "iid", 1, 0)
+    no_items = split_of([set()], [set()], [set()], 0)
     assert user_diagnostics(np.zeros((1, 0)), no_items, CCL) == []
 
 

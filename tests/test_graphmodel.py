@@ -128,6 +128,20 @@ def test_infonce_value_positive_and_shift_invariant_pairing():
     assert da.shape == a.shape
 
 
+def test_infonce_leaves_out_nodes_with_a_zero_view():
+    rng = np.random.default_rng(7)
+    zf, zl = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    zf[1] = 0.0
+    zl[3] = 0.0
+    live = [0, 2, 4]
+    value, d_final, d_lstar = gm.infonce_auxiliary(zf, zl, 0.2, 0.5)
+    want = gm.infonce_auxiliary(zf[live], zl[live], 0.2, 0.5)
+    assert value == want[0]
+    np.testing.assert_array_equal(d_final[live], want[1])
+    np.testing.assert_array_equal(d_lstar[live], want[2])
+    assert not d_final[[1, 3]].any() and not d_lstar[[1, 3]].any()
+
+
 def test_checkpoint_roundtrip(tmp_path):
     table = gm.EmbeddingTable.init_normal(3, 4, 2, seed=7)
     margins = np.array([0.1, -0.2, 0.3])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import user_items
 from drrl import metrics
 
 
@@ -68,7 +69,8 @@ def test_matches_bruteforce_reference(seed):
 
 def test_evaluate_ranking_skips_empty_truth():
     score_matrix = np.array([[0.9, 0.1, 0.2], [0.3, 0.8, 0.1]])
-    res = metrics.evaluate_ranking(score_matrix, [set(), set()], [{0}, set()], [1])
+    res = metrics.evaluate_ranking(score_matrix, user_items([set(), set()]),
+                                   user_items([{0}, set()]), [1])
     assert res[("recall", 1)] == 1.0
 
 
@@ -99,9 +101,9 @@ def test_evaluate_ranking_matches_bruteforce_with_ties(seed):
             assert metrics.top_k_items(scores[u], excludes[u], max(ks)).tolist() == want
         if not scored:
             with pytest.raises(ValueError, match="no user has ground-truth"):
-                metrics.evaluate_ranking(scores, excludes, truths, ks)
+                metrics.evaluate_ranking(scores, user_items(excludes), user_items(truths), ks)
             return
-        got = metrics.evaluate_ranking(scores, excludes, truths, ks)
+        got = metrics.evaluate_ranking(scores, user_items(excludes), user_items(truths), ks)
     assert list(got) == [(m, k) for m in ("recall", "ndcg") for k in ks]
     for k in ks:
         for name, brute in (("recall", brute_recall), ("ndcg", brute_ndcg)):
@@ -112,28 +114,31 @@ def test_evaluate_ranking_matches_bruteforce_with_ties(seed):
 def test_evaluate_ranking_rejects_mismatched_set_lengths():
     scores = np.zeros((2, 3))
     with pytest.raises(ValueError, match="exclude_sets has 1 entries for 2 score rows"):
-        metrics.evaluate_ranking(scores, [set()], [{0}, {1}], [1])
+        metrics.evaluate_ranking(scores, user_items([set()]), user_items([{0}, {1}]), [1])
     with pytest.raises(ValueError, match="truth_sets has 3 entries for 2 score rows"):
-        metrics.evaluate_ranking(scores, [set(), set()], [{0}, {1}, {2}], [1])
+        metrics.evaluate_ranking(scores, user_items([set(), set()]),
+                                 user_items([{0}, {1}, {2}]), [1])
 
 
 def test_evaluate_ranking_rejects_k_below_one():
     with pytest.raises(ValueError, match="every K must be at least 1"):
-        metrics.evaluate_ranking(np.zeros((1, 3)), [set()], [{0}], [5, 0])
+        metrics.evaluate_ranking(np.zeros((1, 3)), user_items([set()]), user_items([{0}]),
+                                 [5, 0])
 
 
 def test_evaluate_ranking_rejects_truth_outside_items():
     for bad in (3, -1):
         with pytest.raises(ValueError, match=r"truth item ids must lie in \[0, 3\)"):
-            metrics.evaluate_ranking(np.zeros((2, 3)), [set(), set()], [{0}, {1, bad}], [1])
+            metrics.evaluate_ranking(np.zeros((2, 3)), user_items([set(), set()]),
+                                     user_items([{0}, {1, bad}]), [1])
 
 
 def _evaluator_peak(n_users, n_items):
     rng = np.random.default_rng(0)
     scores = rng.normal(size=(n_users, n_items))
-    excludes = [set(rng.choice(n_items, size=20, replace=False).tolist())
-                for _ in range(n_users)]
-    truths = [{int(i)} for i in rng.integers(0, n_items, size=n_users)]
+    excludes = user_items([set(rng.choice(n_items, size=20, replace=False).tolist())
+                           for _ in range(n_users)])
+    truths = user_items([{int(i)} for i in rng.integers(0, n_items, size=n_users)])
     tracemalloc.start()
     try:
         metrics.evaluate_ranking(scores, excludes, truths, [10, 20, 50])
@@ -154,7 +159,7 @@ def test_evaluator_memory_bounded_by_block_budget():
 
 def test_evaluate_ranking_all_empty_rejected():
     with pytest.raises(ValueError):
-        metrics.evaluate_ranking(np.zeros((1, 3)), [set()], [set()], [1])
+        metrics.evaluate_ranking(np.zeros((1, 3)), user_items([set()]), user_items([set()]), [1])
 
 
 def test_empty_truth_rejected():

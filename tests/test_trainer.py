@@ -215,6 +215,28 @@ def _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg):
     return peak
 
 
+def test_xsimgcl_step_stays_finite_when_a_batch_touches_an_isolated_item():
+    # items 200..299 have no train pair, so without noise their propagated
+    # (contrast-layer) rows are zero; negatives drawn among them used to make
+    # the InfoNCE term divide by a zero norm and return NaN
+    rng = np.random.default_rng(0)
+    n_users, n_items = 50, 300
+    pairs = np.unique(np.stack([rng.integers(0, n_users, 600), rng.integers(0, 200, 600)],
+                               axis=1), axis=0)
+    graph = InteractionGraph(pairs, n_users, n_items)
+    table = EmbeddingTable.init_normal(n_users, n_items, 8, seed=1)
+    batch = BatchSample(pairs[rng.integers(0, len(pairs), 32)],
+                        rng.integers(0, n_items, size=(32, 16)), np.zeros((32, 16), dtype=bool))
+    assert (batch.negatives >= 200).any()
+    cfg = BackboneConfig(kind="xsimgcl", layers=2, noise_modulus=0.0, infonce_weight=0.5)
+    spec = LossSpec(kind="drrl", gamma_star=2.0, c=1.5, eps=0.1)
+    with np.errstate(divide="raise", invalid="raise"):
+        value, grad_user, grad_item = tr.loss_and_gradients(
+            table, graph, cfg, spec, MarginState.initialize(n_users, 0.2), batch)
+    assert np.isfinite(value)
+    assert np.isfinite(grad_user).all() and np.isfinite(grad_item).all()
+
+
 def test_loss_and_gradients_memory_bounded_by_chunk_budget():
     n_users, n_items, d, batch_size, n_neg = 100, 200, 128, 64, 512
     assert n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
