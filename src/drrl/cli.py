@@ -1,7 +1,9 @@
 """Command-line surface: split | train | evaluate | stats | verify.
 
-Long-form flags only. Any config key can be overridden through
-DRRL_<SECTION>__<KEY> environment variables.
+Long-form flags only. `evaluate` and `stats` read the model from a run
+directory written by `train` (its checkpoint.bin and config.cfg). Any config
+key, there and in `train`, can be overridden through DRRL_<SECTION>__<KEY>
+environment variables.
 """
 
 from __future__ import annotations
@@ -16,14 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, diagnostics, verify
-from .config import config_to_json, dump_config, load_config
-from .graphmodel import (
-    BackboneConfig,
-    InteractionGraph,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .losses import LossSpec, MarginState
+from .config import dump_config, load_config
+from .graphmodel import InteractionGraph, load_checkpoint, save_checkpoint
+from .losses import MarginState
 from .metrics import evaluate_ranking
 from .trainer import train
 
@@ -49,12 +46,6 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
-def _graph_for(split, backbone_cfg):
-    if backbone_cfg.kind == "mf":
-        return None
-    return InteractionGraph(split.train_pairs(), split.num_users, split.num_items)
-
-
 def _check_dims(table, split):
     if table.user.shape[0] != split.num_users:
         raise ValueError(
@@ -68,8 +59,21 @@ def _check_dims(table, split):
         )
 
 
-def _backbone_from_args(args):
-    return BackboneConfig(kind=args.backbone, layers=args.layers).validate()
+def _load_run(run, split_dir):
+    """The run directory's config and margins, the split, and the checkpoint's
+    noise-free score matrix under the run's own backbone."""
+    run = Path(run)
+    if not (run / "config.cfg").is_file():
+        raise ValueError(f"{run} is not a run directory: it has no config.cfg "
+                         "(drrl train writes one beside checkpoint.bin)")
+    cfg = load_config(run / "config.cfg")
+    table, margins = load_checkpoint(run / "checkpoint.bin")
+    split = dataio.read_split(split_dir)
+    _check_dims(table, split)
+    graph = None
+    if cfg.backbone.kind != "mf":
+        graph = InteractionGraph(split.train_pairs(), split.num_users, split.num_items)
+    return cfg, margins, split, diagnostics.checkpoint_scores(table, graph, cfg.backbone)
 
 
 def cmd_split(args):
@@ -108,9 +112,7 @@ def cmd_train(args):
     save_checkpoint(outdir / "checkpoint.bin", table,
                     margins.beta if cfg.loss.kind == "drrl" else None)
     report.to_json(outdir / "report.json")
-    report.to_csv(outdir / "report.csv")
     _atomic_write(outdir / "config.cfg", dump_config(cfg))
-    _atomic_write(outdir / "config.json", config_to_json(cfg))
     print(json.dumps({
         "outdir": str(outdir),
         "best_epoch": report.best_epoch,
@@ -121,14 +123,9 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    table, _ = load_checkpoint(args.checkpoint)
-    split = dataio.read_split(args.split)
-    _check_dims(table, split)
-    backbone_cfg = _backbone_from_args(args)
-    scores = diagnostics.checkpoint_scores(table, _graph_for(split, backbone_cfg),
-                                           backbone_cfg)
+    cfg, _, split, scores = _load_run(args.run, args.split)
     truth = split.test if args.target == "test" else split.validation
-    results = evaluate_ranking(scores, split.train, truth, args.k)
+    results = evaluate_ranking(scores, split.train, truth, args.k or [cfg.train.metric_k])
     lines = ["metric,k,value"]
     for (metric, k), value in sorted(results.items()):
         lines.append(f"{metric},{k},{value:.6f}")
@@ -137,26 +134,18 @@ def cmd_evaluate(args):
 
 
 def cmd_stats(args):
-    table, margin_values = load_checkpoint(args.checkpoint)
-    split = dataio.read_split(args.split)
-    _check_dims(table, split)
-    spec = LossSpec(
-        kind=args.loss, tau=args.tau, alpha=args.alpha,
-        gamma_star=args.gamma_star, c=args.c, eps=args.eps, beta0=args.beta0,
-    ).validate()
+    cfg, margin_values, split, scores = _load_run(args.run, args.split)
+    spec = cfg.loss
     if args.resolve_margin and spec.kind == "drrl" and spec.c == 1.0:
-        print("warning: at --c 1 the margin objective has no minimizer, so beta*, "
+        print("warning: at loss.c = 1 the margin objective has no minimizer, so beta*, "
               "truncation and k1 describe an arbitrary point on its flat tail; "
-              "pass --c above 1", file=sys.stderr)
+              "set loss.c above 1 (for example DRRL_LOSS__C=1.2)", file=sys.stderr)
     margins = None
     if margin_values is not None:
         margins = MarginState(np.asarray(margin_values, dtype=float))
-    backbone_cfg = _backbone_from_args(args)
-    scores = diagnostics.checkpoint_scores(table, _graph_for(split, backbone_cfg),
-                                           backbone_cfg)
     rows = diagnostics.user_diagnostics(
         scores, split, spec, margins=margins, resolve_margin=args.resolve_margin,
-        noise_pool=args.noise_pool,
+        noise_pool=cfg.train.noise_pool,
     )
     lines = ["user,k1,k2,truncation,beta,degenerate"]
     for r in rows:
@@ -225,33 +214,20 @@ def build_parser():
     p.add_argument("--output", help="override output.dir")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("evaluate", help="full-ranking metrics at a checkpoint")
-    p.add_argument("--checkpoint", required=True)
+    p = sub.add_parser("evaluate", help="full-ranking metrics of a trained run")
+    p.add_argument("--run", required=True, help="run directory written by drrl train")
     p.add_argument("--split", required=True, help="split directory")
-    p.add_argument("--k", type=int, action="append", default=None)
+    p.add_argument("--k", type=int, action="append", default=None,
+                   help="repeatable; default the run's train.metric_k")
     p.add_argument("--target", choices=("validation", "test"), default="test")
-    p.add_argument("--backbone", choices=("mf", "lightgcn", "xsimgcl"), default="mf")
-    p.add_argument("--layers", type=int, default=2)
     p.add_argument("--output", help="CSV path (stdout when omitted)")
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("stats", help="worst-case weight diagnostics at a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--loss", choices=diagnostics.DIAGNOSABLE + ("mse", "bce", "bpr"),
-                   default="drrl")
-    p.add_argument("--tau", type=float, default=0.2)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--gamma-star", type=float, default=2.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--beta0", type=float, default=0.5)
+    p = sub.add_parser("stats", help="worst-case weight diagnostics of a trained run")
+    p.add_argument("--run", required=True, help="run directory written by drrl train")
+    p.add_argument("--split", required=True, help="split directory")
     p.add_argument("--resolve-margin", action="store_true",
                    help="recompute each user's margin from the score sweep")
-    p.add_argument("--noise-pool", choices=("heldout", "train"), default="heldout",
-                   help="which positives count as false negatives for k2")
-    p.add_argument("--backbone", choices=("mf", "lightgcn", "xsimgcl"), default="mf")
-    p.add_argument("--layers", type=int, default=2)
     p.add_argument("--output", help="CSV path (stdout when omitted)")
     p.set_defaults(fn=cmd_stats)
 
@@ -271,8 +247,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "evaluate" and not args.k:
-        args.k = [20]
     try:
         return args.fn(args)
     except (ValueError, OSError, dataio.ParseError) as exc:

@@ -1,10 +1,8 @@
 """Flat `key = value` run configuration with section headers, strict key
-validation, env-var overrides, and JSON export."""
+validation and env-var overrides."""
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -132,6 +130,7 @@ def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
             continue
         section, _, key = name[len(ENV_PREFIX):].lower().partition("__")
         if section not in _SECTIONS:
+            errors.append(f"{name}: unknown section [{section}]")
             continue
         target = getattr(cfg, section)
         if key not in {f.name for f in fields(target)}:
@@ -162,7 +161,3 @@ def dump_config(cfg: RunConfig) -> str:
             lines.append(f"{f.name} = {getattr(target, f.name)}")
         lines.append("")
     return "\n".join(lines)
-
-
-def config_to_json(cfg: RunConfig) -> str:
-    return json.dumps(dataclasses.asdict(cfg), indent=2)

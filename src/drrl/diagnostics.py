@@ -84,7 +84,8 @@ def user_diagnostics(
             elif margins is not None:
                 beta = float(margins.beta[user])
             else:
-                beta = spec.beta0
+                # the margin the loss trains with: CCL's is fixed, DrRL's starts at beta0
+                beta = spec.margin if spec.kind == "ccl" else spec.beta0
         # The worst-case weights are the kernel's negative-score gradient up
         # to a constant factor, which k1 and k2 (ratios to the mean) ignore;
         # DrRL's are taken at eps = 0, the Renyi ball's own distribution.

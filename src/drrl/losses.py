@@ -167,20 +167,23 @@ def ccl_loss(f_pos, f_neg, alpha, margin):
 
 def _drrl_negative_term(f_neg, gamma_star, c, eps, beta):
     """Per-row M = (mean [c (f - beta)_+ + eps]^{g*})^{1/g*} as a (B, 1)
-    column, with the (B, n) inner terms; `beta` is a scalar or a (B, 1) column."""
+    column, with the (B, n) terms [c (f - beta)_+ + eps]^{g*-1}; `beta` is a
+    scalar or a (B, 1) column. The g*-th power is formed as the (g* - 1)-th
+    times the base, so the kernel takes one non-integer power per element."""
     inner = c * np.maximum(f_neg - beta, 0.0) + eps
-    m = ((inner**gamma_star).sum(axis=1, keepdims=True) / f_neg.shape[1]) ** (1.0 / gamma_star)
-    return m, inner
+    lowered = inner ** (gamma_star - 1.0)
+    m = ((lowered * inner).sum(axis=1, keepdims=True) / f_neg.shape[1]) ** (1.0 / gamma_star)
+    return m, lowered
 
 
 def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta):
     """M per row and dM/df (B, n) = M^{1-g*}/n [c (f-beta)_+ + eps]^{g*-1} c 1[f > beta];
     a fully truncated row with eps = 0 (M = 0) takes its one-sided limit 0.
     At g* = 1 the factor M^0 is 1, also where M underflows to 0."""
-    m, inner = _drrl_negative_term(f_neg, gamma_star, c, eps, beta)
+    m, lowered = _drrl_negative_term(f_neg, gamma_star, c, eps, beta)
     scale = np.power(m, 1.0 - gamma_star, where=(m > 0.0) | (gamma_star == 1.0),
                      out=np.zeros_like(m)) / f_neg.shape[1]
-    return m[:, 0], scale * inner ** (gamma_star - 1.0) * c * (f_neg > beta)
+    return m[:, 0], scale * lowered * c * (f_neg > beta)
 
 
 def drrl_loss(f_pos, f_neg, gamma_star, c, eps, beta):

@@ -3,10 +3,9 @@ weight decay, validation-based early stopping."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -157,27 +156,7 @@ class TrainReport:
 
     def to_json(self, path):
         with open(path, "w") as fh:
-            json.dump(
-                {
-                    "epoch_loss": self.epoch_loss,
-                    "val_ndcg": self.val_ndcg,
-                    "val_recall": self.val_recall,
-                    "best_epoch": self.best_epoch,
-                    "best_metric": self.best_metric,
-                    "stop_reason": self.stop_reason,
-                },
-                fh,
-                indent=2,
-            )
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_ndcg", "val_recall"])
-            for epoch, loss in enumerate(self.epoch_loss):
-                writer.writerow(
-                    [epoch, loss, self.val_ndcg[epoch], self.val_recall[epoch]]
-                )
+            json.dump(asdict(self), fh, indent=2)
 
 
 def _unit_rows(emb):

@@ -348,7 +348,8 @@ def run_suites(names=None, seed=0, tolerances=None, instance_options=None):
     """Run the selected suites; returns {"passed": bool, "checks": [...]}.
 
     `instance_options` (n_range / etas / gammas) constrain the random
-    instance set of the duality and lambda suites.
+    instance set of the duality and lambda suites. A suite name outside
+    SUITES, selected or given a tolerance, raises ValueError before any runs.
     """
     names = list(names) if names else list(SUITES)
     tolerances = tolerances or {}
@@ -362,10 +363,11 @@ def run_suites(names=None, seed=0, tolerances=None, instance_options=None):
         "convexity": suite_convexity,
         "weights": suite_weights,
     }
-    checks = []
-    for name in names:
+    for name in [*names, *tolerances]:
         if name not in runners:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    checks = []
+    for name in names:
         kwargs = {"seed": seed}
         if name in tolerances:
             kwargs["tol"] = tolerances[name]

@@ -1,9 +1,11 @@
 import json
+import shutil
 
-import numpy as np
 import pytest
 
-from drrl import cli, config
+from drrl import cli, config, dataio, diagnostics, graphmodel
+from drrl.losses import MarginState
+from drrl.metrics import evaluate_ranking
 from drrl.synthetic import make_block_log
 
 GOOD_CFG = """
@@ -21,6 +23,35 @@ lr = 0.05
 max_epochs = 2
 embed_dim = 8
 metric_k = 5
+
+[output]
+dir = {outdir}
+"""
+
+# c = 1 leaves the margin objective without a minimizer; k2 flags train positives
+LIGHTGCN_DRRL_CFG = """
+[data]
+input = {input}
+
+[backbone]
+kind = lightgcn
+layers = 2
+
+[loss]
+kind = drrl
+gamma_star = 2.0
+c = 1.0
+eps = 0.1
+lr_beta = 0.01
+
+[train]
+batch_size = 64
+n_neg = 8
+lr = 0.05
+max_epochs = 3
+embed_dim = 8
+metric_k = 5
+noise_pool = train
 
 [output]
 dir = {outdir}
@@ -77,11 +108,10 @@ class TestConfigParse:
         with pytest.raises(ValueError, match="unknown key"):
             config.apply_env_overrides(cfg, {"DRRL_LOSS__TEMP": "0.4"})
 
-    def test_json_export(self):
+    def test_env_override_unknown_section_rejected(self):
         cfg = config.RunConfig()
-        data = json.loads(config.config_to_json(cfg))
-        assert data["loss"]["kind"] == "drrl"
-        assert data["train"]["batch_size"] == 1024
+        with pytest.raises(ValueError, match=r"DRRL_LOSSS__TAU: unknown section \[losss\]"):
+            config.apply_env_overrides(cfg, {"DRRL_LOSSS__TAU": "0.4"})
 
 
 @pytest.fixture(scope="module")
@@ -102,14 +132,33 @@ def split_dir(log_file, tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def run_dir(split_dir, tmp_path_factory):
-    outdir = tmp_path_factory.mktemp("runs") / "sl"
+def _train(text, split_dir, tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("runs") / "run"
     cfg_path = tmp_path_factory.mktemp("cfgs") / "run.cfg"
-    cfg_path.write_text(GOOD_CFG.format(input=split_dir, outdir=outdir))
+    cfg_path.write_text(text.format(input=split_dir, outdir=outdir))
     code = cli.main(["train", "--config", str(cfg_path)])
     assert code == 0
     return outdir
+
+
+@pytest.fixture(scope="module")
+def run_dir(split_dir, tmp_path_factory):
+    return _train(GOOD_CFG, split_dir, tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def lightgcn_run(split_dir, tmp_path_factory):
+    return _train(LIGHTGCN_DRRL_CFG, split_dir, tmp_path_factory)
+
+
+def _run_state(run, split_dir):
+    """The run's config (without env overrides), checkpoint table and margins,
+    the split and the split's train graph."""
+    cfg = config.load_config(run / "config.cfg", with_env=False)
+    table, margins = graphmodel.load_checkpoint(run / "checkpoint.bin")
+    split = dataio.read_split(split_dir)
+    graph = graphmodel.InteractionGraph(split.train_pairs(), split.num_users, split.num_items)
+    return cfg, margins, split, table, graph
 
 
 class TestCli:
@@ -128,20 +177,47 @@ class TestCli:
         assert cli.main(["split", str(missing), str(tmp_path / "o")]) == 1
 
     def test_train_writes_artifacts(self, run_dir):
-        for name in ("checkpoint.bin", "report.json", "report.csv", "config.cfg"):
-            assert (run_dir / name).exists()
+        names = sorted(path.name for path in run_dir.iterdir())
+        assert names == ["checkpoint.bin", "config.cfg", "report.json"]
 
     def test_evaluate_outputs_rows_per_k(self, run_dir, split_dir, tmp_path, capsys):
         out = tmp_path / "metrics.csv"
         code = cli.main(
-            ["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
-             "--split", str(split_dir), "--k", "5", "--k", "10",
-             "--output", str(out)]
+            ["evaluate", "--run", str(run_dir), "--split", str(split_dir),
+             "--k", "5", "--k", "10", "--output", str(out)]
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "metric,k,value"
         assert len(lines) == 5  # two metrics x two Ks
+        # without --k the run's train.metric_k (5) is the one K
+        assert cli.main(["evaluate", "--run", str(run_dir), "--split", str(split_dir),
+                         "--output", str(out)]) == 0
+        assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["5", "5"]
+
+    def test_evaluate_scores_under_the_runs_backbone(self, lightgcn_run, split_dir, tmp_path):
+        out = tmp_path / "metrics.csv"
+        code = cli.main(["evaluate", "--run", str(lightgcn_run), "--split", str(split_dir),
+                         "--k", "5", "--k", "10", "--output", str(out)])
+        assert code == 0
+        cfg, _, split, table, graph = _run_state(lightgcn_run, split_dir)
+
+        def csv_of(backbone_cfg):
+            scores = diagnostics.checkpoint_scores(table, graph, backbone_cfg)
+            results = evaluate_ranking(scores, split.train, split.test, [5, 10])
+            return "".join(["metric,k,value\n"] + [f"{metric},{k},{value:.6f}\n"
+                                                  for (metric, k), value in sorted(results.items())])
+
+        assert out.read_text() == csv_of(cfg.backbone)
+        # layer-0 embeddings scored as MF rank differently
+        assert out.read_text() != csv_of(graphmodel.BackboneConfig())
+
+    def test_run_without_config_is_named(self, run_dir, split_dir, tmp_path, capsys):
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        shutil.copy(run_dir / "checkpoint.bin", bare)
+        assert cli.main(["stats", "--run", str(bare), "--split", str(split_dir)]) == 1
+        assert "config.cfg" in capsys.readouterr().err
 
     def test_evaluate_dimension_mismatch_is_named(self, run_dir, log_file, tmp_path, capsys):
         other = tmp_path / "bigger"
@@ -151,40 +227,54 @@ class TestCli:
             for row in zip(log.users, log.items):
                 fh.write("%d\t%d\n" % row)
         assert cli.main(["split", str(big_log), str(other)]) == 0
-        code = cli.main(
-            ["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
-             "--split", str(other)]
-        )
+        code = cli.main(["evaluate", "--run", str(run_dir), "--split", str(other)])
         assert code == 1
         assert "users" in capsys.readouterr().err
 
     def test_stats_reports_weight_columns(self, run_dir, split_dir, tmp_path):
+        # the SL run's own loss spec (tau = 0.2) gives the weights
         out = tmp_path / "stats.csv"
         code = cli.main(
-            ["stats", "--checkpoint", str(run_dir / "checkpoint.bin"),
-             "--split", str(split_dir), "--loss", "sl", "--tau", "0.2",
-             "--output", str(out)]
+            ["stats", "--run", str(run_dir), "--split", str(split_dir), "--output", str(out)]
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("user,k1,k2")
         assert len(lines) == 31
+        assert all(line.split(",")[4] == "" for line in lines[1:])  # SL has no margin
 
-    def test_stats_warns_when_resolved_margin_has_no_minimizer(self, run_dir, split_dir,
-                                                                 tmp_path, capsys):
-        args = ["stats", "--checkpoint", str(run_dir / "checkpoint.bin"),
-                "--split", str(split_dir), "--loss", "drrl", "--resolve-margin",
-                "--output", str(tmp_path / "stats.csv")]
+    def test_stats_rows_follow_the_runs_loss_margins_and_noise_pool(self, lightgcn_run,
+                                                                    split_dir, tmp_path):
+        out = tmp_path / "stats.csv"
+        code = cli.main(["stats", "--run", str(lightgcn_run), "--split", str(split_dir),
+                         "--output", str(out)])
+        assert code == 0
+        cfg, margins, split, table, graph = _run_state(lightgcn_run, split_dir)
+        scores = diagnostics.checkpoint_scores(table, graph, cfg.backbone)
+
+        def rows_of(noise_pool):
+            rows = diagnostics.user_diagnostics(scores, split, cfg.loss, MarginState(margins),
+                                                noise_pool=noise_pool)
+            return [[str(r.user), str(r.k1), "" if r.k2 is None else str(r.k2),
+                     str(r.truncation), str(r.beta), str(int(r.degenerate))] for r in rows]
+
+        got = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert got == rows_of(cfg.train.noise_pool)
+        assert got != rows_of("heldout")
+
+    def test_stats_warns_when_resolved_margin_has_no_minimizer(self, lightgcn_run, split_dir,
+                                                                 tmp_path, capsys, monkeypatch):
+        args = ["stats", "--run", str(lightgcn_run), "--split", str(split_dir),
+                "--resolve-margin", "--output", str(tmp_path / "stats.csv")]
         assert cli.main(args) == 0
         assert "no minimizer" in capsys.readouterr().err
-        assert cli.main(args + ["--c", "1.2"]) == 0
+        monkeypatch.setenv("DRRL_LOSS__C", "1.2")
+        assert cli.main(args) == 0
         assert "no minimizer" not in capsys.readouterr().err
 
-    def test_stats_rejects_pairwise_losses(self, run_dir, split_dir, capsys):
-        code = cli.main(
-            ["stats", "--checkpoint", str(run_dir / "checkpoint.bin"),
-             "--split", str(split_dir), "--loss", "bpr"]
-        )
+    def test_stats_rejects_pairwise_losses(self, run_dir, split_dir, capsys, monkeypatch):
+        monkeypatch.setenv("DRRL_LOSS__KIND", "bpr")
+        code = cli.main(["stats", "--run", str(run_dir), "--split", str(split_dir)])
         assert code == 1
         assert "weight" in capsys.readouterr().err
 
@@ -204,3 +294,12 @@ class TestCli:
              "--output", str(tmp_path / "v.json")]
         )
         assert code == 1
+
+    def test_verify_rejects_unknown_tolerance_name(self, tmp_path, capsys):
+        code = cli.main(
+            ["verify", "--suite", "convexity", "--tolerance", "convexty=-1",
+             "--output", str(tmp_path / "v.json")]
+        )
+        assert code == 1
+        assert "unknown suite 'convexty'" in capsys.readouterr().err
+        assert not (tmp_path / "v.json").exists()

@@ -22,7 +22,7 @@ SCORES = np.array([
     [-0.1, -0.2, -0.3, -0.4, 0.5],
 ])
 # CCL at margin 0 weighs every positive score alike: w = alpha 1[f > 0]
-CCL = L.LossSpec(kind="ccl", alpha=2.0, beta0=0.0)
+CCL = L.LossSpec(kind="ccl", alpha=2.0)
 
 
 def rows_of(spec, **kwargs):
@@ -49,6 +49,15 @@ def test_train_pool_sweeps_every_item_and_flags_train():
         (1, pytest.approx(2.5), pytest.approx(2.5), pytest.approx(0.6), False),
         (2, pytest.approx(5.0), pytest.approx(5.0), pytest.approx(0.8), False),
     ]
+
+
+def test_ccl_rows_use_the_trained_margin_not_beta0():
+    # CCL trains at loss.margin; beta0 is DrRL's margin init. User 0's
+    # candidates 2, 3, 4 score 0.5, -0.3, 0.2: item 2 clears 0.4, none clears 0.5
+    spec = L.LossSpec(kind="ccl", alpha=2.0, margin=0.4, beta0=0.5)
+    row = user_diagnostics(SCORES, SPLIT, spec)[0]
+    assert (row.beta, row.truncation, row.k1, row.degenerate) == (
+        0.4, pytest.approx(2 / 3), pytest.approx(3.0), False)
 
 
 def test_drrl_rows_use_the_given_margins():

@@ -128,6 +128,36 @@ def test_drrl_fully_truncated_degenerates():
     assert L.drrl_beta_gradient(row([-0.5, -0.2]), 2.0, 1.0, 0.0, 0.5) == pytest.approx([1.0])
 
 
+def two_power_drrl(f_neg, gamma_star, c, eps, beta):
+    """M and dM/df with inner^{g*} and inner^{g*-1} taken as two separate
+    powers, as the kernel first computed them."""
+    inner = c * np.maximum(f_neg - beta, 0.0) + eps
+    m = ((inner**gamma_star).sum(axis=1, keepdims=True) / f_neg.shape[1]) ** (1.0 / gamma_star)
+    scale = np.power(m, 1.0 - gamma_star, where=(m > 0.0) | (gamma_star == 1.0),
+                     out=np.zeros_like(m)) / f_neg.shape[1]
+    return m[:, 0], scale * inner ** (gamma_star - 1.0) * c * (f_neg > beta)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("gamma_star", [1.0, 1.5, 2.0, 4.7, 13.5])
+def test_drrl_kernel_matches_two_power_formulas(gamma_star, eps):
+    rng = np.random.default_rng(5)
+    f_neg = rng.uniform(-1, 1, (8, 50))
+    beta = rng.uniform(-0.6, 0.6, 8)
+    beta[:2] = 1.0  # rows 0 and 1 are fully truncated
+    c = 1.3
+    m, d_ref = two_power_drrl(f_neg, gamma_star, c, eps, beta[:, None])
+    # at zero positive scores each row's value is M itself
+    value, _, d_neg = L.drrl_loss(np.zeros((8, 1)), f_neg, gamma_star, c, eps, beta)
+    np.testing.assert_allclose(value, m, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(d_neg, d_ref, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(L.drrl_beta_gradient(f_neg, gamma_star, c, eps, beta),
+                               1.0 - d_ref.sum(axis=1), rtol=1e-12, atol=0.0)
+    objective = [L.drrl_beta_objective(f, gamma_star, c, eps, b) for f, b in zip(f_neg, beta)]
+    np.testing.assert_allclose(objective, beta + m, rtol=1e-12, atol=0.0)
+    assert np.all(d_neg[:2] == 0.0)
+
+
 @given(pos_arrays, neg_arrays, st.floats(0.5, 3.0), st.floats(-0.5, 0.5))
 @settings(max_examples=200)
 def test_drrl_gamma_star_one_equals_ccl(pos, neg, alpha, beta):

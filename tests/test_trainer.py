@@ -296,12 +296,10 @@ def test_best_checkpoint_tracks_validation():
 def test_report_serialization(tmp_path):
     _, _, report = _smoke_train(LossSpec(kind="bpr"), max_epochs=3)
     report.to_json(tmp_path / "r.json")
-    report.to_csv(tmp_path / "r.csv")
     data = json.loads((tmp_path / "r.json").read_text())
+    assert list(data) == ["epoch_loss", "val_ndcg", "val_recall", "best_epoch",
+                          "best_metric", "stop_reason"]
     assert len(data["epoch_loss"]) == 3
-    lines = (tmp_path / "r.csv").read_text().strip().splitlines()
-    assert lines[0] == "epoch,train_loss,val_ndcg,val_recall"
-    assert len(lines) == 4
 
 
 def test_drrl_margins_move_during_training():
