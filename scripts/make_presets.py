@@ -4,6 +4,9 @@ Each preset captures the best published hyperparameters for one
 (dataset, backbone, loss) cell; shared settings (embedding size 64,
 batch 1024, 1024 sampled negatives, 2 propagation layers, InfoNCE
 weight 0.001 at temperature 0.2, noise modulus 0.2) are common to all.
+Each preset's data.input names the split directory to make with
+`drrl split` from the dataset's log (`--kind temporal` for the
+temporal-shift cells, as the input line's comment says).
 """
 
 from __future__ import annotations
@@ -170,10 +173,7 @@ def loss_section(loss, extras):
 def render(dataset, backbone, loss, lr, wd, extras, temporal):
     body = [
         "[data]",
-        f"input = data/{dataset}",
-        "",
-        "[split]",
-        f"kind = {'temporal' if temporal else 'iid'}",
+        f"input = data/{dataset}" + ("  # drrl split --kind temporal" if temporal else ""),
         "",
         "[backbone]",
         f"kind = {backbone}",

@@ -1,9 +1,11 @@
 """Command-line surface: split | train | evaluate | stats | verify.
 
-Long-form flags only. `evaluate` and `stats` read the model from a run
-directory written by `train` (its checkpoint.bin and config.cfg). Any config
-key, there and in `train`, can be overridden through DRRL_<SECTION>__<KEY>
-environment variables.
+Long-form flags only. `train` reads the split directory that `split` wrote
+and its config's data.input names. `evaluate` and `stats` read the model
+from a run directory written by `train` (its checkpoint.bin and config.cfg)
+and the split from that config's data.input. Any config key, there and in
+`train`, can be overridden through DRRL_<SECTION>__<KEY> environment
+variables.
 """
 
 from __future__ import annotations
@@ -59,16 +61,17 @@ def _check_dims(table, split):
         )
 
 
-def _load_run(run, split_dir):
-    """The run directory's config and margins, the split, and the checkpoint's
-    noise-free score matrix under the run's own backbone."""
+def _load_run(run):
+    """The run directory's config and margins, the split its data.input
+    names, and the checkpoint's noise-free score matrix under the run's own
+    backbone."""
     run = Path(run)
     if not (run / "config.cfg").is_file():
         raise ValueError(f"{run} is not a run directory: it has no config.cfg "
                          "(drrl train writes one beside checkpoint.bin)")
     cfg = load_config(run / "config.cfg")
     table, margins = load_checkpoint(run / "checkpoint.bin")
-    split = dataio.read_split(split_dir)
+    split = dataio.read_split(cfg.data.input)
     _check_dims(table, split)
     graph = None
     if cfg.backbone.kind != "mf":
@@ -89,23 +92,11 @@ def cmd_split(args):
     return 0
 
 
-def _resolve_split(cfg):
-    """The config's data.input is either a split directory or a raw log."""
-    path = Path(cfg.data.input)
-    if path.is_dir():
-        return dataio.read_split(path)
-    log = dataio.load_interactions(path)
-    if cfg.split.kind == "temporal":
-        return dataio.split_temporal(log, cfg.split.test_frac, cfg.split.val_frac)
-    return dataio.split_iid(log, cfg.split.train_frac, cfg.split.val_frac,
-                            seed=cfg.split.seed)
-
-
 def cmd_train(args):
     cfg = load_config(args.config)
     if args.output:
         cfg.output.dir = args.output
-    split = _resolve_split(cfg)
+    split = dataio.read_split(cfg.data.input)
     table, margins, report = train(split, cfg.backbone, cfg.loss, cfg.train)
     outdir = Path(cfg.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -123,7 +114,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    cfg, _, split, scores = _load_run(args.run, args.split)
+    cfg, _, split, scores = _load_run(args.run)
     truth = split.test if args.target == "test" else split.validation
     results = evaluate_ranking(scores, split.train, truth, args.k or [cfg.train.metric_k])
     lines = ["metric,k,value"]
@@ -134,7 +125,7 @@ def cmd_evaluate(args):
 
 
 def cmd_stats(args):
-    cfg, margin_values, split, scores = _load_run(args.run, args.split)
+    cfg, margin_values, split, scores = _load_run(args.run)
     spec = cfg.loss
     if args.resolve_margin and spec.kind == "drrl" and spec.c == 1.0:
         print("warning: at loss.c = 1 the margin objective has no minimizer, so beta*, "
@@ -216,7 +207,6 @@ def build_parser():
 
     p = sub.add_parser("evaluate", help="full-ranking metrics of a trained run")
     p.add_argument("--run", required=True, help="run directory written by drrl train")
-    p.add_argument("--split", required=True, help="split directory")
     p.add_argument("--k", type=int, action="append", default=None,
                    help="repeatable; default the run's train.metric_k")
     p.add_argument("--target", choices=("validation", "test"), default="test")
@@ -225,7 +215,6 @@ def build_parser():
 
     p = sub.add_parser("stats", help="worst-case weight diagnostics of a trained run")
     p.add_argument("--run", required=True, help="run directory written by drrl train")
-    p.add_argument("--split", required=True, help="split directory")
     p.add_argument("--resolve-margin", action="store_true",
                    help="recompute each user's margin from the score sweep")
     p.add_argument("--output", help="CSV path (stdout when omitted)")

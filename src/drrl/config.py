@@ -16,21 +16,7 @@ ENV_PREFIX = "DRRL_"
 
 @dataclass
 class DataConfig:
-    input: str = ""
-
-
-@dataclass
-class SplitConfig:
-    kind: str = "iid"  # iid | temporal
-    train_frac: float = 0.8
-    val_frac: float = 0.1
-    test_frac: float = 0.2
-    seed: int = 0
-
-    def validate(self):
-        if self.kind not in ("iid", "temporal"):
-            raise ValueError(f"split.kind must be iid or temporal, got {self.kind!r}")
-        return self
+    input: str = ""  # a split directory written by `drrl split`
 
 
 @dataclass
@@ -41,7 +27,6 @@ class OutputConfig:
 @dataclass
 class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
-    split: SplitConfig = field(default_factory=SplitConfig)
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     loss: LossSpec = field(default_factory=LossSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -49,7 +34,7 @@ class RunConfig:
 
     def validate(self):
         errors = []
-        for section in (self.split, self.backbone, self.loss, self.train):
+        for section in (self.backbone, self.loss, self.train):
             try:
                 section.validate()
             except ValueError as exc:
@@ -61,7 +46,6 @@ class RunConfig:
 
 _SECTIONS = {
     "data": DataConfig,
-    "split": SplitConfig,
     "backbone": BackboneConfig,
     "loss": LossSpec,
     "train": TrainConfig,

@@ -406,7 +406,12 @@ def _read_part(path, num_users, num_items):
 
 
 def read_split(indir) -> DatasetSplit:
+    """A split directory written by `write_split`; any other path raises a
+    ValueError naming it."""
     indir = Path(indir)
+    if not (indir / "manifest.json").is_file():
+        raise ValueError(f"{indir} is not a split directory: it has no manifest.json "
+                         "(make one from an interaction log with drrl split)")
     with open(indir / "manifest.json") as fh:
         manifest = json.load(fh)
     num_users = manifest["num_users"]

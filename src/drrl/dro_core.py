@@ -12,7 +12,7 @@ numerically against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -476,18 +476,3 @@ def verify_ccl_ball_equivalence(inst: DroInstance, alpha, tol_beta=1e-10):
         "gap": abs(primal.value - dual),
     }
 
-
-def verify_kl_limit(inst: DroInstance, gamma_near_1, seed=0):
-    """Compare Cressie-Read and KL brute-force values at equal radius; the
-    Cressie-Read family approaches KL as gamma -> 1."""
-    if not (1.0 < gamma_near_1 <= 1.01):
-        raise ValueError("gamma_near_1 must lie in (1, 1.01]")
-    cr = inner_max_bruteforce(inst, DivergenceKind.cressie_read(gamma_near_1), seed=seed)
-    kl = inner_max_bruteforce(inst, DivergenceKind.kl(), seed=seed)
-    denom = max(abs(kl.value), 1e-12)
-    return {
-        "gamma": float(gamma_near_1),
-        "cressie_read": cr.value,
-        "kl": kl.value,
-        "relative_gap": abs(cr.value - kl.value) / denom,
-    }

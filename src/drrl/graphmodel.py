@@ -143,24 +143,32 @@ def forward(table: EmbeddingTable, graph: InteractionGraph | None, cfg: Backbone
     return out
 
 
-def backward(grad_user, grad_item, graph: InteractionGraph | None, cfg: BackboneConfig):
-    """Pull final-representation gradients back to the embedding table.
+def backward(grad_user, grad_item, graph: InteractionGraph | None, cfg: BackboneConfig,
+             grad_contrast=None):
+    """Pull final-representation gradients, plus XSimGCL's optional
+    (user, item) gradients of the contrast-layer view, back to the table.
 
-    The propagation is linear and self-adjoint, so the backward pass reuses
-    the same normalized adjacency; XSimGCL noise is constant under backward.
+    Layer k is A^k of the table for the linear, self-adjoint propagation A,
+    so the table gradient is sum_k A^k g / (L + 1) + A^l c. It is taken in
+    Horner form, one chain of L propagations: h = g / (L + 1) at layer L,
+    then h = g / (L + 1) + A h down to layer 0, with c added at layer l.
+    XSimGCL noise is constant under backward.
     """
     if cfg.kind == "mf":
         return grad_user, grad_item
     if graph is None:
         raise ValueError("graph backbones need an interaction graph")
-    gu, gi = grad_user, grad_item
-    acc_u = gu.copy()
-    acc_i = gi.copy()
-    for _ in range(cfg.layers):
-        gu, gi = graph.propagate(gu, gi)
-        acc_u += gu
-        acc_i += gi
-    return acc_u / (cfg.layers + 1), acc_i / (cfg.layers + 1)
+    gu, gi = grad_user / (cfg.layers + 1), grad_item / (cfg.layers + 1)
+    hu, hi = gu.copy(), gi.copy()
+    for layer in range(cfg.layers, -1, -1):
+        if layer < cfg.layers:
+            hu, hi = graph.propagate(hu, hi)
+            hu += gu
+            hi += gi
+        if grad_contrast is not None and layer == cfg.contrast_layer:
+            hu += grad_contrast[0]
+            hi += grad_contrast[1]
+    return hu, hi
 
 
 def cosine_matrix(user_emb, item_emb):
@@ -264,6 +272,8 @@ def load_checkpoint(path):
         if tag == _MARGIN_TAG:
             margins = np.frombuffer(_read_part(fh, n_users * 4, path, "margin section"),
                                     dtype="<f4").astype(float)
+            if fh.read(1):
+                raise ValueError(f"checkpoint {path} has bytes after its margin section")
         elif tag:
             raise ValueError(f"unknown checkpoint section {tag!r} in {path}")
     return EmbeddingTable(user.astype(float), item.astype(float)), margins

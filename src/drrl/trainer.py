@@ -48,7 +48,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     max_epochs: int = 100
     patience: int = 25
-    eval_every: int = 1
     seed: int = 0
     embed_dim: int = 64
     init_std: float = 0.1
@@ -59,7 +58,7 @@ class TrainConfig:
 
     def validate(self):
         errors = []
-        for name in ("batch_size", "n_neg", "max_epochs", "patience", "eval_every", "embed_dim"):
+        for name in ("batch_size", "n_neg", "max_epochs", "patience", "embed_dim"):
             if getattr(self, name) < 1:
                 errors.append(f"train.{name} must be positive")
         if self.lr <= 0:
@@ -148,7 +147,7 @@ def apply_weight_decay(table: EmbeddingTable, grad_user, grad_item, batch_users,
 @dataclass
 class TrainReport:
     epoch_loss: list = field(default_factory=list)
-    val_ndcg: list = field(default_factory=list)     # None on non-eval epochs
+    val_ndcg: list = field(default_factory=list)
     val_recall: list = field(default_factory=list)
     best_epoch: int = -1
     best_metric: float = -math.inf
@@ -175,13 +174,6 @@ def _normalization_pullback(grad_hat, unit, norms):
 def _touched(ids, size):
     """Sorted distinct ids (as np.unique) of an id array over range(size)."""
     return np.flatnonzero(np.bincount(np.ravel(ids), minlength=size))
-
-
-def _pullback_layer(grad_u, grad_i, graph, layer):
-    """Adjoint of `layer` propagation steps (the operator is self-adjoint)."""
-    for _ in range(layer):
-        grad_u, grad_i = graph.propagate(grad_u, grad_i)
-    return grad_u, grad_i
 
 
 def _negative_scores(user_rows, item_unit, negatives):
@@ -298,14 +290,14 @@ def loss_and_gradients(
     grad_final_u = _normalization_pullback(grad_user_unit, user_unit, user_norms)
     grad_final_i = _normalization_pullback(grad_item_unit, item_unit, item_norms)
 
+    grad_contrast = None
     if backbone_cfg.kind == "xsimgcl" and backbone_cfg.infonce_weight > 0:
-        grad_contrast_u = np.zeros_like(grad_final_u)
-        grad_contrast_i = np.zeros_like(grad_final_i)
+        grad_contrast = (np.zeros_like(grad_final_u), np.zeros_like(grad_final_i))
         uu = _touched(users, len(grad_final_u))
         ii = _touched(np.hstack([pos_items[:, None], batch.negatives]), len(grad_final_i))
-        for idx, final, contrast, grad_final, grad_contrast in (
-            (uu, out.final_user, out.contrast_user, grad_final_u, grad_contrast_u),
-            (ii, out.final_item, out.contrast_item, grad_final_i, grad_contrast_i),
+        for idx, final, contrast, grad_final, grad_c in (
+            (uu, out.final_user, out.contrast_user, grad_final_u, grad_contrast[0]),
+            (ii, out.final_item, out.contrast_item, grad_final_i, grad_contrast[1]),
         ):
             aux, d_final, d_contrast = infonce_auxiliary(
                 final[idx],
@@ -315,13 +307,10 @@ def loss_and_gradients(
             )
             value += aux
             grad_final[idx] += d_final
-            grad_contrast[idx] = d_contrast
-        grad_user, grad_item = backward(grad_final_u, grad_final_i, graph, backbone_cfg)
-        cu, ci = _pullback_layer(grad_contrast_u, grad_contrast_i, graph,
-                                 backbone_cfg.contrast_layer)
-        return value, grad_user + cu, grad_item + ci
+            grad_c[idx] = d_contrast
 
-    grad_user, grad_item = backward(grad_final_u, grad_final_i, graph, backbone_cfg)
+    grad_user, grad_item = backward(grad_final_u, grad_final_i, graph, backbone_cfg,
+                                    grad_contrast)
     return value, grad_user, grad_item
 
 
@@ -415,26 +404,21 @@ def train(
         if not math.isfinite(mean_loss):
             report.stop_reason = "non-finite loss; kept last good checkpoint"
             break
-        if (epoch + 1) % train_cfg.eval_every == 0:
-            scores = evaluate_split(table, graph, backbone_cfg, split, [k])
-            ndcg = scores[("ndcg", k)]
-            recall = scores[("recall", k)]
-            report.val_ndcg.append(ndcg)
-            report.val_recall.append(recall)
-            if ndcg > report.best_metric:
-                report.best_metric = ndcg
-                report.best_epoch = epoch
-                best_table = table.copy()
-                best_margins = margins.copy()
-                bad_evals = 0
-            else:
-                bad_evals += 1
-                if bad_evals >= train_cfg.patience:
-                    report.stop_reason = "early stop: validation patience exhausted"
-                    break
+        scores = evaluate_split(table, graph, backbone_cfg, split, [k])
+        ndcg = scores[("ndcg", k)]
+        report.val_ndcg.append(ndcg)
+        report.val_recall.append(scores[("recall", k)])
+        if ndcg > report.best_metric:
+            report.best_metric = ndcg
+            report.best_epoch = epoch
+            best_table = table.copy()
+            best_margins = margins.copy()
+            bad_evals = 0
         else:
-            report.val_ndcg.append(None)
-            report.val_recall.append(None)
+            bad_evals += 1
+            if bad_evals >= train_cfg.patience:
+                report.stop_reason = "early stop: validation patience exhausted"
+                break
     if not report.stop_reason:
         report.stop_reason = "max epochs reached"
     if report.best_epoch < 0:

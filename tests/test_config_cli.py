@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -89,10 +90,18 @@ class TestConfigParse:
         with pytest.raises(ValueError, match=r"unknown section \[eval\]"):
             config.parse_config("[eval]\nks = 10,20\n")
 
-    def test_noise_split_kind_rejected(self):
-        cfg = config.parse_config("[split]\nkind = noise\n")
-        with pytest.raises(ValueError, match="split.kind must be iid or temporal"):
-            cfg.validate()
+    def test_removed_split_section_rejected(self):
+        # splits are made by `drrl split`; data.input names the directory
+        with pytest.raises(ValueError, match=r"line 3: unknown section \[split\]"):
+            config.parse_config("[data]\ninput = splits/iid\n[split]\nkind = temporal\n")
+
+    def test_every_preset_loads(self):
+        presets = sorted((Path(__file__).resolve().parent.parent / "presets").glob("*.cfg"))
+        assert len(presets) == 80
+        for path in presets:
+            cfg = config.load_config(path, with_env=False)
+            assert cfg.data.input.startswith("data/"), path.name
+            assert cfg.output.dir == f"runs/{path.stem}", path.name
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = config.parse_config("# header\n\n[loss]\nkind = bpr  # inline\n")
@@ -124,12 +133,22 @@ def log_file(tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def split_dir(log_file, tmp_path_factory):
+def _split(log_file, tmp_path_factory, seed):
     out = tmp_path_factory.mktemp("splits") / "iid"
-    code = cli.main(["split", str(log_file), str(out), "--kind", "iid", "--seed", "1"])
+    code = cli.main(["split", str(log_file), str(out), "--kind", "iid", "--seed", str(seed)])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def split_dir(log_file, tmp_path_factory):
+    return _split(log_file, tmp_path_factory, seed=1)
+
+
+@pytest.fixture(scope="module")
+def other_split(log_file, tmp_path_factory):
+    """A second split of the same log: the same user and item counts."""
+    return _split(log_file, tmp_path_factory, seed=2)
 
 
 def _train(text, split_dir, tmp_path_factory):
@@ -161,6 +180,31 @@ def _run_state(run, split_dir):
     return cfg, margins, split, table, graph
 
 
+def _evaluate_csv(run, split_dir, ks, backbone_cfg=None):
+    """The `drrl evaluate` CSV of a run on a split, computed directly; the
+    run's own backbone unless one is given."""
+    cfg, _, split, table, graph = _run_state(run, split_dir)
+    scores = diagnostics.checkpoint_scores(table, graph, backbone_cfg or cfg.backbone)
+    results = evaluate_ranking(scores, split.train, split.test, ks)
+    return "".join(["metric,k,value\n"] + [f"{metric},{k},{value:.6f}\n"
+                                          for (metric, k), value in sorted(results.items())])
+
+
+def _stats_rows(run, split_dir, noise_pool=None):
+    """The `drrl stats` rows of a run on a split, computed directly; the
+    run's own noise pool unless one is given."""
+    cfg, margins, split, table, graph = _run_state(run, split_dir)
+    scores = diagnostics.checkpoint_scores(table, graph, cfg.backbone)
+    rows = diagnostics.user_diagnostics(scores, split, cfg.loss, MarginState(margins),
+                                        noise_pool=noise_pool or cfg.train.noise_pool)
+    return [[str(r.user), str(r.k1), "" if r.k2 is None else str(r.k2),
+             str(r.truncation), str(r.beta), str(int(r.degenerate))] for r in rows]
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
 class TestCli:
     def test_split_writes_manifest(self, split_dir):
         manifest = json.loads((split_dir / "manifest.json").read_text())
@@ -180,46 +224,66 @@ class TestCli:
         names = sorted(path.name for path in run_dir.iterdir())
         assert names == ["checkpoint.bin", "config.cfg", "report.json"]
 
-    def test_evaluate_outputs_rows_per_k(self, run_dir, split_dir, tmp_path, capsys):
+    def test_train_rejects_a_raw_log_input(self, log_file, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=log_file, outdir=tmp_path / "run"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{log_file} is not a split directory: it has no manifest.json" in err
+        assert "drrl split" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_evaluate_outputs_rows_per_k(self, run_dir, tmp_path):
         out = tmp_path / "metrics.csv"
         code = cli.main(
-            ["evaluate", "--run", str(run_dir), "--split", str(split_dir),
-             "--k", "5", "--k", "10", "--output", str(out)]
+            ["evaluate", "--run", str(run_dir), "--k", "5", "--k", "10", "--output", str(out)]
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "metric,k,value"
         assert len(lines) == 5  # two metrics x two Ks
         # without --k the run's train.metric_k (5) is the one K
-        assert cli.main(["evaluate", "--run", str(run_dir), "--split", str(split_dir),
-                         "--output", str(out)]) == 0
+        assert cli.main(["evaluate", "--run", str(run_dir), "--output", str(out)]) == 0
         assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["5", "5"]
 
     def test_evaluate_scores_under_the_runs_backbone(self, lightgcn_run, split_dir, tmp_path):
         out = tmp_path / "metrics.csv"
-        code = cli.main(["evaluate", "--run", str(lightgcn_run), "--split", str(split_dir),
-                         "--k", "5", "--k", "10", "--output", str(out)])
+        code = cli.main(["evaluate", "--run", str(lightgcn_run), "--k", "5", "--k", "10",
+                         "--output", str(out)])
         assert code == 0
-        cfg, _, split, table, graph = _run_state(lightgcn_run, split_dir)
-
-        def csv_of(backbone_cfg):
-            scores = diagnostics.checkpoint_scores(table, graph, backbone_cfg)
-            results = evaluate_ranking(scores, split.train, split.test, [5, 10])
-            return "".join(["metric,k,value\n"] + [f"{metric},{k},{value:.6f}\n"
-                                                  for (metric, k), value in sorted(results.items())])
-
-        assert out.read_text() == csv_of(cfg.backbone)
+        assert out.read_text() == _evaluate_csv(lightgcn_run, split_dir, [5, 10])
         # layer-0 embeddings scored as MF rank differently
-        assert out.read_text() != csv_of(graphmodel.BackboneConfig())
+        assert out.read_text() != _evaluate_csv(lightgcn_run, split_dir, [5, 10],
+                                                graphmodel.BackboneConfig())
 
-    def test_run_without_config_is_named(self, run_dir, split_dir, tmp_path, capsys):
+    def test_evaluate_and_stats_read_the_split_data_input_names(
+            self, lightgcn_run, split_dir, other_split, tmp_path, monkeypatch):
+        assert config.load_config(lightgcn_run / "config.cfg").data.input == str(split_dir)
+        evaluate = ["evaluate", "--run", str(lightgcn_run), "--k", "5", "--k", "10",
+                    "--output", str(tmp_path / "metrics.csv")]
+        stats = ["stats", "--run", str(lightgcn_run), "--output", str(tmp_path / "stats.csv")]
+        assert cli.main(evaluate) == 0 and cli.main(stats) == 0
+        own_csv = (tmp_path / "metrics.csv").read_text()
+        own_rows = _csv_rows(tmp_path / "stats.csv")
+        assert own_csv == _evaluate_csv(lightgcn_run, split_dir, [5, 10])
+        assert own_rows == _stats_rows(lightgcn_run, split_dir)
+        # DRRL_DATA__INPUT is the one override: the other split, same counts
+        monkeypatch.setenv("DRRL_DATA__INPUT", str(other_split))
+        assert cli.main(evaluate) == 0 and cli.main(stats) == 0
+        got_csv = (tmp_path / "metrics.csv").read_text()
+        assert got_csv == _evaluate_csv(lightgcn_run, other_split, [5, 10]) != own_csv
+        got_rows = _csv_rows(tmp_path / "stats.csv")
+        assert got_rows == _stats_rows(lightgcn_run, other_split) != own_rows
+
+    def test_run_without_config_is_named(self, run_dir, tmp_path, capsys):
         bare = tmp_path / "bare"
         bare.mkdir()
         shutil.copy(run_dir / "checkpoint.bin", bare)
-        assert cli.main(["stats", "--run", str(bare), "--split", str(split_dir)]) == 1
+        assert cli.main(["stats", "--run", str(bare)]) == 1
         assert "config.cfg" in capsys.readouterr().err
 
-    def test_evaluate_dimension_mismatch_is_named(self, run_dir, log_file, tmp_path, capsys):
+    def test_evaluate_dimension_mismatch_is_named(self, run_dir, tmp_path, capsys,
+                                                  monkeypatch):
         other = tmp_path / "bigger"
         log = make_block_log(num_users=40, num_items=20, seed=4)
         big_log = tmp_path / "big.tsv"
@@ -227,16 +291,15 @@ class TestCli:
             for row in zip(log.users, log.items):
                 fh.write("%d\t%d\n" % row)
         assert cli.main(["split", str(big_log), str(other)]) == 0
-        code = cli.main(["evaluate", "--run", str(run_dir), "--split", str(other)])
+        monkeypatch.setenv("DRRL_DATA__INPUT", str(other))
+        code = cli.main(["evaluate", "--run", str(run_dir)])
         assert code == 1
         assert "users" in capsys.readouterr().err
 
-    def test_stats_reports_weight_columns(self, run_dir, split_dir, tmp_path):
+    def test_stats_reports_weight_columns(self, run_dir, tmp_path):
         # the SL run's own loss spec (tau = 0.2) gives the weights
         out = tmp_path / "stats.csv"
-        code = cli.main(
-            ["stats", "--run", str(run_dir), "--split", str(split_dir), "--output", str(out)]
-        )
+        code = cli.main(["stats", "--run", str(run_dir), "--output", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("user,k1,k2")
@@ -246,35 +309,25 @@ class TestCli:
     def test_stats_rows_follow_the_runs_loss_margins_and_noise_pool(self, lightgcn_run,
                                                                     split_dir, tmp_path):
         out = tmp_path / "stats.csv"
-        code = cli.main(["stats", "--run", str(lightgcn_run), "--split", str(split_dir),
-                         "--output", str(out)])
+        code = cli.main(["stats", "--run", str(lightgcn_run), "--output", str(out)])
         assert code == 0
-        cfg, margins, split, table, graph = _run_state(lightgcn_run, split_dir)
-        scores = diagnostics.checkpoint_scores(table, graph, cfg.backbone)
+        got = _csv_rows(out)
+        assert got == _stats_rows(lightgcn_run, split_dir)
+        assert got != _stats_rows(lightgcn_run, split_dir, noise_pool="heldout")
 
-        def rows_of(noise_pool):
-            rows = diagnostics.user_diagnostics(scores, split, cfg.loss, MarginState(margins),
-                                                noise_pool=noise_pool)
-            return [[str(r.user), str(r.k1), "" if r.k2 is None else str(r.k2),
-                     str(r.truncation), str(r.beta), str(int(r.degenerate))] for r in rows]
-
-        got = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert got == rows_of(cfg.train.noise_pool)
-        assert got != rows_of("heldout")
-
-    def test_stats_warns_when_resolved_margin_has_no_minimizer(self, lightgcn_run, split_dir,
-                                                                 tmp_path, capsys, monkeypatch):
-        args = ["stats", "--run", str(lightgcn_run), "--split", str(split_dir),
-                "--resolve-margin", "--output", str(tmp_path / "stats.csv")]
+    def test_stats_warns_when_resolved_margin_has_no_minimizer(self, lightgcn_run, tmp_path,
+                                                                 capsys, monkeypatch):
+        args = ["stats", "--run", str(lightgcn_run), "--resolve-margin",
+                "--output", str(tmp_path / "stats.csv")]
         assert cli.main(args) == 0
         assert "no minimizer" in capsys.readouterr().err
         monkeypatch.setenv("DRRL_LOSS__C", "1.2")
         assert cli.main(args) == 0
         assert "no minimizer" not in capsys.readouterr().err
 
-    def test_stats_rejects_pairwise_losses(self, run_dir, split_dir, capsys, monkeypatch):
+    def test_stats_rejects_pairwise_losses(self, run_dir, capsys, monkeypatch):
         monkeypatch.setenv("DRRL_LOSS__KIND", "bpr")
-        code = cli.main(["stats", "--run", str(run_dir), "--split", str(split_dir)])
+        code = cli.main(["stats", "--run", str(run_dir)])
         assert code == 1
         assert "weight" in capsys.readouterr().err
 

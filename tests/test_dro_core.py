@@ -192,12 +192,6 @@ def test_ccl_ball_equivalence_boundary_cases():
     assert repn["dual"] == pytest.approx(inst.scores.max(), abs=1e-6)
 
 
-def test_verify_kl_limit_report():
-    inst = dc.DroInstance(np.array([0.7, -0.3, 0.1, 0.5]), 0.1)
-    rep = dc.verify_kl_limit(inst, 1.01)
-    assert rep["relative_gap"] <= 1e-1
-
-
 # (gamma, n, eta) cases for the batched oracle against the scalar reference;
 # gamma None is KL. They cover the divergences KL and CR gamma in {1.001,
 # 1.1, 1.5, 2, 3}, n in {1, 2, 4, 5, 6, 10} and eta in {0.01, 0.1, 0.5, 50},

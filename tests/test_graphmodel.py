@@ -63,19 +63,31 @@ def test_xsimgcl_noise_requires_rng():
 
 
 def test_backward_is_adjoint_of_forward():
-    # <forward(x), y> == <x, backward(y)> for the linear propagation map
+    # <forward(x), y> + <contrast view(x), c> == <x, backward(y, c)> for the
+    # linear propagation map: LightGCN without a contrast gradient, then
+    # XSimGCL's contrast view at each layer
     rng = np.random.default_rng(2)
     table = gm.EmbeddingTable(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)))
     pairs = np.array([[0, 0], [0, 1], [1, 2], [2, 3]])
     graph = gm.InteractionGraph(pairs, 3, 4)
-    cfg = gm.BackboneConfig(kind="lightgcn", layers=2)
-    out = gm.forward(table, graph, cfg)
-    yu = rng.normal(size=(3, 2))
-    yi = rng.normal(size=(4, 2))
-    gu, gi = gm.backward(yu, yi, graph, cfg)
-    lhs = np.sum(out.final_user * yu) + np.sum(out.final_item * yi)
-    rhs = np.sum(table.user * gu) + np.sum(table.item * gi)
-    assert lhs == pytest.approx(rhs, abs=1e-10)
+    for contrast_layer in (None, 0, 1, 2):
+        if contrast_layer is None:
+            cfg = gm.BackboneConfig(kind="lightgcn", layers=2)
+        else:
+            cfg = gm.BackboneConfig(kind="xsimgcl", layers=2, noise_modulus=0.0,
+                                    contrast_layer=contrast_layer)
+        out = gm.forward(table, graph, cfg)
+        yu = rng.normal(size=(3, 2))
+        yi = rng.normal(size=(4, 2))
+        lhs = np.sum(out.final_user * yu) + np.sum(out.final_item * yi)
+        grad_contrast = None
+        if contrast_layer is not None:
+            grad_contrast = (rng.normal(size=(3, 2)), rng.normal(size=(4, 2)))
+            lhs += (np.sum(out.contrast_user * grad_contrast[0])
+                    + np.sum(out.contrast_item * grad_contrast[1]))
+        gu, gi = gm.backward(yu, yi, graph, cfg, grad_contrast)
+        rhs = np.sum(table.user * gu) + np.sum(table.item * gi)
+        assert lhs == pytest.approx(rhs, abs=1e-10), contrast_layer
 
 
 def test_isolated_node_keeps_layer0_contribution():
@@ -186,6 +198,17 @@ def test_checkpoint_truncation_names_file_and_sizes(tmp_path, cut, part, needs, 
     message = str(exc.value)
     assert f"truncated checkpoint {path}" in message
     assert f"{part} needs {needs} bytes, found {found}" in message
+
+
+@pytest.mark.parametrize("tail", [b"\x00", b"MARG" + b"\x00" * 12])
+def test_checkpoint_rejects_bytes_after_the_margin_section(tmp_path, tail):
+    # a stray byte, or a second margin section
+    table = gm.EmbeddingTable.init_normal(3, 4, 2, seed=7)
+    path = tmp_path / "ck.bin"
+    gm.save_checkpoint(path, table, np.array([0.1, -0.2, 0.3]))
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(ValueError, match=f"checkpoint {path} has bytes after its margin section"):
+        gm.load_checkpoint(path)
 
 
 def test_backbone_config_validation():
