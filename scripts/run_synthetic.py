@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 
 from drrl.dataio import split_iid
-from drrl.diagnostics import aggregate, checkpoint_scores, user_diagnostics
-from drrl.graphmodel import BackboneConfig
+from drrl.diagnostics import aggregate, user_diagnostics
+from drrl.graphmodel import BackboneConfig, CosineScores
 from drrl.losses import LossSpec, MarginState
 from drrl.metrics import evaluate_ranking
 from drrl.synthetic import make_block_log, random_ranking_baseline
@@ -46,7 +46,7 @@ def main():
             embed_dim=16, metric_k=10, noise=args.noise, seed=args.seed,
         )
         table, margins, report = train(split, backbone, spec, cfg)
-        scores = checkpoint_scores(table, None, backbone)
+        scores = CosineScores(table, None, backbone)
         metrics = evaluate_ranking(scores, split.train, split.test, [10])
         line = (f"{name:5s} best_epoch={report.best_epoch:3d} "
                 f"test Recall@10={metrics[('recall', 10)]:.4f} "

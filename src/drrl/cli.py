@@ -17,11 +17,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio, diagnostics, verify
 from .config import dump_config, load_config
-from .graphmodel import InteractionGraph, load_checkpoint, save_checkpoint
+from .graphmodel import CosineScores, InteractionGraph, load_checkpoint, save_checkpoint
 from .losses import MarginState
 from .metrics import evaluate_ranking
 from .trainer import train
@@ -49,22 +47,16 @@ def _emit(text, output):
 
 
 def _check_dims(table, split):
-    if table.user.shape[0] != split.num_users:
-        raise ValueError(
-            f"checkpoint has {table.user.shape[0]} users but the split has "
-            f"{split.num_users}"
-        )
-    if table.item.shape[0] != split.num_items:
-        raise ValueError(
-            f"checkpoint has {table.item.shape[0]} items but the split has "
-            f"{split.num_items}"
-        )
+    for name, have, want in (("users", len(table.user), split.num_users),
+                             ("items", len(table.item), split.num_items)):
+        if have != want:
+            raise ValueError(f"checkpoint has {have} {name} but the split has {want}")
 
 
 def _load_run(run):
     """The run directory's config and margins, the split its data.input
-    names, and the checkpoint's noise-free score matrix under the run's own
-    backbone."""
+    names, and the checkpoint's noise-free scores under the run's own
+    backbone, read in row blocks."""
     run = Path(run)
     if not (run / "config.cfg").is_file():
         raise ValueError(f"{run} is not a run directory: it has no config.cfg "
@@ -76,7 +68,7 @@ def _load_run(run):
     graph = None
     if cfg.backbone.kind != "mf":
         graph = InteractionGraph(split.train_pairs(), split.num_users, split.num_items)
-    return cfg, margins, split, diagnostics.checkpoint_scores(table, graph, cfg.backbone)
+    return cfg, margins, split, CosineScores(table, graph, cfg.backbone)
 
 
 def cmd_split(args):
@@ -97,6 +89,8 @@ def cmd_train(args):
     if args.output:
         cfg.output.dir = args.output
     split = dataio.read_split(cfg.data.input)
+    # recorded absolute, so the run directory reads from any working directory
+    cfg.data.input = os.path.abspath(cfg.data.input)
     table, margins, report = train(split, cfg.backbone, cfg.loss, cfg.train)
     outdir = Path(cfg.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -131,9 +125,7 @@ def cmd_stats(args):
         print("warning: at loss.c = 1 the margin objective has no minimizer, so beta*, "
               "truncation and k1 describe an arbitrary point on its flat tail; "
               "set loss.c above 1 (for example DRRL_LOSS__C=1.2)", file=sys.stderr)
-    margins = None
-    if margin_values is not None:
-        margins = MarginState(np.asarray(margin_values, dtype=float))
+    margins = None if margin_values is None else MarginState(margin_values)
     rows = diagnostics.user_diagnostics(
         scores, split, spec, margins=margins, resolve_margin=args.resolve_margin,
         noise_pool=cfg.train.noise_pool,

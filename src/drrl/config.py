@@ -67,8 +67,22 @@ def _coerce(raw, example):
     return raw
 
 
+def _set(cfg, section, key, raw):
+    """Set `section.key` of `cfg` from its raw text; returns the error, or None."""
+    if section not in _SECTIONS:
+        return f"unknown section [{section}]"
+    target = getattr(cfg, section)
+    if key not in {f.name for f in fields(target)}:
+        return f"unknown key {section}.{key}"
+    try:
+        setattr(target, key, _coerce(raw, getattr(target, key)))
+    except ValueError as exc:
+        return f"{section}.{key}: {exc}"
+
+
 def parse_config(text) -> RunConfig:
-    """Parse the flat format, collecting every error before raising."""
+    """Parse the flat format, collecting every error before raising. The
+    keys of an unknown section are not checked: its header is the error."""
     cfg = RunConfig()
     errors = []
     section = None
@@ -77,29 +91,19 @@ def parse_config(text) -> RunConfig:
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                errors.append(f"line {lineno}: unknown section [{name}]")
-                section = None
-            else:
-                section = name
+            section = line[1:-1].strip()
+            if section not in _SECTIONS:
+                errors.append(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
             errors.append(f"line {lineno}: expected `key = value`, got {line!r}")
-            continue
-        if section is None:
+        elif section is None:
             errors.append(f"line {lineno}: key outside any [section]")
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        target = getattr(cfg, section)
-        names = {f.name for f in fields(target)}
-        if key not in names:
-            errors.append(f"line {lineno}: unknown key {section}.{key}")
-            continue
-        try:
-            setattr(target, key, _coerce(value, getattr(target, key)))
-        except ValueError as exc:
-            errors.append(f"line {lineno}: {section}.{key}: {exc}")
+        elif section in _SECTIONS:
+            key, value = (part.strip() for part in line.split("=", 1))
+            error = _set(cfg, section, key, value)
+            if error:
+                errors.append(f"line {lineno}: {error}")
     if errors:
         raise ValueError("config errors: " + "; ".join(errors))
     return cfg
@@ -113,17 +117,9 @@ def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
         if not name.startswith(ENV_PREFIX) or "__" not in name:
             continue
         section, _, key = name[len(ENV_PREFIX):].lower().partition("__")
-        if section not in _SECTIONS:
-            errors.append(f"{name}: unknown section [{section}]")
-            continue
-        target = getattr(cfg, section)
-        if key not in {f.name for f in fields(target)}:
-            errors.append(f"{name}: unknown key {section}.{key}")
-            continue
-        try:
-            setattr(target, key, _coerce(raw, getattr(target, key)))
-        except ValueError as exc:
-            errors.append(f"{name}: {exc}")
+        error = _set(cfg, section, key, raw)
+        if error:
+            errors.append(f"{name}: {error}")
     if errors:
         raise ValueError("env override errors: " + "; ".join(errors))
     return cfg

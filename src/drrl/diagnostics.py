@@ -13,7 +13,8 @@ import numpy as np
 
 from . import losses as L
 from .dro_core import minimize_beta_objective
-from .graphmodel import cosine_matrix, forward
+# cosine_matrix and forward are unused here: perfbench's tracer wraps them in this module
+from .graphmodel import CosineScores, cosine_matrix, forward  # noqa: F401
 from .metrics import block_rows, truncation_ratio, weight_stats
 
 DIAGNOSABLE = ("sl", "ccl", "drrl")
@@ -39,6 +40,8 @@ def user_diagnostics(
 ):
     """Per-user rows of k1, k2, truncation ratio and the margin used.
 
+    `score_matrix` (an array, or a `graphmodel.CosineScores`) is read one
+    block of `block_rows` users at a time.
     `resolve_margin` recomputes each user's margin by minimizing the
     truncated-moment objective on that user's negative scores instead of
     reading it from the trained margin state. `noise_pool` selects which
@@ -56,9 +59,11 @@ def user_diagnostics(
     rows = []
     step = block_rows(num_items)
     for user in range(num_users):
-        slot = user % step  # the user's row in the block masks
+        slot = user % step  # the user's row in the block's scores and masks
         if slot == 0:
-            block = np.arange(user, min(user + step, num_users))
+            stop = min(user + step, num_users)
+            block = np.arange(user, stop)
+            scores = score_matrix[user:stop]
             in_train = np.zeros((block.size, num_items), dtype=bool)
             in_train[split.train.gather(block)] = True
             if noise_pool != "train":
@@ -72,7 +77,7 @@ def user_diagnostics(
             flagged = in_heldout[slot, candidates]
         if candidates.size == 0:
             continue
-        f = score_matrix[user, candidates]
+        f = scores[slot, candidates]
 
         beta = None
         if spec.kind != "sl":
@@ -121,8 +126,6 @@ def aggregate(rows):
 
 
 def checkpoint_scores(table, graph, backbone_cfg):
-    """Noise-free cosine score matrix at a checkpoint."""
-    from dataclasses import replace
-
-    out = forward(table, graph, replace(backbone_cfg, noise_modulus=0.0))
-    return cosine_matrix(out.final_user, out.final_item)
+    """Noise-free cosine score matrix at a checkpoint: `CosineScores` read
+    whole, as one dense users x items array."""
+    return CosineScores(table, graph, backbone_cfg)[:]

@@ -4,7 +4,7 @@ cosine scoring, the XSimGCL InfoNCE term, and binary checkpoints."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -171,11 +171,31 @@ def backward(grad_user, grad_item, graph: InteractionGraph | None, cfg: Backbone
     return hu, hi
 
 
+def unit_rows(emb):
+    """Row-normalized copy of an embedding matrix, and the row norms."""
+    norms = np.linalg.norm(emb, axis=1)
+    return emb / norms[:, None], norms
+
+
 def cosine_matrix(user_emb, item_emb):
     """All-pairs cosine scores; rows are users."""
-    un = user_emb / np.linalg.norm(user_emb, axis=1, keepdims=True)
-    im = item_emb / np.linalg.norm(item_emb, axis=1, keepdims=True)
-    return un @ im.T
+    return unit_rows(user_emb)[0] @ unit_rows(item_emb)[0].T
+
+
+class CosineScores:
+    """Noise-free cosine scores, read in row blocks: `scores[rows]` is the
+    (len(rows), items) block of users `rows`. Both final tables are
+    normalized once; no users x items array is held."""
+
+    def __init__(self, table: EmbeddingTable, graph: InteractionGraph | None,
+                 cfg: BackboneConfig):
+        out = forward(table, graph, replace(cfg, noise_modulus=0.0))
+        self.user, _ = unit_rows(out.final_user)
+        self.item, _ = unit_rows(out.final_item)
+        self.shape = (len(self.user), len(self.item))
+
+    def __getitem__(self, rows):
+        return self.user[rows] @ self.item.T
 
 
 def infonce_auxiliary(layer_final, layer_lstar, temperature, weight):

@@ -3,7 +3,6 @@ plus the learnable per-user margin machinery for the robust Renyi loss."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +43,6 @@ class LossSpec:
         if errors:
             raise ValueError("; ".join(errors))
         return self
-
-    @property
-    def gamma(self):
-        """Renyi order recovered from the configured conjugate exponent;
-        gamma_star = 1 maps to the truncated (CCL) limit gamma -> inf."""
-        if self.gamma_star == 1.0:
-            return math.inf
-        return self.gamma_star / (self.gamma_star - 1.0)
 
 
 @dataclass

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import UserItems
+
 # Working-memory budget of one block of score rows. The ranking kernel holds
 # a float64 copy of the block, argpartition's int64 index block and boolean
 # masks: at most 20 bytes per score.
@@ -65,37 +67,33 @@ def top_k_items(scores, exclude, k):
     return top[top >= 0]
 
 
+def _one_user(metric, scores, exclude, truth, k):
+    """`metric`@k of one score row, through `evaluate_ranking`."""
+    parts = (UserItems(np.array([0, len(s)]), np.array(sorted(s), dtype=np.int64))
+             for s in (exclude, truth))
+    return evaluate_ranking(np.asarray(scores, dtype=float)[None], *parts, [k])[(metric, k)]
+
+
 def recall_at_k(scores, exclude, truth, k):
     """|top-k hits| / |truth| over the candidate items outside `exclude`."""
-    if not truth:
-        raise ValueError("ground truth must be nonempty")
-    top = top_k_items(scores, exclude, k)
-    hits = sum(1 for item in top if item in truth)
-    return hits / len(truth)
+    return _one_user("recall", scores, exclude, truth, k)
 
 
 def ndcg_at_k(scores, exclude, truth, k):
     """Binary-relevance NDCG with log2 position discount."""
-    if not truth:
-        raise ValueError("ground truth must be nonempty")
-    top = top_k_items(scores, exclude, k)
-    dcg = sum(
-        1.0 / np.log2(rank + 2) for rank, item in enumerate(top) if item in truth
-    )
-    ideal = min(k, len(truth))
-    idcg = sum(1.0 / np.log2(rank + 2) for rank in range(ideal))
-    return float(dcg / idcg)
+    return _one_user("ndcg", scores, exclude, truth, k)
 
 
 def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
     """Average Recall@K / NDCG@K over users with nonempty ground truth.
 
-    `exclude_sets` and `truth_sets` are split parts (`dataio.UserItems`),
-    one user per score row. Ranks blocks of `block_rows` users at a time,
-    once to max(ks), and reads every K off that one top list. Returns
-    {(metric, K): value}; users with empty truth are skipped.
+    `score_matrix` (an array, or a `graphmodel.CosineScores`) is read by
+    row blocks; `exclude_sets` and `truth_sets` are split parts
+    (`dataio.UserItems`), one user per score row. Ranks blocks of
+    `block_rows` users at a time, once to max(ks), and reads every K off
+    that one top list. Returns {(metric, K): value}; users with empty truth
+    are skipped.
     """
-    score_matrix = np.asarray(score_matrix)
     num_users, num_items = score_matrix.shape
     for name, sets in (("exclude_sets", exclude_sets), ("truth_sets", truth_sets)):
         if len(sets) != num_users:

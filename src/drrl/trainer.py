@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,12 +14,14 @@ from . import losses as L
 from .dataio import DatasetSplit, NoiseConfig, sample_batch
 from .graphmodel import (
     BackboneConfig,
+    CosineScores,
     EmbeddingTable,
     InteractionGraph,
     backward,
-    cosine_matrix,
+    cosine_matrix,  # noqa: F401 - unused; perfbench's tracer wraps this name
     forward,
     infonce_auxiliary,
+    unit_rows,
 )
 from .metrics import evaluate_ranking
 
@@ -158,12 +160,6 @@ class TrainReport:
             json.dump(asdict(self), fh, indent=2)
 
 
-def _unit_rows(emb):
-    """Row-normalized copy of an embedding matrix, and the row norms."""
-    norms = np.linalg.norm(emb, axis=1)
-    return emb / norms[:, None], norms
-
-
 def _normalization_pullback(grad_hat, unit, norms):
     """Gradient with respect to e from the gradient with respect to
     e / ||e||, row by row: (g - (g . e_hat) e_hat) / ||e||."""
@@ -258,8 +254,8 @@ def loss_and_gradients(
     out = forward(table, graph, backbone_cfg, noise_rng)
     users = batch.pairs[:, 0]
     pos_items = batch.pairs[:, 1]
-    user_unit, user_norms = _unit_rows(out.final_user)
-    item_unit, item_norms = _unit_rows(out.final_item)
+    user_unit, user_norms = unit_rows(out.final_user)
+    item_unit, item_norms = unit_rows(out.final_item)
     batch_users = user_unit[users]
     f_pos = np.einsum("bd,bd->b", batch_users, item_unit[pos_items])
     # a catalogue at most DENSE_ITEMS_PER_SLOT times the scored slots of a
@@ -343,13 +339,11 @@ def train_step(
     return value
 
 
-def evaluate_split(table, graph, backbone_cfg, split, ks, target="validation"):
-    """Full-ranking metrics on an immutable noise-free snapshot."""
-    eval_cfg = replace(backbone_cfg, noise_modulus=0.0)
-    out = forward(table, graph, eval_cfg)
-    scores = cosine_matrix(out.final_user, out.final_item)
-    truth = split.validation if target == "validation" else split.test
-    return evaluate_ranking(scores, split.train, truth, ks)
+def evaluate_split(table, graph, backbone_cfg, split, ks):
+    """Full-ranking validation metrics of the noise-free model, scored in
+    the ranking kernel's row blocks."""
+    scores = CosineScores(table, graph, backbone_cfg)
+    return evaluate_ranking(scores, split.train, split.validation, ks)
 
 
 def train(

@@ -95,6 +95,12 @@ class TestConfigParse:
         with pytest.raises(ValueError, match=r"line 3: unknown section \[split\]"):
             config.parse_config("[data]\ninput = splits/iid\n[split]\nkind = temporal\n")
 
+    def test_keys_under_an_unknown_section_add_no_error(self):
+        # the header is the one error; its keys are inside a section
+        with pytest.raises(ValueError) as exc:
+            config.parse_config("[data]\ninput = splits/iid\n[split]\nkind = iid\nseed = 0\n")
+        assert str(exc.value) == "config errors: line 3: unknown section [split]"
+
     def test_every_preset_loads(self):
         presets = sorted((Path(__file__).resolve().parent.parent / "presets").glob("*.cfg"))
         assert len(presets) == 80
@@ -274,6 +280,24 @@ class TestCli:
         assert got_csv == _evaluate_csv(lightgcn_run, other_split, [5, 10]) != own_csv
         got_rows = _csv_rows(tmp_path / "stats.csv")
         assert got_rows == _stats_rows(lightgcn_run, other_split) != own_rows
+
+    def test_relative_data_input_is_recorded_absolute(self, split_dir, tmp_path,
+                                                      monkeypatch):
+        # train from the split's parent directory with a relative data.input,
+        # then read the run from another working directory
+        monkeypatch.chdir(split_dir.parent)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(LIGHTGCN_DRRL_CFG.format(input=split_dir.name,
+                                                     outdir=tmp_path / "run"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        cfg = config.load_config(tmp_path / "run" / "config.cfg")
+        assert cfg.data.input == str(split_dir)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["evaluate", "--run", "run", "--output", "metrics.csv"]) == 0
+        assert cli.main(["stats", "--run", "run", "--output", "stats.csv"]) == 0
+        assert (tmp_path / "metrics.csv").read_text() == _evaluate_csv(
+            tmp_path / "run", split_dir, [5])
+        assert _csv_rows(tmp_path / "stats.csv") == _stats_rows(tmp_path / "run", split_dir)
 
     def test_run_without_config_is_named(self, run_dir, tmp_path, capsys):
         bare = tmp_path / "bare"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import pytest
 from builders import split_of
 from drrl import losses as L
 from drrl import metrics
-from drrl.diagnostics import user_diagnostics
+from drrl.dataio import split_iid
+from drrl.diagnostics import checkpoint_scores, user_diagnostics
+from drrl.graphmodel import BackboneConfig, CosineScores, EmbeddingTable
+from drrl.synthetic import make_block_log
 
 # user 0: train {0, 1}, held out {2, 3}; user 1: train {2}, held out {0};
 # user 2: train {4}, held out {1}, every non-train score <= 0
@@ -85,3 +89,47 @@ def test_rows_do_not_depend_on_mask_block_size(noise_pool, monkeypatch):
         monkeypatch.setattr(metrics, "BLOCK_BYTES", 20 * SPLIT.num_items * users_per_block)
         assert metrics.block_rows(SPLIT.num_items) == users_per_block
         assert repr(rows_of(CCL, noise_pool=noise_pool)) == repr(whole)
+
+
+def _block_model(n_users, n_items, d):
+    split = split_iid(make_block_log(n_users, n_items, interactions_per_user=20, seed=0),
+                      seed=0)
+    return split, EmbeddingTable.init_normal(n_users, n_items, d, seed=0)
+
+
+@pytest.mark.parametrize("noise_pool", ["heldout", "train"])
+def test_scorer_rows_match_the_dense_matrix(noise_pool, monkeypatch):
+    split, table = _block_model(40, 30, 8)
+    cfg = BackboneConfig(kind="mf")
+    dense = user_diagnostics(checkpoint_scores(table, None, cfg), split, CCL,
+                             noise_pool=noise_pool)
+    monkeypatch.setattr(metrics, "BLOCK_BYTES", 20 * 30 * 7)  # blocks of 7 users
+    blocked = user_diagnostics(CosineScores(table, None, cfg), split, CCL,
+                               noise_pool=noise_pool)
+    assert len(blocked) == len(dense) == 40
+    for got, want in zip(blocked, dense):
+        assert (got.user, got.beta, got.degenerate) == (want.user, want.beta, want.degenerate)
+        assert (got.k1, got.k2, got.truncation) == pytest.approx(
+            (want.k1, want.k2, want.truncation), rel=1e-12)
+
+
+def _peak_diagnostics_bytes(n_users, n_items, d):
+    split, table = _block_model(n_users, n_items, d)
+    tracemalloc.start()
+    try:
+        scores = CosineScores(table, None, BackboneConfig(kind="mf"))
+        user_diagnostics(scores, split, CCL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_memory_bounded_by_block_budget_when_fed_the_scorer():
+    n_items, d = 4000, 16
+    # one float64 users x items score matrix would exceed the budget
+    assert 8 * 600 * n_items > metrics.BLOCK_BYTES
+    small, large = (_peak_diagnostics_bytes(n, n_items, d) for n in (600, 1200))
+    unit_tables = 8 * (600 + n_items) * d
+    assert small < metrics.BLOCK_BYTES + unit_tables
+    assert large < 1.05 * small

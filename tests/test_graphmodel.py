@@ -131,6 +131,22 @@ def test_cosine_matrix_agrees_with_scalar_score():
     assert mat[1, 2] == pytest.approx(score(users[1], items[2]), abs=1e-12)
 
 
+def test_cosine_scores_blocks_are_rows_of_the_noise_free_cosine_matrix():
+    rng = np.random.default_rng(5)
+    pairs = np.unique(np.stack([rng.integers(0, 6, 20), rng.integers(0, 9, 20)], axis=1),
+                      axis=0)
+    graph = gm.InteractionGraph(pairs, 6, 9)
+    table = gm.EmbeddingTable.init_normal(6, 9, 4, seed=1)
+    # the scorer runs no noise draws, so it needs no rng
+    cfg = gm.BackboneConfig(kind="xsimgcl", layers=2, noise_modulus=0.2)
+    out = gm.forward(table, graph, gm.BackboneConfig(kind="lightgcn", layers=2))
+    want = gm.cosine_matrix(out.final_user, out.final_item)
+    scores = gm.CosineScores(table, graph, cfg)
+    assert scores.shape == (6, 9)
+    for rows in (np.array([4, 0, 4]), slice(1, 5), slice(None)):
+        np.testing.assert_allclose(scores[rows], want[rows], rtol=0, atol=1e-15)
+
+
 def test_infonce_value_positive_and_shift_invariant_pairing():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(4, 3))

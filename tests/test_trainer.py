@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_reference
+from drrl import metrics
 from drrl import trainer as tr
 from drrl.dataio import BatchSample, split_iid
 from drrl.graphmodel import BackboneConfig, EmbeddingTable, InteractionGraph
@@ -262,6 +263,29 @@ def test_loss_and_gradients_memory_bounded_by_chunk_budget_in_dense_regime():
     assert 8 * batch_size * n_items > tr.CHUNK_BYTES
     peak = _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg)
     assert peak < tr.CHUNK_BYTES
+
+
+def _peak_evaluate_split_bytes(n_users, n_items, d):
+    split = split_iid(make_block_log(n_users, n_items, interactions_per_user=20, seed=0),
+                      seed=0)
+    table = EmbeddingTable.init_normal(n_users, n_items, d, seed=0)
+    tracemalloc.start()
+    try:
+        tr.evaluate_split(table, None, BackboneConfig(kind="mf"), split, [10, 20, 50])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_evaluate_split_memory_bounded_by_block_budget():
+    n_items, d = 2000, 16
+    # one float64 users x items score matrix would exceed the budget
+    assert 8 * 1200 * n_items > metrics.BLOCK_BYTES
+    small, large = (_peak_evaluate_split_bytes(n, n_items, d) for n in (1200, 2400))
+    unit_tables = 8 * (1200 + n_items) * d
+    assert small < metrics.BLOCK_BYTES + unit_tables
+    assert large < 1.05 * small
 
 
 def _smoke_train(spec, seed=0, **overrides):
