@@ -3,10 +3,14 @@
 For every user, the candidate negatives are all items outside the training
 set; held-out positives among them are flagged so the k2 statistic (mean
 weight on flagged items relative to the overall mean) can be reported.
+Users are diagnosed a block of score rows at a time, with every score
+outside a user's candidates set to -inf, which the kernels weigh 0.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +21,10 @@ from .dro_core import minimize_beta_objective
 from .graphmodel import CosineScores, cosine_matrix, forward  # noqa: F401
 from .metrics import block_rows, truncation_ratio, weight_stats
 
-DIAGNOSABLE = ("sl", "ccl", "drrl")
+# Working memory per score of a diagnostics block: the padded scores, the
+# masks, and the weights with the kernel's own float64 temporaries (34 bytes
+# per score measured under SL and DrRL)
+BYTES_PER_SCORE = 40
 
 
 @dataclass
@@ -30,6 +37,44 @@ class UserDiagnostics:
     degenerate: bool
 
 
+def _candidate_masks(split, users, num_items, noise_pool):
+    """Boolean (len(users), num_items) masks of each user's candidate items
+    and of the flagged false negatives among them."""
+    in_train = np.zeros((users.size, num_items), dtype=bool)
+    in_train[split.train.gather(users)] = True
+    if noise_pool == "train":
+        return np.ones_like(in_train), in_train
+    candidates = ~in_train
+    flagged = np.zeros_like(in_train)
+    flagged[split.validation.gather(users)] = True
+    flagged[split.test.gather(users)] = True
+    return candidates, flagged & candidates
+
+
+def _margins(scores, candidates, users, spec, margins, resolve_margin):
+    """Each row's margin (None under SL, which has none)."""
+    if spec.kind == "sl":
+        return None
+    if resolve_margin:
+        # CCL's hinge is the DrRL term at g* = 1 with c = alpha and eps = 0
+        objective = (1.0, spec.alpha, 0.0) if spec.kind == "ccl" else (
+            spec.gamma_star, spec.c, spec.eps)
+        return np.array([minimize_beta_objective(f[keep], *objective)[0]
+                         for f, keep in zip(scores, candidates)])
+    if margins is not None:
+        return margins.beta[users]
+    # the margin the loss trains with: CCL's is fixed, DrRL's starts at beta0
+    return np.full(users.size, spec.margin if spec.kind == "ccl" else spec.beta0)
+
+
+def _listed(values):
+    """Per-row values as Python floats with nan as None; None throughout
+    when there are no values."""
+    if values is None:
+        return itertools.repeat(None)
+    return [None if math.isnan(v) else v for v in values.tolist()]
+
+
 def user_diagnostics(
     score_matrix,
     split,
@@ -38,10 +83,12 @@ def user_diagnostics(
     resolve_margin=False,
     noise_pool="heldout",
 ):
-    """Per-user rows of k1, k2, truncation ratio and the margin used.
+    """Per-user rows of k1, k2, truncation ratio and the margin used; a user
+    with no candidate item has no row.
 
     `score_matrix` (an array, or a `graphmodel.CosineScores`) is read one
-    block of `block_rows` users at a time.
+    block of users at a time, sized so that the block's working memory stays
+    within `metrics.BLOCK_BYTES`.
     `resolve_margin` recomputes each user's margin by minimizing the
     truncated-moment objective on that user's negative scores instead of
     reading it from the trained margin state. `noise_pool` selects which
@@ -49,70 +96,32 @@ def user_diagnostics(
     (default) or their train positives (in which case train positives also
     join the candidate sweep, mirroring the train-pool noise protocol).
     """
-    if spec.kind not in DIAGNOSABLE:
-        raise ValueError(
-            f"no worst-case weight notion for loss {spec.kind!r}; "
-            f"diagnostics support {DIAGNOSABLE}"
-        )
+    if spec.kind not in L.WORST_CASE_KINDS:
+        raise ValueError(f"no worst-case weight notion for loss {spec.kind!r}; "
+                         f"diagnostics support {L.WORST_CASE_KINDS}")
     num_users, num_items = score_matrix.shape
-    positive = np.zeros((1, 1))  # the kernels' d_neg does not depend on it
     rows = []
-    step = block_rows(num_items)
-    for user in range(num_users):
-        slot = user % step  # the user's row in the block's scores and masks
-        if slot == 0:
-            stop = min(user + step, num_users)
-            block = np.arange(user, stop)
-            scores = score_matrix[user:stop]
-            in_train = np.zeros((block.size, num_items), dtype=bool)
-            in_train[split.train.gather(block)] = True
-            if noise_pool != "train":
-                in_heldout = np.zeros_like(in_train)
-                in_heldout[split.validation.gather(block)] = True
-                in_heldout[split.test.gather(block)] = True
-        if noise_pool == "train":
-            candidates, flagged = np.arange(num_items), in_train[slot]
-        else:
-            candidates = np.flatnonzero(~in_train[slot])
-            flagged = in_heldout[slot, candidates]
-        if candidates.size == 0:
+    step = block_rows(num_items, BYTES_PER_SCORE)
+    for start in range(0, num_users, step):
+        users = np.arange(start, min(start + step, num_users))
+        candidates, flagged = _candidate_masks(split, users, num_items, noise_pool)
+        live = candidates.any(axis=1)
+        if not live.any():
             continue
-        f = scores[slot, candidates]
-
-        beta = None
-        if spec.kind != "sl":
-            if resolve_margin:
-                if spec.kind == "ccl":
-                    beta, _ = minimize_beta_objective(f, 1.0, spec.alpha, 0.0)
-                else:
-                    beta, _ = minimize_beta_objective(f, spec.gamma_star, spec.c, spec.eps)
-            elif margins is not None:
-                beta = float(margins.beta[user])
-            else:
-                # the margin the loss trains with: CCL's is fixed, DrRL's starts at beta0
-                beta = spec.margin if spec.kind == "ccl" else spec.beta0
-        # The worst-case weights are the kernel's negative-score gradient up
-        # to a constant factor, which k1 and k2 (ratios to the mean) ignore;
-        # DrRL's are taken at eps = 0, the Renyi ball's own distribution.
-        if spec.kind == "sl":
-            _, _, d_neg = L.softmax_loss(positive, f[None], spec.tau)
-        elif spec.kind == "ccl":
-            _, _, d_neg = L.ccl_loss(positive, f[None], spec.alpha, beta)
-        else:
-            _, _, d_neg = L.drrl_loss(positive, f[None], spec.gamma_star, spec.c, 0.0, beta)
-        stats = weight_stats(d_neg[0], flagged)
-        rows.append(
-            UserDiagnostics(
-                user, stats.k1, stats.k2,
-                None if beta is None else truncation_ratio(f, beta),
-                beta, stats.degenerate,
-            )
-        )
+        users, candidates, flagged = users[live], candidates[live], flagged[live]
+        scores = np.where(candidates, score_matrix[users], -np.inf)
+        beta = _margins(scores, candidates, users, spec, margins, resolve_margin)
+        k1, k2 = weight_stats(L.worst_case_weights(scores, spec, beta), candidates, flagged)
+        truncation = None if beta is None else truncation_ratio(scores, beta, candidates)
+        rows.extend(map(UserDiagnostics, users.tolist(), k1.tolist(), _listed(k2),
+                        _listed(truncation), _listed(beta), np.isnan(k1).tolist()))
     return rows
 
 
 def aggregate(rows):
-    """Mean k1 / k2 / truncation over non-degenerate users."""
+    """Mean k1 and k2 over non-degenerate users, and mean truncation over
+    every user with a margin: a degenerate user (every candidate truncated)
+    counts with truncation 1."""
     live = [r for r in rows if not r.degenerate]
     k2s = [r.k2 for r in live if r.k2 is not None]
     truncs = [r.truncation for r in rows if r.truncation is not None]

@@ -125,21 +125,24 @@ def forward(table: EmbeddingTable, graph: InteractionGraph | None, cfg: Backbone
     noisy = cfg.kind == "xsimgcl" and cfg.noise_modulus > 0
     if noisy and rng is None:
         raise ValueError("xsimgcl forward needs an rng for the noise draws")
-    u_layers = [table.user]
-    i_layers = [table.item]
-    for _ in range(cfg.layers):
-        u_next, i_next = graph.propagate(u_layers[-1], i_layers[-1])
+    # a running sum of the layers, added in layer order: the same sums as
+    # stacking every layer and taking np.mean over them
+    user, item = table.user, table.item
+    total_u, total_i = user.copy(), item.copy()
+    out = ForwardOutput(total_u, total_i)
+    if cfg.kind == "xsimgcl" and cfg.contrast_layer == 0:
+        out.contrast_user, out.contrast_item = user, item
+    for layer in range(1, cfg.layers + 1):
+        user, item = graph.propagate(user, item)
         if noisy:
-            u_next = u_next + _noise_with_norm(u_next.shape, cfg.noise_modulus, rng)
-            i_next = i_next + _noise_with_norm(i_next.shape, cfg.noise_modulus, rng)
-        u_layers.append(u_next)
-        i_layers.append(i_next)
-    final_u = np.mean(u_layers, axis=0)
-    final_i = np.mean(i_layers, axis=0)
-    out = ForwardOutput(final_u, final_i)
-    if cfg.kind == "xsimgcl":
-        out.contrast_user = u_layers[cfg.contrast_layer]
-        out.contrast_item = i_layers[cfg.contrast_layer]
+            user += _noise_with_norm(user.shape, cfg.noise_modulus, rng)
+            item += _noise_with_norm(item.shape, cfg.noise_modulus, rng)
+        total_u += user
+        total_i += item
+        if cfg.kind == "xsimgcl" and layer == cfg.contrast_layer:
+            out.contrast_user, out.contrast_item = user, item
+    total_u /= cfg.layers + 1
+    total_i /= cfg.layers + 1
     return out
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 LOSS_KINDS = ("mse", "bce", "bpr", "sl", "ccl", "drrl")
+WORST_CASE_KINDS = ("sl", "ccl", "drrl")  # the kinds with worst-case weights
 
 
 @dataclass
@@ -129,14 +130,6 @@ def softmax_loss(f_pos, f_neg, tau):
     return value, d_pos, d_neg
 
 
-def sl_worst_case_weights(neg_scores, tau):
-    """Mean-one exponential weights  w_j = exp(f_j/tau) / mean_k exp(f_k/tau),
-    read off the softmax kernel as n tau d_neg."""
-    f = np.asarray(neg_scores, dtype=float)[None, :]
-    _, _, d_neg = softmax_loss(np.zeros((1, 1)), f, tau)
-    return f.size * tau * d_neg[0]
-
-
 def ccl_loss(f_pos, f_neg, alpha, margin):
     """Truncated point-wise loss: -mean(f+) + (alpha/n) sum (f- - margin)_+;
     `margin` is a scalar or one value per row."""
@@ -215,20 +208,27 @@ def beta_step(state: MarginState, grad, lr_beta) -> MarginState:
     return state
 
 
-def drrl_worst_case_weights(neg_scores, gamma, c, beta):
-    """Polynomial worst-case weights
-    w_j = c (f_j - beta)_+^{1/(g-1)} / (mean (f - beta)_+^{g*})^{1/g},
-    read off the DrRL kernel at eps = 0 as n d_neg.
-
-    Returns (weights, degenerate_flag); the flag is set when every score is
-    truncated and the weights are identically zero.
+def worst_case_weights(f_neg, spec: LossSpec, beta=None):
+    """Worst-case weights (B, n) of each row's negative scores under an SL,
+    CCL or DrRL spec, read off its kernel as n d_neg (n tau d_neg for SL);
+    `beta` is CCL's or DrRL's margin, a scalar or one value per row. DrRL's
+    are taken at eps = 0, the Renyi ball's own distribution:
+    w_j = c (f_j - beta)_+^{1/(g-1)} / (mean (f - beta)_+^{g*})^{1/g}, a
+    mean-one density at the optimal margin. SL's are the mean-one
+    exponential weights exp(f_j/tau) / mean_k exp(f_k/tau). A score of
+    -inf weighs exactly 0 under all three.
     """
-    if gamma <= 1:
-        raise ValueError("gamma must exceed 1")
-    f = np.asarray(neg_scores, dtype=float)[None, :]
-    # at a zero positive score the row's value is M itself
-    m, _, d_neg = drrl_loss(np.zeros((1, 1)), f, gamma / (gamma - 1.0), c, 0.0, beta)
-    return f.size * d_neg[0], bool(m[0] == 0.0)
+    f_neg = np.asarray(f_neg, dtype=float)
+    positive = np.zeros((len(f_neg), 1))  # d_neg does not depend on it
+    n = f_neg.shape[1]
+    if spec.kind == "sl":
+        return n * spec.tau * softmax_loss(positive, f_neg, spec.tau)[2]
+    if spec.kind == "ccl":
+        return n * ccl_loss(positive, f_neg, spec.alpha, beta)[2]
+    if spec.kind == "drrl":
+        return n * drrl_loss(positive, f_neg, spec.gamma_star, spec.c, 0.0, beta)[2]
+    raise ValueError(f"no worst-case weight notion for loss {spec.kind!r}; "
+                     f"worst-case weights exist for {WORST_CASE_KINDS}")
 
 
 def batch_loss(f_pos, f_neg, spec: LossSpec, beta=None):

@@ -3,8 +3,6 @@ statistics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataio import UserItems
@@ -15,16 +13,10 @@ from .dataio import UserItems
 BLOCK_BYTES = 16 << 20
 
 
-@dataclass
-class WeightStats:
-    k1: float          # max weight / mean weight
-    k2: float | None   # mean weight over false negatives / mean weight
-    degenerate: bool = False
-
-
-def block_rows(num_items):
-    """Rows per block of a (users x num_items) score matrix."""
-    return max(1, BLOCK_BYTES // (20 * max(1, num_items)))
+def block_rows(num_items, bytes_per_score=20):
+    """Rows per block of a (users x num_items) score matrix, for a kernel
+    whose working memory takes `bytes_per_score` per score."""
+    return max(1, BLOCK_BYTES // (bytes_per_score * max(1, num_items)))
 
 
 def _top_lists(masked, exclude, k):
@@ -137,31 +129,26 @@ def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
     return {key: val / scored.size for key, val in sums.items()}
 
 
-def weight_stats(weights, false_negative_mask=None) -> WeightStats:
-    """k1 = max/mean weight; k2 = mean weight over flagged false negatives
-    relative to the overall mean (absent when the mask is empty)."""
+def weight_stats(weights, candidates, flagged):
+    """Row-wise k1 = max / mean and k2 = mean over the flagged items / mean
+    of nonnegative weights (B, n), which are 0 outside each row's
+    `candidates`; the means are over the candidates and `flagged` is a
+    subset of them (both boolean (B, n) masks). Returns k1 and k2, each
+    (B,): both nan on a degenerate row (every weight 0), k2 nan on a row
+    with nothing flagged. k1 is taken as count / sum(w / max w), a sum of
+    terms at most 1, so that rounding never puts it below 1."""
     w = np.asarray(weights, dtype=float)
-    if w.size == 0:
-        raise ValueError("weights must be nonempty")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    mean = w.mean()
-    if mean == 0.0:
-        return WeightStats(k1=float("nan"), k2=None, degenerate=True)
-    k1 = float(w.max() / mean)
-    k2 = None
-    if false_negative_mask is not None:
-        mask = np.asarray(false_negative_mask, dtype=bool)
-        if mask.shape != w.shape:
-            raise ValueError("mask length must equal weights length")
-        if mask.any():
-            k2 = float(w[mask].mean() / mean)
-    return WeightStats(k1=k1, k2=k2)
+    with np.errstate(invalid="ignore"):  # 0 / 0 on degenerate rows
+        scaled = w / w.max(axis=1, keepdims=True)
+        k1 = np.count_nonzero(candidates, axis=1) / scaled.sum(axis=1)
+        k2 = k1 * scaled.sum(axis=1, where=flagged) / np.count_nonzero(flagged, axis=1)
+    return k1, k2
 
 
-def truncation_ratio(neg_scores, beta):
-    """Fraction of negatives with score <= beta (zero-gradient region)."""
-    f = np.asarray(neg_scores, dtype=float)
-    if f.size == 0:
-        raise ValueError("scores must be nonempty")
-    return float(np.mean(f <= beta))
+def truncation_ratio(scores, beta, candidates):
+    """Row-wise fraction of each row's candidate scores (a boolean (B, n)
+    mask) at or below its margin beta (B,): the zero-gradient region."""
+    below = np.count_nonzero((scores <= np.asarray(beta)[:, None]) & candidates, axis=1)
+    return below / np.count_nonzero(candidates, axis=1)

@@ -15,18 +15,6 @@ from .dataio import BatchSample
 from .graphmodel import BackboneConfig, EmbeddingTable, InteractionGraph, infonce_auxiliary
 from .trainer import loss_and_gradients
 
-SUITES = (
-    "duality",
-    "lambda",
-    "ccl",
-    "kl-limit",
-    "degeneracy",
-    "gradients",
-    "convexity",
-    "weights",
-)
-
-
 def central_difference(fn, x, h=1e-5):
     """Central finite-difference gradient of a scalar function of a vector."""
     x = np.asarray(x, dtype=float)
@@ -325,16 +313,17 @@ def suite_weights(seed=0, count=200, tol=1e-3, sl_tol=1e-12):
     worst_val = 0.0
     for inst, gamma in _random_instances(rng, count):
         cert = dc.solve_beta(inst, gamma, tol=1e-8)
-        c = dc.c_gamma(inst.eta, gamma)
-        w, degenerate = L.drrl_worst_case_weights(inst.scores, gamma, c, cert.beta_star)
-        if degenerate:
+        spec = L.LossSpec(gamma_star=gamma / (gamma - 1.0), c=dc.c_gamma(inst.eta, gamma))
+        w = L.worst_case_weights(inst.scores[None], spec, cert.beta_star)[0]
+        if not w.any():  # every score truncated
             continue
         q = w / inst.n
         worst_mass = max(worst_mass, abs(q.sum() - 1.0))
         worst_val = max(worst_val, abs(float(q @ inst.scores) - cert.primal_value))
     worst_sl = 0.0
+    sl = L.LossSpec(kind="sl", tau=0.2)
     for _ in range(50):
-        w = L.sl_worst_case_weights(rng.uniform(-1, 1, int(rng.integers(2, 20))), 0.2)
+        w = L.worst_case_weights(rng.uniform(-1, 1, (1, int(rng.integers(2, 20)))), sl)
         worst_sl = max(worst_sl, abs(w.mean() - 1.0))
     return [
         {"name": "weight-normalization", "passed": worst_mass <= tol and worst_val <= tol,
@@ -342,6 +331,18 @@ def suite_weights(seed=0, count=200, tol=1e-3, sl_tol=1e-12):
         {"name": "sl-weights-mean-one", "passed": worst_sl <= sl_tol,
          "worst_gap": worst_sl, "tolerance": sl_tol},
     ]
+
+
+SUITES = {
+    "duality": suite_duality,
+    "lambda": suite_lambda,
+    "ccl": suite_ccl_equivalence,
+    "kl-limit": suite_kl_limit,
+    "degeneracy": suite_degeneracy,
+    "gradients": suite_gradients,
+    "convexity": suite_convexity,
+    "weights": suite_weights,
+}
 
 
 def run_suites(names=None, seed=0, tolerances=None, instance_options=None):
@@ -353,19 +354,9 @@ def run_suites(names=None, seed=0, tolerances=None, instance_options=None):
     """
     names = list(names) if names else list(SUITES)
     tolerances = tolerances or {}
-    runners = {
-        "duality": suite_duality,
-        "lambda": suite_lambda,
-        "ccl": suite_ccl_equivalence,
-        "kl-limit": suite_kl_limit,
-        "degeneracy": suite_degeneracy,
-        "gradients": suite_gradients,
-        "convexity": suite_convexity,
-        "weights": suite_weights,
-    }
     for name in [*names, *tolerances]:
-        if name not in runners:
-            raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
     checks = []
     for name in names:
         kwargs = {"seed": seed}
@@ -373,7 +364,7 @@ def run_suites(names=None, seed=0, tolerances=None, instance_options=None):
             kwargs["tol"] = tolerances[name]
         if instance_options and name in ("duality", "lambda"):
             kwargs.update(instance_options)
-        checks.extend(runners[name](**kwargs))
+        checks.extend(SUITES[name](**kwargs))
     for check in checks:
         check["passed"] = bool(check["passed"])  # numpy bools do not serialize to JSON
     return {"passed": all(c["passed"] for c in checks), "checks": checks}

@@ -1,6 +1,8 @@
-"""Scalar references for the vectorized code: cosine scores and their
-Jacobians for one (user, item) pair, the closed-form worst-case weights, a
-loss-and-gradients pass that loops over pairs and negatives one at a time,
+"""Scalar references for the vectorized code: the backbone forward that
+keeps every layer, cosine scores and their Jacobians for one (user, item)
+pair, the closed-form worst-case weights,
+checkpoint diagnostics with one kernel call per user, a loss-and-gradients
+pass that loops over pairs and negatives one at a time,
 the brute-force inner maximization with one start and one bisection step at
 a time, the negative sampler with a sorted-key membership test and per-user
 set unions for its held-out pools, and Adam with a fresh array per
@@ -13,7 +15,26 @@ import numpy as np
 from drrl import dataio
 from drrl import dro_core as dc
 from drrl import losses as L
-from drrl.graphmodel import backward, forward, infonce_auxiliary
+from drrl.diagnostics import UserDiagnostics
+from drrl.graphmodel import (ForwardOutput, _noise_with_norm, backward, forward,
+                             infonce_auxiliary)
+
+
+def stacked_forward(table, graph, cfg, rng=None):
+    """Graph-backbone forward that keeps every layer and averages the stack."""
+    u_layers, i_layers = [table.user], [table.item]
+    for _ in range(cfg.layers):
+        u_next, i_next = graph.propagate(u_layers[-1], i_layers[-1])
+        if cfg.kind == "xsimgcl" and cfg.noise_modulus > 0:
+            u_next = u_next + _noise_with_norm(u_next.shape, cfg.noise_modulus, rng)
+            i_next = i_next + _noise_with_norm(i_next.shape, cfg.noise_modulus, rng)
+        u_layers.append(u_next)
+        i_layers.append(i_next)
+    out = ForwardOutput(np.mean(u_layers, axis=0), np.mean(i_layers, axis=0))
+    if cfg.kind == "xsimgcl":
+        out.contrast_user = u_layers[cfg.contrast_layer]
+        out.contrast_item = i_layers[cfg.contrast_layer]
+    return out
 
 
 def score(e_u, e_i):
@@ -59,6 +80,52 @@ def drrl_worst_case_weights(neg_scores, gamma, c, beta):
     if denom_power == 0.0:
         return np.zeros(f.size), True
     return c * hinge ** (1.0 / (gamma - 1.0)) / denom_power ** (1.0 / gamma), False
+
+
+def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=False,
+                     noise_pool="heldout"):
+    """Per-user reference of `diagnostics.user_diagnostics`: each user's
+    candidate scores go through their own (1, n) kernel call, and k1, k2
+    and truncation are taken from that one row."""
+    num_items = score_matrix.shape[1]
+    positive = np.zeros((1, 1))
+    rows = []
+    for user in range(score_matrix.shape[0]):
+        train = set(split.train[user])
+        if noise_pool == "train":
+            candidates = np.arange(num_items)
+            flagged = np.isin(candidates, list(train))
+        else:
+            candidates = np.array([i for i in range(num_items) if i not in train], dtype=int)
+            flagged = np.isin(candidates, list(split.validation[user] | split.test[user]))
+        if candidates.size == 0:
+            continue
+        f = np.asarray(score_matrix[user:user + 1], dtype=float)[0, candidates]
+        beta = None
+        if spec.kind != "sl":
+            if resolve_margin:
+                if spec.kind == "ccl":
+                    beta, _ = dc.minimize_beta_objective(f, 1.0, spec.alpha, 0.0)
+                else:
+                    beta, _ = dc.minimize_beta_objective(f, spec.gamma_star, spec.c, spec.eps)
+            elif margins is not None:
+                beta = float(margins.beta[user])
+            else:
+                beta = spec.margin if spec.kind == "ccl" else spec.beta0
+        if spec.kind == "sl":
+            _, _, d_neg = L.softmax_loss(positive, f[None], spec.tau)
+        elif spec.kind == "ccl":
+            _, _, d_neg = L.ccl_loss(positive, f[None], spec.alpha, beta)
+        else:
+            _, _, d_neg = L.drrl_loss(positive, f[None], spec.gamma_star, spec.c, 0.0, beta)
+        w = d_neg[0]
+        mean = w.mean()
+        degenerate = bool(mean == 0.0)
+        k1 = float("nan") if degenerate else float(w.max() / mean)
+        k2 = None if degenerate or not flagged.any() else float(w[flagged].mean() / mean)
+        truncation = None if beta is None else float(np.mean(f <= beta))
+        rows.append(UserDiagnostics(user, k1, k2, truncation, beta, degenerate))
+    return rows
 
 
 def _beta_gradient(neg, spec, beta):

@@ -170,11 +170,9 @@ def test_08_worst_case_normalization(certificates):
     worst_mass = 0.0
     worst_val = 0.0
     for inst, gamma, cert in solved:
-        c = dc.c_gamma(inst.eta, gamma)
-        w, degenerate = L.drrl_worst_case_weights(
-            inst.scores, gamma, c, cert.beta_star
-        )
-        if degenerate:
+        spec = L.LossSpec(gamma_star=gamma / (gamma - 1.0), c=dc.c_gamma(inst.eta, gamma))
+        w = L.worst_case_weights(inst.scores[None], spec, cert.beta_star)[0]
+        if not w.any():  # every score truncated
             continue
         q = w / inst.n
         worst_mass = max(worst_mass, abs(q.sum() - 1.0))
@@ -182,9 +180,10 @@ def test_08_worst_case_normalization(certificates):
     assert worst_mass <= 1e-3, f"worst mass defect {worst_mass:.2e}"
     assert worst_val <= 1e-3, f"worst value mismatch {worst_val:.2e}"
     rng = np.random.default_rng(6)
+    sl = L.LossSpec(kind="sl", tau=0.2)
     worst_sl = max(
-        abs(L.sl_worst_case_weights(
-            rng.uniform(-1, 1, int(rng.integers(2, 20))), 0.2).mean() - 1.0)
+        abs(L.worst_case_weights(
+            rng.uniform(-1, 1, (1, int(rng.integers(2, 20)))), sl).mean() - 1.0)
         for _ in range(100)
     )
     assert worst_sl <= 1e-12, f"worst exponential-weight mean defect {worst_sl:.2e}"

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from builders import split_of
 from drrl import losses as L
 from drrl import metrics
 from drrl.dataio import split_iid
-from drrl.diagnostics import checkpoint_scores, user_diagnostics
+from drrl.diagnostics import BYTES_PER_SCORE, aggregate, checkpoint_scores, user_diagnostics
 from drrl.graphmodel import BackboneConfig, CosineScores, EmbeddingTable
 from drrl.synthetic import make_block_log
 
@@ -86,9 +87,75 @@ def test_user_with_no_candidates_is_skipped():
 def test_rows_do_not_depend_on_mask_block_size(noise_pool, monkeypatch):
     whole = rows_of(CCL, noise_pool=noise_pool)
     for users_per_block in (1, 2):
-        monkeypatch.setattr(metrics, "BLOCK_BYTES", 20 * SPLIT.num_items * users_per_block)
-        assert metrics.block_rows(SPLIT.num_items) == users_per_block
+        monkeypatch.setattr(metrics, "BLOCK_BYTES",
+                            BYTES_PER_SCORE * SPLIT.num_items * users_per_block)
+        assert metrics.block_rows(SPLIT.num_items, BYTES_PER_SCORE) == users_per_block
         assert repr(rows_of(CCL, noise_pool=noise_pool)) == repr(whole)
+
+
+def test_aggregate_means_k1_over_live_users_and_truncation_over_all():
+    # the degenerate user 2 (every candidate truncated) is left out of
+    # k1_mean but counts with truncation 1
+    agg = aggregate(user_diagnostics(SCORES, SPLIT, CCL))
+    assert agg["users"] == 3 and agg["degenerate_users"] == 1
+    assert agg["k1_mean"] == pytest.approx(2.75)
+    assert agg["truncation_mean"] == pytest.approx((1 / 3 + 3 / 4 + 1) / 3)
+
+
+def _random_case(num_users=30, num_items=24, seed=0):
+    """A split and score matrix with the edge users the block code pads
+    around: user 3 trains on every item (no held-out candidate), user 5
+    scores every item below every margin (degenerate under CCL and DrRL),
+    and several users hold out nothing (no k2)."""
+    rng = np.random.default_rng(seed)
+    parts = ([], [], [])
+    for user in range(num_users):
+        items = rng.permutation(num_items).tolist()
+        n_train = num_items if user == 3 else int(rng.integers(1, num_items // 2))
+        n_val, n_test = (int(n) for n in rng.integers(0, 3, 2))
+        parts[0].append(set(items[:n_train]))
+        parts[1].append(set(items[n_train:n_train + n_val]))
+        parts[2].append(set(items[n_train + n_val:n_train + n_val + n_test]))
+    scores = rng.uniform(-1.0, 1.0, (num_users, num_items))
+    scores[5] = -0.9
+    margins = L.MarginState(rng.uniform(-0.2, 0.6, num_users))
+    return split_of(*parts, num_items), scores, margins
+
+
+def _same_rows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.user, g.beta, g.degenerate) == (w.user, w.beta, w.degenerate)
+        assert (g.k2 is None, g.truncation is None) == (w.k2 is None, w.truncation is None)
+        assert math.isnan(g.k1) == math.isnan(w.k1)
+        for a, b in ((g.k1, w.k1), (g.k2, w.k2), (g.truncation, w.truncation)):
+            if b is not None and not math.isnan(b):
+                assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    L.LossSpec(kind="sl", tau=0.2),
+    L.LossSpec(kind="ccl", alpha=2.0, margin=0.1),
+    L.LossSpec(kind="drrl", gamma_star=1.0, c=1.3, eps=0.05),
+    L.LossSpec(kind="drrl", gamma_star=2.0, c=1.3, eps=0.05),
+    L.LossSpec(kind="drrl", gamma_star=13.5, c=1.3, eps=0.05),
+], ids=["sl", "ccl", "drrl-1", "drrl-2", "drrl-13.5"])
+@pytest.mark.parametrize("noise_pool", ["heldout", "train"])
+@pytest.mark.parametrize("margin", ["given", "default", "resolved"])
+def test_blocks_match_the_per_user_reference(spec, noise_pool, margin, monkeypatch):
+    split, scores, margins = _random_case()
+    kwargs = {"noise_pool": noise_pool, "margins": margins if margin == "given" else None,
+              "resolve_margin": margin == "resolved"}
+    want = ref.user_diagnostics(scores, split, spec, **kwargs)
+    assert len(want) == (30 if noise_pool == "train" else 29)
+    assert any(r.degenerate for r in want) == (spec.kind != "sl" and margin != "resolved")
+    if noise_pool == "heldout":
+        assert any(r.k2 is None and not r.degenerate for r in want)
+    _same_rows(user_diagnostics(scores, split, spec, **kwargs), want)
+    for users_per_block in (1, 2, 7):
+        monkeypatch.setattr(metrics, "BLOCK_BYTES",
+                            BYTES_PER_SCORE * split.num_items * users_per_block)
+        _same_rows(user_diagnostics(scores, split, spec, **kwargs), want)
 
 
 def _block_model(n_users, n_items, d):
@@ -103,7 +170,7 @@ def test_scorer_rows_match_the_dense_matrix(noise_pool, monkeypatch):
     cfg = BackboneConfig(kind="mf")
     dense = user_diagnostics(checkpoint_scores(table, None, cfg), split, CCL,
                              noise_pool=noise_pool)
-    monkeypatch.setattr(metrics, "BLOCK_BYTES", 20 * 30 * 7)  # blocks of 7 users
+    monkeypatch.setattr(metrics, "BLOCK_BYTES", BYTES_PER_SCORE * 30 * 7)  # blocks of 7 users
     blocked = user_diagnostics(CosineScores(table, None, cfg), split, CCL,
                                noise_pool=noise_pool)
     assert len(blocked) == len(dense) == 40
@@ -113,12 +180,12 @@ def test_scorer_rows_match_the_dense_matrix(noise_pool, monkeypatch):
             (want.k1, want.k2, want.truncation), rel=1e-12)
 
 
-def _peak_diagnostics_bytes(n_users, n_items, d):
+def _peak_diagnostics_bytes(n_users, n_items, d, spec=CCL):
     split, table = _block_model(n_users, n_items, d)
     tracemalloc.start()
     try:
         scores = CosineScores(table, None, BackboneConfig(kind="mf"))
-        user_diagnostics(scores, split, CCL)
+        user_diagnostics(scores, split, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -133,3 +200,12 @@ def test_memory_bounded_by_block_budget_when_fed_the_scorer():
     unit_tables = 8 * (600 + n_items) * d
     assert small < metrics.BLOCK_BYTES + unit_tables
     assert large < 1.05 * small
+
+
+@pytest.mark.parametrize("spec", [L.LossSpec(kind="sl", tau=0.1),
+                                  L.LossSpec(kind="drrl", gamma_star=2.5, c=1.2)])
+def test_memory_bounded_by_block_budget_under_every_kernel(spec):
+    # the SL and DrRL kernels hold more float64 temporaries than CCL's
+    n_items, d = 4000, 16
+    assert _peak_diagnostics_bytes(600, n_items, d, spec) < (
+        metrics.BLOCK_BYTES + 8 * (600 + n_items) * d)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drrl import graphmodel as gm
-from scalar_reference import score, score_gradient
+from drrl.synthetic import make_block_log
+from scalar_reference import score, score_gradient, stacked_forward
 
 
 def two_node_graph():
@@ -60,6 +63,40 @@ def test_xsimgcl_noise_requires_rng():
     graph = gm.InteractionGraph(np.array([[0, 0], [1, 1]]), 2, 2)
     with pytest.raises(ValueError):
         gm.forward(table, graph, gm.BackboneConfig(kind="xsimgcl"))
+
+
+def _block_graph(num_users, num_items, seed=0):
+    log = make_block_log(num_users, num_items, interactions_per_user=10, seed=seed)
+    return gm.InteractionGraph(np.stack([log.users, log.items], axis=1), num_users, num_items)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["lightgcn", "xsimgcl"])
+def test_forward_equals_the_mean_of_the_stacked_layers(kind, layers):
+    # the running sum adds the layers in the order np.mean adds the stack
+    table = gm.EmbeddingTable.init_normal(30, 20, 4, seed=layers)
+    graph = _block_graph(30, 20)
+    for contrast_layer in range(layers + 1):
+        cfg = gm.BackboneConfig(kind=kind, layers=layers, contrast_layer=contrast_layer)
+        got = gm.forward(table, graph, cfg, np.random.default_rng(7))
+        want = stacked_forward(table, graph, cfg, np.random.default_rng(7))
+        for name in ("final_user", "final_item", "contrast_user", "contrast_item"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("layers", [2, 3])
+def test_forward_peak_memory_does_not_grow_with_layers(layers):
+    # the running sum holds the sum, the last layer and the one being
+    # propagated: about three tables, where stacking every layer held L + 2
+    table = gm.EmbeddingTable.init_normal(3000, 4000, 32, seed=0)
+    graph = _block_graph(3000, 4000)
+    tracemalloc.start()
+    try:
+        out = gm.forward(table, graph, gm.BackboneConfig(kind="lightgcn", layers=layers))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * (out.final_user.nbytes + out.final_item.nbytes)
 
 
 def test_backward_is_adjoint_of_forward():

@@ -68,15 +68,21 @@ def test_softmax_loss_matches_direct_form():
     assert d_neg[0] == pytest.approx(softmax / tau)
 
 
+def drrl_at(gamma, c=1.0):
+    """The DrRL spec of divergence order gamma (g* = gamma / (gamma - 1))."""
+    return L.LossSpec(kind="drrl", gamma_star=gamma / (gamma - 1.0), c=c)
+
+
 def test_sl_weights_hand_values():
-    w = L.sl_worst_case_weights(np.array([0.5, 0.3]), 0.2)
+    w = L.worst_case_weights(row([0.5, 0.3]), L.LossSpec(kind="sl", tau=0.2))[0]
     assert w == pytest.approx([1.46211, 0.53789], abs=1e-5)
 
 
 @given(neg_arrays, st.floats(0.05, 0.5))
 @settings(max_examples=200)
 def test_sl_weights_mean_one(neg, tau):
-    assert L.sl_worst_case_weights(neg, tau).mean() == pytest.approx(1.0, abs=1e-12)
+    w = L.worst_case_weights(row(neg), L.LossSpec(kind="sl", tau=tau))
+    assert w.mean() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ccl_truncation_zeroes_gradient():
@@ -94,10 +100,7 @@ def test_drrl_hand_values():
 
 
 def test_drrl_worst_case_weights_hand_values():
-    w, degenerate = L.drrl_worst_case_weights(
-        np.array([0.5, 0.1, -0.3]), 2.0, 1.0, 0.0
-    )
-    assert not degenerate
+    w = L.worst_case_weights(row([0.5, 0.1, -0.3]), drrl_at(2.0), 0.0)[0]
     assert w == pytest.approx([1.69842, 0.33968, 0.0], abs=1e-5)
 
 
@@ -109,21 +112,49 @@ def test_worst_case_weights_match_closed_forms(gamma):
         neg = rng.uniform(-1, 1, int(rng.integers(2, 40)))
         beta = float(rng.uniform(-1.5, 0.8))
         c = float(rng.uniform(1.0, 3.0))
-        w, degenerate = L.drrl_worst_case_weights(neg, gamma, c, beta)
+        w = L.worst_case_weights(row(neg), drrl_at(gamma, c), beta)[0]
         w_ref, degenerate_ref = ref.drrl_worst_case_weights(neg, gamma, c, beta)
-        assert degenerate == degenerate_ref
+        assert (not w.any()) == degenerate_ref
         np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0.0)
         tau = float(rng.uniform(0.05, 1.0))
-        np.testing.assert_allclose(L.sl_worst_case_weights(neg, tau),
-                                   ref.sl_worst_case_weights(neg, tau), rtol=1e-12, atol=0.0)
+        w = L.worst_case_weights(row(neg), L.LossSpec(kind="sl", tau=tau))[0]
+        np.testing.assert_allclose(w, ref.sl_worst_case_weights(neg, tau), rtol=1e-12, atol=0.0)
 
 
 def test_drrl_fully_truncated_degenerates():
-    w, degenerate = L.drrl_worst_case_weights(np.array([-0.5, -0.2]), 2.0, 1.0, 0.5)
-    assert degenerate
+    assert not L.worst_case_weights(row([-0.5, -0.2]), drrl_at(2.0), 0.5).any()
     _, _, d_neg = L.drrl_loss(row([0.3]), row([-0.5, -0.2]), 2.0, 1.0, 0.0, 0.5)
     assert d_neg[0] == pytest.approx([0.0, 0.0])
     assert L.drrl_beta_gradient(row([-0.5, -0.2]), 2.0, 1.0, 0.0, 0.5) == pytest.approx([1.0])
+
+
+@pytest.mark.parametrize("spec", [
+    L.LossSpec(kind="sl", tau=0.05), L.LossSpec(kind="sl", tau=2.0),
+    L.LossSpec(kind="ccl", alpha=2.0), drrl_at(1.5, 1.3), drrl_at(3.0),
+    L.LossSpec(kind="drrl", gamma_star=1.0, c=1.2)])
+def test_minus_inf_scores_weigh_exactly_zero(spec):
+    # a row padded with -inf weighs its padding 0 and its own scores in the
+    # same proportions as the unpadded row, so ratios to the mean are kept
+    neg = np.array([[0.4, -0.2, 0.7, 0.1], [0.3, 0.9, -0.5, 0.2]])
+    padded = np.full((2, 7), -np.inf)
+    padded[:, [0, 2, 3, 6]] = neg
+    beta = np.array([0.0, 0.25])
+    with np.errstate(all="raise"):
+        w = L.worst_case_weights(padded, spec, beta)
+    assert (w[:, [1, 4, 5]] == 0.0).all()
+    want = L.worst_case_weights(neg, spec, beta)
+    np.testing.assert_allclose(w[:, [0, 2, 3, 6]] / w.sum(axis=1, keepdims=True),
+                               want / want.sum(axis=1, keepdims=True), rtol=1e-12)
+
+
+def test_ccl_weights_are_alpha_above_the_margin():
+    w = L.worst_case_weights(row([0.5, 0.1, -0.3]), L.LossSpec(kind="ccl", alpha=2.0), 0.2)
+    assert w[0].tolist() == [2.0, 0.0, 0.0]
+
+
+def test_worst_case_weights_reject_kinds_without_them():
+    with pytest.raises(ValueError, match="no worst-case weight notion"):
+        L.worst_case_weights(row([0.5]), L.LossSpec(kind="bpr"))
 
 
 def two_power_drrl(f_neg, gamma_star, c, eps, beta):

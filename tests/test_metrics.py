@@ -167,25 +167,43 @@ def test_empty_truth_rejected():
         metrics.recall_at_k(np.array([1.0]), set(), set(), 1)
 
 
+def everything(weights):
+    """The all-candidates mask of a (B, n) block."""
+    return np.ones(np.shape(weights), dtype=bool)
+
+
 class TestWeightStats:
     def test_hand_values(self):
-        stats = metrics.weight_stats([3.0, 1.0, 0.0], [False, True, True])
-        assert stats.k1 == pytest.approx(3.0 / (4 / 3))
-        assert stats.k2 == pytest.approx(0.5 / (4 / 3))
+        w = [[3.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+        # row 1's third item is not a candidate
+        candidates = [[True, True, True], [True, True, False]]
+        k1, k2 = metrics.weight_stats(w, candidates, [[False, True, True], [True, False, False]])
+        assert k1.tolist() == pytest.approx([3.0 / (4 / 3), 2.0])
+        assert k2.tolist() == pytest.approx([0.5 / (4 / 3), 2.0])
 
     def test_empty_mask_gives_no_k2(self):
-        stats = metrics.weight_stats([1.0, 2.0], [False, False])
-        assert stats.k2 is None
+        _, k2 = metrics.weight_stats([[1.0, 2.0]], everything([[1.0, 2.0]]), [[False, False]])
+        assert np.isnan(k2[0])
 
     def test_zero_weights_flagged_degenerate(self):
-        stats = metrics.weight_stats([0.0, 0.0])
-        assert stats.degenerate
+        k1, k2 = metrics.weight_stats([[0.0, 0.0]], everything([[0.0, 0.0]]), [[True, False]])
+        assert np.isnan(k1[0]) and np.isnan(k2[0])
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            metrics.weight_stats([-1.0, 2.0])
+            metrics.weight_stats([[-1.0, 2.0]], everything([[-1.0, 2.0]]), [[False, False]])
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, 1e-300, 7.0])
+    @pytest.mark.parametrize("n", [3, 10, 997])
+    def test_k1_of_uniform_weights_is_exactly_one(self, value, n):
+        # max / mean reads 0.9999999999999999 on [0.1] * 3
+        w = np.full((2, n), value)
+        k1, _ = metrics.weight_stats(w, everything(w), ~everything(w))
+        assert k1.tolist() == [1.0, 1.0]
 
 
 def test_truncation_ratio():
-    assert metrics.truncation_ratio([0.5, 0.1, -0.3, 0.0], 0.0) == pytest.approx(0.5)
-    assert metrics.truncation_ratio([1.0], 2.0) == 1.0
+    scores = np.array([[0.5, 0.1, -0.3, 0.0], [1.0, -np.inf, 3.0, -1.0]])
+    candidates = np.array([[True, True, True, True], [True, False, False, False]])
+    got = metrics.truncation_ratio(scores, np.array([0.0, 2.0]), candidates)
+    assert got.tolist() == [0.5, 1.0]
