@@ -121,10 +121,12 @@ def cmd_evaluate(args):
 def cmd_stats(args):
     cfg, margin_values, split, scores = _load_run(args.run)
     spec = cfg.loss
-    if args.resolve_margin and spec.kind == "drrl" and spec.c == 1.0:
-        print("warning: at loss.c = 1 the margin objective has no minimizer, so beta*, "
-              "truncation and k1 describe an arbitrary point on its flat tail; "
-              "set loss.c above 1 (for example DRRL_LOSS__C=1.2)", file=sys.stderr)
+    key = {"drrl": "c", "ccl": "alpha"}.get(spec.kind)
+    if args.resolve_margin and key and getattr(spec, key) <= 1.0:
+        print(f"warning: at loss.{key} = {getattr(spec, key):g} the margin objective has "
+              "no minimizer, so beta*, truncation and k1 describe an arbitrary point on "
+              f"its tail; set loss.{key} above 1 (for example "
+              f"DRRL_LOSS__{key.upper()}=1.2)", file=sys.stderr)
     margins = None if margin_values is None else MarginState(margin_values)
     rows = diagnostics.user_diagnostics(
         scores, split, spec, margins=margins, resolve_margin=args.resolve_margin,

@@ -180,6 +180,13 @@ def unit_rows(emb):
     return emb / norms[:, None], norms
 
 
+def normalization_pullback(grad_hat, unit, norms):
+    """Gradient with respect to e from the gradient with respect to
+    e / ||e||, row by row: (g - (g . e_hat) e_hat) / ||e||."""
+    radial = np.einsum("rd,rd->r", grad_hat, unit)
+    return (grad_hat - radial[:, None] * unit) / norms[:, None]
+
+
 def cosine_matrix(user_emb, item_emb):
     """All-pairs cosine scores; rows are users."""
     return unit_rows(user_emb)[0] @ unit_rows(item_emb)[0].T
@@ -202,12 +209,14 @@ class CosineScores:
 
 
 def infonce_auxiliary(layer_final, layer_lstar, temperature, weight):
-    """In-batch InfoNCE between two layer views of the same nodes.
-
-    Node a's positive is its own view in the other layer; all other in-batch
-    nodes are negatives. A node whose row is zero in either view (an
-    isolated node's propagated layer, without noise) has no direction and is
-    left out of the contrast set, with zero gradients. Returns (scaled loss,
+    """In-batch InfoNCE between two layer views of one contrast set: the
+    batch's distinct users, or its distinct positive items (XSimGCL's set,
+    so n <= B). Node a's positive is its own view in the other layer; the
+    set's other nodes are its negatives. A node whose row is zero in either
+    view (an isolated node's propagated layer, without noise) has no
+    direction and is left out, with zero gradients. Forms one (n x n) array;
+    each view's gradient is the `normalization_pullback` (the scoring
+    step's) of that array times the other view. Returns (scaled loss,
     d_final, d_lstar).
     """
     zf = np.asarray(layer_final, dtype=float)
@@ -217,34 +226,27 @@ def infonce_auxiliary(layer_final, layer_lstar, temperature, weight):
     n = zf.shape[0]
     if n < 2 or weight == 0.0:
         return 0.0, np.zeros_like(zf), np.zeros_like(zl)
-    nf = np.linalg.norm(zf, axis=1, keepdims=True)
-    nl = np.linalg.norm(zl, axis=1, keepdims=True)
-    live = (nf[:, 0] > 0) & (nl[:, 0] > 0)
+    nf = np.linalg.norm(zf, axis=1)
+    nl = np.linalg.norm(zl, axis=1)
+    live = (nf > 0) & (nl > 0)
     if not live.all():
         d_final, d_lstar = np.zeros_like(zf), np.zeros_like(zl)
         loss, d_final[live], d_lstar[live] = infonce_auxiliary(zf[live], zl[live],
                                                                temperature, weight)
         return loss, d_final, d_lstar
-    fhat = zf / nf
-    lhat = zl / nl
-    cos = fhat @ lhat.T
-    s = cos / temperature
-    diag = np.diag_indices(n)
+    fhat, lhat = zf / nf[:, None], zl / nl[:, None]
+    s = (fhat / temperature) @ lhat.T
+    s_diag = np.einsum("nd,nd->n", fhat, lhat) / temperature
     smax = s.max(axis=1, keepdims=True)
-    s_diag = s[diag]
-    # g_cos = weight * (softmax(s) - I) / (n * temperature), built in s's buffer
-    g_cos = np.exp(np.subtract(s, smax, out=s), out=s)
-    total = g_cos.sum(axis=1, keepdims=True)
-    loss = float(np.mean(-s_diag + smax.ravel() + np.log(total.ravel())))
-    g_cos /= total
-    g_cos[diag] -= 1.0
-    g_cos *= weight
-    g_cos /= n * temperature
-    weighted = g_cos * cos
-    row = weighted.sum(axis=1, keepdims=True)
-    col = weighted.sum(axis=0)[:, None]
-    d_final = (g_cos @ lhat - row * fhat) / nf
-    d_lstar = (g_cos.T @ fhat - col * lhat) / nl
+    # g = weight (softmax(s) - I) / (n temperature) = d loss / d cos, in s
+    g = np.exp(np.subtract(s, smax, out=s), out=s)
+    total = g.sum(axis=1, keepdims=True)
+    loss = float(np.mean(smax.ravel() + np.log(total.ravel()) - s_diag))
+    scale = weight / (n * temperature)
+    g *= scale / total
+    g[np.diag_indices(n)] -= scale
+    d_final = normalization_pullback(g @ lhat, fhat, nf)
+    d_lstar = normalization_pullback(g.T @ fhat, lhat, nl)
     return weight * loss, d_final, d_lstar
 
 

@@ -21,6 +21,7 @@ from .graphmodel import (
     cosine_matrix,  # noqa: F401 - unused; perfbench's tracer wraps this name
     forward,
     infonce_auxiliary,
+    normalization_pullback,
     unit_rows,
 )
 from .metrics import evaluate_ranking
@@ -160,13 +161,6 @@ class TrainReport:
             json.dump(asdict(self), fh, indent=2)
 
 
-def _normalization_pullback(grad_hat, unit, norms):
-    """Gradient with respect to e from the gradient with respect to
-    e / ||e||, row by row: (g - (g . e_hat) e_hat) / ||e||."""
-    radial = np.einsum("rd,rd->r", grad_hat, unit)
-    return (grad_hat - radial[:, None] * unit) / norms[:, None]
-
-
 def _touched(ids, size):
     """Sorted distinct ids (as np.unique) of an id array over range(size)."""
     return np.flatnonzero(np.bincount(np.ravel(ids), minlength=size))
@@ -283,14 +277,14 @@ def loss_and_gradients(
                                          d_pos, d_neg)
     grad_user_unit = np.zeros_like(user_unit)
     np.add.at(grad_user_unit, users, grad_rows)
-    grad_final_u = _normalization_pullback(grad_user_unit, user_unit, user_norms)
-    grad_final_i = _normalization_pullback(grad_item_unit, item_unit, item_norms)
+    grad_final_u = normalization_pullback(grad_user_unit, user_unit, user_norms)
+    grad_final_i = normalization_pullback(grad_item_unit, item_unit, item_norms)
 
     grad_contrast = None
     if backbone_cfg.kind == "xsimgcl" and backbone_cfg.infonce_weight > 0:
         grad_contrast = (np.zeros_like(grad_final_u), np.zeros_like(grad_final_i))
         uu = _touched(users, len(grad_final_u))
-        ii = _touched(np.hstack([pos_items[:, None], batch.negatives]), len(grad_final_i))
+        ii = _touched(pos_items, len(grad_final_i))
         for idx, final, contrast, grad_final, grad_c in (
             (uu, out.final_user, out.contrast_user, grad_final_u, grad_contrast[0]),
             (ii, out.final_item, out.contrast_item, grad_final_i, grad_contrast[1]),

@@ -1,8 +1,9 @@
 """Scalar references for the vectorized code: the backbone forward that
-keeps every layer, cosine scores and their Jacobians for one (user, item)
-pair, the closed-form worst-case weights,
-checkpoint diagnostics with one kernel call per user, a loss-and-gradients
-pass that loops over pairs and negatives one at a time,
+keeps every layer, the dense InfoNCE kernel that forms its cosine,
+gradient and weighted-cosine (n x n) arrays one by one, cosine scores and
+their Jacobians for one (user, item) pair, the closed-form worst-case
+weights, checkpoint diagnostics with one kernel call per user, a
+loss-and-gradients pass that loops over pairs and negatives one at a time,
 the brute-force inner maximization with one start and one bisection step at
 a time, the negative sampler with a sorted-key membership test and per-user
 set unions for its held-out pools, and Adam with a fresh array per
@@ -16,8 +17,7 @@ from drrl import dataio
 from drrl import dro_core as dc
 from drrl import losses as L
 from drrl.diagnostics import UserDiagnostics
-from drrl.graphmodel import (ForwardOutput, _noise_with_norm, backward, forward,
-                             infonce_auxiliary)
+from drrl.graphmodel import ForwardOutput, _noise_with_norm, backward, forward
 
 
 def stacked_forward(table, graph, cfg, rng=None):
@@ -35,6 +35,53 @@ def stacked_forward(table, graph, cfg, rng=None):
         out.contrast_user = u_layers[cfg.contrast_layer]
         out.contrast_item = i_layers[cfg.contrast_layer]
     return out
+
+
+def infonce_auxiliary(layer_final, layer_lstar, temperature, weight):
+    """In-batch InfoNCE between two layer views of the same nodes.
+
+    Node a's positive is its own view in the other layer; all other in-batch
+    nodes are negatives. A node whose row is zero in either view (an
+    isolated node's propagated layer, without noise) has no direction and is
+    left out of the contrast set, with zero gradients. Returns (scaled loss,
+    d_final, d_lstar).
+    """
+    zf = np.asarray(layer_final, dtype=float)
+    zl = np.asarray(layer_lstar, dtype=float)
+    if zf.shape != zl.shape:
+        raise ValueError("both layers must cover the same node set")
+    n = zf.shape[0]
+    if n < 2 or weight == 0.0:
+        return 0.0, np.zeros_like(zf), np.zeros_like(zl)
+    nf = np.linalg.norm(zf, axis=1, keepdims=True)
+    nl = np.linalg.norm(zl, axis=1, keepdims=True)
+    live = (nf[:, 0] > 0) & (nl[:, 0] > 0)
+    if not live.all():
+        d_final, d_lstar = np.zeros_like(zf), np.zeros_like(zl)
+        loss, d_final[live], d_lstar[live] = infonce_auxiliary(zf[live], zl[live],
+                                                               temperature, weight)
+        return loss, d_final, d_lstar
+    fhat = zf / nf
+    lhat = zl / nl
+    cos = fhat @ lhat.T
+    s = cos / temperature
+    diag = np.diag_indices(n)
+    smax = s.max(axis=1, keepdims=True)
+    s_diag = s[diag]
+    # g_cos = weight * (softmax(s) - I) / (n * temperature), built in s's buffer
+    g_cos = np.exp(np.subtract(s, smax, out=s), out=s)
+    total = g_cos.sum(axis=1, keepdims=True)
+    loss = float(np.mean(-s_diag + smax.ravel() + np.log(total.ravel())))
+    g_cos /= total
+    g_cos[diag] -= 1.0
+    g_cos *= weight
+    g_cos /= n * temperature
+    weighted = g_cos * cos
+    row = weighted.sum(axis=1, keepdims=True)
+    col = weighted.sum(axis=0)[:, None]
+    d_final = (g_cos @ lhat - row * fhat) / nf
+    d_lstar = (g_cos.T @ fhat - col * lhat) / nl
+    return weight * loss, d_final, d_lstar
 
 
 def score(e_u, e_i):
@@ -176,7 +223,7 @@ def loss_and_gradients(table, graph, backbone_cfg, spec, margins, batch, margin_
 
     if backbone_cfg.kind == "xsimgcl" and backbone_cfg.infonce_weight > 0:
         users = sorted({u for u, _, _ in pairs})
-        items = sorted({j for _, i, negs in pairs for j in [i, *negs]})
+        items = sorted({i for _, i, _ in pairs})
         for idx, final, contrast, side in ((users, fu, out.contrast_user, 0),
                                            (items, fi, out.contrast_item, 1)):
             aux, d_final, d_contrast = infonce_auxiliary(

@@ -349,6 +349,20 @@ class TestCli:
         assert cli.main(args) == 0
         assert "no minimizer" not in capsys.readouterr().err
 
+    def test_stats_warns_when_resolved_ccl_margin_has_no_minimizer(self, lightgcn_run,
+                                                                     tmp_path, capsys,
+                                                                     monkeypatch):
+        args = ["stats", "--run", str(lightgcn_run), "--resolve-margin",
+                "--output", str(tmp_path / "stats.csv")]
+        monkeypatch.setenv("DRRL_LOSS__KIND", "ccl")
+        monkeypatch.setenv("DRRL_LOSS__ALPHA", "1.0")
+        assert cli.main(args) == 0
+        err = capsys.readouterr().err
+        assert "no minimizer" in err and "loss.alpha" in err and "DRRL_LOSS__ALPHA" in err
+        monkeypatch.setenv("DRRL_LOSS__ALPHA", "2.0")
+        assert cli.main(args) == 0
+        assert "no minimizer" not in capsys.readouterr().err
+
     def test_stats_rejects_pairwise_losses(self, run_dir, capsys, monkeypatch):
         monkeypatch.setenv("DRRL_LOSS__KIND", "bpr")
         code = cli.main(["stats", "--run", str(run_dir)])

@@ -117,6 +117,22 @@ def _relative_gap(got, want):
     return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 200, 1000])
+def test_infonce_matches_dense_reference(n):
+    # n live nodes of uneven norms, plus one zero row in each view
+    rng = np.random.default_rng(n)
+    zf = rng.normal(size=(n + 2, 8)) * rng.uniform(0.1, 3.0, size=(n + 2, 1))
+    zl = rng.normal(size=(n + 2, 8)) * rng.uniform(0.1, 3.0, size=(n + 2, 1))
+    zf[n // 2] = 0.0
+    zl[n + 1] = 0.0
+    value, d_final, d_lstar = tr.infonce_auxiliary(zf, zl, 0.2, 0.5)
+    ref_value, ref_final, ref_lstar = scalar_reference.infonce_auxiliary(zf, zl, 0.2, 0.5)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert _relative_gap(d_final, ref_final) <= 1e-12
+    assert _relative_gap(d_lstar, ref_lstar) <= 1e-12
+    assert not d_final[[n // 2, n + 1]].any() and not d_lstar[[n // 2, n + 1]].any()
+
+
 @pytest.mark.parametrize("margin_mode", tr.MARGIN_MODES)
 @pytest.mark.parametrize("backbone", ["mf", "lightgcn", "xsimgcl"])
 @pytest.mark.parametrize("kind", LOSS_KINDS)
@@ -195,7 +211,7 @@ def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_
     assert _relative_gap(margins.beta, ref_margins.beta) <= 1e-12
 
 
-def _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg):
+def _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg, kind="mf"):
     rng = np.random.default_rng(0)
     table = EmbeddingTable.init_normal(n_users, n_items, d, seed=0)
     batch = BatchSample(
@@ -204,16 +220,70 @@ def _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg):
         rng.integers(0, n_items, size=(batch_size, n_neg)),
         np.zeros((batch_size, n_neg), dtype=bool),
     )
+    graph = None
+    if kind != "mf":
+        pairs = np.stack([rng.integers(0, n_users, 4 * n_items),
+                          rng.integers(0, n_items, 4 * n_items)], axis=1)
+        graph = InteractionGraph(pairs, n_users, n_items)
     spec = LossSpec(kind="drrl", gamma_star=2.0, c=1.2, eps=0.1)
     margins = MarginState.initialize(n_users, 0.1)
     tracemalloc.start()
     try:
-        tr.loss_and_gradients(table, None, BackboneConfig(kind="mf"), spec, margins, batch,
+        tr.loss_and_gradients(table, graph, BackboneConfig(kind=kind, layers=2), spec,
+                              margins, batch, noise_rng=np.random.default_rng(1),
                               margin_update="per_user")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return peak
+
+
+def test_xsimgcl_contrast_set_is_batch_users_and_positive_items(monkeypatch):
+    n_users, n_items = 6, 40
+    rng = np.random.default_rng(13)
+    table = EmbeddingTable.init_normal(n_users, n_items, 4, seed=5)
+    pairs = [(u, i) for u in range(n_users) for i in range(n_items) if (u * 7 + i) % 5 == 0]
+    graph = InteractionGraph(np.asarray(pairs), n_users, n_items)
+    cfg = BackboneConfig(kind="xsimgcl", layers=2, noise_modulus=0.0, infonce_weight=0.5)
+    # repeated users and positives; negatives drawn from items 20.. only
+    batch = BatchSample(np.array([[0, 5], [2, 3], [0, 1], [5, 5], [3, 10]]),
+                        rng.integers(20, n_items, size=(5, 6)), np.zeros((5, 6), dtype=bool))
+    calls, contrast_grads = [], []
+    monkeypatch.setattr(tr, "infonce_auxiliary",
+                        lambda *a, f=tr.infonce_auxiliary: calls.append(a) or f(*a))
+    monkeypatch.setattr(tr, "backward", lambda *a, f=tr.backward:
+                        contrast_grads.append(a[4]) or f(*a))
+    tr.loss_and_gradients(table, graph, cfg, LossSpec(kind="sl", tau=0.2),
+                          MarginState.initialize(n_users, 0.0), batch)
+    out = tr.forward(table, graph, cfg)
+    users, items = [0, 2, 3, 5], [1, 3, 5, 10]
+    assert [len(a[0]) for a in calls] == [len(users), len(items)]
+    np.testing.assert_array_equal(calls[0][0], out.final_user[users])
+    np.testing.assert_array_equal(calls[0][1], out.contrast_user[users])
+    np.testing.assert_array_equal(calls[1][0], out.final_item[items])
+    np.testing.assert_array_equal(calls[1][1], out.contrast_item[items])
+    grad_user, grad_item = contrast_grads[0]
+    assert not np.delete(grad_user, users, axis=0).any()
+    assert not np.delete(grad_item, items, axis=0).any()
+    assert grad_item[items].any(axis=1).all()
+
+
+def test_xsimgcl_step_peak_is_set_by_the_batch_not_the_catalogue():
+    # at fixed B the contrast set is fixed, so 4x the items may add to the
+    # InfoNCE share of the peak (XSimGCL's over LightGCN's) only the two
+    # item-table-shaped arrays XSimGCL holds: the contrast layer and its
+    # gradient, plus small allocations. A set holding the sampled negatives
+    # would add (n x n) arrays whose n grows with the catalogue.
+    n_users, d, batch_size, n_neg = 200, 8, 64, 64
+    share = {}
+    for n_items in (1000, 4000):
+        assert n_items > tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
+        share[n_items] = (
+            _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg, "xsimgcl")
+            - _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg,
+                                             "lightgcn"))
+    table_growth = 8 * (4000 - 1000) * d
+    assert share[4000] - share[1000] <= 2 * table_growth + (64 << 10)
 
 
 def test_xsimgcl_step_stays_finite_when_a_batch_touches_an_isolated_item():
