@@ -136,6 +136,44 @@ def load_interactions(path) -> InteractionLog:
     earliest timestamp.
     """
     path = Path(path)
+    rows = _int_rows(path)
+    if rows is not None and rows.shape[1] in (2, 3):
+        has_ts = rows.shape[1] == 3
+        users, items = rows[:, 0], rows[:, 1]
+        timestamps = rows[:, 2] if has_ts else np.zeros(len(rows), dtype=np.int64)
+    else:
+        users, items, timestamps, has_ts = _parse_log_lines(path)
+    users, num_users = _first_appearance_ids(users)
+    items, num_items = _first_appearance_ids(items)
+    _, first, pair = np.unique(users * num_items + items, return_index=True,
+                               return_inverse=True)
+    earliest = np.full(first.size, np.iinfo(np.int64).max)
+    np.minimum.at(earliest, pair, timestamps)
+    order = np.argsort(first)
+    return InteractionLog(users[first[order]], items[first[order]], earliest[order],
+                          num_users, num_items, has_timestamps=has_ts)
+
+
+def _int_rows(path):
+    """A text file's whitespace-separated int64 fields as one (rows, fields)
+    array, by one numpy call; None when a field is no int64 (a `#` comment
+    included), the rows differ in length or there are none. Callers then
+    reparse the file line by line, which names the bad line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without rows
+            # numpy releases that parse a float field into an int column
+            # only warn of it; such a field is no int64 here
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, DeprecationWarning):
+        return None
+    return rows if rows.size else None
+
+
+def _parse_log_lines(path):
+    """`load_interactions`' parse, one line at a time: (users, items,
+    timestamps, has_timestamps); a bad line raises ParseError naming it."""
     rows = []
     has_ts = True
     with open(path) as fh:
@@ -158,15 +196,7 @@ def load_interactions(path) -> InteractionLog:
         users, items, timestamps = np.array(rows, dtype=np.int64).T.copy()
     except OverflowError:
         raise ValueError(f"{path}: an id or timestamp does not fit in 64 bits") from None
-    users, num_users = _first_appearance_ids(users)
-    items, num_items = _first_appearance_ids(items)
-    _, first, pair = np.unique(users * num_items + items, return_index=True,
-                               return_inverse=True)
-    earliest = np.full(first.size, np.iinfo(np.int64).max)
-    np.minimum.at(earliest, pair, timestamps)
-    order = np.argsort(first)
-    return InteractionLog(users[first[order]], items[first[order]], earliest[order],
-                          num_users, num_items, has_timestamps=has_ts)
+    return users, items, timestamps, has_ts
 
 
 def k_core_filter(log: InteractionLog, user_core, item_core) -> InteractionLog:
@@ -383,7 +413,19 @@ def write_split(split: DatasetSplit, outdir):
 
 def _read_part(path, num_users, num_items):
     """One `user<TAB>item` part file; a malformed row or an id outside
-    [0, num_users) x [0, num_items) raises ParseError naming file and line."""
+    [0, num_users) x [0, num_items) raises ParseError naming file and line.
+    The machine-written rows are parsed by one numpy call (`_int_rows`);
+    only an empty part or one that call or the id check rejects is read
+    line by line."""
+    rows = _int_rows(path)
+    if (rows is None or rows.shape[1] != 2
+            or not ((rows >= 0) & (rows < [num_users, num_items])).all()):
+        return _parse_part_lines(path, num_users, num_items)
+    return _user_items(rows[:, 0], rows[:, 1], num_users, num_items)
+
+
+def _parse_part_lines(path, num_users, num_items):
+    """`_read_part` one line at a time, naming the first bad line."""
     users, items = [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -36,11 +36,13 @@ class EmbeddingTable:
         return self.user.shape[1]
 
     @classmethod
-    def init_normal(cls, num_users, num_items, d, std=0.1, seed=0):
+    def init_normal(cls, num_users, num_items, d, std=0.1, seed=0, dtype=np.float64):
+        """N(0, std^2) tables in `dtype`: the same float64 draws for every
+        dtype, cast once. Every training kernel then computes in this dtype."""
         rng = np.random.default_rng(seed)
         return cls(
-            rng.normal(0.0, std, size=(num_users, d)),
-            rng.normal(0.0, std, size=(num_items, d)),
+            rng.normal(0.0, std, size=(num_users, d)).astype(dtype, copy=False),
+            rng.normal(0.0, std, size=(num_items, d)).astype(dtype, copy=False),
         )
 
     def copy(self):
@@ -49,7 +51,9 @@ class EmbeddingTable:
 
 class InteractionGraph:
     """Bipartite train-interaction graph with symmetric degree normalization;
-    edge (u, i) carries coefficient 1 / sqrt(deg_u * deg_i)."""
+    edge (u, i) carries coefficient 1 / sqrt(deg_u * deg_i). The operator
+    and its transpose are both stored as CSR, in float64 and, once the first
+    float32 embeddings are propagated, in float32."""
 
     def __init__(self, train_pairs, num_users, num_items):
         pairs = np.asarray(train_pairs, dtype=np.int64).reshape(-1, 2)
@@ -64,12 +68,23 @@ class InteractionGraph:
         inv_u = np.where(deg_u > 0, 1.0 / np.sqrt(np.maximum(deg_u, 1)), 0.0)
         inv_i = np.where(deg_i > 0, 1.0 / np.sqrt(np.maximum(deg_i, 1)), 0.0)
         # normalized user-item operator; isolated nodes propagate nothing
-        self.norm_adj = sp.diags(inv_u) @ adj @ sp.diags(inv_i)
-        self.norm_adj = self.norm_adj.tocsr()
+        norm_adj = (sp.diags(inv_u) @ adj @ sp.diags(inv_i)).tocsr()
+        self._by_dtype = {np.dtype(np.float64): (norm_adj, norm_adj.T.tocsr())}
+
+    def operators(self, dtype):
+        """The normalized (users x items) operator and its transpose in the
+        float type `dtype` computes in (float32, or else float64)."""
+        key = np.result_type(dtype, np.float32)
+        if key not in self._by_dtype:
+            self._by_dtype[key] = tuple(a.astype(key)
+                                        for a in self._by_dtype[np.dtype(np.float64)])
+        return self._by_dtype[key]
 
     def propagate(self, user_emb, item_emb):
-        """One symmetric-normalized convolution step (self-adjoint)."""
-        return self.norm_adj @ item_emb, self.norm_adj.T @ user_emb
+        """One symmetric-normalized convolution step (self-adjoint), in the
+        embeddings' dtype."""
+        return (self.operators(item_emb.dtype)[0] @ item_emb,
+                self.operators(user_emb.dtype)[1] @ user_emb)
 
 
 @dataclass
@@ -104,11 +119,15 @@ class ForwardOutput:
     contrast_item: np.ndarray | None = None
 
 
-def _noise_with_norm(shape, modulus, rng):
-    v = rng.normal(size=shape)
+def _add_noise(layer, modulus, rng):
+    """Add to each row of `layer`, in place, a standard normal draw scaled
+    to L2 norm `modulus`, drawn and scaled in the layer's dtype."""
+    v = rng.standard_normal(layer.shape, dtype=layer.dtype)
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    return v / norms * modulus
+    v /= norms
+    v *= modulus
+    layer += v
 
 
 def forward(table: EmbeddingTable, graph: InteractionGraph | None, cfg: BackboneConfig, rng=None):
@@ -135,8 +154,8 @@ def forward(table: EmbeddingTable, graph: InteractionGraph | None, cfg: Backbone
     for layer in range(1, cfg.layers + 1):
         user, item = graph.propagate(user, item)
         if noisy:
-            user += _noise_with_norm(user.shape, cfg.noise_modulus, rng)
-            item += _noise_with_norm(item.shape, cfg.noise_modulus, rng)
+            _add_noise(user, cfg.noise_modulus, rng)
+            _add_noise(item, cfg.noise_modulus, rng)
         total_u += user
         total_i += item
         if cfg.kind == "xsimgcl" and layer == cfg.contrast_layer:
@@ -184,7 +203,11 @@ def normalization_pullback(grad_hat, unit, norms):
     """Gradient with respect to e from the gradient with respect to
     e / ||e||, row by row: (g - (g . e_hat) e_hat) / ||e||."""
     radial = np.einsum("rd,rd->r", grad_hat, unit)
-    return (grad_hat - radial[:, None] * unit) / norms[:, None]
+    # the operations of (g - radial * e_hat) / ||e||, in one temporary
+    out = np.multiply(radial[:, None], unit)
+    np.subtract(grad_hat, out, out=out)
+    out /= norms[:, None]
+    return out
 
 
 def cosine_matrix(user_emb, item_emb):
@@ -214,13 +237,13 @@ def infonce_auxiliary(layer_final, layer_lstar, temperature, weight):
     so n <= B). Node a's positive is its own view in the other layer; the
     set's other nodes are its negatives. A node whose row is zero in either
     view (an isolated node's propagated layer, without noise) has no
-    direction and is left out, with zero gradients. Forms one (n x n) array;
-    each view's gradient is the `normalization_pullback` (the scoring
-    step's) of that array times the other view. Returns (scaled loss,
-    d_final, d_lstar).
+    direction and is left out, with zero gradients. Forms one (n x n) array
+    in the views' dtype; each view's gradient is the `normalization_pullback`
+    (the scoring step's) of that array times the other view. Returns (scaled
+    loss, d_final, d_lstar).
     """
-    zf = np.asarray(layer_final, dtype=float)
-    zl = np.asarray(layer_lstar, dtype=float)
+    zf = np.asarray(layer_final)
+    zl = np.asarray(layer_lstar)
     if zf.shape != zl.shape:
         raise ValueError("both layers must cover the same node set")
     n = zf.shape[0]

@@ -88,17 +88,19 @@ ADAM_BLOCK = 1 << 13
 
 
 class Adam:
-    """Bias-corrected adaptive update over named parameter arrays, in place."""
+    """Bias-corrected adaptive update over named parameter arrays, in place;
+    the moments and scratch arrays are in the parameters' `dtype`."""
 
-    def __init__(self, shapes, beta1=0.9, beta2=0.999, floor=1e-8):
+    def __init__(self, shapes, beta1=0.9, beta2=0.999, floor=1e-8, dtype=np.float64):
         self.beta1 = beta1
         self.beta2 = beta2
         self.floor = floor
         self.step_count = 0
-        self.m = {k: np.zeros(s) for k, s in shapes.items()}
-        self.v = {k: np.zeros(s) for k, s in shapes.items()}
+        self.m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+        self.v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
         size = max([ADAM_BLOCK] + [math.prod(s[1:]) for s in shapes.values()])
-        self._scratch = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+        self._scratch = (np.empty(size, dtype), np.empty(size, dtype),
+                         np.empty(size, dtype=bool))
 
     def _blocks(self, shape):
         """Row slices of an array of `shape`, each with views of the scratch
@@ -166,12 +168,24 @@ def _touched(ids, size):
     return np.flatnonzero(np.bincount(np.ravel(ids), minlength=size))
 
 
+def _touched_pullback(grad_unit, unit, norms, rows):
+    """`normalization_pullback` of a unit-row gradient that is zero outside
+    the sorted ids `rows`: the pullback of a zero row is an exact zero, so
+    only those rows are pulled back (in place), or the whole table at once
+    when they are most of it."""
+    if 2 * len(rows) > len(unit):
+        return normalization_pullback(grad_unit, unit, norms)
+    grad_unit[rows] = normalization_pullback(grad_unit[rows], unit[rows], norms[rows])
+    return grad_unit
+
+
 def _negative_scores(user_rows, item_unit, negatives):
     """Cosine scores (B, n_neg) of each row's user against its negatives,
-    gathered in row chunks of at most CHUNK_BYTES / 2 bytes."""
+    gathered in row chunks of at most CHUNK_BYTES / 2 bytes (of float64; a
+    float32 chunk takes half that)."""
     n_neg, d = negatives.shape[1], item_unit.shape[1]
     rows = max(1, CHUNK_BYTES // (2 * 8 * n_neg * d))
-    f_neg = np.empty(negatives.shape)
+    f_neg = np.empty(negatives.shape, item_unit.dtype)
     for start in range(0, len(negatives), rows):
         chunk = slice(start, start + rows)
         np.einsum("bd,bjd->bj", user_rows[chunk], item_unit[negatives[chunk]],
@@ -210,7 +224,7 @@ def _dense_negative_scores(user_rows, item_unit, negatives):
     chunk's users against every item."""
     num_items = len(item_unit)
     rows = _dense_rows(num_items, negatives.shape[1])
-    f_neg = np.empty(negatives.shape)
+    f_neg = np.empty(negatives.shape, item_unit.dtype)
     for start in range(0, len(negatives), rows):
         chunk = slice(start, start + rows)
         at = negatives[chunk] + num_items * np.arange(len(negatives[chunk]))[:, None]
@@ -220,11 +234,12 @@ def _dense_negative_scores(user_rows, item_unit, negatives):
 
 def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg):
     """`_sparse_score_pullback` through a dense (rows x items) block per row
-    chunk, filled by one bincount and applied by two BLAS products."""
+    chunk, filled by one (float64) bincount and applied, in the item
+    table's dtype, by two BLAS products."""
     num_items = len(item_unit)
     rows = _dense_rows(num_items, negatives.shape[1])
-    grad_rows = np.empty(user_rows.shape)
-    grad_items = np.zeros(item_unit.shape)
+    grad_rows = np.empty(user_rows.shape, item_unit.dtype)
+    grad_items = np.zeros_like(item_unit)
     for start in range(0, len(negatives), rows):
         chunk = slice(start, start + rows)
         n = len(negatives[chunk])
@@ -232,6 +247,7 @@ def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_n
         at += num_items * np.arange(n)[:, None]
         block = np.bincount(at.ravel(), np.hstack([d_pos[chunk], d_neg[chunk]]).ravel(),
                             n * num_items).reshape(n, num_items)
+        block = block.astype(item_unit.dtype, copy=False)
         np.matmul(block, item_unit, out=grad_rows[chunk])
         grad_items += block.T @ user_rows[chunk]
     return grad_rows, grad_items
@@ -270,24 +286,28 @@ def loss_and_gradients(
                 grad = np.bincount(users, weights=grad, minlength=len(margins.beta))
             L.beta_step(margins, grad, spec.lr_beta)
         beta = margins.beta[users]
+    # the loss kernels compute in float64, where DrRL's M^{1-g*} (about
+    # 1e125 at eps = 1e-10, g* = 13.5) cannot overflow; the score gradients
+    # they return are bounded and go back to the tables' dtype
     value, d_pos, d_neg = L.batch_loss(f_pos[:, None], f_neg, spec, beta)
+    d_pos, d_neg = (d.astype(item_unit.dtype, copy=False) for d in (d_pos, d_neg))
 
     pullback = _dense_score_pullback if dense else _sparse_score_pullback
     grad_rows, grad_item_unit = pullback(batch_users, item_unit, pos_items, batch.negatives,
                                          d_pos, d_neg)
     grad_user_unit = np.zeros_like(user_unit)
     np.add.at(grad_user_unit, users, grad_rows)
-    grad_final_u = normalization_pullback(grad_user_unit, user_unit, user_norms)
+    batch_user_ids = _touched(users, len(user_unit))
+    grad_final_u = _touched_pullback(grad_user_unit, user_unit, user_norms, batch_user_ids)
     grad_final_i = normalization_pullback(grad_item_unit, item_unit, item_norms)
 
     grad_contrast = None
     if backbone_cfg.kind == "xsimgcl" and backbone_cfg.infonce_weight > 0:
         grad_contrast = (np.zeros_like(grad_final_u), np.zeros_like(grad_final_i))
-        uu = _touched(users, len(grad_final_u))
-        ii = _touched(pos_items, len(grad_final_i))
         for idx, final, contrast, grad_final, grad_c in (
-            (uu, out.final_user, out.contrast_user, grad_final_u, grad_contrast[0]),
-            (ii, out.final_item, out.contrast_item, grad_final_i, grad_contrast[1]),
+            (batch_user_ids, out.final_user, out.contrast_user, grad_final_u, grad_contrast[0]),
+            (_touched(pos_items, len(grad_final_i)), out.final_item, out.contrast_item,
+             grad_final_i, grad_contrast[1]),
         ):
             aux, d_final, d_contrast = infonce_auxiliary(
                 final[idx],
@@ -347,7 +367,12 @@ def train(
     train_cfg: TrainConfig,
 ):
     """Sample, update margins (DrRL), update embeddings, evaluate,
-    early-stop. Returns (best table, best margins, report)."""
+    early-stop. Returns (best table, best margins, report).
+
+    The embedding tables and Adam's moments are float32, so propagation,
+    scoring, InfoNCE, the pullbacks and Adam move float32 arrays; the loss
+    kernels and the margins stay float64. Checkpoints store float32, so
+    saving loses nothing."""
     backbone_cfg.validate()
     spec.validate()
     train_cfg.validate()
@@ -358,14 +383,14 @@ def train(
 
     table = EmbeddingTable.init_normal(
         split.num_users, split.num_items, train_cfg.embed_dim,
-        std=train_cfg.init_std, seed=init_seed,
+        std=train_cfg.init_std, seed=init_seed, dtype=np.float32,
     )
     graph = None
     train_pairs = split.train_pairs()
     if backbone_cfg.kind != "mf":
         graph = InteractionGraph(train_pairs, split.num_users, split.num_items)
     margins = L.MarginState.initialize(split.num_users, spec.beta0)
-    adam = Adam({"user": table.user.shape, "item": table.item.shape})
+    adam = Adam({"user": table.user.shape, "item": table.item.shape}, dtype=table.user.dtype)
 
     steps_per_epoch = max(1, math.ceil(len(train_pairs) / train_cfg.batch_size))
     report = TrainReport()

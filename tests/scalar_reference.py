@@ -17,7 +17,14 @@ from drrl import dataio
 from drrl import dro_core as dc
 from drrl import losses as L
 from drrl.diagnostics import UserDiagnostics
-from drrl.graphmodel import ForwardOutput, _noise_with_norm, backward, forward
+from drrl.graphmodel import ForwardOutput, backward, forward
+
+
+def _noise_with_norm(shape, modulus, rng):
+    v = rng.normal(size=shape)
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return v / norms * modulus
 
 
 def stacked_forward(table, graph, cfg, rng=None):

@@ -58,6 +58,13 @@ class TestLoadInteractions:
             dataio.load_interactions(path)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("field", ["2.5", "1e3", "inf"])
+    def test_non_integer_field_reports_number(self, tmp_path, field):
+        path = write_log(tmp_path, ["1\t2", f"3\t{field}"])
+        with pytest.raises(dataio.ParseError, match="non-integer field") as exc:
+            dataio.load_interactions(path)
+        assert exc.value.line_number == 2
+
     def test_field_outside_int64_rejected(self, tmp_path):
         path = write_log(tmp_path, ["1\t2", "3\t99999999999999999999"])
         with pytest.raises(ValueError, match="does not fit in 64 bits"):
@@ -67,6 +74,19 @@ class TestLoadInteractions:
         path = write_log(tmp_path, ["# nothing here"])
         with pytest.raises(dataio.EmptyLogError):
             dataio.load_interactions(path)
+
+    @pytest.mark.parametrize("timestamps", [True, False])
+    def test_numpy_parse_matches_the_line_parse(self, tmp_path, timestamps):
+        # rows of integers only are read by one numpy call; a leading comment
+        # sends the same rows through the line parser
+        rows = [f"{7 * u + 10**12}\t{i - 5}" + (f"\t{t}" if timestamps else "")
+                for u, i, t in GOLDEN_LOG + GOLDEN_LOG[::-3]]
+        fast = dataio.load_interactions(write_log(tmp_path, rows))
+        slow = dataio.load_interactions(write_log(tmp_path, ["# c"] + rows, "slow.tsv"))
+        assert fast.has_timestamps == slow.has_timestamps == timestamps
+        assert (fast.num_users, fast.num_items) == (slow.num_users, slow.num_items)
+        for name in ("users", "items", "timestamps"):
+            np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))
 
 
 def test_k_core_filter_reaches_fixpoint(tmp_path):
@@ -308,6 +328,15 @@ def test_split_roundtrip(tmp_path):
         np.testing.assert_array_equal(got.items, want.items)
 
 
+def test_read_split_parses_written_parts_without_the_line_parser(tmp_path, monkeypatch):
+    split = _toy_split()
+    dataio.write_split(split, tmp_path)
+    monkeypatch.setattr(dataio, "_parse_part_lines", None)
+    loaded = dataio.read_split(tmp_path)
+    for name in dataio.PARTS:
+        np.testing.assert_array_equal(getattr(loaded, name).items, getattr(split, name).items)
+
+
 def test_read_split_collapses_repeated_and_unordered_rows(tmp_path):
     dataio.write_split(_toy_split(), tmp_path)
     (tmp_path / "train.tsv").write_text("1\t4\n0\t2\n\n1\t3\n0\t0\n0\t2\n0\t1\n")
@@ -319,6 +348,7 @@ def test_read_split_collapses_repeated_and_unordered_rows(tmp_path):
 @pytest.mark.parametrize("row, message", [
     ("1\t2\t3", "expected two integer fields"),
     ("1\tx", "expected two integer fields"),
+    ("1\t2.5", "expected two integer fields"),
     ("2\t1", r"user id 2 outside the manifest's range \[0, 2\)"),
     ("-1\t1", r"user id -1 outside"),
     ("1\t8", r"item id 8 outside the manifest's range \[0, 8\)"),

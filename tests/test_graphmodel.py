@@ -84,6 +84,32 @@ def test_forward_equals_the_mean_of_the_stacked_layers(kind, layers):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
+def test_float32_noise_rows_have_the_modulus_norm():
+    layer = np.zeros((2000, 64), dtype=np.float32)
+    gm._add_noise(layer, 0.2, np.random.default_rng(0))
+    assert layer.dtype == np.float32
+    norms = np.linalg.norm(layer.astype(np.float64), axis=1)
+    assert np.max(np.abs(norms / 0.2 - 1.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["lightgcn", "xsimgcl"])
+def test_float32_forward_and_backward_stay_float32(kind):
+    table = gm.EmbeddingTable.init_normal(30, 20, 4, seed=2)
+    table32 = gm.EmbeddingTable.init_normal(30, 20, 4, seed=2, dtype=np.float32)
+    np.testing.assert_array_equal(table32.user, table.user.astype(np.float32))
+    graph = _block_graph(30, 20)
+    cfg = gm.BackboneConfig(kind=kind, layers=2, noise_modulus=0.0)
+    want, got = gm.forward(table, graph, cfg), gm.forward(table32, graph, cfg)
+    for name in ("final_user", "final_item"):
+        assert getattr(got, name).dtype == np.float32
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-5,
+                                   atol=1e-6)
+    gu, gi = gm.backward(table32.user, table32.item, graph, cfg)
+    assert gu.dtype == gi.dtype == np.float32
+    # the float32 operator is built once and reused
+    assert graph.operators(np.float32) is graph.operators(np.float32)
+
+
 @pytest.mark.parametrize("layers", [2, 3])
 def test_forward_peak_memory_does_not_grow_with_layers(layers):
     # the running sum holds the sum, the last layer and the one being

@@ -8,7 +8,8 @@ import scalar_reference
 from drrl import metrics
 from drrl import trainer as tr
 from drrl.dataio import BatchSample, split_iid
-from drrl.graphmodel import BackboneConfig, EmbeddingTable, InteractionGraph
+from drrl.graphmodel import (BackboneConfig, EmbeddingTable, InteractionGraph, load_checkpoint,
+                             save_checkpoint)
 from drrl.losses import LOSS_KINDS, LossSpec, MarginState
 from drrl.synthetic import make_block_log
 
@@ -211,9 +212,45 @@ def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_
     assert _relative_gap(margins.beta, ref_margins.beta) <= 1e-12
 
 
-def _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg, kind="mf"):
+@pytest.mark.parametrize("backbone", ["mf", "lightgcn", "xsimgcl"])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("regime", ["dense", "gather"])
+def test_float32_step_matches_float64_step(regime, kind, backbone):
+    # the scalar-reference step cases on a float32 copy of the table: every
+    # kernel but the float64 loss kernels computes in float32
+    n_users, d = 6, 4
+    n_items, n_neg = (9, 7) if regime == "dense" else (40, 3)
+    rng = np.random.default_rng(12)
+    table = EmbeddingTable.init_normal(n_users, n_items, d, seed=4)
+    table32 = EmbeddingTable(table.user.astype(np.float32), table.item.astype(np.float32))
+    pairs = [(u, i) for u in range(n_users) for i in range(n_items) if (u * 7 + i) % 5 == 0]
+    graph = InteractionGraph(np.asarray(pairs), n_users, n_items)
+    cfg = BackboneConfig(kind=backbone, layers=2, noise_modulus=0.0, infonce_weight=0.5)
+    batch = BatchSample(
+        np.array([[0, 5], [2, 3], [0, 1], [5, 0], [3, n_items - 1]]),
+        np.vstack([[5, 5, 1] + [2] * (n_neg - 3), rng.integers(0, n_items, size=(4, n_neg))]),
+        np.zeros((5, n_neg), dtype=bool),
+    )
+    spec = LossSpec(kind=kind, tau=0.2, alpha=2.0, margin=0.1, gamma_star=2.0, c=1.2,
+                    eps=0.1, beta0=0.1, lr_beta=0.05)
+    start = MarginState(rng.uniform(-0.2, 0.4, n_users))
+    margins, margins32 = start.copy(), start.copy()
+    value, gu, gi = tr.loss_and_gradients(table, graph, cfg, spec, margins, batch,
+                                          margin_update="per_user")
+    value32, gu32, gi32 = tr.loss_and_gradients(table32, graph, cfg, spec, margins32, batch,
+                                                margin_update="per_user")
+    assert gu32.dtype == gi32.dtype == np.float32
+    assert margins32.beta.dtype == np.float64
+    assert abs(value32 - value) <= 1e-4 * abs(value)
+    assert _relative_gap(gu32, gu) <= 1e-4
+    assert _relative_gap(gi32, gi) <= 1e-4
+    assert _relative_gap(margins32.beta, margins.beta) <= 1e-4
+
+
+def _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg, kind="mf",
+                                   dtype=np.float64):
     rng = np.random.default_rng(0)
-    table = EmbeddingTable.init_normal(n_users, n_items, d, seed=0)
+    table = EmbeddingTable.init_normal(n_users, n_items, d, seed=0, dtype=dtype)
     batch = BatchSample(
         np.stack([rng.integers(0, n_users, batch_size),
                   rng.integers(0, n_items, batch_size)], axis=1),
@@ -335,6 +372,16 @@ def test_loss_and_gradients_memory_bounded_by_chunk_budget_in_dense_regime():
     assert peak < tr.CHUNK_BYTES
 
 
+@pytest.mark.parametrize("kind", ["mf", "xsimgcl"])
+def test_float32_step_peaks_at_most_six_tenths_of_the_float64_step(kind):
+    n_users, n_items, d, batch_size, n_neg = 100, 1000, 128, 512, 64
+    assert n_items > tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
+    shape = (n_users, n_items, d, batch_size, n_neg, kind)
+    peak64 = _peak_loss_and_gradients_bytes(*shape)
+    peak32 = _peak_loss_and_gradients_bytes(*shape, dtype=np.float32)
+    assert peak32 <= 0.6 * peak64
+
+
 def _peak_evaluate_split_bytes(n_users, n_items, d):
     split = split_iid(make_block_log(n_users, n_items, interactions_per_user=20, seed=0),
                       seed=0)
@@ -402,3 +449,24 @@ def test_drrl_margins_move_during_training():
                     lr_beta=0.01)
     _, margins, _ = _smoke_train(spec, max_epochs=3)
     assert np.ptp(margins.beta) > 0
+
+
+def test_train_keeps_float32_tables_and_moments_and_saves_them_exactly(tmp_path,
+                                                                       monkeypatch):
+    adams = []
+    monkeypatch.setattr(tr, "train_step", lambda *a, f=tr.train_step: adams.append(a[-1]) or f(*a))
+    split = split_iid(make_block_log(num_users=30, num_items=20, seed=0), seed=0)
+    cfg = tr.TrainConfig(batch_size=64, n_neg=8, max_epochs=1, embed_dim=8, metric_k=5)
+    spec = LossSpec(kind="drrl", gamma_star=2.0, c=1.2, eps=0.1)
+    table, margins, report = tr.train(split, BackboneConfig(kind="xsimgcl", layers=2), spec,
+                                      cfg)
+    assert report.stop_reason == "max epochs reached"
+    assert table.user.dtype == table.item.dtype == np.float32
+    moments = [*adams[-1].m.values(), *adams[-1].v.values()]
+    assert moments and all(m.dtype == np.float32 for m in moments)
+    assert margins.beta.dtype == np.float64
+    save_checkpoint(tmp_path / "model.ckpt", table, margins.beta)
+    loaded, _ = load_checkpoint(tmp_path / "model.ckpt")
+    assert loaded.user.dtype == loaded.item.dtype == np.float64
+    np.testing.assert_array_equal(loaded.user, table.user)
+    np.testing.assert_array_equal(loaded.item, table.item)
