@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -133,14 +134,9 @@ def cmd_stats(args):
         noise_pool=cfg.train.noise_pool,
     )
     lines = ["user,k1,k2,truncation,beta,degenerate"]
-    for r in rows:
-        lines.append(
-            f"{r.user},{r.k1},"
-            f"{'' if r.k2 is None else r.k2},"
-            f"{'' if r.truncation is None else r.truncation},"
-            f"{'' if r.beta is None else r.beta},"
-            f"{int(r.degenerate)}"
-        )
+    for user, k1, *optional, degenerate in rows.tolist():
+        blanked = ("" if math.isnan(v) else v for v in optional)
+        lines.append(",".join(map(str, (user, k1, *blanked, int(degenerate)))))
     _emit("\n".join(lines) + "\n", args.output)
     print(json.dumps(diagnostics.aggregate(rows)), file=sys.stderr)
     return 0
@@ -232,7 +228,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, dataio.ParseError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -54,12 +54,6 @@ _SECTIONS = {
 
 
 def _coerce(raw, example):
-    if isinstance(example, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
     if isinstance(example, int):
         return int(raw)
     if isinstance(example, float):

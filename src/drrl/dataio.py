@@ -447,6 +447,28 @@ def _parse_part_lines(path, num_users, num_items):
                        num_users, num_items)
 
 
+def _read_manifest(path):
+    """A split's manifest, whose user and item counts must be non-negative
+    integers and whose split_kind a string; anything else raises a
+    ValueError naming the manifest and the key."""
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # not JSON, or not text
+        raise ValueError(f"manifest {path} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {path} is not a JSON object")
+    for key, want in (("num_users", "a non-negative integer"),
+                      ("num_items", "a non-negative integer"), ("split_kind", "a string")):
+        if key not in manifest:
+            raise ValueError(f"manifest {path} has no {key}")
+        value = manifest[key]
+        if not (isinstance(value, str) if key == "split_kind"
+                else type(value) is int and value >= 0):
+            raise ValueError(f"manifest {path}: {key} must be {want}, got {value!r}")
+    return manifest
+
+
 def read_split(indir) -> DatasetSplit:
     """A split directory written by `write_split`; any other path raises a
     ValueError naming it."""
@@ -454,8 +476,7 @@ def read_split(indir) -> DatasetSplit:
     if not (indir / "manifest.json").is_file():
         raise ValueError(f"{indir} is not a split directory: it has no manifest.json "
                          "(make one from an interaction log with drrl split)")
-    with open(indir / "manifest.json") as fh:
-        manifest = json.load(fh)
+    manifest = _read_manifest(indir / "manifest.json")
     num_users = manifest["num_users"]
     num_items = manifest["num_items"]
     return DatasetSplit(

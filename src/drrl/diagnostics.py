@@ -9,10 +9,6 @@ outside a user's candidates set to -inf, which the kernels weigh 0.
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import losses as L
@@ -26,15 +22,11 @@ from .metrics import block_rows, truncation_ratio, weight_stats
 # per score measured under SL and DrRL)
 BYTES_PER_SCORE = 40
 
-
-@dataclass
-class UserDiagnostics:
-    user: int
-    k1: float
-    k2: float | None
-    truncation: float | None
-    beta: float | None
-    degenerate: bool
+# One record per diagnosed user. A value a user does not have is nan: k1 and
+# k2 on a degenerate user, k2 on a user with no flagged candidate, and the
+# margin and truncation ratio under SL, which has no margin.
+RECORD = np.dtype([("user", np.int64), ("k1", np.float64), ("k2", np.float64),
+                   ("truncation", np.float64), ("beta", np.float64), ("degenerate", bool)])
 
 
 def _candidate_masks(split, users, num_items, noise_pool):
@@ -67,14 +59,6 @@ def _margins(scores, candidates, users, spec, margins, resolve_margin):
     return np.full(users.size, spec.margin if spec.kind == "ccl" else spec.beta0)
 
 
-def _listed(values):
-    """Per-row values as Python floats with nan as None; None throughout
-    when there are no values."""
-    if values is None:
-        return itertools.repeat(None)
-    return [None if math.isnan(v) else v for v in values.tolist()]
-
-
 def user_diagnostics(
     score_matrix,
     split,
@@ -83,8 +67,9 @@ def user_diagnostics(
     resolve_margin=False,
     noise_pool="heldout",
 ):
-    """Per-user rows of k1, k2, truncation ratio and the margin used; a user
-    with no candidate item has no row.
+    """A `numpy.recarray` of `RECORD`s, one per user in user order: k1, k2,
+    truncation ratio and the margin used. A user with no candidate item has
+    no record.
 
     `score_matrix` (an array, or a `graphmodel.CosineScores`) is read one
     block of users at a time, sized so that the block's working memory stays
@@ -100,7 +85,7 @@ def user_diagnostics(
         raise ValueError(f"no worst-case weight notion for loss {spec.kind!r}; "
                          f"diagnostics support {L.WORST_CASE_KINDS}")
     num_users, num_items = score_matrix.shape
-    rows = []
+    blocks = [np.empty(0, RECORD)]
     step = block_rows(num_items, BYTES_PER_SCORE)
     for start in range(0, num_users, step):
         users = np.arange(start, min(start + step, num_users))
@@ -111,26 +96,31 @@ def user_diagnostics(
         users, candidates, flagged = users[live], candidates[live], flagged[live]
         scores = np.where(candidates, score_matrix[users], -np.inf)
         beta = _margins(scores, candidates, users, spec, margins, resolve_margin)
-        k1, k2 = weight_stats(L.worst_case_weights(scores, spec, beta), candidates, flagged)
-        truncation = None if beta is None else truncation_ratio(scores, beta, candidates)
-        rows.extend(map(UserDiagnostics, users.tolist(), k1.tolist(), _listed(k2),
-                        _listed(truncation), _listed(beta), np.isnan(k1).tolist()))
-    return rows
+        block = np.empty(users.size, RECORD)
+        block["user"] = users
+        block["k1"], block["k2"] = weight_stats(L.worst_case_weights(scores, spec, beta),
+                                                candidates, flagged)
+        block["degenerate"] = np.isnan(block["k1"])
+        block["beta"] = np.nan if beta is None else beta
+        block["truncation"] = (np.nan if beta is None
+                               else truncation_ratio(scores, beta, candidates))
+        blocks.append(block)
+    return np.concatenate(blocks).view(np.recarray)
 
 
 def aggregate(rows):
     """Mean k1 and k2 over non-degenerate users, and mean truncation over
     every user with a margin: a degenerate user (every candidate truncated)
     counts with truncation 1."""
-    live = [r for r in rows if not r.degenerate]
-    k2s = [r.k2 for r in live if r.k2 is not None]
-    truncs = [r.truncation for r in rows if r.truncation is not None]
+    live = ~rows.degenerate
+    k2 = rows.k2[~np.isnan(rows.k2)]  # nan on every degenerate user
+    truncation = rows.truncation[~np.isnan(rows.truncation)]
     return {
         "users": len(rows),
-        "degenerate_users": sum(r.degenerate for r in rows),
-        "k1_mean": float(np.mean([r.k1 for r in live])) if live else float("nan"),
-        "k2_mean": float(np.mean(k2s)) if k2s else None,
-        "truncation_mean": float(np.mean(truncs)) if truncs else None,
+        "degenerate_users": int(np.count_nonzero(rows.degenerate)),
+        "k1_mean": float(np.mean(rows.k1[live])) if live.any() else float("nan"),
+        "k2_mean": float(np.mean(k2)) if k2.size else None,
+        "truncation_mean": float(np.mean(truncation)) if truncation.size else None,
     }
 
 

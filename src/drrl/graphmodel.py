@@ -3,6 +3,7 @@ cosine scoring, the XSimGCL InfoNCE term, and binary checkpoints."""
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -292,13 +293,14 @@ def save_checkpoint(path, table: EmbeddingTable, margins=None):
 
 
 def _read_part(fh, size, path, part):
-    data = fh.read(size)
-    if len(data) != size:
+    """The next `size` bytes, checked against what the file has left before
+    reading, so that a header's oversized block fails by name."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
         raise ValueError(
-            f"truncated checkpoint {path}: the {part} needs {size} bytes, "
-            f"found {len(data)}"
+            f"truncated checkpoint {path}: the {part} needs {size} bytes, found {left}"
         )
-    return data
+    return fh.read(size)
 
 
 def load_checkpoint(path):

@@ -58,11 +58,10 @@ class MarginState:
         return MarginState(self.beta.copy())
 
 
-def _check_scores(f_pos, f_neg, need_negatives=None):
-    if f_pos.shape[1] == 0:
-        raise ValueError("loss needs at least one positive score")
-    if need_negatives and f_neg.shape[1] == 0:
-        raise ValueError(f"{need_negatives} needs at least one negative score")
+def _check_scores(f_pos, f_neg):
+    if f_pos.shape[1] == 0 or f_neg.shape[1] == 0:
+        raise ValueError("a loss kernel needs at least one positive and one negative "
+                         f"score per row, got {f_pos.shape[1]} and {f_neg.shape[1]}")
 
 
 def _column(x):
@@ -75,38 +74,33 @@ def _sigmoid(x):
 
 
 # Loss kernels. Each takes positive scores f_pos (B, P) and negative scores
-# f_neg (B, n) and returns per-row values (B,) and the gradients of each
-# row's value with respect to its scores, d_pos (B, P) and d_neg (B, n).
+# f_neg (B, n), with P >= 1 and n >= 1, and returns per-row values (B,) and
+# the gradients of each row's value with respect to its scores, d_pos (B, P)
+# and d_neg (B, n).
 
 
 def mse_loss(f_pos, f_neg):
     """Squared error against targets 1 (positives) and 0 (negatives)."""
     _check_scores(f_pos, f_neg)
     value = ((f_pos - 1.0) ** 2).sum(axis=1) / f_pos.shape[1]
+    value = value + (f_neg**2).sum(axis=1) / f_neg.shape[1]
     d_pos = 2.0 * (f_pos - 1.0) / f_pos.shape[1]
-    if f_neg.shape[1]:
-        value = value + (f_neg**2).sum(axis=1) / f_neg.shape[1]
-        d_neg = 2.0 * f_neg / f_neg.shape[1]
-    else:
-        d_neg = np.zeros_like(f_neg)
+    d_neg = 2.0 * f_neg / f_neg.shape[1]
     return value, d_pos, d_neg
 
 
 def bce_loss(f_pos, f_neg):
     _check_scores(f_pos, f_neg)
     value = -np.log(_sigmoid(f_pos)).sum(axis=1) / f_pos.shape[1]
+    value = value - np.log(1.0 - _sigmoid(f_neg)).sum(axis=1) / f_neg.shape[1]
     d_pos = -(1.0 - _sigmoid(f_pos)) / f_pos.shape[1]
-    if f_neg.shape[1]:
-        value = value - np.log(1.0 - _sigmoid(f_neg)).sum(axis=1) / f_neg.shape[1]
-        d_neg = _sigmoid(f_neg) / f_neg.shape[1]
-    else:
-        d_neg = np.zeros_like(f_neg)
+    d_neg = _sigmoid(f_neg) / f_neg.shape[1]
     return value, d_pos, d_neg
 
 
 def bpr_loss(f_pos, f_neg):
     """Mean over all (positive, negative) pairs of -log sigmoid(f+ - f-)."""
-    _check_scores(f_pos, f_neg, "pairwise loss")
+    _check_scores(f_pos, f_neg)
     sig = _sigmoid(f_pos[:, :, None] - f_neg[:, None, :])
     n_pairs = f_pos.shape[1] * f_neg.shape[1]
     value = (-np.log(sig)).sum(axis=(1, 2)) / n_pairs
@@ -117,7 +111,7 @@ def bpr_loss(f_pos, f_neg):
 
 def softmax_loss(f_pos, f_neg, tau):
     """Negatives-only softmax form: -mean(f+)/tau + log sum_j exp(f-/tau)."""
-    _check_scores(f_pos, f_neg, "softmax loss")
+    _check_scores(f_pos, f_neg)
     if tau <= 0:
         raise ValueError("tau must be positive")
     z = f_neg / tau
@@ -137,15 +131,11 @@ def ccl_loss(f_pos, f_neg, alpha, margin):
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     margin = _column(margin)
-    value = -f_pos.sum(axis=1) / f_pos.shape[1]
+    hinge = np.maximum(f_neg - margin, 0.0)
+    value = -f_pos.sum(axis=1) / f_pos.shape[1] + alpha * (hinge.sum(axis=1) / f_neg.shape[1])
     d_pos = np.full(f_pos.shape, -1.0 / f_pos.shape[1])
-    if f_neg.shape[1]:
-        hinge = np.maximum(f_neg - margin, 0.0)
-        value = value + alpha * (hinge.sum(axis=1) / f_neg.shape[1])
-        # subgradient 0 at the kink f = margin
-        d_neg = np.where(f_neg > margin, alpha / f_neg.shape[1], 0.0)
-    else:
-        d_neg = np.zeros_like(f_neg)
+    # subgradient 0 at the kink f = margin
+    d_neg = np.where(f_neg > margin, alpha / f_neg.shape[1], 0.0)
     return value, d_pos, d_neg
 
 
@@ -176,12 +166,9 @@ def drrl_loss(f_pos, f_neg, gamma_star, c, eps, beta):
     _check_scores(f_pos, f_neg)
     if gamma_star < 1 or c <= 0 or eps < 0:
         raise ValueError("need gamma_star >= 1, c > 0, eps >= 0")
-    value = -f_pos.sum(axis=1) / f_pos.shape[1]
-    d_pos = np.full(f_pos.shape, -1.0 / f_pos.shape[1])
-    if f_neg.shape[1] == 0:
-        return value, d_pos, np.zeros_like(f_neg)
     m, d_neg = _drrl_negative_weights(f_neg, gamma_star, c, eps, _column(beta))
-    return value + m, d_pos, d_neg
+    value = -f_pos.sum(axis=1) / f_pos.shape[1] + m
+    return value, np.full(f_pos.shape, -1.0 / f_pos.shape[1]), d_neg
 
 
 def drrl_beta_objective(neg_scores, gamma_star, c, eps, beta):

@@ -168,17 +168,6 @@ def _touched(ids, size):
     return np.flatnonzero(np.bincount(np.ravel(ids), minlength=size))
 
 
-def _touched_pullback(grad_unit, unit, norms, rows):
-    """`normalization_pullback` of a unit-row gradient that is zero outside
-    the sorted ids `rows`: the pullback of a zero row is an exact zero, so
-    only those rows are pulled back (in place), or the whole table at once
-    when they are most of it."""
-    if 2 * len(rows) > len(unit):
-        return normalization_pullback(grad_unit, unit, norms)
-    grad_unit[rows] = normalization_pullback(grad_unit[rows], unit[rows], norms[rows])
-    return grad_unit
-
-
 def _negative_scores(user_rows, item_unit, negatives):
     """Cosine scores (B, n_neg) of each row's user against its negatives,
     gathered in row chunks of at most CHUNK_BYTES / 2 bytes (of float64; a
@@ -264,9 +253,12 @@ def loss_and_gradients(
     out = forward(table, graph, backbone_cfg, noise_rng)
     users = batch.pairs[:, 0]
     pos_items = batch.pairs[:, 1]
-    user_unit, user_norms = unit_rows(out.final_user)
+    # only the batch's distinct users are normalized, scored and pulled back:
+    # a user outside the batch has a zero gradient
+    user_ids, user_row = np.unique(users, return_inverse=True)
+    user_unit, user_norms = unit_rows(out.final_user[user_ids])
     item_unit, item_norms = unit_rows(out.final_item)
-    batch_users = user_unit[users]
+    batch_users = user_unit[user_row]
     f_pos = np.einsum("bd,bd->b", batch_users, item_unit[pos_items])
     # a catalogue at most DENSE_ITEMS_PER_SLOT times the scored slots of a
     # row is nearly all touched by each chunk: score and pull back densely
@@ -296,16 +288,16 @@ def loss_and_gradients(
     grad_rows, grad_item_unit = pullback(batch_users, item_unit, pos_items, batch.negatives,
                                          d_pos, d_neg)
     grad_user_unit = np.zeros_like(user_unit)
-    np.add.at(grad_user_unit, users, grad_rows)
-    batch_user_ids = _touched(users, len(user_unit))
-    grad_final_u = _touched_pullback(grad_user_unit, user_unit, user_norms, batch_user_ids)
+    np.add.at(grad_user_unit, user_row, grad_rows)
+    grad_final_u = np.zeros_like(out.final_user)
+    grad_final_u[user_ids] = normalization_pullback(grad_user_unit, user_unit, user_norms)
     grad_final_i = normalization_pullback(grad_item_unit, item_unit, item_norms)
 
     grad_contrast = None
     if backbone_cfg.kind == "xsimgcl" and backbone_cfg.infonce_weight > 0:
         grad_contrast = (np.zeros_like(grad_final_u), np.zeros_like(grad_final_i))
         for idx, final, contrast, grad_final, grad_c in (
-            (batch_user_ids, out.final_user, out.contrast_user, grad_final_u, grad_contrast[0]),
+            (user_ids, out.final_user, out.contrast_user, grad_final_u, grad_contrast[0]),
             (_touched(pos_items, len(grad_final_i)), out.final_item, out.contrast_item,
              grad_final_i, grad_contrast[1]),
         ):

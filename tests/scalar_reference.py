@@ -16,7 +16,7 @@ import numpy as np
 from drrl import dataio
 from drrl import dro_core as dc
 from drrl import losses as L
-from drrl.diagnostics import UserDiagnostics
+from drrl.diagnostics import RECORD
 from drrl.graphmodel import ForwardOutput, backward, forward
 
 
@@ -140,7 +140,8 @@ def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=Fal
                      noise_pool="heldout"):
     """Per-user reference of `diagnostics.user_diagnostics`: each user's
     candidate scores go through their own (1, n) kernel call, and k1, k2
-    and truncation are taken from that one row."""
+    and truncation are taken from that one row, nan where the user has
+    none."""
     num_items = score_matrix.shape[1]
     positive = np.zeros((1, 1))
     rows = []
@@ -155,7 +156,7 @@ def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=Fal
         if candidates.size == 0:
             continue
         f = np.asarray(score_matrix[user:user + 1], dtype=float)[0, candidates]
-        beta = None
+        beta = math.nan
         if spec.kind != "sl":
             if resolve_margin:
                 if spec.kind == "ccl":
@@ -176,10 +177,10 @@ def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=Fal
         mean = w.mean()
         degenerate = bool(mean == 0.0)
         k1 = float("nan") if degenerate else float(w.max() / mean)
-        k2 = None if degenerate or not flagged.any() else float(w[flagged].mean() / mean)
-        truncation = None if beta is None else float(np.mean(f <= beta))
-        rows.append(UserDiagnostics(user, k1, k2, truncation, beta, degenerate))
-    return rows
+        k2 = math.nan if degenerate or not flagged.any() else float(w[flagged].mean() / mean)
+        truncation = math.nan if spec.kind == "sl" else float(np.mean(f <= beta))
+        rows.append((user, k1, k2, truncation, beta, degenerate))
+    return np.array(rows, dtype=RECORD).view(np.recarray)
 
 
 def _beta_gradient(neg, spec, beta):

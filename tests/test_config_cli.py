@@ -1,5 +1,7 @@
 import json
+import math
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -203,8 +205,9 @@ def _stats_rows(run, split_dir, noise_pool=None):
     scores = diagnostics.checkpoint_scores(table, graph, cfg.backbone)
     rows = diagnostics.user_diagnostics(scores, split, cfg.loss, MarginState(margins),
                                         noise_pool=noise_pool or cfg.train.noise_pool)
-    return [[str(r.user), str(r.k1), "" if r.k2 is None else str(r.k2),
-             str(r.truncation), str(r.beta), str(int(r.degenerate))] for r in rows]
+    return [[str(user), str(k1), "" if math.isnan(k2) else str(k2), str(truncation),
+             str(beta), str(int(degenerate))]
+            for user, k1, k2, truncation, beta, degenerate in rows.tolist()]
 
 
 def _csv_rows(path):
@@ -305,6 +308,29 @@ class TestCli:
         shutil.copy(run_dir / "checkpoint.bin", bare)
         assert cli.main(["stats", "--run", str(bare)]) == 1
         assert "config.cfg" in capsys.readouterr().err
+
+    def test_bad_manifest_exits_with_a_named_error(self, split_dir, tmp_path, capsys):
+        bad = tmp_path / "split"
+        shutil.copytree(split_dir, bad)
+        manifest = json.loads((bad / "manifest.json").read_text())
+        del manifest["num_items"]
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=bad, outdir=tmp_path / "run"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        assert f"manifest {bad / 'manifest.json'} has no num_items" in capsys.readouterr().err
+
+    def test_oversized_checkpoint_header_exits_with_a_named_error(self, run_dir, tmp_path,
+                                                                 capsys):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        data = bytearray((run / "checkpoint.bin").read_bytes())
+        data[8:16] = struct.pack("<II", 2**31, 2**31 - 1)  # |U| and |I|
+        data[16:20] = struct.pack("<I", 2**31 - 1)  # d
+        (run / "checkpoint.bin").write_bytes(bytes(data))
+        assert cli.main(["evaluate", "--run", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert f"truncated checkpoint {run / 'checkpoint.bin'}: the user block needs" in err
 
     def test_evaluate_dimension_mismatch_is_named(self, run_dir, tmp_path, capsys,
                                                   monkeypatch):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -362,6 +365,35 @@ def test_read_split_names_bad_rows_with_file_and_line(tmp_path, row, message):
         dataio.read_split(tmp_path)
     assert exc.value.line_number == 3
     assert str(exc.value).startswith(f"{path}, line 3: ")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.pop("split_kind"), "has no split_kind"),
+    (lambda m: m.pop("num_items"), "has no num_items"),
+    (lambda m: m.update(num_users="2"), "num_users must be a non-negative integer, got '2'"),
+    (lambda m: m.update(num_items=-1), "num_items must be a non-negative integer, got -1"),
+    (lambda m: m.update(num_users=True), "num_users must be a non-negative integer, got True"),
+    (lambda m: m.update(num_items=8.0), "num_items must be a non-negative integer, got 8.0"),
+    (lambda m: m.update(split_kind=1), "split_kind must be a string, got 1"),
+])
+def test_read_split_names_bad_manifest_keys(tmp_path, edit, message):
+    dataio.write_split(_toy_split(), tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    pattern = f"^manifest {re.escape(str(path))}.*{re.escape(message)}"
+    with pytest.raises(ValueError, match=pattern):
+        dataio.read_split(tmp_path)
+
+
+@pytest.mark.parametrize("text", ["", "not json", "[1, 2]"])
+def test_read_split_names_a_manifest_that_is_not_a_json_object(tmp_path, text):
+    dataio.write_split(_toy_split(), tmp_path)
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^manifest {re.escape(str(path))} is not"):
+        dataio.read_split(tmp_path)
 
 
 def _uniform_log(num_users, items_per_user, timestamps=False):

@@ -9,7 +9,13 @@ from builders import split_of
 from drrl import losses as L
 from drrl import metrics
 from drrl.dataio import split_iid
-from drrl.diagnostics import BYTES_PER_SCORE, aggregate, checkpoint_scores, user_diagnostics
+from drrl.diagnostics import (
+    BYTES_PER_SCORE,
+    RECORD,
+    aggregate,
+    checkpoint_scores,
+    user_diagnostics,
+)
 from drrl.graphmodel import BackboneConfig, CosineScores, EmbeddingTable
 from drrl.synthetic import make_block_log
 
@@ -44,8 +50,8 @@ def test_heldout_pool_sweeps_non_train_items_and_flags_heldout():
         (1, pytest.approx(4.0), pytest.approx(0.0), pytest.approx(0.75), False),
     ]
     user, k1, k2, truncation, degenerate = got[2]
-    assert (user, k2, truncation, degenerate) == (2, None, 1.0, True)
-    assert math.isnan(k1)
+    assert (user, truncation, degenerate) == (2, 1.0, True)
+    assert math.isnan(k1) and math.isnan(k2)
 
 
 def test_train_pool_sweeps_every_item_and_flags_train():
@@ -79,8 +85,31 @@ def test_user_with_no_candidates_is_skipped():
     split = split_of([{0, 1}, {0}], [set(), {1}], [set(), set()], 2)
     rows = user_diagnostics(np.array([[0.3, 0.1], [0.2, 0.4]]), split, CCL)
     assert [r.user for r in rows] == [1]
+
+
+def test_records_carry_what_the_benchmark_reads_with_nan_for_missing_values():
+    rows = user_diagnostics(SCORES, SPLIT, L.LossSpec(kind="sl", tau=0.2))
+    assert isinstance(rows, np.recarray) and rows.dtype == RECORD
+    assert len(rows) == 3
+    assert [(r.user, bool(r.degenerate)) for r in rows] == [(0, False), (1, False), (2, False)]
+    assert all(r.k1 >= 1.0 for r in rows if not r.degenerate)
+    # SL has no margin, so no margin and no truncation ratio
+    assert np.isnan(rows.beta).all() and np.isnan(rows.truncation).all()
+    # under CCL user 2 scores every candidate at or below the margin: it is
+    # degenerate, with neither k1 nor k2
+    ccl = user_diagnostics(SCORES, SPLIT, CCL)
+    assert ccl[2].degenerate and math.isnan(ccl[2].k1) and math.isnan(ccl[2].k2)
+    assert not np.isnan(ccl.beta).any() and not np.isnan(ccl.truncation).any()
+    # a user with nothing flagged has k1 but no k2
+    split = split_of([{0}, {1}], [{2}, set()], [set(), set()], 3)
+    scores = np.array([[0.3, 0.1, 0.4], [0.2, 0.4, 0.5]])
+    k1, k2 = (user_diagnostics(scores, split, CCL)[1][name] for name in ("k1", "k2"))
+    assert k1 == pytest.approx(1.0) and math.isnan(k2)
+    # a catalogue without candidates gives zero records, which aggregate reads
     no_items = split_of([set()], [set()], [set()], 0)
-    assert user_diagnostics(np.zeros((1, 0)), no_items, CCL) == []
+    empty = user_diagnostics(np.zeros((1, 0)), no_items, CCL)
+    assert isinstance(empty, np.recarray) and empty.dtype == RECORD and len(empty) == 0
+    assert aggregate(empty)["users"] == 0
 
 
 @pytest.mark.parametrize("noise_pool", ["heldout", "train"])
@@ -123,14 +152,15 @@ def _random_case(num_users=30, num_items=24, seed=0):
 
 
 def _same_rows(got, want):
+    assert isinstance(got, np.recarray) and got.dtype == want.dtype == RECORD
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert (g.user, g.beta, g.degenerate) == (w.user, w.beta, w.degenerate)
-        assert (g.k2 is None, g.truncation is None) == (w.k2 is None, w.truncation is None)
-        assert math.isnan(g.k1) == math.isnan(w.k1)
-        for a, b in ((g.k1, w.k1), (g.k2, w.k2), (g.truncation, w.truncation)):
-            if b is not None and not math.isnan(b):
-                assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+    # user, margin and degeneracy exactly (nan margins match nan)
+    for name in ("user", "beta", "degenerate"):
+        np.testing.assert_array_equal(got[name], want[name])
+    for name in ("k1", "k2", "truncation"):
+        missing = np.isnan(want[name])
+        np.testing.assert_array_equal(np.isnan(got[name]), missing)
+        assert got[name][~missing] == pytest.approx(want[name][~missing], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("spec", [
@@ -150,7 +180,7 @@ def test_blocks_match_the_per_user_reference(spec, noise_pool, margin, monkeypat
     assert len(want) == (30 if noise_pool == "train" else 29)
     assert any(r.degenerate for r in want) == (spec.kind != "sl" and margin != "resolved")
     if noise_pool == "heldout":
-        assert any(r.k2 is None and not r.degenerate for r in want)
+        assert any(math.isnan(r.k2) and not r.degenerate for r in want)
     _same_rows(user_diagnostics(scores, split, spec, **kwargs), want)
     for users_per_block in (1, 2, 7):
         monkeypatch.setattr(metrics, "BLOCK_BYTES",

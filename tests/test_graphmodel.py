@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -277,6 +278,21 @@ def test_checkpoint_truncation_names_file_and_sizes(tmp_path, cut, part, needs, 
     message = str(exc.value)
     assert f"truncated checkpoint {path}" in message
     assert f"{part} needs {needs} bytes, found {found}" in message
+
+
+def test_checkpoint_header_larger_than_the_file_is_named_before_reading(tmp_path):
+    # a 2^31 x (2^31 - 1) float32 user block: reading it would overflow
+    table = gm.EmbeddingTable.init_normal(3, 4, 2, seed=7)
+    path = tmp_path / "ck.bin"
+    gm.save_checkpoint(path, table)
+    data = bytearray(path.read_bytes())
+    data[8:12] = struct.pack("<I", 2**31)
+    data[16:20] = struct.pack("<I", 2**31 - 1)
+    path.write_bytes(bytes(data))
+    left = len(data) - 20
+    with pytest.raises(ValueError, match=(
+            f"the user block needs {2**31 * (2**31 - 1) * 4} bytes, found {left}")):
+        gm.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("tail", [b"\x00", b"MARG" + b"\x00" * 12])

@@ -54,8 +54,19 @@ def test_bpr_pairwise_mean():
 
 
 def test_bpr_requires_negatives():
-    with pytest.raises(ValueError):
-        L.bpr_loss(row([0.3]), row([]))
+    # every kernel, not only the pairwise one, rejects a row without negatives
+    kernels = {
+        "mse": L.mse_loss,
+        "bce": L.bce_loss,
+        "bpr": L.bpr_loss,
+        "sl": lambda fp, fn: L.softmax_loss(fp, fn, 0.2),
+        "ccl": lambda fp, fn: L.ccl_loss(fp, fn, 2.0, 0.1),
+        "drrl": lambda fp, fn: L.drrl_loss(fp, fn, 2.0, 1.5, 1e-10, 0.1),
+    }
+    assert set(kernels) == set(L.LOSS_KINDS)
+    for kernel in kernels.values():
+        with pytest.raises(ValueError, match="at least one positive and one negative"):
+            kernel(row([0.3]), row([]))
 
 
 def test_softmax_loss_matches_direct_form():
