@@ -28,7 +28,7 @@ from .graphmodel import (
     save_checkpoint,
 )
 from .losses import LossSpec, MarginState, batch_loss
-from .metrics import evaluate_ranking, ndcg_at_k, recall_at_k
+from .metrics import evaluate_ranking
 from .trainer import TrainConfig, TrainReport, train
 from .verify import run_suites
 
@@ -54,8 +54,6 @@ __all__ = [
     "load_checkpoint",
     "load_interactions",
     "minimize_beta_objective",
-    "ndcg_at_k",
-    "recall_at_k",
     "run_suites",
     "sample_batch",
     "save_checkpoint",

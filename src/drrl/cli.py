@@ -124,10 +124,14 @@ def cmd_stats(args):
     spec = cfg.loss
     key = {"drrl": "c", "ccl": "alpha"}.get(spec.kind)
     if args.resolve_margin and key and getattr(spec, key) <= 1.0:
-        print(f"warning: at loss.{key} = {getattr(spec, key):g} the margin objective has "
-              "no minimizer, so beta*, truncation and k1 describe an arbitrary point on "
-              f"its tail; set loss.{key} above 1 (for example "
-              f"DRRL_LOSS__{key.upper()}=1.2)", file=sys.stderr)
+        value = getattr(spec, key)
+        fix = f"set loss.{key} above 1 (for example DRRL_LOSS__{key.upper()}=1.2)"
+        if value < 1.0:
+            raise ValueError(f"--resolve-margin needs loss.{key} >= 1, got {value:g}: below 1 "
+                             f"the margin objective is unbounded below; {fix}")
+        print(f"warning: at loss.{key} = {value:g} the margin objective has no minimizer, so "
+              f"beta*, truncation and k1 describe an arbitrary point on its tail; {fix}",
+              file=sys.stderr)
     margins = None if margin_values is None else MarginState(margin_values)
     rows = diagnostics.user_diagnostics(
         scores, split, spec, margins=margins, resolve_margin=args.resolve_margin,
@@ -142,30 +146,8 @@ def cmd_stats(args):
     return 0
 
 
-def _parse_tolerances(items):
-    out = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ValueError(f"--tolerance expects suite=value, got {item!r}")
-        name, _, raw = item.partition("=")
-        out[name.strip()] = float(raw)
-    return out
-
-
 def cmd_verify(args):
-    options = {}
-    if args.n is not None:
-        options["n_range"] = (args.n, args.n)
-    if args.gamma is not None:
-        options["gammas"] = (args.gamma,)
-    if args.eta is not None:
-        options["etas"] = (args.eta,)
-    report = verify.run_suites(
-        args.suite or None,
-        seed=args.seed,
-        tolerances=_parse_tolerances(args.tolerance),
-        instance_options=options or None,
-    )
+    report = verify.run_suites(args.suite, seed=args.seed)
     _emit(json.dumps(report, indent=2) + "\n", args.output)
     return 0 if report["passed"] else 1
 
@@ -210,14 +192,11 @@ def build_parser():
     p.add_argument("--output", help="CSV path (stdout when omitted)")
     p.set_defaults(fn=cmd_stats)
 
-    p = sub.add_parser("verify", help="run the numerical certification suites")
+    p = sub.add_parser("verify", help="run the numerical certification suites, each at "
+                       "its own fixed tolerance and instance set")
     p.add_argument("--suite", action="append", choices=verify.SUITES,
                    help="repeatable; default runs every suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", action="append", metavar="SUITE=VALUE")
-    p.add_argument("--n", type=int, help="fix the instance size")
-    p.add_argument("--gamma", type=float, help="fix the divergence order")
-    p.add_argument("--eta", type=float, help="fix the robustness radius")
+    p.add_argument("--seed", type=int, default=0, help="seed of every suite's instances")
     p.add_argument("--output", help="JSON report path (stdout when omitted)")
     p.set_defaults(fn=cmd_verify)
     return parser

@@ -251,9 +251,10 @@ def _boundary_rows(a, b, kind, eta):
     return out
 
 
-def _ascend(q, f, kind, eta, max_iters=80):
+def _ascend(q, f, kind, eta):
     """Feasible-direction ascent of the linear objective f . Q from every
-    row of `q` in lockstep; returns the final rows and their values.
+    row of `q` in lockstep, for at most 40 rounds; returns the final rows
+    and their values.
 
     Each row keeps its own step, halved when a move does not improve it,
     and stops once the step drops below 1e-10. The objective is linear and
@@ -264,7 +265,7 @@ def _ascend(q, f, kind, eta, max_iters=80):
     value = q @ f
     step = np.ones(len(q))
     active = np.ones(len(q), dtype=bool)
-    for _ in range(max_iters):
+    for _ in range(40):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
@@ -330,20 +331,13 @@ def _slsqp_polish(q0, f, p, kind, eta):
     return _boundary_rows(p, (q / s)[None], kind, eta)[0]
 
 
-def inner_max_bruteforce(
-    inst: DroInstance,
-    kind: DivergenceKind,
-    seed=0,
-    restarts=4,
-    max_iters=40,
-    polish=True,
-) -> InnerMaxResult:
+def inner_max_bruteforce(inst: DroInstance, kind: DivergenceKind, seed=0) -> InnerMaxResult:
     """Numerically maximize E_Q[f] over the divergence ball around uniform P.
 
     Projected ascent on the simplex with a boundary search for feasibility,
-    restarted from Dirichlet draws (dense grid refinement for very small n),
-    all starts climbing in lockstep, then an SLSQP polish from the best
-    point found.
+    from P and four Dirichlet draws of the `seed` stream (dense grid
+    refinement for very small n), all starts climbing in lockstep, then an
+    SLSQP polish from the best point found.
     """
     f = inst.scores
     p = inst.base
@@ -356,24 +350,21 @@ def inner_max_bruteforce(
         return InnerMaxResult(float(f @ q), q, divergence(q, p, kind), True)
 
     rng = np.random.default_rng(seed)
-    draws = rng.dirichlet(np.ones(n), size=restarts)
+    draws = rng.dirichlet(np.ones(n), size=4)
     starts = [p[None], _boundary_rows(p, draws, kind, eta)]
     if n <= 5:
         # dense refinement: push random directions to the ball boundary
         pushed = _boundary_rows(p, rng.dirichlet(np.ones(n), size=500), kind, eta)
         starts.append(pushed[np.argsort(pushed @ f)[-4:]])
 
-    q, values = _ascend(np.vstack(starts), f, kind, eta, max_iters=max_iters)
+    q, values = _ascend(np.vstack(starts), f, kind, eta)
     best = int(np.argmax(values))
     best_q, best_v = q[best], float(values[best])
 
     converged = True
-    if polish:
-        polished = _slsqp_polish(best_q, f, p, kind, eta)
-        if polished is not None:
-            v = float(f @ polished)
-            if v > best_v:
-                best_q, best_v = polished, v
+    polished = _slsqp_polish(best_q, f, p, kind, eta)
+    if polished is not None and float(f @ polished) > best_v:
+        best_q, best_v = polished, float(f @ polished)
     achieved = divergence(best_q, p, kind)
     if achieved > eta + 1e-6:
         best_q = _boundary_rows(p, best_q[None], kind, eta)[0]
@@ -449,25 +440,26 @@ def minimize_beta_objective(neg_scores, gamma_star, c, eps=0.0, tol=1e-8):
     return golden_section(fn, lo, hi, tol)
 
 
-def solve_beta(inst: DroInstance, gamma, tol=1e-8, oracle_seed=0) -> DualCertificate:
+def solve_beta(inst: DroInstance, gamma) -> DualCertificate:
     """Minimize the Renyi dual  beta + c_gamma(eta) ||(f - beta)_+||_{g*}
-    (norm under the empirical uniform distribution) over the margin, plus
-    the multiplier certificate and a brute-force primal value."""
+    (norm under the empirical uniform distribution) over the margin to
+    1e-8, plus the multiplier certificate and a brute-force primal value."""
     beta_star, value = minimize_beta_objective(
-        inst.scores, gamma_conjugate(gamma), c_gamma(inst.eta, gamma), 0.0, tol)
+        inst.scores, gamma_conjugate(gamma), c_gamma(inst.eta, gamma), 0.0, 1e-8)
     lam = lambda_star(inst, gamma, beta_star)
-    primal = inner_max_bruteforce(inst, DivergenceKind.cressie_read(gamma), seed=oracle_seed)
+    primal = inner_max_bruteforce(inst, DivergenceKind.cressie_read(gamma))
     return DualCertificate(beta_star, lam, value, primal.value)
 
 
-def verify_ccl_ball_equivalence(inst: DroInstance, alpha, tol_beta=1e-10):
+def verify_ccl_ball_equivalence(inst: DroInstance, alpha):
     """Compare the worst-case-regret ball value (radius log alpha) against the
-    margin-form dual  min_beta { beta + alpha * mean (f - beta)_+ }."""
+    margin-form dual  min_beta { beta + alpha * mean (f - beta)_+ }, solved
+    to 1e-10."""
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     wr_inst = DroInstance(inst.scores, math.log(alpha))
     primal = inner_max_bruteforce(wr_inst, DivergenceKind.worst_regret())
-    beta, dual = minimize_beta_objective(inst.scores, 1.0, alpha, 0.0, tol_beta)
+    beta, dual = minimize_beta_objective(inst.scores, 1.0, alpha, 0.0, 1e-10)
     return {
         "alpha": float(alpha),
         "primal": primal.value,

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import UserItems
-
 # Working-memory budget of one block of score rows. The ranking kernel holds
 # a float64 copy of the block, argpartition's int64 index block and boolean
 # masks: at most 20 bytes per score.
@@ -57,23 +55,6 @@ def top_k_items(scores, exclude, k):
     by ascending item id."""
     top = _top_lists(np.array(scores, dtype=float)[None], (0, list(exclude)), k)[0]
     return top[top >= 0]
-
-
-def _one_user(metric, scores, exclude, truth, k):
-    """`metric`@k of one score row, through `evaluate_ranking`."""
-    parts = (UserItems(np.array([0, len(s)]), np.array(sorted(s), dtype=np.int64))
-             for s in (exclude, truth))
-    return evaluate_ranking(np.asarray(scores, dtype=float)[None], *parts, [k])[(metric, k)]
-
-
-def recall_at_k(scores, exclude, truth, k):
-    """|top-k hits| / |truth| over the candidate items outside `exclude`."""
-    return _one_user("recall", scores, exclude, truth, k)
-
-
-def ndcg_at_k(scores, exclude, truth, k):
-    """Binary-relevance NDCG with log2 position discount."""
-    return _one_user("ndcg", scores, exclude, truth, k)
 
 
 def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):

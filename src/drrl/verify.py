@@ -1,8 +1,12 @@
 """Numerical certification suites: duality gaps, multiplier certificates,
 degeneracies, gradient checks, convexity, and worst-case weight laws.
 
-Each suite returns a list of check dicts {name, passed, ...detail}; the CLI
-turns them into a JSON report and a nonzero exit on any failure.
+Each suite runs at its own fixed tolerance and instance set, drawn from its
+`seed`; the oracle-backed `duality`, `lambda`, `kl-limit` and `weights`
+also take `count`, and run the first `count` instances of that set. Each
+returns a list of check dicts {name, passed, ...detail} whose "tolerance"
+field records the bound it was held to; the CLI turns them into a JSON
+report and a nonzero exit on any failure.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ from .dataio import BatchSample
 from .graphmodel import BackboneConfig, EmbeddingTable, InteractionGraph, infonce_auxiliary
 from .trainer import loss_and_gradients
 
-def central_difference(fn, x, h=1e-5):
-    """Central finite-difference gradient of a scalar function of a vector."""
+def central_difference(fn, x):
+    """Central finite-difference gradient (step 1e-5) of a scalar function
+    of a vector."""
+    h = 1e-5
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)
     for i in range(x.size):
@@ -31,25 +37,26 @@ def relative_error(got, want):
     return float(np.max(np.abs(got - want)) / scale)
 
 
-def _random_instances(rng, count, n_range=(4, 10), etas=(0.01, 0.1, 0.5), gammas=(1.5, 2.0, 3.0)):
+def _random_instances(rng, count):
+    """`count` (instance, gamma) pairs: 4 to 10 scores uniform on [-1, 1],
+    gamma from {1.5, 2, 3} and eta from {0.01, 0.1, 0.5}."""
     out = []
     for _ in range(count):
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        n = int(rng.integers(4, 11))
         scores = rng.uniform(-1.0, 1.0, n)
-        gamma = float(rng.choice(gammas))
-        eta = float(rng.choice(etas))
+        gamma = float(rng.choice((1.5, 2.0, 3.0)))
+        eta = float(rng.choice((0.01, 0.1, 0.5)))
         out.append((dc.DroInstance(scores, eta), gamma))
     return out
 
 
-def suite_duality(seed=0, count=200, tol=1e-3, n_range=(4, 10), etas=(0.01, 0.1, 0.5),
-                  gammas=(1.5, 2.0, 3.0)):
+def suite_duality(seed=0, count=200):
     """Brute-force inner max vs. the margin-form dual minimum."""
+    tol = 1e-3
     rng = np.random.default_rng(seed)
     checks = []
     worst = 0.0
-    instances = _random_instances(rng, count, n_range, etas, gammas)
-    for idx, (inst, gamma) in enumerate(instances):
+    for idx, (inst, gamma) in enumerate(_random_instances(rng, count)):
         cert = dc.solve_beta(inst, gamma)
         worst = max(worst, cert.gap)
         if cert.gap > tol:
@@ -64,14 +71,14 @@ def suite_duality(seed=0, count=200, tol=1e-3, n_range=(4, 10), etas=(0.01, 0.1,
     return checks
 
 
-def suite_lambda(seed=0, count=200, tol=1e-6, n_range=(4, 10), etas=(0.01, 0.1, 0.5),
-                 gammas=(1.5, 2.0, 3.0)):
+def suite_lambda(seed=0, count=200):
     """The two-multiplier dual at (lambda*, rho* = beta* + lambda*/(g-1))
     must reproduce the golden-section minimum. Runs the margin solver as
     `solve_beta` does, without its brute-force primal."""
+    tol = 1e-6
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for inst, gamma in _random_instances(rng, count, n_range, etas, gammas):
+    for inst, gamma in _random_instances(rng, count):
         beta_star, dual_value = dc.minimize_beta_objective(
             inst.scores, dc.gamma_conjugate(gamma), dc.c_gamma(inst.eta, gamma), 0.0, 1e-8)
         lam = dc.lambda_star(inst, gamma, beta_star)
@@ -83,8 +90,10 @@ def suite_lambda(seed=0, count=200, tol=1e-6, n_range=(4, 10), etas=(0.01, 0.1, 
     ]
 
 
-def suite_ccl_equivalence(seed=0, count=100, tol=1e-3, exact_tol=1e-6):
-    """Worst-case-regret ball vs. the truncated margin dual."""
+def suite_ccl_equivalence(seed=0):
+    """Worst-case-regret ball vs. the truncated margin dual, with the
+    alpha = 1 and alpha = n boundary values exact to 1e-6."""
+    count, tol = 100, 1e-3
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_exact = 0.0
@@ -102,15 +111,16 @@ def suite_ccl_equivalence(seed=0, count=100, tol=1e-3, exact_tol=1e-6):
                 worst_exact = max(worst_exact, abs(rep["primal"] - scores.max()),
                                   abs(rep["dual"] - scores.max()))
     return [
-        {"name": "ccl-equivalence", "passed": worst <= tol and worst_exact <= exact_tol,
+        {"name": "ccl-equivalence", "passed": worst <= tol and worst_exact <= 1e-6,
          "instances": count, "worst_gap": worst, "worst_boundary_gap": worst_exact,
          "tolerance": tol}
     ]
 
 
-def suite_kl_limit(seed=0, count=50, tol=1e-2):
+def suite_kl_limit(seed=0, count=50):
     """Cressie-Read values approach the KL value as gamma -> 1, and the gap
     shrinks monotonically over gamma in {1.1, 1.01, 1.001}."""
+    tol = 1e-2
     rng = np.random.default_rng(seed)
     worst = 0.0
     monotone = True
@@ -132,8 +142,9 @@ def suite_kl_limit(seed=0, count=50, tol=1e-2):
     ]
 
 
-def suite_degeneracy(seed=0, count=1000, tol=1e-12):
+def suite_degeneracy(seed=0):
     """DrRL with gamma* = 1, eps = 0, c = alpha coincides with CCL."""
+    count, tol = 1000, 1e-12
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(count):
@@ -171,17 +182,17 @@ def _loss_closures(rng):
     ], beta
 
 
-def _fd_check_loss(builder, n_pos, n_neg, rng, beta, h=1e-5, kink_gap=1e-3):
+def _fd_check_loss(builder, n_pos, n_neg, rng, beta):
     pos = rng.uniform(-1, 1, n_pos)
     neg = rng.uniform(-1, 1, n_neg)
-    # keep scores away from the truncation kink
-    neg = np.where(np.abs(neg - beta) < kink_gap, beta + 2 * kink_gap, neg)
+    # keep scores at least 1e-3 away from the truncation kink
+    neg = np.where(np.abs(neg - beta) < 1e-3, beta + 2e-3, neg)
     _, d_pos, d_neg = builder(pos[None], neg[None])
 
     def value_of(scores):
         return builder(scores[None, :n_pos], scores[None, n_pos:])[0][0]
 
-    fd = central_difference(value_of, np.concatenate([pos, neg]), h)
+    fd = central_difference(value_of, np.concatenate([pos, neg]))
     analytic = np.concatenate([d_pos[0], d_neg[0]])
     return relative_error(analytic, fd)
 
@@ -197,7 +208,7 @@ def _toy_batch(rng, n_users=4, n_items=4, n_neg=2):
     )
 
 
-def _fd_check_chain(cfg, spec, rng, h=1e-5):
+def _fd_check_chain(cfg, spec, rng):
     n_users = n_items = 4
     d = 3
     table = EmbeddingTable.init_normal(n_users, n_items, d, seed=int(rng.integers(1 << 30)))
@@ -216,13 +227,14 @@ def _fd_check_chain(cfg, spec, rng, h=1e-5):
         return v
 
     flat = np.concatenate([table.user.ravel(), table.item.ravel()])
-    fd = central_difference(value_of, flat, h)
+    fd = central_difference(value_of, flat)
     analytic = np.concatenate([gu.ravel(), gi.ravel()])
     return relative_error(analytic, fd)
 
 
-def suite_gradients(seed=0, tol=1e-4, h=1e-5):
+def suite_gradients(seed=0):
     """Finite-difference certification of every analytic gradient."""
+    tol = 1e-4
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -230,7 +242,7 @@ def suite_gradients(seed=0, tol=1e-4, h=1e-5):
     worst_scores = 0.0
     for name, builder in closures:
         for _ in range(5):
-            err = _fd_check_loss(builder, int(rng.integers(1, 4)), int(rng.integers(2, 10)), rng, beta, h)
+            err = _fd_check_loss(builder, int(rng.integers(1, 4)), int(rng.integers(2, 10)), rng, beta)
             worst_scores = max(worst_scores, err)
     checks.append({"name": "score-gradients", "passed": worst_scores <= tol,
                    "worst_rel_error": worst_scores, "tolerance": tol})
@@ -246,7 +258,7 @@ def suite_gradients(seed=0, tol=1e-4, h=1e-5):
         eps = float(rng.choice([0.0, 1e-3]))
         analytic = L.drrl_beta_gradient(neg[None], gstar, c, eps, beta0)[0]
         fd = central_difference(
-            lambda b: L.drrl_beta_objective(neg, gstar, c, eps, b[0]), np.array([beta0]), h
+            lambda b: L.drrl_beta_objective(neg, gstar, c, eps, b[0]), np.array([beta0])
         )[0]
         worst_beta = max(worst_beta, abs(analytic - fd) / max(abs(fd), 1e-8))
     checks.append({"name": "margin-gradient", "passed": worst_beta <= 1e-4,
@@ -262,7 +274,7 @@ def suite_gradients(seed=0, tol=1e-4, h=1e-5):
     )
     for cfg in backbones:
         for spec in (sl_spec, drrl_spec):
-            worst_chain = max(worst_chain, _fd_check_chain(cfg, spec, rng, h))
+            worst_chain = max(worst_chain, _fd_check_chain(cfg, spec, rng))
     checks.append({"name": "full-chain-gradients", "passed": worst_chain <= tol,
                    "worst_rel_error": worst_chain, "tolerance": tol})
 
@@ -276,15 +288,16 @@ def suite_gradients(seed=0, tol=1e-4, h=1e-5):
         b = flat[15:].reshape(5, 3)
         return infonce_auxiliary(a, b, 0.2, 0.5)[0]
 
-    fd = central_difference(nce_value, np.concatenate([z1.ravel(), z2.ravel()]), h)
+    fd = central_difference(nce_value, np.concatenate([z1.ravel(), z2.ravel()]))
     worst_nce = relative_error(np.concatenate([d1.ravel(), d2.ravel()]), fd)
     checks.append({"name": "infonce-gradients", "passed": worst_nce <= tol,
                    "worst_rel_error": worst_nce, "tolerance": tol})
     return checks
 
 
-def suite_convexity(seed=0, count=1000, tol=1e-10):
+def suite_convexity(seed=0):
     """Midpoint convexity of the margin objective."""
+    count, tol = 1000, 1e-10
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for _ in range(count):
@@ -303,16 +316,17 @@ def suite_convexity(seed=0, count=1000, tol=1e-10):
     ]
 
 
-def suite_weights(seed=0, count=200, tol=1e-3, sl_tol=1e-12):
+def suite_weights(seed=0, count=200):
     """Worst-case weights at beta* (n times the DrRL kernel's negative-score
     gradient) are a mean-one density whose expectation of the scores
-    reproduces the brute-force primal value; SL weights (n tau times the
-    softmax kernel's) are mean-one by construction."""
+    reproduces the brute-force primal value to 1e-3; SL weights (n tau times
+    the softmax kernel's) are mean-one to 1e-12 by construction."""
+    tol = 1e-3
     rng = np.random.default_rng(seed)
     worst_mass = 0.0
     worst_val = 0.0
     for inst, gamma in _random_instances(rng, count):
-        cert = dc.solve_beta(inst, gamma, tol=1e-8)
+        cert = dc.solve_beta(inst, gamma)
         spec = L.LossSpec(gamma_star=gamma / (gamma - 1.0), c=dc.c_gamma(inst.eta, gamma))
         w = L.worst_case_weights(inst.scores[None], spec, cert.beta_star)[0]
         if not w.any():  # every score truncated
@@ -328,8 +342,8 @@ def suite_weights(seed=0, count=200, tol=1e-3, sl_tol=1e-12):
     return [
         {"name": "weight-normalization", "passed": worst_mass <= tol and worst_val <= tol,
          "worst_mass_gap": worst_mass, "worst_value_gap": worst_val, "tolerance": tol},
-        {"name": "sl-weights-mean-one", "passed": worst_sl <= sl_tol,
-         "worst_gap": worst_sl, "tolerance": sl_tol},
+        {"name": "sl-weights-mean-one", "passed": worst_sl <= 1e-12,
+         "worst_gap": worst_sl, "tolerance": 1e-12},
     ]
 
 
@@ -345,26 +359,18 @@ SUITES = {
 }
 
 
-def run_suites(names=None, seed=0, tolerances=None, instance_options=None):
-    """Run the selected suites; returns {"passed": bool, "checks": [...]}.
-
-    `instance_options` (n_range / etas / gammas) constrain the random
-    instance set of the duality and lambda suites. A suite name outside
-    SUITES, selected or given a tolerance, raises ValueError before any runs.
+def run_suites(names=None, seed=0):
+    """Run the selected suites (default all) from `seed`, each at its own
+    fixed tolerance and instance set; returns {"passed": bool, "checks":
+    [...]}. A suite name outside SUITES raises ValueError before any runs.
     """
     names = list(names) if names else list(SUITES)
-    tolerances = tolerances or {}
-    for name in [*names, *tolerances]:
+    for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
     checks = []
     for name in names:
-        kwargs = {"seed": seed}
-        if name in tolerances:
-            kwargs["tol"] = tolerances[name]
-        if instance_options and name in ("duality", "lambda"):
-            kwargs.update(instance_options)
-        checks.extend(SUITES[name](**kwargs))
+        checks.extend(SUITES[name](seed=seed))
     for check in checks:
         check["passed"] = bool(check["passed"])  # numpy bools do not serialize to JSON
     return {"passed": all(c["passed"] for c in checks), "checks": checks}

@@ -3,7 +3,7 @@ and (user, item, timestamp) rows, for tests that state their data that way."""
 
 import numpy as np
 
-from drrl import dataio
+from drrl import dataio, metrics
 
 
 def user_items(sets):
@@ -11,6 +11,14 @@ def user_items(sets):
     indptr = np.cumsum([0] + [len(s) for s in sets])
     return dataio.UserItems(indptr, np.array([i for s in sets for i in sorted(s)],
                                              dtype=np.int64))
+
+
+def one_user_metric(metric, scores, exclude, truth, k):
+    """`metric`@k ("recall" or "ndcg") of one score row, through
+    `metrics.evaluate_ranking` on one-row parts of `exclude` and `truth`."""
+    results = metrics.evaluate_ranking(np.asarray(scores, dtype=float)[None],
+                                       user_items([exclude]), user_items([truth]), [k])
+    return results[(metric, k)]
 
 
 def split_of(train, validation, test, num_items, split_kind="iid"):

@@ -4,9 +4,10 @@ import shutil
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from drrl import cli, config, dataio, diagnostics, graphmodel
+from drrl import cli, config, dataio, diagnostics, graphmodel, verify
 from drrl.losses import MarginState
 from drrl.metrics import evaluate_ranking
 from drrl.synthetic import make_block_log
@@ -389,6 +390,19 @@ class TestCli:
         assert cli.main(args) == 0
         assert "no minimizer" not in capsys.readouterr().err
 
+    def test_stats_rejects_a_resolved_ccl_margin_below_one(self, lightgcn_run, tmp_path,
+                                                            capsys, monkeypatch):
+        out = tmp_path / "stats.csv"
+        monkeypatch.setenv("DRRL_LOSS__KIND", "ccl")
+        monkeypatch.setenv("DRRL_LOSS__ALPHA", "0.5")
+        code = cli.main(["stats", "--run", str(lightgcn_run), "--resolve-margin",
+                         "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "loss.alpha >= 1, got 0.5" in err and "DRRL_LOSS__ALPHA" in err
+        assert "warning" not in err and "c = 0.5" not in err
+        assert not out.exists()
+
     def test_stats_rejects_pairwise_losses(self, run_dir, capsys, monkeypatch):
         monkeypatch.setenv("DRRL_LOSS__KIND", "bpr")
         code = cli.main(["stats", "--run", str(run_dir)])
@@ -405,18 +419,20 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report["passed"]
 
-    def test_verify_fails_under_impossible_tolerance(self, tmp_path):
-        code = cli.main(
-            ["verify", "--suite", "convexity", "--tolerance", "convexity=-1",
-             "--output", str(tmp_path / "v.json")]
-        )
-        assert code == 1
+    def test_verify_exits_nonzero_and_reports_a_failed_check(self, tmp_path, monkeypatch):
+        # a numpy bool, as the suites' comparisons produce
+        failed = {"name": "margin-convexity", "passed": np.bool_(False)}
+        monkeypatch.setitem(verify.SUITES, "convexity", lambda seed: [dict(failed)])
+        out = tmp_path / "v.json"
+        assert cli.main(["verify", "--suite", "convexity", "--output", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["passed"] is False
+        assert report["checks"] == [{"name": "margin-convexity", "passed": False}]
 
-    def test_verify_rejects_unknown_tolerance_name(self, tmp_path, capsys):
-        code = cli.main(
-            ["verify", "--suite", "convexity", "--tolerance", "convexty=-1",
-             "--output", str(tmp_path / "v.json")]
-        )
-        assert code == 1
-        assert "unknown suite 'convexty'" in capsys.readouterr().err
-        assert not (tmp_path / "v.json").exists()
+
+def test_run_suites_rejects_an_unknown_suite_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "convexity", lambda seed: ran.append(seed) or [])
+    with pytest.raises(ValueError, match="unknown suite 'convexty'"):
+        verify.run_suites(["convexity", "convexty"])
+    assert ran == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import user_items
+from builders import one_user_metric, user_items
 from drrl import metrics
 
 
@@ -37,16 +37,16 @@ def test_top_k_excludes_and_breaks_ties_by_id():
 def test_single_hit_at_rank_two():
     # one relevant item at rank 2: NDCG = 1 / log2(3)
     scores = np.array([0.9, 0.8, 0.1])
-    assert metrics.ndcg_at_k(scores, set(), {1}, 3) == pytest.approx(
+    assert one_user_metric("ndcg", scores, set(), {1}, 3) == pytest.approx(
         1 / math.log2(3), abs=1e-9
     )
-    assert metrics.ndcg_at_k(scores, set(), {1}, 3) == pytest.approx(0.63093, abs=1e-5)
+    assert one_user_metric("ndcg", scores, set(), {1}, 3) == pytest.approx(0.63093, abs=1e-5)
 
 
 def test_perfect_ranking_scores_one():
     scores = np.array([0.9, 0.8, 0.1, 0.0])
-    assert metrics.recall_at_k(scores, set(), {0, 1}, 2) == 1.0
-    assert metrics.ndcg_at_k(scores, set(), {0, 1}, 2) == pytest.approx(1.0)
+    assert one_user_metric("recall", scores, set(), {0, 1}, 2) == 1.0
+    assert one_user_metric("ndcg", scores, set(), {0, 1}, 2) == pytest.approx(1.0)
 
 
 @given(st.integers(0, 10_000))
@@ -59,10 +59,10 @@ def test_matches_bruteforce_reference(seed):
     exclude = set(rng.choice(n, size=int(rng.integers(0, n // 2)), replace=False).tolist())
     pool = [i for i in range(n) if i not in exclude]
     truth = set(rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False).tolist())
-    assert metrics.recall_at_k(scores, exclude, truth, k) == pytest.approx(
+    assert one_user_metric("recall", scores, exclude, truth, k) == pytest.approx(
         brute_recall(scores, exclude, truth, k), abs=0
     )
-    assert metrics.ndcg_at_k(scores, exclude, truth, k) == pytest.approx(
+    assert one_user_metric("ndcg", scores, exclude, truth, k) == pytest.approx(
         brute_ndcg(scores, exclude, truth, k), abs=1e-12
     )
 
@@ -164,7 +164,7 @@ def test_evaluate_ranking_all_empty_rejected():
 
 def test_empty_truth_rejected():
     with pytest.raises(ValueError):
-        metrics.recall_at_k(np.array([1.0]), set(), set(), 1)
+        one_user_metric("recall", np.array([1.0]), set(), set(), 1)
 
 
 def everything(weights):
