@@ -3,10 +3,10 @@ constrained inner maximization  max_Q E_Q[f]  s.t.  D(Q, P) <= eta,
 with P uniform over the sampled negatives.
 
 The brute-force route is deliberately independent of the closed-form dual:
-it climbs the feasible set directly (projected ascent from all starts in
-lockstep, a grid-bracketed search for the ball's boundary, Dirichlet
-restarts, and an SLSQP polish) so that the dual formulas can be certified
-numerically against it.
+it solves the primal directly, by a log-barrier interior-point method with
+Newton steps that uses only the divergence and its first two derivatives,
+starts from P and never sees a margin or a worst-case weight, so that the
+dual formulas can be certified numerically against it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .losses import drrl_beta_objective
 
@@ -106,14 +105,26 @@ def gamma_conjugate(gamma):
     return gamma / (gamma - 1.0)
 
 
+def _phi_slope(x, g):
+    """phi'(t) = (t^(g-1) - 1) / (g - 1) of the Cressie-Read generator at
+    t = 1 + x, and ln t at its KL limit g = 1, formed as
+    expm1((g-1) log1p(x)) / (g-1): the power form cancels as g -> 1, and x
+    keeps the digits of t near 1. At t = 0 (x = -1) it reads 0, which
+    `phi_gamma` multiplies by t = 0; the barrier's iterates are positive."""
+    lt = np.log1p(np.where(x > -1.0, x, 0.0))
+    return lt if g == 1.0 else np.expm1((g - 1.0) * lt) / (g - 1.0)
+
+
 def phi_gamma(t, gamma):
-    """Cressie-Read generator phi_gamma(t) = (t^g - g t + g - 1) / (g (g-1))."""
+    """Cressie-Read generator phi_gamma(t) = (t^g - g t + g - 1) / (g (g-1)),
+    evaluated as [t expm1((g-1) ln t) / (g-1) - (t - 1)] / g, which keeps its
+    digits as g -> 1; phi_gamma(0) = 1/g."""
     if gamma <= 1.0:
         raise ValueError("gamma must exceed 1")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("phi_gamma is defined for t >= 0 only")
-    out = (t**gamma - gamma * t + gamma - 1.0) / (gamma * (gamma - 1.0))
+    out = (t * _phi_slope(t - 1.0, gamma) - (t - 1.0)) / gamma
     return float(out) if out.ndim == 0 else out
 
 
@@ -162,18 +173,6 @@ def divergence(q, p, kind: DivergenceKind):
     return float(np.sum(p[pos] * phi_gamma(ratio[pos], kind.gamma)))
 
 
-def project_simplex(v):
-    """Euclidean projection onto the probability simplex, of a vector `(n,)`
-    or of each row of an `(m, n)` array."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - 1.0
-    ind = np.arange(1, v.shape[-1] + 1)
-    rho = np.count_nonzero(u - css / ind > 0, axis=-1)[..., None]
-    theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
-    return np.maximum(v - theta, 0.0)
-
-
 def golden_section(fn, a, b, tol=1e-8):
     """Golden-section minimization of a unimodal function on [a, b].
 
@@ -204,83 +203,6 @@ def golden_section(fn, a, b, tol=1e-8):
     return d, yd
 
 
-def _div_rows(q, kind):
-    """Divergence from uniform of each row of `q` (`(..., n)` -> `(...)`),
-    without validation, for the oracle's hot path. Rows are nonnegative;
-    zero coordinates add nothing to KL."""
-    n = q.shape[-1]
-    if kind.kind == KL:
-        return np.sum(q * np.log(np.where(q > 0, q * n, 1.0)), axis=-1)
-    g = kind.gamma
-    t = q * n
-    return np.sum(t**g - g * t + g - 1.0, axis=-1) / n / (g * (g - 1.0))
-
-
-_GRID = 32  # grid intervals per round of the boundary search
-_ROUNDS = 10  # 32^10 = 2^50: the resolution of a 50-step bisection
-
-
-def _boundary_rows(a, b, kind, eta):
-    """Row-wise largest feasible point on the segment from a feasible `a`
-    (`(n,)` or `(m, n)`) toward a target `b` (`(m, n)`).
-
-    D is convex, so the feasible t in [0, 1] form an interval [0, t*]. Rows
-    whose target is feasible return it; the others bracket t* on a grid of
-    `_GRID` intervals per round, moving to the grid point before the first
-    infeasible one, for `_ROUNDS` rounds. Points are (1 - t) a + t b, which
-    stays nonnegative in floating point (a + t (b - a) can round a zero
-    coordinate below zero, and a fractional power of that is NaN).
-    """
-    a = np.broadcast_to(a, b.shape)
-    out = b.copy()
-    rows = np.flatnonzero(_div_rows(b, kind) > eta)
-    if rows.size == 0:
-        return out
-    a, b = a[rows, None, :], b[rows, None, :]
-    steps = np.arange(1, _GRID)
-    lo = np.zeros(rows.size)
-    width = 1.0
-    for _ in range(_ROUNDS):
-        width /= _GRID
-        t = (lo[:, None] + width * steps)[..., None]
-        feasible = _div_rows((1 - t) * a + t * b, kind) <= eta
-        # move to the last grid point before the first infeasible one
-        lo = lo + width * np.logical_and.accumulate(feasible, axis=1).sum(axis=1)
-    t = lo[:, None]
-    out[rows] = (1 - t) * a[:, 0] + t * b[:, 0]
-    return out
-
-
-def _ascend(q, f, kind, eta):
-    """Feasible-direction ascent of the linear objective f . Q from every
-    row of `q` in lockstep, for at most 40 rounds; returns the final rows
-    and their values.
-
-    Each row keeps its own step, halved when a move does not improve it,
-    and stops once the step drops below 1e-10. The objective is linear and
-    the feasible set convex, so any local maximum found this way is global;
-    restarts are insurance only.
-    """
-    q = q.copy()
-    value = q @ f
-    step = np.ones(len(q))
-    active = np.ones(len(q), dtype=bool)
-    for _ in range(40):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        target = project_simplex(q[rows] + step[rows, None] * f)
-        cand = _boundary_rows(q[rows], target, kind, eta)
-        cand_value = cand @ f
-        up = cand_value > value[rows] + 1e-14
-        q[rows[up]] = cand[up]
-        value[rows[up]] = cand_value[up]
-        stay = rows[~up]
-        step[stay] *= 0.5
-        active[stay[step[stay] < 1e-10]] = False
-    return q, value
-
-
 def _wr_greedy(scores, p, alpha_cap):
     """Exact maximizer under the worst-case-regret ball: each coordinate is
     capped at alpha * P_j; fill the caps in descending score order."""
@@ -298,80 +220,123 @@ def _wr_greedy(scores, p, alpha_cap):
     return q
 
 
-def _div_grad(q, p, kind):
-    q = np.maximum(q, 1e-15)
-    ratio = q / p
-    if kind.kind == KL:
-        return np.log(ratio) + 1.0
-    g = kind.gamma
-    return (ratio ** (g - 1.0) - 1.0) / (g - 1.0)
+_T_FACTOR = 8.0  # barrier weight growth per centering
+_GAP = 1e-12  # the last centering's duality-gap bound (n + 1) / t, in units of the scores' spread
+_NEWTON_TOL = 1e-10  # a centering ends once half the squared Newton decrement is below this
+_NEWTON_STEPS = 100  # Newton steps per centering before the solve counts as not converged
+_EPS = float(np.finfo(float).eps)
 
 
-def _slsqp_polish(q0, f, p, kind, eta):
+def _barrier_max(f, g, eta):
+    """Maximize f . q over {q > 0, sum q = 1, D(q) < eta}, D the divergence
+    from uniform with generator phi_g (g = 1 for KL), by the primal
+    log-barrier method (Boyd & Vandenberghe, ch. 11). Returns (q, converged).
+
+    From uniform P, each centering takes Newton steps on
+    -t f.q - log(eta - D(q)) - sum log q subject to sum q = 1, then t grows by
+    `_T_FACTOR` until the gap bound (n + 1) / t is `_GAP` (f scaled to unit
+    spread), or until the slack is below the rounding error of D. On the simplex
+    D(q) = mean phi(n q) = sum q phi'(n q) / g, and the slack s = eta - D is
+    formed from the second sum, whose terms do not cancel near q = P. The
+    Hessian is diagonal plus the rank one D' D'^T / s^2, so Sherman-Morrison
+    solves the equality-constrained step in O(n). A ratio test and a
+    backtracking line search keep every iterate strictly feasible. The solve
+    counts as not converged if a centering runs out of Newton steps or its
+    line search finds no decrease.
+    """
     n = f.size
-    cons = [
-        {"type": "eq", "fun": lambda q: q.sum() - 1.0,
-         "jac": lambda q: np.ones(n)},
-        {"type": "ineq", "fun": lambda q: eta - divergence(q, p, kind),
-         "jac": lambda q: -_div_grad(q, p, kind)},
-    ]
-    res = minimize(
-        lambda q: -f @ q,
-        q0,
-        jac=lambda q: -f,
-        bounds=[(0.0, 1.0)] * n,
-        constraints=cons,
-        method="SLSQP",
-        options={"maxiter": 200, "ftol": 1e-14},
-    )
-    q = np.maximum(res.x, 0.0)
-    s = q.sum()
-    if s <= 0:
-        return None
-    return _boundary_rows(p, (q / s)[None], kind, eta)[0]
+    # the same problem on sum q = 1, in units of the spread, and without
+    # t max f in every gradient
+    f = (f - f.max()) / np.ptp(f)
+    # q and x = n q - 1 take the same steps: q keeps the digits of small
+    # coordinates, x those of coordinates near P, where D is formed from it
+    q = np.full(n, 1.0 / n)
+    x = np.zeros(n)
+    t = n + 1.0  # max f - f . P, the gap at P, is at most the spread, 1
+    converged = True
+    while True:
+        for _ in range(_NEWTON_STEPS):
+            slope = _phi_slope(x, g)
+            s = eta - (q @ slope) / g
+            resolution = n * _EPS * (q @ np.abs(slope)) / g  # rounding error of D(q)
+            if s <= resolution:
+                return q, converged  # on the ball's boundary as far as float64 can tell
+            inv_q = 1.0 / q
+            u = slope / s
+            grad = u - inv_q - t * f
+            # D'' = n phi''(n q) = (1 + (g-1) phi'(n q)) / q
+            inv_diag = 1.0 / ((1.0 + (g - 1.0) * slope) * inv_q / s + inv_q * inv_q)
+            # (diag + u u^T)^{-1} applied to grad and to ones
+            w = u * inv_diag
+            k = 1.0 + u @ w
+            h_grad = grad * inv_diag
+            h_grad -= (h_grad @ u / k) * w
+            h_ones = inv_diag - (inv_diag @ u / k) * w
+            # the Newton step on sum q = 1, -H^{-1} (grad - m), and its decrement
+            m = h_grad.sum() / h_ones.sum()
+            step = m * h_ones - h_grad
+            step -= step.sum() / n
+            decrement = (m - grad) @ step
+            # centered once half the decrement is below _NEWTON_TOL, or once the
+            # line search could not see the decrease it tests for, a quarter
+            # of the decrement, above the rounding of log s, resolution / s
+            if decrement <= max(2.0 * _NEWTON_TOL, 4.0 * resolution / s):
+                break
+            # ratio tests: q keeps 1% of each coordinate, and the slack's
+            # first-order model s - alpha D'.step keeps half of s. D is
+            # convex, so the slack itself falls faster; the line search
+            # keeps a tenth of it, which holds the iterate off the boundary
+            rel = step * inv_q
+            lowest = rel.min()
+            alpha = 1.0 if lowest >= -0.99 else -0.99 / lowest
+            fall = (slope @ step) / s
+            if alpha * fall > 0.5:
+                alpha = 0.5 / fall
+            gain = t * (f @ step)
+            while alpha > 1e-12:
+                cand_q = q + alpha * step
+                cand_x = x + alpha * n * step
+                s_new = eta - (cand_q @ _phi_slope(cand_x, g)) / g
+                if s_new > 0.1 * s and (
+                    -alpha * gain - np.log(s_new / s) - np.sum(np.log1p(alpha * rel))
+                    <= -0.25 * alpha * decrement
+                ):
+                    break
+                alpha *= 0.5
+            else:
+                converged = False
+                break
+            q, x = cand_q, cand_x
+        else:
+            converged = False
+        if (n + 1) / t <= _GAP:
+            return q, converged
+        t *= _T_FACTOR
 
 
-def inner_max_bruteforce(inst: DroInstance, kind: DivergenceKind, seed=0) -> InnerMaxResult:
-    """Numerically maximize E_Q[f] over the divergence ball around uniform P.
+def inner_max_bruteforce(inst: DroInstance, kind: DivergenceKind) -> InnerMaxResult:
+    """Maximize E_Q[f] over the divergence ball D(Q, P) <= eta around uniform P.
 
-    Projected ascent on the simplex with a boundary search for feasibility,
-    from P and four Dirichlet draws of the `seed` stream (dense grid
-    refinement for very small n), all starts climbing in lockstep, then an
-    SLSQP polish from the best point found.
+    Exact when P is optimal (eta = 0 or constant scores), on the
+    worst-case-regret ball (its caps filled greedily), and when the best
+    vertex lies in the ball (the simplex's own maximizer). Otherwise the
+    primal barrier method `_barrier_max`, from P, to within 1e-12.
     """
     f = inst.scores
     p = inst.base
-    n = inst.n
     eta = inst.eta
-    if eta == 0.0:
+    if eta == 0.0 or np.ptp(f) == 0.0:
         return InnerMaxResult(float(f @ p), p.copy(), 0.0, True)
     if kind.kind == WORST_REGRET:
         q = _wr_greedy(f, p, math.exp(eta))
         return InnerMaxResult(float(f @ q), q, divergence(q, p, kind), True)
-
-    rng = np.random.default_rng(seed)
-    draws = rng.dirichlet(np.ones(n), size=4)
-    starts = [p[None], _boundary_rows(p, draws, kind, eta)]
-    if n <= 5:
-        # dense refinement: push random directions to the ball boundary
-        pushed = _boundary_rows(p, rng.dirichlet(np.ones(n), size=500), kind, eta)
-        starts.append(pushed[np.argsort(pushed @ f)[-4:]])
-
-    q, values = _ascend(np.vstack(starts), f, kind, eta)
-    best = int(np.argmax(values))
-    best_q, best_v = q[best], float(values[best])
-
-    converged = True
-    polished = _slsqp_polish(best_q, f, p, kind, eta)
-    if polished is not None and float(f @ polished) > best_v:
-        best_q, best_v = polished, float(f @ polished)
-    achieved = divergence(best_q, p, kind)
-    if achieved > eta + 1e-6:
-        best_q = _boundary_rows(p, best_q[None], kind, eta)[0]
-        best_v = float(f @ best_q)
-        achieved = divergence(best_q, p, kind)
-        converged = False
-    return InnerMaxResult(best_v, best_q, achieved, converged)
+    vertex = np.zeros(inst.n)
+    vertex[np.argmax(f)] = 1.0
+    reach = divergence(vertex, p, kind)
+    if reach <= eta:
+        return InnerMaxResult(float(f.max()), vertex, reach, True)
+    q, converged = _barrier_max(f, 1.0 if kind.kind == KL else kind.gamma, eta)
+    return InnerMaxResult(float(f @ q), q, divergence(q, p, kind), converged)
 
 
 def dual_lagrangian(inst: DroInstance, gamma, lam, rho):

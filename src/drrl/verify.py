@@ -2,11 +2,11 @@
 degeneracies, gradient checks, convexity, and worst-case weight laws.
 
 Each suite runs at its own fixed tolerance and instance set, drawn from its
-`seed`; the oracle-backed `duality`, `lambda`, `kl-limit` and `weights`
-also take `count`, and run the first `count` instances of that set. Each
-returns a list of check dicts {name, passed, ...detail} whose "tolerance"
-field records the bound it was held to; the CLI turns them into a JSON
-report and a nonzero exit on any failure.
+`seed`; the oracle-backed `duality`, `lambda`, `kl-limit`, `weights` and
+`preset-range` also take `count`, and run the first `count` instances of
+that set. Each returns a list of check dicts {name, passed, ...detail} whose
+"tolerance" field records the bound it was held to; the CLI turns them into
+a JSON report and a nonzero exit on any failure.
 """
 
 from __future__ import annotations
@@ -50,25 +50,52 @@ def _random_instances(rng, count):
     return out
 
 
-def suite_duality(seed=0, count=200):
-    """Brute-force inner max vs. the margin-form dual minimum."""
-    tol = 1e-3
-    rng = np.random.default_rng(seed)
+def _preset_instances(rng, count):
+    """`count` (instance, gamma) pairs where the DrRL presets train: 4 to 64
+    scores uniform on [-1, 1], and (gamma, eta) from gamma in {1.08, 1.09,
+    1.16, 1.2, 1.27} by eta in {0.01, 0.1, 0.5, 1.59}, or (2.5, 14.6), the
+    radius of the two c > 1 presets."""
+    pairs = [(g, e) for g in (1.08, 1.09, 1.16, 1.2, 1.27) for e in (0.01, 0.1, 0.5, 1.59)]
+    pairs.append((2.5, 14.6))
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(4, 65))
+        gamma, eta = pairs[int(rng.integers(len(pairs)))]
+        out.append((dc.DroInstance(rng.uniform(-1.0, 1.0, n), eta), gamma))
+    return out
+
+
+def _duality_checks(name, instances, tol):
+    """Brute-force inner max vs. the margin-form dual minimum on each
+    (instance, gamma): one failing check per instance over `tol`, then the
+    summary check."""
     checks = []
     worst = 0.0
-    for idx, (inst, gamma) in enumerate(_random_instances(rng, count)):
+    for idx, (inst, gamma) in enumerate(instances):
         cert = dc.solve_beta(inst, gamma)
         worst = max(worst, cert.gap)
         if cert.gap > tol:
             checks.append(
-                {"name": f"duality[{idx}]", "passed": False, "gap": cert.gap,
+                {"name": f"{name}[{idx}]", "passed": False, "gap": cert.gap,
                  "gamma": gamma, "eta": inst.eta, "n": inst.n}
             )
     checks.append(
-        {"name": "duality", "passed": worst <= tol, "instances": count,
+        {"name": name, "passed": worst <= tol, "instances": len(instances),
          "worst_gap": worst, "tolerance": tol}
     )
     return checks
+
+
+def suite_duality(seed=0, count=200):
+    """Brute-force inner max vs. the margin-form dual minimum."""
+    return _duality_checks("duality", _random_instances(np.random.default_rng(seed), count), 1e-3)
+
+
+def suite_preset_range(seed=0, count=200):
+    """`suite_duality` at the presets' divergence orders and radii, up to 64
+    negatives."""
+    return _duality_checks("preset-range", _preset_instances(np.random.default_rng(seed), count),
+                           1e-3)
 
 
 def suite_lambda(seed=0, count=200):
@@ -356,6 +383,7 @@ SUITES = {
     "gradients": suite_gradients,
     "convexity": suite_convexity,
     "weights": suite_weights,
+    "preset-range": suite_preset_range,
 }
 
 

@@ -4,14 +4,16 @@ gradient and weighted-cosine (n x n) arrays one by one, cosine scores and
 their Jacobians for one (user, item) pair, the closed-form worst-case
 weights, checkpoint diagnostics with one kernel call per user, a
 loss-and-gradients pass that loops over pairs and negatives one at a time,
-the brute-force inner maximization with one start and one bisection step at
-a time, the negative sampler with a sorted-key membership test and per-user
-set unions for its held-out pools, and Adam with a fresh array per
-intermediate."""
+the earlier projected-ascent inner maximization (simplex projection,
+grid-bracketed boundary search and SLSQP polish, all kept here) with one
+start and one bisection step at a time, the negative sampler with a
+sorted-key membership test and per-user set unions for its held-out pools,
+and Adam with a fresh array per intermediate."""
 
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from drrl import dataio
 from drrl import dro_core as dc
@@ -251,6 +253,98 @@ def loss_and_gradients(table, graph, backbone_cfg, spec, margins, batch, margin_
     return value, grad_user, grad_item
 
 
+def project_simplex(v):
+    """Euclidean projection onto the probability simplex, of a vector `(n,)`
+    or of each row of an `(m, n)` array."""
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    ind = np.arange(1, v.shape[-1] + 1)
+    rho = np.count_nonzero(u - css / ind > 0, axis=-1)[..., None]
+    theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def _div_rows(q, kind):
+    """Divergence from uniform of each row of `q` (`(..., n)` -> `(...)`),
+    without validation, for the oracle's hot path. Rows are nonnegative;
+    zero coordinates add nothing to KL."""
+    n = q.shape[-1]
+    if kind.kind == dc.KL:
+        return np.sum(q * np.log(np.where(q > 0, q * n, 1.0)), axis=-1)
+    g = kind.gamma
+    t = q * n
+    return np.sum(t**g - g * t + g - 1.0, axis=-1) / n / (g * (g - 1.0))
+
+
+_GRID = 32  # grid intervals per round of the boundary search
+_ROUNDS = 10  # 32^10 = 2^50: the resolution of a 50-step bisection
+
+
+def _boundary_rows(a, b, kind, eta):
+    """Row-wise largest feasible point on the segment from a feasible `a`
+    (`(n,)` or `(m, n)`) toward a target `b` (`(m, n)`).
+
+    D is convex, so the feasible t in [0, 1] form an interval [0, t*]. Rows
+    whose target is feasible return it; the others bracket t* on a grid of
+    `_GRID` intervals per round, moving to the grid point before the first
+    infeasible one, for `_ROUNDS` rounds. Points are (1 - t) a + t b, which
+    stays nonnegative in floating point (a + t (b - a) can round a zero
+    coordinate below zero, and a fractional power of that is NaN).
+    """
+    a = np.broadcast_to(a, b.shape)
+    out = b.copy()
+    rows = np.flatnonzero(_div_rows(b, kind) > eta)
+    if rows.size == 0:
+        return out
+    a, b = a[rows, None, :], b[rows, None, :]
+    steps = np.arange(1, _GRID)
+    lo = np.zeros(rows.size)
+    width = 1.0
+    for _ in range(_ROUNDS):
+        width /= _GRID
+        t = (lo[:, None] + width * steps)[..., None]
+        feasible = _div_rows((1 - t) * a + t * b, kind) <= eta
+        # move to the last grid point before the first infeasible one
+        lo = lo + width * np.logical_and.accumulate(feasible, axis=1).sum(axis=1)
+    t = lo[:, None]
+    out[rows] = (1 - t) * a[:, 0] + t * b[:, 0]
+    return out
+
+
+def _div_grad(q, p, kind):
+    q = np.maximum(q, 1e-15)
+    ratio = q / p
+    if kind.kind == dc.KL:
+        return np.log(ratio) + 1.0
+    g = kind.gamma
+    return (ratio ** (g - 1.0) - 1.0) / (g - 1.0)
+
+
+def _slsqp_polish(q0, f, p, kind, eta):
+    n = f.size
+    cons = [
+        {"type": "eq", "fun": lambda q: q.sum() - 1.0,
+         "jac": lambda q: np.ones(n)},
+        {"type": "ineq", "fun": lambda q: eta - dc.divergence(q, p, kind),
+         "jac": lambda q: -_div_grad(q, p, kind)},
+    ]
+    res = minimize(
+        lambda q: -f @ q,
+        q0,
+        jac=lambda q: -f,
+        bounds=[(0.0, 1.0)] * n,
+        constraints=cons,
+        method="SLSQP",
+        options={"maxiter": 200, "ftol": 1e-14},
+    )
+    q = np.maximum(res.x, 0.0)
+    s = q.sum()
+    if s <= 0:
+        return None
+    return _boundary_rows(p, (q / s)[None], kind, eta)[0]
+
+
 def _div_fast(q, p, kind):
     """Divergence from uniform P of one vector, without validation."""
     if kind.kind == dc.KL:
@@ -295,7 +389,7 @@ def _ascend(q, f, p, kind, eta, max_iters=80):
     value = float(f @ q)
     step = 1.0
     for _ in range(max_iters):
-        target = dc.project_simplex(q + step * f)
+        target = project_simplex(q + step * f)
         cand = _segment_step(q, target, p, kind, eta)
         cand_value = float(f @ cand)
         if cand_value > value + 1e-14:
@@ -308,9 +402,10 @@ def _ascend(q, f, p, kind, eta, max_iters=80):
 
 
 def inner_max_bruteforce(inst, kind, seed=0, restarts=4, max_iters=40):
-    """`dro_core.inner_max_bruteforce` for the KL and Cressie-Read balls at
-    eta > 0, one start and one bisection step at a time; the SLSQP polish
-    is `dro_core`'s. Returns (value, q)."""
+    """The brute-force inner max for the KL and Cressie-Read balls at
+    eta > 0 as it was before the barrier method: projected ascent from P and
+    Dirichlet starts, one start and one bisection step at a time, then the
+    SLSQP polish. Returns (value, q)."""
     f, p, n, eta = inst.scores, inst.base, inst.n, inst.eta
     rng = np.random.default_rng(seed)
     starts = [p.copy()]
@@ -327,7 +422,7 @@ def inner_max_bruteforce(inst, kind, seed=0, restarts=4, max_iters=40):
         q, v = _ascend(q0, f, p, kind, eta, max_iters=max_iters)
         if v > best_v:
             best_q, best_v = q, v
-    polished = dc._slsqp_polish(best_q, f, p, kind, eta)
+    polished = _slsqp_polish(best_q, f, p, kind, eta)
     if polished is not None and float(f @ polished) > best_v:
         best_q, best_v = polished, float(f @ polished)
     if dc.divergence(best_q, p, kind) > eta + 1e-6:

@@ -260,3 +260,14 @@ def test_12_truncation_trend(smoke_runs):
     # truncation shrinks as the divergence order gamma grows, i.e. it is
     # nonincreasing along gamma* = 4 -> 2 -> 1
     assert trunc[4.0] >= trunc[2.0] >= trunc[1.0], trunc
+
+
+def test_13_preset_range_duality():
+    # the presets' divergence orders and radii, up to 64 negatives: the gap
+    # within the suite's 1e-3, and weak duality (the oracle never above the dual)
+    worst = 0.0
+    for inst, gamma in verify._preset_instances(np.random.default_rng(0), 200):
+        cert = dc.solve_beta(inst, gamma)
+        assert cert.primal_value <= cert.dual_value + 1e-12, (gamma, inst.eta, inst.n)
+        worst = max(worst, cert.gap)
+    assert worst <= 1e-3, f"worst duality gap {worst:.2e}"

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +30,21 @@ def test_phi_gamma_hand_values():
     assert dc.phi_gamma(3.0, 2.0) == pytest.approx(2.0)
     assert dc.phi_gamma(1.0, 2.0) == pytest.approx(0.0)
     assert dc.phi_gamma(0.0, 2.0) == pytest.approx(0.5)
+
+
+def test_divergence_near_gamma_one_matches_kl_without_warnings():
+    # near-uniform Q (the power form cancels to a few digits there) and a
+    # Q with a zero coordinate, at gamma = 1 + 1e-6
+    p = np.full(6, 1.0 / 6)
+    near = p * (1.0 + 1e-3 * np.array([1.0, -2.0, 0.5, 0.5, -1.0, 1.0]))
+    sparse = np.array([0.0, 0.1, 0.2, 0.3, 0.25, 0.15])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for q in (near, sparse):
+            cr = dc.divergence(q, p, dc.DivergenceKind.cressie_read(1.0 + 1e-6))
+            kl = dc.divergence(q, p, dc.DivergenceKind.kl())
+            assert cr == pytest.approx(kl, rel=1e-6)
+        assert dc.phi_gamma(np.zeros(3), 1.5) == pytest.approx(np.full(3, 1.0 / 1.5))
 
 
 def test_phi_conjugate_hand_values():
@@ -66,7 +87,7 @@ def test_divergence_infinite_off_support():
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=8))
 @settings(max_examples=200)
 def test_project_simplex_is_a_distribution(v):
-    q = dc.project_simplex(np.asarray(v))
+    q = ref.project_simplex(np.asarray(v))
     assert np.all(q >= -1e-12)
     assert np.sum(q) == pytest.approx(1.0, abs=1e-9)
 
@@ -75,13 +96,13 @@ def test_project_simplex_is_a_distribution(v):
 @settings(max_examples=100)
 def test_project_simplex_rows_match_vector_calls(m, n, seed):
     rows = np.random.default_rng(seed).uniform(-5, 5, (m, n))
-    expected = np.array([dc.project_simplex(row) for row in rows])
-    np.testing.assert_array_equal(dc.project_simplex(rows), expected)
+    expected = np.array([ref.project_simplex(row) for row in rows])
+    np.testing.assert_array_equal(ref.project_simplex(rows), expected)
 
 
 def test_project_simplex_fixpoint():
     q = np.array([0.1, 0.2, 0.7])
-    assert dc.project_simplex(q) == pytest.approx(q, abs=1e-12)
+    assert ref.project_simplex(q) == pytest.approx(q, abs=1e-12)
 
 
 def test_golden_section_quadratic():
@@ -109,6 +130,32 @@ class TestInnerMax:
         res = dc.inner_max_bruteforce(inst, kind)
         assert np.sum(res.q) == pytest.approx(1.0, abs=1e-8)
         assert dc.divergence(res.q, inst.base, kind) <= inst.eta + 1e-6
+
+    @pytest.mark.parametrize("kind, reach", [
+        (dc.DivergenceKind.kl(), np.log(4.0)),
+        # (1/4) [phi(4) + 3 phi(0)] = (4.5 + 1.5) / 4 at gamma = 2
+        (dc.DivergenceKind.cressie_read(2.0), 1.5),
+    ])
+    def test_best_vertex_inside_the_ball_is_returned_exactly(self, kind, reach):
+        scores = np.array([0.3, -0.7, 0.9, 0.1])
+        for eta in (reach, 2.0 * reach):
+            res = dc.inner_max_bruteforce(dc.DroInstance(scores, eta), kind)
+            assert res.value == scores.max()
+            np.testing.assert_array_equal(res.q, [0.0, 0.0, 1.0, 0.0])
+            assert res.converged
+
+    @pytest.mark.parametrize("scores", [[0.0, 5e-324], [1e-300, 0.0, 2e-300], [2e300, -2e300, 0.0]])
+    def test_extreme_score_spreads_solve_without_warnings(self, scores):
+        # the barrier works on the scores over their spread, so a subnormal
+        # or huge spread neither overflows t nor leaves the ball
+        inst = dc.DroInstance(np.array(scores), 0.01)
+        kind = dc.DivergenceKind.cressie_read(1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = dc.inner_max_bruteforce(inst, kind)
+        assert res.converged
+        assert np.mean(scores) <= res.value <= np.max(scores)
+        assert dc.divergence(res.q, inst.base, kind) <= inst.eta + 1e-9
 
     def test_wr_ball_exact_greedy(self):
         # caps alpha * P_j filled in descending score order
@@ -192,7 +239,7 @@ def test_ccl_ball_equivalence_boundary_cases():
     assert repn["dual"] == pytest.approx(inst.scores.max(), abs=1e-6)
 
 
-# (gamma, n, eta) cases for the batched oracle against the scalar reference;
+# (gamma, n, eta) cases for the oracle against the scalar reference;
 # gamma None is KL. They cover the divergences KL and CR gamma in {1.001,
 # 1.1, 1.5, 2, 3}, n in {1, 2, 4, 5, 6, 10} and eta in {0.01, 0.1, 0.5, 50},
 # each divergence with two n and two radii: the full 144-case product takes
@@ -212,14 +259,38 @@ def test_batched_oracle_matches_scalar_reference(case):
     gamma, n, eta = REFERENCE_CASES[case]
     kind = dc.DivergenceKind.kl() if gamma is None else dc.DivergenceKind.cressie_read(gamma)
     inst = dc.DroInstance(np.random.default_rng(case).uniform(-1, 1, n), eta)
-    res = dc.inner_max_bruteforce(inst, kind, seed=case)
+    res = dc.inner_max_bruteforce(inst, kind)
     value, _ = ref.inner_max_bruteforce(inst, kind, seed=case)
     assert np.all(res.q >= 0.0)
     assert res.q.sum() == pytest.approx(1.0, abs=1e-12)
     assert dc.divergence(res.q, inst.base, kind) <= eta + 1e-9
-    # the grid brackets t on the same 2^-50 lattice as the reference's
-    # bisection, but may stop on a neighbouring point of it
+    # the barrier method and the reference's polished ascent reach the same
+    # maximum by unrelated routes
     assert abs(res.value - value) <= 1e-9
+
+
+@pytest.mark.parametrize("case", [k for k, (gamma, _, _) in enumerate(REFERENCE_CASES)
+                                  if gamma is not None and gamma >= 1.1])
+def test_oracle_never_above_the_dual(case):
+    # weak duality: the margin-form dual at any beta bounds the ball's maximum.
+    # KL has no margin-form dual here, and at gamma = 1.001 (g* = 1001) the
+    # margin objective's power mean underflows, so those cases are left out.
+    gamma, n, eta = REFERENCE_CASES[case]
+    inst = dc.DroInstance(np.random.default_rng(case).uniform(-1, 1, n), eta)
+    res = dc.inner_max_bruteforce(inst, dc.DivergenceKind.cressie_read(gamma))
+    _, dual = dc.minimize_beta_objective(inst.scores, dc.gamma_conjugate(gamma),
+                                         dc.c_gamma(eta, gamma))
+    assert res.value <= dual + 1e-12
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize alone adds about a third of a second to every start-up
+    path = [str(Path(dc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, drrl; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
+    assert out.stdout.strip() == "False"
 
 
 @st.composite
@@ -271,18 +342,18 @@ def test_boundary_rows_land_on_the_ball(case):
     kind, eta, starts, targets = case
     n = starts.shape[1]
     p = np.full(n, 1.0 / n)
-    out = dc._boundary_rows(starts, targets, kind, eta)
+    out = ref._boundary_rows(starts, targets, kind, eta)
     assert not np.any(np.isnan(out))
     assert np.all(out >= 0.0)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     # the search returns only points its own divergence found feasible
-    assert np.all(dc._div_rows(out, kind) <= eta)
+    assert np.all(ref._div_rows(out, kind) <= eta)
     for start, row, target in zip(starts, out, targets):
-        if dc._div_rows(target, kind) <= eta:
+        if ref._div_rows(target, kind) <= eta:
             np.testing.assert_array_equal(row, target)
             continue
         # on the boundary: short of eta by at most the slope of D along the
         # segment times the 2^-50 resolution, plus rounding
-        slope = abs((target - start) @ dc._div_grad(row, p, kind))
+        slope = abs((target - start) @ ref._div_grad(row, p, kind))
         gap = eta - dc.divergence(row, p, kind)
         assert gap <= slope * 2.0**-49 + 2 * _rounding_bound(kind, n), (gap, slope)
