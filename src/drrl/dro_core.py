@@ -320,7 +320,8 @@ def inner_max_bruteforce(inst: DroInstance, kind: DivergenceKind) -> InnerMaxRes
     Exact when P is optimal (eta = 0 or constant scores), on the
     worst-case-regret ball (its caps filled greedily), and when the best
     vertex lies in the ball (the simplex's own maximizer). Otherwise the
-    primal barrier method `_barrier_max`, from P, to within 1e-12.
+    primal barrier method `_barrier_max` from P, to a duality-gap bound of
+    1e-12 times the scores' spread.
     """
     f = inst.scores
     p = inst.base
