@@ -2,11 +2,11 @@
 degeneracies, gradient checks, convexity, and worst-case weight laws.
 
 Each suite runs at its own fixed tolerance and instance set, drawn from its
-`seed`; the oracle-backed `duality`, `lambda`, `kl-limit`, `weights` and
-`preset-range` also take `count`, and run the first `count` instances of
-that set. Each returns a list of check dicts {name, passed, ...detail} whose
-"tolerance" field records the bound it was held to; the CLI turns them into
-a JSON report and a nonzero exit on any failure.
+`seed`; the oracle-backed `duality`, `lambda`, `kl-limit` and `weights`
+also take `count`, and run the first `count` instances of that set. Each
+returns a list of check dicts {name, passed, ...detail} whose "tolerance"
+field records the bound it was held to; the CLI turns them into a JSON
+report and a nonzero exit on any failure.
 """
 
 from __future__ import annotations
@@ -91,10 +91,10 @@ def suite_duality(seed=0, count=200):
     return _duality_checks("duality", _random_instances(np.random.default_rng(seed), count), 1e-3)
 
 
-def suite_preset_range(seed=0, count=200):
+def suite_preset_range(seed=0):
     """`suite_duality` at the presets' divergence orders and radii, up to 64
-    negatives."""
-    return _duality_checks("preset-range", _preset_instances(np.random.default_rng(seed), count),
+    negatives: 200 instances."""
+    return _duality_checks("preset-range", _preset_instances(np.random.default_rng(seed), 200),
                            1e-3)
 
 
