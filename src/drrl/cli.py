@@ -129,9 +129,9 @@ def cmd_stats(args):
         if value < 1.0:
             raise ValueError(f"--resolve-margin needs loss.{key} >= 1, got {value:g}: below 1 "
                              f"the margin objective is unbounded below; {fix}")
-        print(f"warning: at loss.{key} = {value:g} the margin objective has no minimizer, so "
-              f"beta*, truncation and k1 describe an arbitrary point on its tail; {fix}",
-              file=sys.stderr)
+        print(f"warning: at loss.{key} = 1 the radius is 0 and the worst case is P itself: the "
+              f"margin objective has no minimizer, so beta* reads -inf, k1 and k2 read 1 and "
+              f"truncation reads 0; {fix}", file=sys.stderr)
     margins = None if margin_values is None else MarginState(margin_values)
     rows = diagnostics.user_diagnostics(
         scores, split, spec, margins=margins, resolve_margin=args.resolve_margin,

@@ -43,16 +43,16 @@ def _candidate_masks(split, users, num_items, noise_pool):
     return candidates, flagged & candidates
 
 
-def _margins(scores, candidates, users, spec, margins, resolve_margin):
+def _margins(scores, users, spec, margins, resolve_margin):
     """Each row's margin (None under SL, which has none)."""
     if spec.kind == "sl":
         return None
     if resolve_margin:
-        # CCL's hinge is the DrRL term at g* = 1 with c = alpha and eps = 0
+        # one solve for the block, whose -inf scores are absent; CCL's hinge
+        # is the DrRL term at g* = 1 with c = alpha and eps = 0
         objective = (1.0, spec.alpha, 0.0) if spec.kind == "ccl" else (
             spec.gamma_star, spec.c, spec.eps)
-        return np.array([minimize_beta_objective(f[keep], *objective)[0]
-                         for f, keep in zip(scores, candidates)])
+        return minimize_beta_objective(scores, *objective)[0]
     if margins is not None:
         return margins.beta[users]
     # the margin the loss trains with: CCL's is fixed, DrRL's starts at beta0
@@ -75,11 +75,15 @@ def user_diagnostics(
     block of users at a time, sized so that the block's working memory stays
     within `metrics.BLOCK_BYTES`.
     `resolve_margin` recomputes each user's margin by minimizing the
-    truncated-moment objective on that user's negative scores instead of
-    reading it from the trained margin state. `noise_pool` selects which
-    items count as false negatives for k2: the user's held-out positives
-    (default) or their train positives (in which case train positives also
-    join the candidate sweep, mirroring the train-pool noise protocol).
+    truncated-moment objective on that user's candidate scores
+    (`dro_core.minimize_beta_objective`, once per block) instead of reading
+    it from the trained margin state. At c = 1 (alpha = 1 under CCL), the
+    radius 0, the worst case is P itself: the margin reads -inf, every
+    candidate weighs 1, k1 and k2 read 1 and truncation reads 0.
+    `noise_pool` selects which items count as false negatives for k2: the
+    user's held-out positives (default) or their train positives (in which
+    case train positives also join the candidate sweep, mirroring the
+    train-pool noise protocol).
     """
     if spec.kind not in L.WORST_CASE_KINDS:
         raise ValueError(f"no worst-case weight notion for loss {spec.kind!r}; "
@@ -95,7 +99,7 @@ def user_diagnostics(
             continue
         users, candidates, flagged = users[live], candidates[live], flagged[live]
         scores = np.where(candidates, score_matrix[users], -np.inf)
-        beta = _margins(scores, candidates, users, spec, margins, resolve_margin)
+        beta = _margins(scores, users, spec, margins, resolve_margin)
         block = np.empty(users.size, RECORD)
         block["user"] = users
         block["k1"], block["k2"] = weight_stats(L.worst_case_weights(scores, spec, beta),

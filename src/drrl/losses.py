@@ -203,9 +203,17 @@ def worst_case_weights(f_neg, spec: LossSpec, beta=None):
     w_j = c (f_j - beta)_+^{1/(g-1)} / (mean (f - beta)_+^{g*})^{1/g}, a
     mean-one density at the optimal margin. SL's are the mean-one
     exponential weights exp(f_j/tau) / mean_k exp(f_k/tau). A score of
-    -inf weighs exactly 0 under all three.
+    -inf weighs exactly 0 under all three. A row whose margin is -inf, the
+    resolved margin at radius 0, weighs each of its finite scores 1: its
+    worst case is the uniform P itself.
     """
     f_neg = np.asarray(f_neg, dtype=float)
+    if spec.kind in ("ccl", "drrl") and np.any(np.asarray(beta, dtype=float) == -np.inf):
+        beta = np.broadcast_to(np.asarray(beta, dtype=float), (len(f_neg),))
+        weights = np.isfinite(f_neg).astype(float)
+        live = beta > -np.inf
+        weights[live] = worst_case_weights(f_neg[live], spec, beta[live])
+        return weights
     positive = np.zeros((len(f_neg), 1))  # d_neg does not depend on it
     n = f_neg.shape[1]
     if spec.kind == "sl":

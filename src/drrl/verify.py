@@ -100,14 +100,14 @@ def suite_preset_range(seed=0):
 
 def suite_lambda(seed=0, count=200):
     """The two-multiplier dual at (lambda*, rho* = beta* + lambda*/(g-1))
-    must reproduce the golden-section minimum. Runs the margin solver as
+    must reproduce the margin solver's minimum. Runs the margin solver as
     `solve_beta` does, without its brute-force primal."""
     tol = 1e-6
     rng = np.random.default_rng(seed)
     worst = 0.0
     for inst, gamma in _random_instances(rng, count):
         beta_star, dual_value = dc.minimize_beta_objective(
-            inst.scores, dc.gamma_conjugate(gamma), dc.c_gamma(inst.eta, gamma), 0.0, 1e-8)
+            inst.scores, dc.gamma_conjugate(gamma), dc.c_gamma(inst.eta, gamma))
         lam = dc.lambda_star(inst, gamma, beta_star)
         two_mult = dc.dual_lagrangian(inst, gamma, lam, beta_star + lam / (gamma - 1.0))
         worst = max(worst, abs(two_mult - dual_value))

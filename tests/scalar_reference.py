@@ -5,10 +5,11 @@ their Jacobians for one (user, item) pair, the closed-form worst-case
 weights, checkpoint diagnostics with one kernel call per user, a
 loss-and-gradients pass that loops over pairs and negatives one at a time,
 the earlier projected-ascent inner maximization (simplex projection,
-grid-bracketed boundary search and SLSQP polish, all kept here) with one
-start and one bisection step at a time, the negative sampler with a
-sorted-key membership test and per-user set unions for its held-out pools,
-and Adam with a fresh array per intermediate."""
+bisection boundary search and SLSQP polish, all kept here) with one start
+and one bisection step at a time, the earlier golden-section margin
+solver, the negative sampler with a sorted-key membership test and
+per-user set unions for its held-out pools, and Adam with a fresh array
+per intermediate."""
 
 import math
 
@@ -157,14 +158,24 @@ def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=Fal
             flagged = np.isin(candidates, list(split.validation[user] | split.test[user]))
         if candidates.size == 0:
             continue
-        f = np.asarray(score_matrix[user:user + 1], dtype=float)[0, candidates]
+        row = np.asarray(score_matrix[user:user + 1], dtype=float)[0]
+        f = row[candidates]
         beta = math.nan
         if spec.kind != "sl":
-            if resolve_margin:
-                if spec.kind == "ccl":
-                    beta, _ = dc.minimize_beta_objective(f, 1.0, spec.alpha, 0.0)
-                else:
-                    beta, _ = dc.minimize_beta_objective(f, spec.gamma_star, spec.c, spec.eps)
+            if resolve_margin and spec.kind == "ccl":
+                # the (floor(n / alpha) + 1)-th largest score, -inf past the
+                # last, one float below the largest if it is that
+                rank = int(f.size // spec.alpha)
+                ranked = np.sort(f)[::-1]
+                beta = -math.inf if rank >= f.size else float(ranked[rank])
+                if beta == ranked[0]:
+                    beta = float(np.nextafter(beta, -math.inf))
+            elif resolve_margin:
+                # the array solver on this user's row, absent scores -inf as
+                # in a block, so that its sums run in the same order
+                padded = np.full(num_items, -np.inf)
+                padded[candidates] = f
+                beta, _ = dc.minimize_beta_objective(padded, spec.gamma_star, spec.c, spec.eps)
             elif margins is not None:
                 beta = float(margins.beta[user])
             else:
@@ -183,6 +194,66 @@ def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=Fal
         truncation = math.nan if spec.kind == "sl" else float(np.mean(f <= beta))
         rows.append((user, k1, k2, truncation, beta, degenerate))
     return np.array(rows, dtype=RECORD).view(np.recarray)
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def golden_section(fn, a, b, tol=1e-8):
+    """Golden-section minimization of a unimodal function on [a, b].
+
+    Returns (x_min, f_min) with bracket width below tol.
+    """
+    a, b = min(a, b), max(a, b)
+    h = b - a
+    if h <= tol:
+        x = 0.5 * (a + b)
+        return x, fn(x)
+    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+    c = a + _INV_PHI2 * h
+    d = a + _INV_PHI * h
+    yc = fn(c)
+    yd = fn(d)
+    for _ in range(n - 1):
+        h *= _INV_PHI
+        if yc < yd:
+            b, d, yd = d, c, yc
+            c = a + _INV_PHI2 * h
+            yc = fn(c)
+        else:
+            a, c, yc = c, d, yd
+            d = a + _INV_PHI * h
+            yd = fn(d)
+    if yc < yd:
+        return c, yc
+    return d, yd
+
+
+def _expand_bracket(fn, lo, hi, max_doublings=40):
+    """Push the lower bracket edge down while the function is still strictly
+    decreasing there; for small radii the margin minimizer sits far below
+    min(scores)."""
+    width = hi - lo
+    probe = max(width * 1e-3, 1e-9)
+    for _ in range(max_doublings):
+        if fn(lo) >= fn(lo + probe) - 1e-14:
+            break
+        lo -= width
+        width *= 2.0
+    return lo
+
+
+def minimize_beta_objective(neg_scores, gamma_star, c, eps=0.0, tol=1e-8):
+    """The scalar margin solver `dro_core.minimize_beta_objective` replaced:
+    golden section on `losses.drrl_beta_objective` over one row of finite
+    scores, below a bracket whose lower edge doubles down. Returns
+    (beta*, objective value)."""
+    scores = np.asarray(neg_scores, dtype=float)
+    fn = lambda beta: L.drrl_beta_objective(scores, gamma_star, c, eps, beta)
+    hi = float(scores.max())
+    lo = _expand_bracket(fn, float(scores.min()) - 1.0, hi)
+    return golden_section(fn, lo, hi, tol)
 
 
 def _beta_gradient(neg, spec, beta):
@@ -265,53 +336,6 @@ def project_simplex(v):
     return np.maximum(v - theta, 0.0)
 
 
-def _div_rows(q, kind):
-    """Divergence from uniform of each row of `q` (`(..., n)` -> `(...)`),
-    without validation, for the oracle's hot path. Rows are nonnegative;
-    zero coordinates add nothing to KL."""
-    n = q.shape[-1]
-    if kind.kind == dc.KL:
-        return np.sum(q * np.log(np.where(q > 0, q * n, 1.0)), axis=-1)
-    g = kind.gamma
-    t = q * n
-    return np.sum(t**g - g * t + g - 1.0, axis=-1) / n / (g * (g - 1.0))
-
-
-_GRID = 32  # grid intervals per round of the boundary search
-_ROUNDS = 10  # 32^10 = 2^50: the resolution of a 50-step bisection
-
-
-def _boundary_rows(a, b, kind, eta):
-    """Row-wise largest feasible point on the segment from a feasible `a`
-    (`(n,)` or `(m, n)`) toward a target `b` (`(m, n)`).
-
-    D is convex, so the feasible t in [0, 1] form an interval [0, t*]. Rows
-    whose target is feasible return it; the others bracket t* on a grid of
-    `_GRID` intervals per round, moving to the grid point before the first
-    infeasible one, for `_ROUNDS` rounds. Points are (1 - t) a + t b, which
-    stays nonnegative in floating point (a + t (b - a) can round a zero
-    coordinate below zero, and a fractional power of that is NaN).
-    """
-    a = np.broadcast_to(a, b.shape)
-    out = b.copy()
-    rows = np.flatnonzero(_div_rows(b, kind) > eta)
-    if rows.size == 0:
-        return out
-    a, b = a[rows, None, :], b[rows, None, :]
-    steps = np.arange(1, _GRID)
-    lo = np.zeros(rows.size)
-    width = 1.0
-    for _ in range(_ROUNDS):
-        width /= _GRID
-        t = (lo[:, None] + width * steps)[..., None]
-        feasible = _div_rows((1 - t) * a + t * b, kind) <= eta
-        # move to the last grid point before the first infeasible one
-        lo = lo + width * np.logical_and.accumulate(feasible, axis=1).sum(axis=1)
-    t = lo[:, None]
-    out[rows] = (1 - t) * a[:, 0] + t * b[:, 0]
-    return out
-
-
 def _div_grad(q, p, kind):
     q = np.maximum(q, 1e-15)
     ratio = q / p
@@ -342,7 +366,7 @@ def _slsqp_polish(q0, f, p, kind, eta):
     s = q.sum()
     if s <= 0:
         return None
-    return _boundary_rows(p, (q / s)[None], kind, eta)[0]
+    return _feasible_toward(p, q / s, kind, eta)
 
 
 def _div_fast(q, p, kind):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,23 @@ def test_blocks_match_the_per_user_reference(spec, noise_pool, margin, monkeypat
         monkeypatch.setattr(metrics, "BLOCK_BYTES",
                             BYTES_PER_SCORE * split.num_items * users_per_block)
         _same_rows(user_diagnostics(scores, split, spec, **kwargs), want)
+
+
+@pytest.mark.parametrize("spec", [L.LossSpec(kind="drrl", gamma_star=2.0, c=1.0, eps=0.1),
+                                  L.LossSpec(kind="ccl", alpha=1.0)], ids=["drrl", "ccl"])
+def test_radius_zero_weighs_every_candidate_alike(spec):
+    # at c = 1 (alpha = 1) the resolved margin is -inf and the worst case is
+    # P: every user, the constant-score user 5 too, reads k1 = k2 = 1 and
+    # truncation 0, and no kernel takes inf - inf
+    split, scores, _ = _random_case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = user_diagnostics(scores, split, spec, resolve_margin=True)
+    assert len(rows) == 29 and not rows.degenerate.any()
+    assert (rows.beta == -np.inf).all() and (rows.truncation == 0.0).all()
+    assert (rows.k1 == 1.0).all()
+    flagged = ~np.isnan(rows.k2)
+    assert flagged.any() and (rows.k2[flagged] == 1.0).all()
 
 
 def _block_model(n_users, n_items, d):
