@@ -20,6 +20,9 @@ KL = "kl"
 WORST_REGRET = "worst_regret"
 CRESSIE_READ = "cressie_read"
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
 
 @dataclass(frozen=True)
 class DivergenceKind:
@@ -166,6 +169,36 @@ def divergence(q, p, kind: DivergenceKind):
     pos = p > 0
     ratio[pos] = q[pos] / p[pos]
     return float(np.sum(p[pos] * phi_gamma(ratio[pos], kind.gamma)))
+
+
+def golden_section(fn, a, b, tol=1e-8):
+    """Golden-section minimization of a unimodal function on [a, b].
+
+    Returns (x_min, f_min) with bracket width below tol.
+    """
+    a, b = min(a, b), max(a, b)
+    h = b - a
+    if h <= tol:
+        x = 0.5 * (a + b)
+        return x, fn(x)
+    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+    c = a + _INV_PHI2 * h
+    d = a + _INV_PHI * h
+    yc = fn(c)
+    yd = fn(d)
+    for _ in range(n - 1):
+        h *= _INV_PHI
+        if yc < yd:
+            b, d, yd = d, c, yc
+            c = a + _INV_PHI2 * h
+            yc = fn(c)
+        else:
+            a, c, yc = c, d, yd
+            d = a + _INV_PHI * h
+            yd = fn(d)
+    if yc < yd:
+        return c, yc
+    return d, yd
 
 
 def _wr_greedy(scores, p, alpha_cap):
@@ -328,112 +361,18 @@ def lambda_star(inst: DroInstance, gamma, beta):
     return float((gamma - 1.0) * scale * moment)
 
 
-_BETA_TOL = 1e-9  # the margin solver's bound on a step, relative to |beta| + spread
-_VALUE_TOL = 1e-14  # and on a value's excess over the minimum, relative
-
-
-def _margin_slope(f, beta, top, count, g, c, eps):
-    """Slope h' (`losses.drrl_beta_gradient`), curvature h'' and value h of
-    each row's margin objective at beta < max f. Terms are scaled by the
-    row's largest, m = c (max f - beta) + eps, so a_j = [c (f_j - beta)_+ +
-    eps] / m lies in [0, 1] and no power over- or underflows at any g*:
-    h' = 1 - c r T / S and h'' = (g*-1) c^2 r (U - T^2 / S) / (m S), where
-    T and U sum a^{g*-1} and a^{g*-2} over the scores above beta, S sums
-    a^{g*} over the row's n scores and r = (S / n)^{1/g*}."""
-    m = c * (top - beta) + eps
-    t, s, u = np.empty((3, len(f)))
-    step = max(1, (1 << 16) // f.shape[1])  # rows at a time, whose arrays stay in cache
-    for k in range(0, len(f), step):
-        rows = slice(k, k + step)
-        a = f[rows] - beta[rows, None]
-        a = np.maximum(np.multiply(a, (c / m[rows])[:, None], out=a), 0.0, out=a)
-        above = a > 0.0
-        np.add(a, (eps / m[rows])[:, None], out=a, where=above)  # the others keep 0
-        lowered = a ** (g - 1.0)
-        term = lowered * a
-        t[rows], s[rows] = lowered.sum(axis=1), term.sum(axis=1)
-        u[rows] = np.divide(lowered, a, out=term, where=above).sum(axis=1)  # 0 where not above
-        if eps:  # a truncated score adds (eps / m)^{g*} to S, an absent one nothing
-            s[rows] += (count[rows] - above.sum(axis=1)) * (eps / m[rows]) ** g
-    r = (s / count) ** (1.0 / g)
-    return 1.0 - c * r * t / s, (g - 1.0) * c * c * r * (u - t * t / s) / (m * s), beta + m * r
-
-
-def _newton_margins(f, present, count, top, g, c, eps):
-    """beta* and h(beta*) of each row at g* > 1, c > 1: Newton steps on the
-    slope, in lockstep; a row evaluates only its own points, so it solves
-    alike alone and in any block. A row starts at the minimum of the tail
-    expansion beta + c (t + (g*-1) var / (2 t)), t = mean f + eps / c - beta.
-    Points of negative slope (it tends to 1 - c far down) become its lower
-    bracket edge, the others its upper edge, first max f (slope 1). A Newton
-    step that leaves the bracket or does not halve the last gives way to
-    where the edges' tangents meet, a sixteenth of the bracket off either
-    edge at least, or, with no lower edge yet, to a step down by a doubling
-    width. A row stops at its point once its slope is 0 to rounding, or its
-    step and slope times step are within `_BETA_TOL` and `_VALUE_TOL`; or at
-    the edge of lower value once the edges are within twice the step bound
-    and their tangents' meeting value, below the minimum by convexity, is
-    within the value bound of it. That closes a minimum on a kink (the slope jumps at every
-    score when eps > 0). When eps = 0 and g* < 2 the curvature is unbounded
-    next to every score and a short step proves nothing, so it is taken
-    twice over, to close the bracket across the root, else the tangents'
-    point comes next."""
-    spread = top - np.min(f, axis=1, initial=np.inf, where=present)
-    z = np.where(present, f, 0.0)
-    mean = z.sum(axis=1) / count
-    var = np.maximum((z * z).sum(axis=1) / count - mean * mean, 0.0)
-    start = mean + eps / c - np.sqrt(var * c * (g - 1.0) / (2.0 * (c - 1.0)))
-    out, value = top.copy(), top + eps  # a row of equal scores has its minimum there
-    rows = np.flatnonzero(spread > 0.0)
-    # per row: its point, each edge's (point, slope, value), the width of a
-    # step down, the last step, whether it was a probe, and the row's constants
-    ones = np.ones(len(f))
-    state = np.stack([np.minimum(start, top - 0.5 * spread), -np.inf * ones, -ones,
-                      np.inf * ones, top, ones, top + eps, spread, np.inf * ones, 0.0 * ones,
-                      top, count, spread])[:, rows]
-    f = f[rows]
-    probing = g < 2.0 and eps == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100):  # evaluations per row before it stops at its best point
-            if not rows.size:
-                break
-            (beta, lo, lo_slope, lo_value, hi, hi_slope, hi_value, width, last, probe,
-             row_top, row_count, row_spread) = state
-            slope, curvature, v = _margin_slope(f, beta, row_top, row_count, g, c, eps)
-            for side, edge in ((slope < 0.0, state[1:4]), (slope >= 0.0, state[4:7])):
-                for field, now in zip(edge, (beta, slope, v)):
-                    np.copyto(field, now, where=side)
-            step = -slope / curvature
-            bound = _BETA_TOL * (np.abs(beta) + row_spread)
-            value_bound = _VALUE_TOL * (np.abs(v) + np.abs(beta) + row_spread)
-            short = np.abs(step) <= bound
-            take = (beta + step > lo) & (beta + step < hi) & (np.abs(step) <= 0.5 * last)
-            settled = np.abs(slope) <= _VALUE_TOL * c
-            if probing:
-                take &= probe == 0.0
-                probe[:] = short & (probe == 0.0)
-            else:
-                settled |= short & (np.abs(slope * step) <= value_bound)
-            gap = hi - lo
-            offset = (hi_value - lo_value - hi_slope * gap) / (lo_slope - hi_slope)
-            closed = ~settled & (gap <= 2.0 * bound) & (
-                np.minimum(lo_value, hi_value) - lo_value - lo_slope * offset <= value_bound)
-            done = settled | closed
-            lower = lo_value <= hi_value
-            out[rows] = np.where(settled, beta, np.where(lower, lo, hi))
-            value[rows] = np.where(settled, v, np.where(lower, lo_value, hi_value))
-            nxt = np.where(probe > 0.0, beta + 2.0 * step, beta + step)
-            take |= probe > 0.0
-            if not take.all():
-                down = (lo == -np.inf) & ~take
-                nxt = np.where(take, nxt, np.where(
-                    down, hi - width, lo + np.clip(offset, gap / 16.0, gap - gap / 16.0)))
-                width *= np.where(down, 2.0, 1.0)
-            state[8] = np.abs(nxt - beta)
-            state[0] = nxt
-            if done.any():
-                rows, state, f = rows[~done], state[:, ~done], f[~done]
-    return out, value
+def _expand_bracket(fn, lo, hi, max_doublings=40):
+    """Push the lower bracket edge down while the function is still strictly
+    decreasing there; for small radii the margin minimizer sits far below
+    min(scores)."""
+    width = hi - lo
+    probe = max(width * 1e-3, 1e-9)
+    for _ in range(max_doublings):
+        if fn(lo) >= fn(lo + probe) - 1e-14:
+            break
+        lo -= width
+        width *= 2.0
+    return lo
 
 
 def minimize_beta_objective(scores, gamma_star, c, eps=0.0):
@@ -450,10 +389,12 @@ def minimize_beta_objective(scores, gamma_star, c, eps=0.0):
     its infimum mean(f) + eps, and beta* is -inf. At g* = 1 the slope
     1 - c #{f > beta} / n changes sign at the (floor(n / c) + 1)-th largest
     score, an exact minimizer (the lower end of a flat segment when n / c is
-    an integer), one `np.partition` per block. At g* > 1 beta* is the
-    slope's root (`_newton_margins`). A minimum at a row's largest score is
-    reported one float below it, where the kernels weigh the top scores,
-    which carry the worst case, rather than none.
+    an integer), one `np.partition` per block. At g* > 1 each row runs golden
+    section to 1e-8 below a bracket whose lower edge doubles down, on terms
+    divided by their largest, m = c (max f - beta) + eps (M is homogeneous in
+    them), so that no g* over- or underflows. A minimum at a row's largest
+    score is reported one float below it, where the kernels weigh the top
+    scores, which carry the worst case, rather than none.
     """
     if c < 1:
         raise ValueError(
@@ -473,7 +414,17 @@ def minimize_beta_objective(scores, gamma_star, c, eps=0.0):
         beta = np.take_along_axis(np.partition(f, np.unique(at), axis=1), at[:, None], axis=1)[:, 0]
         value = beta + c * np.maximum(f - beta[:, None], 0.0).sum(axis=1) / count + eps
     else:
-        beta, value = _newton_margins(f, present, count, top, gamma_star, c, eps)
+        beta, value = np.empty((2, len(f)))
+        for i, (row, hi) in enumerate(zip(f, top.tolist())):
+            row = row[present[i]]
+
+            def fn(b):
+                m = c * (hi - b) + eps
+                t = np.maximum(row - b, 0.0) * (c / m) + eps / m
+                return b + m * (float((t ** gamma_star).sum()) / row.size) ** (1.0 / gamma_star)
+
+            lo = _expand_bracket(fn, float(row.min()) - 1.0, hi)
+            beta[i], value[i] = golden_section(fn, lo, hi)
     beta = np.where(beta < top, beta, np.nextafter(top, -np.inf))
     return (float(beta[0]), float(value[0])) if np.ndim(scores) == 1 else (beta, value)
 
@@ -481,7 +432,8 @@ def minimize_beta_objective(scores, gamma_star, c, eps=0.0):
 def solve_beta(inst: DroInstance, gamma) -> DualCertificate:
     """Minimize the Renyi dual  beta + c_gamma(eta) ||(f - beta)_+||_{g*}
     (norm under the empirical uniform distribution) over the margin, plus
-    the multiplier certificate and a brute-force primal value."""
+    the multiplier certificate and a brute-force primal value. At eta = 0
+    the ball holds only P: beta* = -inf, lambda* = inf and the dual is mean f."""
     beta_star, value = minimize_beta_objective(
         inst.scores, gamma_conjugate(gamma), c_gamma(inst.eta, gamma))
     lam = lambda_star(inst, gamma, beta_star)

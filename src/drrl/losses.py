@@ -203,17 +203,13 @@ def worst_case_weights(f_neg, spec: LossSpec, beta=None):
     w_j = c (f_j - beta)_+^{1/(g-1)} / (mean (f - beta)_+^{g*})^{1/g}, a
     mean-one density at the optimal margin. SL's are the mean-one
     exponential weights exp(f_j/tau) / mean_k exp(f_k/tau). A score of
-    -inf weighs exactly 0 under all three. A row whose margin is -inf, the
-    resolved margin at radius 0, weighs each of its finite scores 1: its
-    worst case is the uniform P itself.
+    -inf weighs exactly 0 under all three. A margin of -inf, the resolved
+    margin at radius 0 for every row, weighs each finite score 1: the worst
+    case is the uniform P itself.
     """
     f_neg = np.asarray(f_neg, dtype=float)
-    if spec.kind in ("ccl", "drrl") and np.any(np.asarray(beta, dtype=float) == -np.inf):
-        beta = np.broadcast_to(np.asarray(beta, dtype=float), (len(f_neg),))
-        weights = np.isfinite(f_neg).astype(float)
-        live = beta > -np.inf
-        weights[live] = worst_case_weights(f_neg[live], spec, beta[live])
-        return weights
+    if spec.kind != "sl" and np.all(np.asarray(beta) == -np.inf):
+        return np.isfinite(f_neg).astype(float)
     positive = np.zeros((len(f_neg), 1))  # d_neg does not depend on it
     n = f_neg.shape[1]
     if spec.kind == "sl":

@@ -6,10 +6,10 @@ weights, checkpoint diagnostics with one kernel call per user, a
 loss-and-gradients pass that loops over pairs and negatives one at a time,
 the earlier projected-ascent inner maximization (simplex projection,
 bisection boundary search and SLSQP polish, all kept here) with one start
-and one bisection step at a time, the earlier golden-section margin
-solver, the negative sampler with a sorted-key membership test and
-per-user set unions for its held-out pools, and Adam with a fresh array
-per intermediate."""
+and one bisection step at a time, the margin solver's golden section on
+the unscaled objective, the negative sampler with a sorted-key membership
+test and per-user set unions for its held-out pools, and Adam with a fresh
+array per intermediate."""
 
 import math
 
@@ -158,8 +158,7 @@ def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=Fal
             flagged = np.isin(candidates, list(split.validation[user] | split.test[user]))
         if candidates.size == 0:
             continue
-        row = np.asarray(score_matrix[user:user + 1], dtype=float)[0]
-        f = row[candidates]
+        f = np.asarray(score_matrix[user:user + 1], dtype=float)[0, candidates]
         beta = math.nan
         if spec.kind != "sl":
             if resolve_margin and spec.kind == "ccl":
@@ -171,11 +170,7 @@ def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=Fal
                 if beta == ranked[0]:
                     beta = float(np.nextafter(beta, -math.inf))
             elif resolve_margin:
-                # the array solver on this user's row, absent scores -inf as
-                # in a block, so that its sums run in the same order
-                padded = np.full(num_items, -np.inf)
-                padded[candidates] = f
-                beta, _ = dc.minimize_beta_objective(padded, spec.gamma_star, spec.c, spec.eps)
+                beta, _ = dc.minimize_beta_objective(f, spec.gamma_star, spec.c, spec.eps)
             elif margins is not None:
                 beta = float(margins.beta[user])
             else:
@@ -196,64 +191,15 @@ def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=Fal
     return np.array(rows, dtype=RECORD).view(np.recarray)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def golden_section(fn, a, b, tol=1e-8):
-    """Golden-section minimization of a unimodal function on [a, b].
-
-    Returns (x_min, f_min) with bracket width below tol.
-    """
-    a, b = min(a, b), max(a, b)
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, fn(x)
-    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc = fn(c)
-    yd = fn(d)
-    for _ in range(n - 1):
-        h *= _INV_PHI
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI2 * h
-            yc = fn(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * h
-            yd = fn(d)
-    if yc < yd:
-        return c, yc
-    return d, yd
-
-
-def _expand_bracket(fn, lo, hi, max_doublings=40):
-    """Push the lower bracket edge down while the function is still strictly
-    decreasing there; for small radii the margin minimizer sits far below
-    min(scores)."""
-    width = hi - lo
-    probe = max(width * 1e-3, 1e-9)
-    for _ in range(max_doublings):
-        if fn(lo) >= fn(lo + probe) - 1e-14:
-            break
-        lo -= width
-        width *= 2.0
-    return lo
-
-
 def minimize_beta_objective(neg_scores, gamma_star, c, eps=0.0, tol=1e-8):
-    """The scalar margin solver `dro_core.minimize_beta_objective` replaced:
-    golden section on `losses.drrl_beta_objective` over one row of finite
-    scores, below a bracket whose lower edge doubles down. Returns
-    (beta*, objective value)."""
+    """`dro_core.minimize_beta_objective`'s golden section on one row of
+    finite scores, run on the kernel's unscaled `losses.drrl_beta_objective`.
+    Returns (beta*, objective value)."""
     scores = np.asarray(neg_scores, dtype=float)
     fn = lambda beta: L.drrl_beta_objective(scores, gamma_star, c, eps, beta)
     hi = float(scores.max())
-    lo = _expand_bracket(fn, float(scores.min()) - 1.0, hi)
-    return golden_section(fn, lo, hi, tol)
+    lo = dc._expand_bracket(fn, float(scores.min()) - 1.0, hi)
+    return dc.golden_section(fn, lo, hi, tol)
 
 
 def _beta_gradient(neg, spec, beta):

@@ -160,15 +160,13 @@ def test_minus_inf_scores_weigh_exactly_zero(spec):
 
 @pytest.mark.parametrize("spec", [L.LossSpec(kind="ccl", alpha=1.0), drrl_at(2.0, 1.0)])
 def test_minus_inf_margin_weighs_every_finite_score_one(spec):
-    # a margin of -inf is the radius 0, whose worst case is P itself: the
-    # row's finite scores weigh 1 and its -inf padding 0, with no inf - inf
-    # taken; the other rows keep their kernel's weights
+    # a margin of -inf is the radius 0, whose worst case is P itself: finite
+    # scores weigh 1 and -inf padding 0, with no inf - inf taken
     block = np.array([[0.4, -np.inf, 0.7, 0.1], [0.3, 0.9, -0.5, 0.2]])
-    beta = np.array([-np.inf, 0.25])
     with np.errstate(all="raise"):
-        w = L.worst_case_weights(block, spec, beta)
-    assert w[0].tolist() == [1.0, 0.0, 1.0, 1.0]
-    np.testing.assert_array_equal(w[1], L.worst_case_weights(block[1:], spec, beta[1:])[0])
+        for beta in (-np.inf, np.full(2, -np.inf)):
+            w = L.worst_case_weights(block, spec, beta)
+            assert w.tolist() == [[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]
 
 
 def test_ccl_weights_are_alpha_above_the_margin():
