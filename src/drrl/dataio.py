@@ -10,12 +10,20 @@ from pathlib import Path
 
 import numpy as np
 
-# Byte budget of one block of the boolean (rows x items) train mask that
-# `sample_batch` tests its draws against, so the sampler's memory does not
-# grow with batch size x catalogue size.
-MASK_BYTES = 16 << 20
+# Working-memory budget of one block of rows in every kernel whose arrays
+# would otherwise grow with batch size x catalogue size or users x items:
+# the sampler's train mask, the training step's score chunks, the ranking
+# kernel and the diagnostics. Each kernel counts its own bytes per row.
+BLOCK_BYTES = 16 << 20
 
 PARTS = ("train", "validation", "test")
+
+
+def row_blocks(count, bytes_per_row):
+    """Slices covering range(count) in order, each of as many rows as fit
+    BLOCK_BYTES at `bytes_per_row`, and at least one."""
+    rows = max(1, BLOCK_BYTES // max(1, bytes_per_row))
+    return [slice(start, min(start + rows, count)) for start in range(0, count, rows)]
 
 
 class ParseError(ValueError):
@@ -291,32 +299,31 @@ def split_temporal(log: InteractionLog, test_frac=0.2, val_frac_of_train=0.1):
 
 class _TrainMask:
     """Train-item membership for the rows of a batch, read off boolean
-    (rows x items) blocks of at most MASK_BYTES gathered from the train part.
-    The last block built is kept, so a batch that fits one block builds it
-    once."""
+    (rows x items) `row_blocks` gathered from the train part. The last block
+    built is kept, so a batch that fits one block builds it once."""
 
     def __init__(self, train, users, num_items):
         self.train, self.users, self.num_items = train, users, num_items
-        self.rows = max(1, MASK_BYTES // num_items)
+        self.blocks = row_blocks(len(users), num_items)
         self.built = (None, None)
 
-    def _block(self, first):
-        if self.built[0] != first:
-            users = self.users[first:first + self.rows]
+    def _block(self, block):
+        if self.built[0] != block.start:
+            users = self.users[block]
             mask = np.zeros((len(users), self.num_items), dtype=bool)
             mask[self.train.gather(users)] = True
-            self.built = (first, mask)
+            self.built = (block.start, mask)
         return self.built[1]
 
     def hits(self, rows, items):
         """Whether each item is a train item of its batch row; `rows` is
         ascending, an (n,) vector or an (n, 1) column against (n, k) items."""
         out = np.empty(items.shape, dtype=bool)
-        for first in range(0, len(self.users), self.rows):
-            lo, hi = np.searchsorted(rows.ravel(), (first, first + self.rows))
+        for block in self.blocks:
+            lo, hi = np.searchsorted(rows.ravel(), (block.start, block.stop))
             if lo < hi:
-                keys = items[lo:hi] + self.num_items * (rows[lo:hi] - first)
-                out[lo:hi] = np.take(self._block(first), keys)
+                keys = items[lo:hi] + self.num_items * (rows[lo:hi] - block.start)
+                out[lo:hi] = np.take(self._block(block), keys)
         return out
 
 
@@ -348,7 +355,7 @@ def sample_batch(
 
     All slots are drawn at once; a draw that hits one of the user's train
     positives (read off a boolean train mask of the batch rows, built in
-    blocks of at most MASK_BYTES) is redrawn.
+    `row_blocks` of at most BLOCK_BYTES) is redrawn.
     """
     if rng is None:
         rng = np.random.default_rng(0)

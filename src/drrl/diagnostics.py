@@ -15,7 +15,8 @@ from . import losses as L
 from .dro_core import minimize_beta_objective
 # cosine_matrix and forward are unused here: perfbench's tracer wraps them in this module
 from .graphmodel import CosineScores, cosine_matrix, forward  # noqa: F401
-from .metrics import block_rows, truncation_ratio, weight_stats
+from .dataio import row_blocks
+from .metrics import truncation_ratio, weight_stats
 
 # Working memory per score of a diagnostics block: the padded scores, the
 # masks, and the weights with the kernel's own float64 temporaries (34 bytes
@@ -73,7 +74,7 @@ def user_diagnostics(
 
     `score_matrix` (an array, or a `graphmodel.CosineScores`) is read one
     block of users at a time, sized so that the block's working memory stays
-    within `metrics.BLOCK_BYTES`.
+    within `dataio.BLOCK_BYTES`.
     `resolve_margin` recomputes each user's margin by minimizing the
     truncated-moment objective on that user's candidate scores
     (`dro_core.minimize_beta_objective`, once per block) instead of reading
@@ -88,11 +89,12 @@ def user_diagnostics(
     if spec.kind not in L.WORST_CASE_KINDS:
         raise ValueError(f"no worst-case weight notion for loss {spec.kind!r}; "
                          f"diagnostics support {L.WORST_CASE_KINDS}")
+    if noise_pool not in ("heldout", "train"):
+        raise ValueError(f"noise pool must be 'heldout' or 'train', got {noise_pool!r}")
     num_users, num_items = score_matrix.shape
     blocks = [np.empty(0, RECORD)]
-    step = block_rows(num_items, BYTES_PER_SCORE)
-    for start in range(0, num_users, step):
-        users = np.arange(start, min(start + step, num_users))
+    for block in row_blocks(num_users, BYTES_PER_SCORE * num_items):
+        users = np.arange(block.start, block.stop)
         candidates, flagged = _candidate_masks(split, users, num_items, noise_pool)
         live = candidates.any(axis=1)
         if not live.any():

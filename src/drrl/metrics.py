@@ -5,16 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Working-memory budget of one block of score rows. The ranking kernel holds
-# a float64 copy of the block, argpartition's int64 index block and boolean
-# masks: at most 20 bytes per score.
-BLOCK_BYTES = 16 << 20
+from .dataio import row_blocks
 
-
-def block_rows(num_items, bytes_per_score=20):
-    """Rows per block of a (users x num_items) score matrix, for a kernel
-    whose working memory takes `bytes_per_score` per score."""
-    return max(1, BLOCK_BYTES // (bytes_per_score * max(1, num_items)))
+# Working memory per score of a ranking block: a float64 copy of the block,
+# argpartition's int64 index block and boolean masks
+BYTES_PER_SCORE = 20
 
 
 def _top_lists(masked, exclude, k):
@@ -62,10 +57,9 @@ def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
 
     `score_matrix` (an array, or a `graphmodel.CosineScores`) is read by
     row blocks; `exclude_sets` and `truth_sets` are split parts
-    (`dataio.UserItems`), one user per score row. Ranks blocks of
-    `block_rows` users at a time, once to max(ks), and reads every K off
-    that one top list. Returns {(metric, K): value}; users with empty truth
-    are skipped.
+    (`dataio.UserItems`), one user per score row. Ranks the users in
+    `dataio.row_blocks`, once to max(ks), and reads every K off that one top
+    list. Returns {(metric, K): value}; users with empty truth are skipped.
     """
     num_users, num_items = score_matrix.shape
     for name, sets in (("exclude_sets", exclude_sets), ("truth_sets", truth_sets)):
@@ -85,9 +79,8 @@ def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
         return sums
     discount = 1.0 / np.log2(np.arange(2, min(max(ks), num_items) + 2))
     ideal_dcg = np.cumsum(discount)
-    step = block_rows(num_items)
-    for lo in range(0, scored.size, step):
-        users = scored[lo:lo + step]
+    for block in row_blocks(scored.size, BYTES_PER_SCORE * num_items):
+        users = scored[block]
         rows, items = truth_sets.gather(users)
         if items.min() < 0 or items.max() >= num_items:
             raise ValueError(

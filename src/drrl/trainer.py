@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import losses as L
-from .dataio import DatasetSplit, NoiseConfig, sample_batch
+from .dataio import DatasetSplit, NoiseConfig, row_blocks, sample_batch
 from .graphmodel import (
     BackboneConfig,
     CosineScores,
@@ -27,13 +27,6 @@ from .graphmodel import (
 from .metrics import evaluate_ranking
 
 MARGIN_MODES = ("per_user", "shared", "fixed")
-
-# Byte budget of the row chunks in `loss_and_gradients`, so the step's
-# memory is set by this constant, not by B * n_neg * d or B * items. A chunk
-# takes at most half of it: in the gather regime its (rows, n_neg, d) item
-# rows, in the catalogue-dense regime its (rows, items) score and gradient
-# blocks with its (rows, n_neg + 1) index and weight arrays.
-CHUNK_BYTES = 16 << 20
 
 # The step scores every item of a chunk's rows with BLAS products when the
 # catalogue has at most this many items per scored (positive or negative)
@@ -170,13 +163,12 @@ def _touched(ids, size):
 
 def _negative_scores(user_rows, item_unit, negatives):
     """Cosine scores (B, n_neg) of each row's user against its negatives,
-    gathered in row chunks of at most CHUNK_BYTES / 2 bytes (of float64; a
-    float32 chunk takes half that)."""
+    gathered in `row_blocks` whose (rows, n_neg, d) item rows take at most
+    half of BLOCK_BYTES (of float64; a float32 chunk takes half that), so
+    the step's memory does not grow with B * n_neg * d."""
     n_neg, d = negatives.shape[1], item_unit.shape[1]
-    rows = max(1, CHUNK_BYTES // (2 * 8 * n_neg * d))
     f_neg = np.empty(negatives.shape, item_unit.dtype)
-    for start in range(0, len(negatives), rows):
-        chunk = slice(start, start + rows)
+    for chunk in row_blocks(len(negatives), 2 * 8 * n_neg * d):
         np.einsum("bd,bjd->bj", user_rows[chunk], item_unit[negatives[chunk]],
                   out=f_neg[chunk])
     return f_neg
@@ -199,23 +191,21 @@ def _sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_
     return coeff @ item_unit, coeff.T @ user_rows
 
 
-def _dense_rows(num_items, n_neg):
-    """Rows per chunk of the catalogue-dense regime: a chunk's (rows, items)
+def _dense_blocks(num_items, negatives):
+    """Row chunks of the catalogue-dense regime: a chunk's (rows, items)
     score and gradient blocks and its (rows, n_neg + 1) index and weight
-    arrays together take at most half of CHUNK_BYTES. (At the preset shape
+    arrays together take at most half of BLOCK_BYTES. (At the preset shape
     that is a 2 MiB block, which fits a core's L2 cache; 4 MiB blocks made
     both chunk loops twice as slow on 2 vCPUs.)"""
-    return max(1, CHUNK_BYTES // (2 * 8 * 2 * (num_items + n_neg + 1)))
+    return row_blocks(len(negatives), 2 * 8 * 2 * (num_items + negatives.shape[1] + 1))
 
 
 def _dense_negative_scores(user_rows, item_unit, negatives):
     """`_negative_scores` read off one BLAS product per row chunk, the
     chunk's users against every item."""
     num_items = len(item_unit)
-    rows = _dense_rows(num_items, negatives.shape[1])
     f_neg = np.empty(negatives.shape, item_unit.dtype)
-    for start in range(0, len(negatives), rows):
-        chunk = slice(start, start + rows)
+    for chunk in _dense_blocks(num_items, negatives):
         at = negatives[chunk] + num_items * np.arange(len(negatives[chunk]))[:, None]
         np.take(user_rows[chunk] @ item_unit.T, at, out=f_neg[chunk])
     return f_neg
@@ -226,12 +216,10 @@ def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_n
     chunk, filled by one (float64) bincount and applied, in the item
     table's dtype, by two BLAS products."""
     num_items = len(item_unit)
-    rows = _dense_rows(num_items, negatives.shape[1])
     grad_rows = np.empty(user_rows.shape, item_unit.dtype)
     grad_items = np.zeros_like(item_unit)
-    for start in range(0, len(negatives), rows):
-        chunk = slice(start, start + rows)
-        n = len(negatives[chunk])
+    for chunk in _dense_blocks(num_items, negatives):
+        n = chunk.stop - chunk.start
         at = np.hstack([pos_items[chunk, None], negatives[chunk]])
         at += num_items * np.arange(n)[:, None]
         block = np.bincount(at.ravel(), np.hstack([d_pos[chunk], d_neg[chunk]]).ravel(),
@@ -386,8 +374,6 @@ def train(
 
     steps_per_epoch = max(1, math.ceil(len(train_pairs) / train_cfg.batch_size))
     report = TrainReport()
-    best_table = table.copy()
-    best_margins = margins.copy()
     bad_evals = 0
     k = train_cfg.metric_k
 

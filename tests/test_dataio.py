@@ -31,6 +31,24 @@ GOLDEN_LOG = [(0, 3, 5), (0, 1, 3), (0, 4, 9), (0, 15, 1), (0, 9, 0), (0, 2, 7),
               (4, 2, 10), (4, 4, 11), (4, 6, 12), (4, 8, 13), (4, 10, 14)]
 
 
+class TestRowBlocks:
+    def test_no_rows_give_no_block(self):
+        assert dataio.row_blocks(0, 8) == []
+
+    def test_row_over_the_budget_gets_a_block_of_one(self):
+        assert dataio.row_blocks(3, 2 * dataio.BLOCK_BYTES) == [
+            slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    @pytest.mark.parametrize("count, bytes_per_row", [(1, 1), (10, 3), (12, 3), (7, 100)])
+    def test_blocks_cover_the_rows_in_order(self, count, bytes_per_row, monkeypatch):
+        monkeypatch.setattr(dataio, "BLOCK_BYTES", 10)
+        blocks = dataio.row_blocks(count, bytes_per_row)
+        size = max(1, 10 // bytes_per_row)
+        assert [i for b in blocks for i in range(count)[b]] == list(range(count))
+        assert all(b.stop - b.start == size for b in blocks[:-1])
+        assert 1 <= blocks[-1].stop - blocks[-1].start <= size
+
+
 class TestLoadInteractions:
     def test_basic_parse_and_remap(self, tmp_path):
         path = write_log(tmp_path, ["# comment", "9\t7", "9\t3", "2\t7"])
@@ -286,15 +304,15 @@ class TestSampleBatch:
         assert (batch.pairs[:, 0] == 1).all()
         assert not (batch.negatives == 0).any()
 
-    @pytest.mark.parametrize("mask_bytes", [dataio.MASK_BYTES, 3 * 40])
+    @pytest.mark.parametrize("block_bytes", [dataio.BLOCK_BYTES, 3 * 40])
     @pytest.mark.parametrize("noise", [None, dataio.NoiseConfig(0.3),
                                        dataio.NoiseConfig(0.3, pool="train")])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_sorted_key_reference_bit_for_bit(self, seed, noise, mask_bytes,
+    def test_matches_sorted_key_reference_bit_for_bit(self, seed, noise, block_bytes,
                                                       monkeypatch):
         # 3 * 40 bytes gives train-mask blocks of 3 rows; the busiest users
         # hold 36 of the 40 items, so most first draws are redrawn
-        monkeypatch.setattr(dataio, "MASK_BYTES", mask_bytes)
+        monkeypatch.setattr(dataio, "BLOCK_BYTES", block_bytes)
         split = _busy_split(seed, num_items=40)
         for train_pairs in (None, split.train_pairs()[::-1]):
             batch = dataio.sample_batch(split, 50, 16, noise, np.random.default_rng(seed),

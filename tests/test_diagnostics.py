@@ -8,7 +8,7 @@ import pytest
 import scalar_reference as ref
 from builders import split_of
 from drrl import losses as L
-from drrl import metrics
+from drrl import dataio
 from drrl.dataio import split_iid
 from drrl.diagnostics import (
     BYTES_PER_SCORE,
@@ -61,6 +61,11 @@ def test_train_pool_sweeps_every_item_and_flags_train():
         (1, pytest.approx(2.5), pytest.approx(2.5), pytest.approx(0.6), False),
         (2, pytest.approx(5.0), pytest.approx(5.0), pytest.approx(0.8), False),
     ]
+
+
+def test_unknown_noise_pool_rejected():
+    with pytest.raises(ValueError, match="'heldout' or 'train', got 'test'"):
+        user_diagnostics(SCORES, SPLIT, CCL, noise_pool="test")
 
 
 def test_ccl_rows_use_the_trained_margin_not_beta0():
@@ -117,9 +122,10 @@ def test_records_carry_what_the_benchmark_reads_with_nan_for_missing_values():
 def test_rows_do_not_depend_on_mask_block_size(noise_pool, monkeypatch):
     whole = rows_of(CCL, noise_pool=noise_pool)
     for users_per_block in (1, 2):
-        monkeypatch.setattr(metrics, "BLOCK_BYTES",
+        monkeypatch.setattr(dataio, "BLOCK_BYTES",
                             BYTES_PER_SCORE * SPLIT.num_items * users_per_block)
-        assert metrics.block_rows(SPLIT.num_items, BYTES_PER_SCORE) == users_per_block
+        assert dataio.row_blocks(SPLIT.num_users, BYTES_PER_SCORE * SPLIT.num_items)[0] == (
+            slice(0, users_per_block))
         assert repr(rows_of(CCL, noise_pool=noise_pool)) == repr(whole)
 
 
@@ -184,7 +190,7 @@ def test_blocks_match_the_per_user_reference(spec, noise_pool, margin, monkeypat
         assert any(math.isnan(r.k2) and not r.degenerate for r in want)
     _same_rows(user_diagnostics(scores, split, spec, **kwargs), want)
     for users_per_block in (1, 2, 7):
-        monkeypatch.setattr(metrics, "BLOCK_BYTES",
+        monkeypatch.setattr(dataio, "BLOCK_BYTES",
                             BYTES_PER_SCORE * split.num_items * users_per_block)
         _same_rows(user_diagnostics(scores, split, spec, **kwargs), want)
 
@@ -218,7 +224,7 @@ def test_scorer_rows_match_the_dense_matrix(noise_pool, monkeypatch):
     cfg = BackboneConfig(kind="mf")
     dense = user_diagnostics(checkpoint_scores(table, None, cfg), split, CCL,
                              noise_pool=noise_pool)
-    monkeypatch.setattr(metrics, "BLOCK_BYTES", BYTES_PER_SCORE * 30 * 7)  # blocks of 7 users
+    monkeypatch.setattr(dataio, "BLOCK_BYTES", BYTES_PER_SCORE * 30 * 7)  # blocks of 7 users
     blocked = user_diagnostics(CosineScores(table, None, cfg), split, CCL,
                                noise_pool=noise_pool)
     assert len(blocked) == len(dense) == 40
@@ -243,10 +249,10 @@ def _peak_diagnostics_bytes(n_users, n_items, d, spec=CCL):
 def test_memory_bounded_by_block_budget_when_fed_the_scorer():
     n_items, d = 4000, 16
     # one float64 users x items score matrix would exceed the budget
-    assert 8 * 600 * n_items > metrics.BLOCK_BYTES
+    assert 8 * 600 * n_items > dataio.BLOCK_BYTES
     small, large = (_peak_diagnostics_bytes(n, n_items, d) for n in (600, 1200))
     unit_tables = 8 * (600 + n_items) * d
-    assert small < metrics.BLOCK_BYTES + unit_tables
+    assert small < dataio.BLOCK_BYTES + unit_tables
     assert large < 1.05 * small
 
 
@@ -256,4 +262,4 @@ def test_memory_bounded_by_block_budget_under_every_kernel(spec):
     # the SL and DrRL kernels hold more float64 temporaries than CCL's
     n_items, d = 4000, 16
     assert _peak_diagnostics_bytes(600, n_items, d, spec) < (
-        metrics.BLOCK_BYTES + 8 * (600 + n_items) * d)
+        dataio.BLOCK_BYTES + 8 * (600 + n_items) * d)

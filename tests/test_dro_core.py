@@ -218,8 +218,8 @@ def test_minimize_beta_objective_rejects_c_below_one():
     scores = np.array([0.2, -0.4, 0.7])
     with pytest.raises(ValueError, match="needs c >= 1"):
         dc.minimize_beta_objective(scores, 2.0, 0.99, 0.1)
-    # c = 1 still runs: no minimizer, beta* lies on the flat tail below the
-    # scores and the value just above the infimum mean(f) + eps
+    # c = 1 still runs: no minimizer, beta* is exactly -inf and the value is
+    # the infimum mean(f) + eps itself
     beta, value = dc.minimize_beta_objective(scores, 2.0, 1.0, 0.1)
     assert beta < scores.min()
     assert 0.0 <= value - (scores.mean() + 0.1) <= 1e-4

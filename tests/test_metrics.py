@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import one_user_metric, user_items
-from drrl import metrics
+from drrl import dataio, metrics
 
 
 def brute_recall(scores, exclude, truth, k):
@@ -94,7 +94,7 @@ def test_evaluate_ranking_matches_bruteforce_with_ties(seed):
     scored = [u for u in range(n_users) if truths[u]]
     ks = sorted(set(rng.integers(1, n_items + 4, size=int(rng.integers(1, 4))).tolist()))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "BLOCK_BYTES", 20 * n_items * int(rng.integers(1, 4)))
+        mp.setattr(dataio, "BLOCK_BYTES", 20 * n_items * int(rng.integers(1, 4)))
         for u in range(n_users):
             want = sorted((i for i in range(n_items) if i not in excludes[u]),
                           key=lambda i: (-scores[u, i], i))[:max(ks)]
@@ -151,9 +151,9 @@ def _evaluator_peak(n_users, n_items):
 def test_evaluator_memory_bounded_by_block_budget():
     n_items = 2000
     # one float64 copy of the score matrix would exceed the budget
-    assert 8 * 1200 * n_items > metrics.BLOCK_BYTES
+    assert 8 * 1200 * n_items > dataio.BLOCK_BYTES
     small, large = _evaluator_peak(1200, n_items), _evaluator_peak(2400, n_items)
-    assert small < metrics.BLOCK_BYTES
+    assert small < dataio.BLOCK_BYTES
     assert large < 1.05 * small
 
 

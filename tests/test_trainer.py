@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_reference
-from drrl import metrics
+from drrl import dataio
 from drrl import trainer as tr
 from drrl.dataio import BatchSample, split_iid
 from drrl.graphmodel import (BackboneConfig, EmbeddingTable, InteractionGraph, load_checkpoint,
@@ -150,7 +150,7 @@ def test_matches_scalar_reference(kind, backbone, margin_mode, monkeypatch):
         rng.integers(0, n_items, size=(5, n_neg)),
         np.zeros((5, n_neg), dtype=bool),
     )
-    monkeypatch.setattr(tr, "CHUNK_BYTES", 2 * 2 * 8 * n_neg * d)
+    monkeypatch.setattr(dataio, "BLOCK_BYTES", 2 * 2 * 8 * n_neg * d)
     spec = LossSpec(kind=kind, tau=0.2, alpha=2.0, margin=0.1, gamma_star=2.0, c=1.2,
                     eps=0.1, beta0=0.1, lr_beta=0.05)
     start = MarginState(rng.uniform(-0.2, 0.4, n_users))
@@ -179,10 +179,10 @@ def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_
     n_items, n_neg = (9, 7) if regime == "dense" else (40, 3)
     assert (n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)) == (regime == "dense")
     if regime == "dense":
-        monkeypatch.setattr(tr, "CHUNK_BYTES", 2 * 2 * 8 * 2 * (n_items + n_neg + 1))
-        assert tr._dense_rows(n_items, n_neg) == 2
+        monkeypatch.setattr(dataio, "BLOCK_BYTES", 2 * 2 * 8 * 2 * (n_items + n_neg + 1))
+        assert tr._dense_blocks(n_items, np.zeros((5, n_neg)))[0] == slice(0, 2)
     else:
-        monkeypatch.setattr(tr, "CHUNK_BYTES", 2 * 2 * 8 * n_neg * d)
+        monkeypatch.setattr(dataio, "BLOCK_BYTES", 2 * 2 * 8 * n_neg * d)
     gathered = []
     monkeypatch.setattr(tr, "_negative_scores",
                         lambda *a, f=tr._negative_scores: gathered.append(1) or f(*a))
@@ -349,27 +349,27 @@ def test_loss_and_gradients_memory_bounded_by_chunk_budget():
     n_users, n_items, d, batch_size, n_neg = 100, 200, 128, 64, 512
     assert n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
     # one float64 (B, n_neg, d) array would exceed the budget
-    assert 8 * batch_size * n_neg * d > tr.CHUNK_BYTES
+    assert 8 * batch_size * n_neg * d > dataio.BLOCK_BYTES
     peak = _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg)
-    assert peak < tr.CHUNK_BYTES
+    assert peak < dataio.BLOCK_BYTES
 
 
 def test_loss_and_gradients_memory_bounded_by_chunk_budget_in_gather_regime():
     n_users, n_items, d, batch_size, n_neg = 100, 1000, 128, 512, 64
     assert n_items > tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
     # one float64 (B, n_neg, d) array would exceed the budget
-    assert 8 * batch_size * n_neg * d > tr.CHUNK_BYTES
+    assert 8 * batch_size * n_neg * d > dataio.BLOCK_BYTES
     peak = _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg)
-    assert peak < tr.CHUNK_BYTES
+    assert peak < dataio.BLOCK_BYTES
 
 
 def test_loss_and_gradients_memory_bounded_by_chunk_budget_in_dense_regime():
     n_users, n_items, d, batch_size, n_neg = 100, 4100, 32, 512, 512
     assert n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
     # one float64 (B, items) block would exceed the budget
-    assert 8 * batch_size * n_items > tr.CHUNK_BYTES
+    assert 8 * batch_size * n_items > dataio.BLOCK_BYTES
     peak = _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg)
-    assert peak < tr.CHUNK_BYTES
+    assert peak < dataio.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("kind", ["mf", "xsimgcl"])
@@ -398,10 +398,10 @@ def _peak_evaluate_split_bytes(n_users, n_items, d):
 def test_evaluate_split_memory_bounded_by_block_budget():
     n_items, d = 2000, 16
     # one float64 users x items score matrix would exceed the budget
-    assert 8 * 1200 * n_items > metrics.BLOCK_BYTES
+    assert 8 * 1200 * n_items > dataio.BLOCK_BYTES
     small, large = (_peak_evaluate_split_bytes(n, n_items, d) for n in (1200, 2400))
     unit_tables = 8 * (1200 + n_items) * d
-    assert small < metrics.BLOCK_BYTES + unit_tables
+    assert small < dataio.BLOCK_BYTES + unit_tables
     assert large < 1.05 * small
 
 
