@@ -16,13 +16,21 @@ import numpy as np
 # kernel and the diagnostics. Each kernel counts its own bytes per row.
 BLOCK_BYTES = 16 << 20
 
+# Elements in one cache-sized block (256 KiB of float64), walked by the
+# element-wise kernels that make several passes over each block: the DrRL
+# loss kernel and Adam.
+CACHE_BLOCK = 1 << 15
+
 PARTS = ("train", "validation", "test")
 
 
-def row_blocks(count, bytes_per_row):
-    """Slices covering range(count) in order, each of as many rows as fit
-    BLOCK_BYTES at `bytes_per_row`, and at least one."""
-    rows = max(1, BLOCK_BYTES // max(1, bytes_per_row))
+def row_blocks(count, row_size, budget=None):
+    """Slices covering range(count) in order, each of as many rows of
+    `row_size` as fit `budget` (in the same unit; BLOCK_BYTES bytes by
+    default), and at least one."""
+    rows = (BLOCK_BYTES if budget is None else budget) // (row_size or 1) or 1
+    if 0 < count <= rows:  # kernels called on a few scores at a time skip the loop
+        return [slice(0, count)]
     return [slice(start, min(start + rows, count)) for start in range(0, count, rows)]
 
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import CACHE_BLOCK, row_blocks
+
 LOSS_KINDS = ("mse", "bce", "bpr", "sl", "ccl", "drrl")
 WORST_CASE_KINDS = ("sl", "ccl", "drrl")  # the kinds with worst-case weights
 
@@ -62,11 +64,21 @@ def _check_scores(f_pos, f_neg):
     if f_pos.shape[1] == 0 or f_neg.shape[1] == 0:
         raise ValueError("a loss kernel needs at least one positive and one negative "
                          f"score per row, got {f_pos.shape[1]} and {f_neg.shape[1]}")
+    if len(f_pos) != len(f_neg):
+        raise ValueError(f"f_pos has {len(f_pos)} rows and f_neg {len(f_neg)}; "
+                         "a loss kernel needs one row of each per pair")
 
 
-def _column(x):
-    """A per-row vector (B,) as a (B, 1) column; a scalar passes through."""
-    return np.asarray(x, dtype=float)[:, None] if np.ndim(x) else x
+def _column(x, rows, name):
+    """A per-row vector (rows,) as a (rows, 1) float column; a scalar as a
+    float scalar. Anything else raises a ValueError naming `name`."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return x
+    if x.shape != (rows,):
+        raise ValueError(f"{name} must be a scalar or one value per row ({rows}), "
+                         f"got shape {x.shape}")
+    return x[:, None]
 
 
 def _sigmoid(x):
@@ -130,7 +142,7 @@ def ccl_loss(f_pos, f_neg, alpha, margin):
     _check_scores(f_pos, f_neg)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    margin = _column(margin)
+    margin = _column(margin, len(f_neg), "margin")
     hinge = np.maximum(f_neg - margin, 0.0)
     value = -f_pos.sum(axis=1) / f_pos.shape[1] + alpha * (hinge.sum(axis=1) / f_neg.shape[1])
     d_pos = np.full(f_pos.shape, -1.0 / f_pos.shape[1])
@@ -139,25 +151,48 @@ def ccl_loss(f_pos, f_neg, alpha, margin):
     return value, d_pos, d_neg
 
 
-def _drrl_negative_term(f_neg, gamma_star, c, eps, beta):
-    """Per-row M = (mean [c (f - beta)_+ + eps]^{g*})^{1/g*} as a (B, 1)
-    column, with the (B, n) terms [c (f - beta)_+ + eps]^{g*-1}; `beta` is a
-    scalar or a (B, 1) column. The g*-th power is formed as the (g* - 1)-th
-    times the base, so the kernel takes one non-integer power per element."""
-    inner = c * np.maximum(f_neg - beta, 0.0) + eps
-    lowered = inner ** (gamma_star - 1.0)
-    m = ((lowered * inner).sum(axis=1, keepdims=True) / f_neg.shape[1]) ** (1.0 / gamma_star)
-    return m, lowered
+def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights="full"):
+    """Per-row M = (mean [c (f - beta)_+ + eps]^{g*})^{1/g*} (B,) and its
+    weights dM/df = M^{1-g*}/n [c (f-beta)_+ + eps]^{g*-1} c 1[f > beta]:
+    the (B, n) array for `weights="full"`, each row's sum (B,) for "sum"
+    and None for None. `beta` is a scalar or one margin per row. A fully
+    truncated row with eps = 0 (M = 0) takes its one-sided limit 0; at
+    g* = 1 the factor M^0 is 1, also where M underflows to 0.
 
-
-def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta):
-    """M per row and dM/df (B, n) = M^{1-g*}/n [c (f-beta)_+ + eps]^{g*-1} c 1[f > beta];
-    a fully truncated row with eps = 0 (M = 0) takes its one-sided limit 0.
-    At g* = 1 the factor M^0 is 1, also where M underflows to 0."""
-    m, lowered = _drrl_negative_term(f_neg, gamma_star, c, eps, beta)
-    scale = np.power(m, 1.0 - gamma_star, where=(m > 0.0) | (gamma_star == 1.0),
-                     out=np.zeros_like(m)) / f_neg.shape[1]
-    return m[:, 0], scale * lowered * c * (f_neg > beta)
+    The one DrRL formula: the loss, the margin objective, the margin
+    gradient and the worst-case weights all call it. It walks cache-sized
+    `row_blocks` in float64, whatever the scores' dtype, and every pass over
+    a block writes in place into the same scratch blocks (or the output).
+    The g*-th power is formed as the (g* - 1)-th times the base, so the
+    kernel takes one non-integer power per element."""
+    rows, n = f_neg.shape
+    beta = _column(beta, rows, "beta")
+    m = []
+    out = (np.empty((rows, n)) if weights == "full"
+           else np.empty(rows) if weights == "sum" else None)
+    x = low = None  # the scratch blocks, made by the first block's passes
+    for block in row_blocks(rows, n, CACHE_BLOCK):
+        f, b = f_neg[block], beta[block] if beta.ndim else beta
+        x = np.subtract(f, b, out=None if x is None else x[:len(f)])
+        np.maximum(x, 0.0, out=x)
+        x *= c
+        x += eps
+        low = np.power(x, gamma_star - 1.0, out=out[block] if weights == "full"
+                       else None if low is None else low[:len(f)])
+        x *= low
+        m.append((np.add.reduce(x, 1) / n) ** (1.0 / gamma_star))
+        if weights is None:
+            continue
+        mb = m[-1][:, None]
+        low *= np.power(mb, 1.0 - gamma_star, where=(mb > 0.0) | (gamma_star == 1.0),
+                        out=np.zeros_like(mb)) / n
+        low *= c
+        low *= np.greater(f, b, out=x)
+        if weights == "sum":
+            np.add.reduce(low, 1, out=out[block])
+    if len(m) != 1:  # no rows, or several blocks
+        return np.concatenate([np.empty(0)] + m), out
+    return m[0], out
 
 
 def drrl_loss(f_pos, f_neg, gamma_star, c, eps, beta):
@@ -166,7 +201,7 @@ def drrl_loss(f_pos, f_neg, gamma_star, c, eps, beta):
     _check_scores(f_pos, f_neg)
     if gamma_star < 1 or c <= 0 or eps < 0:
         raise ValueError("need gamma_star >= 1, c > 0, eps >= 0")
-    m, d_neg = _drrl_negative_weights(f_neg, gamma_star, c, eps, _column(beta))
+    m, d_neg = _drrl_negative_weights(f_neg, gamma_star, c, eps, beta)
     value = -f_pos.sum(axis=1) / f_pos.shape[1] + m
     return value, np.full(f_pos.shape, -1.0 / f_pos.shape[1]), d_neg
 
@@ -174,16 +209,16 @@ def drrl_loss(f_pos, f_neg, gamma_star, c, eps, beta):
 def drrl_beta_objective(neg_scores, gamma_star, c, eps, beta):
     """One user's margin objective beta + M(beta); convex in beta."""
     f_neg = np.asarray(neg_scores, dtype=float)[None, :]
-    m, _ = _drrl_negative_term(f_neg, gamma_star, c, eps, beta)
-    return float(beta + m[0, 0])
+    m, _ = _drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights=None)
+    return float(beta + m[0])
 
 
 def drrl_beta_gradient(f_neg, gamma_star, c, eps, beta):
     """d/d beta of each row's margin objective, (B,):
     1 - (M^{1-g*}/n) sum [c (f-beta)_+ + eps]^{g*-1} c 1[f > beta];
-    a fully truncated row (M = 0) has gradient 1."""
-    _, d_neg = _drrl_negative_weights(f_neg, gamma_star, c, eps, _column(beta))
-    return 1.0 - d_neg.sum(axis=1)
+    a fully truncated row (M = 0) has gradient 1. No (B, n) array is formed."""
+    _, sums = _drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights="sum")
+    return 1.0 - sums
 
 
 def beta_step(state: MarginState, grad, lr_beta) -> MarginState:
@@ -208,6 +243,8 @@ def worst_case_weights(f_neg, spec: LossSpec, beta=None):
     case is the uniform P itself.
     """
     f_neg = np.asarray(f_neg, dtype=float)
+    if spec.kind in ("ccl", "drrl") and beta is None:
+        raise ValueError(f"{spec.kind} worst-case weights need the rows' margin beta, got None")
     if spec.kind != "sl" and np.all(np.asarray(beta) == -np.inf):
         return np.isfinite(f_neg).astype(float)
     positive = np.zeros((len(f_neg), 1))  # d_neg does not depend on it
@@ -251,5 +288,6 @@ def batch_loss(f_pos, f_neg, spec: LossSpec, beta=None):
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
     value, d_pos, d_neg = out
-    n = len(f_pos)
-    return float(np.mean(value)), d_pos / n, d_neg / n
+    d_pos /= len(f_pos)
+    d_neg /= len(f_pos)
+    return float(np.mean(value)), d_pos, d_neg

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import losses as L
-from .dataio import DatasetSplit, NoiseConfig, row_blocks, sample_batch
+from .dataio import CACHE_BLOCK, DatasetSplit, NoiseConfig, row_blocks, sample_batch
 from .graphmodel import (
     BackboneConfig,
     CosineScores,
@@ -72,17 +72,18 @@ class TrainConfig:
         return self
 
 
-# Elements in each scratch array of `Adam`, which updates its parameters in
-# row blocks of at most this size: the optimizer allocates nothing per step
-# and holds no parameter-sized array besides the two moments. (64 KiB blocks
-# stay in cache: a 30k x 64 plus 40k x 64 step took 57 ms against 86 ms for
-# whole-array temporaries on 2 vCPUs.)
-ADAM_BLOCK = 1 << 13
-
-
+# Adam walks the shared cache block: a Gowalla-shape step (30k x 64 plus
+# 40k x 64, 2 vCPUs, medians of 15 interleaved steps in two runs) took
+# 27-34 ms in blocks of 1 << 15 elements against 42-55 ms in blocks of
+# 1 << 13 in float32, and 68-69 ms against 72-83 ms in float64.
 class Adam:
     """Bias-corrected adaptive update over named parameter arrays, in place;
-    the moments and scratch arrays are in the parameters' `dtype`."""
+    the moments and scratch arrays are in the parameters' `dtype`.
+
+    Each parameter is updated in row blocks of at most `CACHE_BLOCK`
+    elements (or one row), through scratch arrays of that size: the
+    optimizer allocates nothing per step and holds no parameter-sized array
+    besides the two moments."""
 
     def __init__(self, shapes, beta1=0.9, beta2=0.999, floor=1e-8, dtype=np.float64):
         self.beta1 = beta1
@@ -91,7 +92,7 @@ class Adam:
         self.step_count = 0
         self.m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
         self.v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
-        size = max([ADAM_BLOCK] + [math.prod(s[1:]) for s in shapes.values()])
+        size = max([CACHE_BLOCK] + [math.prod(s[1:]) for s in shapes.values()])
         self._scratch = (np.empty(size, dtype), np.empty(size, dtype),
                          np.empty(size, dtype=bool))
 
@@ -99,11 +100,9 @@ class Adam:
         """Row slices of an array of `shape`, each with views of the scratch
         arrays in the block's shape."""
         row = math.prod(shape[1:])
-        rows = max(1, len(self._scratch[0]) // row)
-        for start in range(0, shape[0], rows):
-            n = min(rows, shape[0] - start)
-            yield (slice(start, start + n),
-                   [a[:n * row].reshape((n,) + shape[1:]) for a in self._scratch])
+        for rows in row_blocks(shape[0], row, len(self._scratch[0])):
+            n = rows.stop - rows.start
+            yield rows, [a[:n * row].reshape((n,) + shape[1:]) for a in self._scratch]
 
     def step(self, params, grads, lr):
         for grad in grads.values():
@@ -267,8 +266,10 @@ def loss_and_gradients(
             L.beta_step(margins, grad, spec.lr_beta)
         beta = margins.beta[users]
     # the loss kernels compute in float64, where DrRL's M^{1-g*} (about
-    # 1e125 at eps = 1e-10, g* = 13.5) cannot overflow; the score gradients
-    # they return are bounded and go back to the tables' dtype
+    # 1e125 at eps = 1e-10, g* = 13.5) cannot overflow: batch_loss upcasts
+    # the scores, and the DrRL kernel, which the margin gradient above hands
+    # the scores in the tables' dtype, upcasts one cache block at a time; the
+    # score gradients they return are bounded and go back to the tables' dtype
     value, d_pos, d_neg = L.batch_loss(f_pos[:, None], f_neg, spec, beta)
     d_pos, d_neg = (d.astype(item_unit.dtype, copy=False) for d in (d_pos, d_neg))
 

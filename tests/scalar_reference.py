@@ -2,7 +2,8 @@
 keeps every layer, the dense InfoNCE kernel that forms its cosine,
 gradient and weighted-cosine (n x n) arrays one by one, cosine scores and
 their Jacobians for one (user, item) pair, the closed-form worst-case
-weights, checkpoint diagnostics with one kernel call per user, a
+weights, the whole-array DrRL kernel with a fresh array per pass,
+checkpoint diagnostics with one kernel call per user, a
 loss-and-gradients pass that loops over pairs and negatives one at a time,
 the earlier projected-ascent inner maximization (simplex projection,
 bisection boundary search and SLSQP polish, all kept here) with one start
@@ -137,6 +138,30 @@ def drrl_worst_case_weights(neg_scores, gamma, c, beta):
     if denom_power == 0.0:
         return np.zeros(f.size), True
     return c * hinge ** (1.0 / (gamma - 1.0)) / denom_power ** (1.0 / gamma), False
+
+
+def drrl_negative_term(f_neg, gamma_star, c, eps, beta):
+    """Whole-array reference of the DrRL kernel's M: per-row
+    M = (mean [c (f - beta)_+ + eps]^{g*})^{1/g*} as a (B, 1) column, with
+    the (B, n) terms [c (f - beta)_+ + eps]^{g*-1}; `beta` is a scalar or a
+    (B, 1) column. The g*-th power is formed as the (g* - 1)-th times the
+    base, so the kernel takes one non-integer power per element."""
+    inner = c * np.maximum(f_neg - beta, 0.0) + eps
+    lowered = inner ** (gamma_star - 1.0)
+    m = ((lowered * inner).sum(axis=1, keepdims=True) / f_neg.shape[1]) ** (1.0 / gamma_star)
+    return m, lowered
+
+
+def drrl_negative_weights(f_neg, gamma_star, c, eps, beta):
+    """Whole-array reference of the blocked DrRL kernel, one fresh (B, n)
+    array per pass: M per row and
+    dM/df (B, n) = M^{1-g*}/n [c (f-beta)_+ + eps]^{g*-1} c 1[f > beta];
+    a fully truncated row with eps = 0 (M = 0) takes its one-sided limit 0.
+    At g* = 1 the factor M^0 is 1, also where M underflows to 0."""
+    m, lowered = drrl_negative_term(f_neg, gamma_star, c, eps, beta)
+    scale = np.power(m, 1.0 - gamma_star, where=(m > 0.0) | (gamma_star == 1.0),
+                     out=np.zeros_like(m)) / f_neg.shape[1]
+    return m[:, 0], scale * lowered * c * (f_neg > beta)
 
 
 def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=False,

@@ -39,7 +39,8 @@ class TestRowBlocks:
         assert dataio.row_blocks(3, 2 * dataio.BLOCK_BYTES) == [
             slice(0, 1), slice(1, 2), slice(2, 3)]
 
-    @pytest.mark.parametrize("count, bytes_per_row", [(1, 1), (10, 3), (12, 3), (7, 100)])
+    @pytest.mark.parametrize("count, bytes_per_row",
+                             [(1, 1), (10, 1), (10, 3), (12, 3), (7, 100)])
     def test_blocks_cover_the_rows_in_order(self, count, bytes_per_row, monkeypatch):
         monkeypatch.setattr(dataio, "BLOCK_BYTES", 10)
         blocks = dataio.row_blocks(count, bytes_per_row)
@@ -47,6 +48,11 @@ class TestRowBlocks:
         assert [i for b in blocks for i in range(count)[b]] == list(range(count))
         assert all(b.stop - b.start == size for b in blocks[:-1])
         assert 1 <= blocks[-1].stop - blocks[-1].start <= size
+
+    def test_a_budget_argument_replaces_the_default(self):
+        # the cache-block callers count elements, not bytes
+        assert dataio.row_blocks(5, 3, 7) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        assert dataio.row_blocks(4, 1024, dataio.CACHE_BLOCK) == [slice(0, 4)]
 
 
 class TestLoadInteractions:

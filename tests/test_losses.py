@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from drrl import losses as L
+from drrl.dataio import CACHE_BLOCK
 
 scores = st.floats(-1.0, 1.0, allow_nan=False)
 pos_arrays = st.lists(scores, min_size=1, max_size=4).map(np.asarray)
@@ -207,6 +210,75 @@ def test_drrl_kernel_matches_two_power_formulas(gamma_star, eps):
     objective = [L.drrl_beta_objective(f, gamma_star, c, eps, b) for f, b in zip(f_neg, beta)]
     np.testing.assert_allclose(objective, beta + m, rtol=1e-12, atol=0.0)
     assert np.all(d_neg[:2] == 0.0)
+
+
+# (rows, n, gamma_star, eps, scores' dtype): 70 rows of 1000 are blocks of
+# 32, 32 and 6 rows; rows longer than the block are walked one per block
+BLOCKED_CASES = [(70, 1000, 7.25, 0.1, np.float64), (3, CACHE_BLOCK + 5, 2.0, 1e-10, np.float64),
+                 (1, 9, 13.5, 0.1, np.float64), (70, 1000, 2.0, 0.0, np.float64),
+                 (70, 1000, 1.0, 0.0, np.float64), (70, 1000, 4.7, 1e-10, np.float32)]
+
+
+@pytest.mark.parametrize("rows, n, gamma_star, eps, dtype", BLOCKED_CASES)
+@pytest.mark.parametrize("shared", [False, True], ids=["per-row-beta", "scalar-beta"])
+def test_blocked_drrl_kernel_equals_the_whole_array_reference(rows, n, gamma_star, eps, dtype,
+                                                              shared):
+    rng = np.random.default_rng(17)
+    f_neg = rng.uniform(-1, 1, (rows, n)).astype(dtype)
+    beta = np.float64(0.2) if shared else rng.uniform(-0.6, 0.6, rows)
+    if not shared and rows > 2:
+        beta[[1, -1]] = 1.0  # fully truncated rows, in the first and the last block
+    c = 1.25
+    m_ref, d_ref = ref.drrl_negative_weights(f_neg, gamma_star, c, eps,
+                                             beta if shared else beta[:, None])
+    m, d_neg = L._drrl_negative_weights(f_neg, gamma_star, c, eps, beta)
+    np.testing.assert_array_equal(m, m_ref)
+    np.testing.assert_array_equal(d_neg, d_ref)
+    np.testing.assert_array_equal(L._drrl_negative_weights(f_neg, gamma_star, c, eps, beta,
+                                                           weights=None)[0], m_ref)
+    np.testing.assert_array_equal(L.drrl_beta_gradient(f_neg, gamma_star, c, eps, beta),
+                                  1.0 - d_ref.sum(axis=1))
+    spec = L.LossSpec(kind="drrl", gamma_star=gamma_star, c=c, eps=eps)
+    _, _, d_batch = L.batch_loss(np.zeros((rows, 1)), f_neg, spec, beta)
+    np.testing.assert_array_equal(d_batch, d_ref / rows)
+    objective = [L.drrl_beta_objective(f, gamma_star, c, eps, b)
+                 for f, b in zip(f_neg[:3], np.broadcast_to(beta, rows)[:3])]
+    np.testing.assert_array_equal(objective, np.broadcast_to(beta, rows)[:3] + m_ref[:3])
+
+
+def test_margin_gradient_memory_stays_within_a_few_blocks():
+    rows, n = 1024, 1024
+    rng = np.random.default_rng(3)
+    f_neg, beta = rng.uniform(-1, 1, (rows, n)), rng.uniform(-0.5, 0.5, rows)
+    tracemalloc.start()
+    try:
+        L.drrl_beta_gradient(f_neg, 13.5, 1.2, 1e-10, beta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two float64 scratch blocks and per-row vectors, not one (rows, n) array
+    assert peak < 4 * 8 * CACHE_BLOCK < 8 * rows * n
+
+
+def test_drrl_kernel_rejects_a_margin_per_other_rows():
+    spec = L.LossSpec(kind="drrl")
+    with pytest.raises(ValueError, match="beta must be a scalar or one value per row"):
+        L.batch_loss(row([0.5]), row([0.5, 0.1, -0.3]), spec, beta=np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match="beta"):
+        L.drrl_beta_gradient(np.zeros((3, 2)), 2.0, 1.0, 0.0, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("kind", L.LOSS_KINDS)
+def test_kernels_reject_unequal_row_counts(kind):
+    spec = L.LossSpec(kind=kind)
+    with pytest.raises(ValueError, match="f_pos has 2 rows and f_neg 1"):
+        L.batch_loss(np.array([[0.5], [0.1]]), row([0.2, -0.1]), spec, beta=np.zeros(2))
+
+
+@pytest.mark.parametrize("spec", [L.LossSpec(kind="ccl", alpha=2.0), drrl_at(2.0)])
+def test_worst_case_weights_name_a_missing_margin(spec):
+    with pytest.raises(ValueError, match="margin beta"):
+        L.worst_case_weights(row([0.5, 0.1]), spec)
 
 
 @given(pos_arrays, neg_arrays, st.floats(0.5, 3.0), st.floats(-0.5, 0.5))

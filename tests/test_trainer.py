@@ -41,9 +41,9 @@ class TestAdam:
             adam.step({"w": np.zeros(1)}, {"w": np.array([np.nan])}, 0.1)
 
     # one block; blocks of 2 rows, the last one short; rows wider than the block
-    @pytest.mark.parametrize("block", [tr.ADAM_BLOCK, 6, 2])
+    @pytest.mark.parametrize("block", [tr.CACHE_BLOCK, 6, 2])
     def test_matches_fresh_array_reference_bit_for_bit(self, block, monkeypatch):
-        monkeypatch.setattr(tr, "ADAM_BLOCK", block)
+        monkeypatch.setattr(tr, "CACHE_BLOCK", block)
         shapes = {"user": (7, 3), "item": (5, 3), "bias": (4,)}
         rng = np.random.default_rng(8)
         params = {k: rng.normal(size=s) for k, s in shapes.items()}
