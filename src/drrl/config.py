@@ -3,6 +3,7 @@ validation and env-var overrides."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -57,7 +58,10 @@ def _coerce(raw, example):
     if isinstance(example, int):
         return int(raw)
     if isinstance(example, float):
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"must be a finite number, got {raw!r}")
+        return value
     return raw
 
 

@@ -348,8 +348,8 @@ def sample_batch(
     split: DatasetSplit,
     batch_size,
     n_neg,
-    noise: NoiseConfig | None = None,
-    rng=None,
+    noise: NoiseConfig | None,
+    rng,
     train_pairs=None,
 ) -> BatchSample:
     """Uniform positive pairs with per-pair uniform negatives.
@@ -365,8 +365,6 @@ def sample_batch(
     positives (read off a boolean train mask of the batch rows, built in
     `row_blocks` of at most BLOCK_BYTES) is redrawn.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     noise = noise or NoiseConfig()
     if train_pairs is None:
         train_pairs = split.train_pairs()

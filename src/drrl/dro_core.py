@@ -11,6 +11,7 @@ dual formulas can be certified numerically against it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -19,9 +20,6 @@ import numpy as np
 KL = "kl"
 WORST_REGRET = "worst_regret"
 CRESSIE_READ = "cressie_read"
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -169,36 +167,6 @@ def divergence(q, p, kind: DivergenceKind):
     pos = p > 0
     ratio[pos] = q[pos] / p[pos]
     return float(np.sum(p[pos] * phi_gamma(ratio[pos], kind.gamma)))
-
-
-def golden_section(fn, a, b, tol=1e-8):
-    """Golden-section minimization of a unimodal function on [a, b].
-
-    Returns (x_min, f_min) with bracket width below tol.
-    """
-    a, b = min(a, b), max(a, b)
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, fn(x)
-    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc = fn(c)
-    yd = fn(d)
-    for _ in range(n - 1):
-        h *= _INV_PHI
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI2 * h
-            yc = fn(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * h
-            yd = fn(d)
-    if yc < yd:
-        return c, yc
-    return d, yd
 
 
 def _wr_greedy(scores, p, alpha_cap):
@@ -361,18 +329,52 @@ def lambda_star(inst: DroInstance, gamma, beta):
     return float((gamma - 1.0) * scale * moment)
 
 
-def _expand_bracket(fn, lo, hi, max_doublings=40):
-    """Push the lower bracket edge down while the function is still strictly
-    decreasing there; for small radii the margin minimizer sits far below
-    min(scores)."""
-    width = hi - lo
-    probe = max(width * 1e-3, 1e-9)
-    for _ in range(max_doublings):
-        if fn(lo) >= fn(lo + probe) - 1e-14:
+_BISECT_TOL = 1e-8  # the margin bisection's final bracket width
+
+
+def _bisect_margin(f, top, gamma_star, c, eps):
+    """(beta*, h(beta*)) for h(beta) = beta + M(beta) on one row of finite
+    scores f with largest `top`, at g* > 1 and c > 1.
+
+    h is convex, so beta* is where its slope
+    1 - c T^{1-g*} mean(t^{g*-1} 1[f > beta]) changes sign. Here t are the
+    terms c (f - beta)_+ + eps divided by their largest,
+    m = c (top - beta) + eps, and T = (mean t^{g*})^{1/g*}, so M = m T and
+    no g* over- or underflows. Below min f the power-mean inequality gives
+    h(beta) >= c mean f + eps - (c - 1) beta, which exceeds h(top) = top + eps
+    below (c mean f - top) / (c - 1), and above top h rises: bisection on
+    the slope's sign halves [min(min f, (c mean f - top) / (c - 1)), top]
+    down to `_BISECT_TOL`."""
+    f = np.sort(f)
+    ascending = f.tolist()  # bisect_right on a list costs less than a searchsorted call
+
+    def slope_and_value(b):
+        m = c * (top - b) + eps
+        below = bisect.bisect_right(ascending, b)  # truncated terms, each t = eps / m
+        t = ((f[below:] - b) * c + eps) / m
+        low = t ** (gamma_star - 1.0)
+        power_mean = ((float(low @ t) + below * (eps / m) ** gamma_star) / f.size) ** (
+            1.0 / gamma_star)
+        slope = 1.0 - c * power_mean ** (1.0 - gamma_star) * float(np.add.reduce(low)) / f.size
+        return slope, b + m * power_mean
+
+    lo, hi = min(float(f[0]), (c * float(f.mean()) - top) / (c - 1.0)), top
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats, at scores of magnitude 1e7 and up
             break
-        lo -= width
-        width *= 2.0
-    return lo
+        if slope_and_value(mid)[0] > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    # h has a kink at each score when eps > 0, and at the top score where its
+    # term is the only one: a minimum on a kink is that score, taken one
+    # float below it, as the top is, so that the score keeps its weight
+    mid = 0.5 * (lo + hi)
+    nearest = f[np.abs(f - mid).argmin()]
+    points = {min(mid, float(np.nextafter(top, -np.inf))), float(np.nextafter(nearest, -np.inf))}
+    value, beta = min((slope_and_value(b)[1], b) for b in points)
+    return beta, value
 
 
 def minimize_beta_objective(scores, gamma_star, c, eps=0.0):
@@ -389,12 +391,11 @@ def minimize_beta_objective(scores, gamma_star, c, eps=0.0):
     its infimum mean(f) + eps, and beta* is -inf. At g* = 1 the slope
     1 - c #{f > beta} / n changes sign at the (floor(n / c) + 1)-th largest
     score, an exact minimizer (the lower end of a flat segment when n / c is
-    an integer), one `np.partition` per block. At g* > 1 each row runs golden
-    section to 1e-8 below a bracket whose lower edge doubles down, on terms
-    divided by their largest, m = c (max f - beta) + eps (M is homogeneous in
-    them), so that no g* over- or underflows. A minimum at a row's largest
-    score is reported one float below it, where the kernels weigh the top
-    scores, which carry the worst case, rather than none.
+    an integer), one `np.partition` per block. At g* > 1 each row runs
+    `_bisect_margin`, a bisection on the sign of the margin gradient inside a
+    bracket that the row's scores give. A minimum at a row's largest score
+    is reported one float below it, where the kernels weigh the top scores,
+    which carry the worst case, rather than none.
     """
     if c < 1:
         raise ValueError(
@@ -416,15 +417,7 @@ def minimize_beta_objective(scores, gamma_star, c, eps=0.0):
     else:
         beta, value = np.empty((2, len(f)))
         for i, (row, hi) in enumerate(zip(f, top.tolist())):
-            row = row[present[i]]
-
-            def fn(b):
-                m = c * (hi - b) + eps
-                t = np.maximum(row - b, 0.0) * (c / m) + eps / m
-                return b + m * (float((t ** gamma_star).sum()) / row.size) ** (1.0 / gamma_star)
-
-            lo = _expand_bracket(fn, float(row.min()) - 1.0, hi)
-            beta[i], value[i] = golden_section(fn, lo, hi)
+            beta[i], value[i] = _bisect_margin(row[present[i]], hi, gamma_star, c, eps)
     beta = np.where(beta < top, beta, np.nextafter(top, -np.inf))
     return (float(beta[0]), float(value[0])) if np.ndim(scores) == 1 else (beta, value)
 

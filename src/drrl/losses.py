@@ -43,6 +43,8 @@ class LossSpec:
             errors.append("loss.c must be at least 1 for drrl")
         if self.eps < 0:
             errors.append("loss.eps must be nonnegative")
+        if self.lr_beta <= 0:
+            errors.append("loss.lr_beta must be positive")
         if errors:
             raise ValueError("; ".join(errors))
         return self
@@ -223,7 +225,7 @@ def drrl_beta_gradient(f_neg, gamma_star, c, eps, beta):
 
 def beta_step(state: MarginState, grad, lr_beta) -> MarginState:
     """SGD descent step on the margins: `grad` holds one gradient per user
-    (zero leaves a user untouched) or one scalar for a shared margin."""
+    (zero leaves a user untouched)."""
     if lr_beta <= 0:
         raise ValueError("lr_beta must be positive")
     state.beta -= lr_beta * grad

@@ -26,8 +26,6 @@ from .graphmodel import (
 )
 from .metrics import evaluate_ranking
 
-MARGIN_MODES = ("per_user", "shared", "fixed")
-
 # The step scores every item of a chunk's rows with BLAS products when the
 # catalogue has at most this many items per scored (positive or negative)
 # slot of a row; above it, it gathers the sampled items' rows. On 2 vCPUs at
@@ -50,7 +48,6 @@ class TrainConfig:
     metric_k: int = 20
     noise: float = 0.0
     noise_pool: str = "heldout"  # heldout | train
-    margin_mode: str = "per_user"  # per_user | shared | fixed (ablations)
 
     def validate(self):
         errors = []
@@ -65,8 +62,6 @@ class TrainConfig:
             errors.append("train.noise must lie in [0, 1]")
         if self.noise_pool not in ("heldout", "train"):
             errors.append("train.noise_pool must be 'heldout' or 'train'")
-        if self.margin_mode not in MARGIN_MODES:
-            errors.append(f"train.margin_mode must be one of {MARGIN_MODES}")
         if errors:
             raise ValueError("; ".join(errors))
         return self
@@ -85,10 +80,11 @@ class Adam:
     optimizer allocates nothing per step and holds no parameter-sized array
     besides the two moments."""
 
-    def __init__(self, shapes, beta1=0.9, beta2=0.999, floor=1e-8, dtype=np.float64):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.floor = floor
+    beta1 = 0.9
+    beta2 = 0.999
+    floor = 1e-8
+
+    def __init__(self, shapes, dtype=np.float64):
         self.step_count = 0
         self.m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
         self.v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
@@ -230,12 +226,13 @@ def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_n
 
 
 def loss_and_gradients(
-    table, graph, backbone_cfg, spec, margins, batch, noise_rng=None, margin_update=None
+    table, graph, backbone_cfg, spec, margins, batch, noise_rng=None, margin_update=False
 ):
     """Batch loss plus full-chain embedding-table gradients.
 
-    `margin_update` of "per_user" or "shared" applies one SGD step on the
-    margins (before the loss is evaluated); None leaves them alone.
+    With `margin_update`, a DrRL loss first takes one SGD step on the
+    batch users' margins (before the loss is evaluated); without it the
+    margins stay as they are.
     """
     out = forward(table, graph, backbone_cfg, noise_rng)
     users = batch.pairs[:, 0]
@@ -256,14 +253,11 @@ def loss_and_gradients(
     # margin update precedes the embedding step (DrRL only)
     beta = None
     if spec.kind == "drrl":
-        if margin_update in ("per_user", "shared"):
+        if margin_update:
             grad = L.drrl_beta_gradient(f_neg, spec.gamma_star, spec.c, spec.eps,
                                         margins.beta[users])
-            if margin_update == "shared":
-                grad = grad.sum()
-            else:
-                grad = np.bincount(users, weights=grad, minlength=len(margins.beta))
-            L.beta_step(margins, grad, spec.lr_beta)
+            L.beta_step(margins, np.bincount(users, weights=grad, minlength=len(margins.beta)),
+                        spec.lr_beta)
         beta = margins.beta[users]
     # the loss kernels compute in float64, where DrRL's M^{1-g*} (about
     # 1e125 at eps = 1e-10, g* = 13.5) cannot overflow: batch_loss upcasts
@@ -322,7 +316,7 @@ def train_step(
         raise ValueError("empty batch (all sampled users lack negatives)")
     value, grad_user, grad_item = loss_and_gradients(
         table, graph, backbone_cfg, spec, margins, batch,
-        noise_rng=noise_rng, margin_update=train_cfg.margin_mode,
+        noise_rng=noise_rng, margin_update=True,
     )
     if train_cfg.weight_decay:
         apply_weight_decay(

@@ -7,8 +7,8 @@ checkpoint diagnostics with one kernel call per user, a
 loss-and-gradients pass that loops over pairs and negatives one at a time,
 the earlier projected-ascent inner maximization (simplex projection,
 bisection boundary search and SLSQP polish, all kept here) with one start
-and one bisection step at a time, the margin solver's golden section on
-the unscaled objective, the negative sampler with a sorted-key membership
+and one bisection step at a time, the margin solver's bisection on the
+unscaled kernel gradient, the negative sampler with a sorted-key membership
 test and per-user set unions for its held-out pools, and Adam with a fresh
 array per intermediate."""
 
@@ -217,14 +217,26 @@ def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=Fal
 
 
 def minimize_beta_objective(neg_scores, gamma_star, c, eps=0.0, tol=1e-8):
-    """`dro_core.minimize_beta_objective`'s golden section on one row of
-    finite scores, run on the kernel's unscaled `losses.drrl_beta_objective`.
-    Returns (beta*, objective value)."""
+    """`dro_core.minimize_beta_objective`'s bisection on one row of finite
+    scores, inside the same bracket [min(min f, (c mean f - max f) / (c - 1)),
+    max f], on the sign of the training kernel's unscaled
+    `losses.drrl_beta_gradient`, and with the same look one float below the
+    score nearest the final midpoint. Returns (beta*, objective value)."""
     scores = np.asarray(neg_scores, dtype=float)
-    fn = lambda beta: L.drrl_beta_objective(scores, gamma_star, c, eps, beta)
-    hi = float(scores.max())
-    lo = dc._expand_bracket(fn, float(scores.min()) - 1.0, hi)
-    return dc.golden_section(fn, lo, hi, tol)
+    top = float(scores.max())
+    lo, hi = min(float(scores.min()), (c * float(scores.mean()) - top) / (c - 1.0)), top
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if L.drrl_beta_gradient(scores[None, :], gamma_star, c, eps, mid)[0] > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    mid = 0.5 * (lo + hi)
+    nearest = scores[np.abs(scores - mid).argmin()]
+    points = [min(mid, float(np.nextafter(top, -np.inf))), float(np.nextafter(nearest, -np.inf))]
+    values = [L.drrl_beta_objective(scores, gamma_star, c, eps, b) for b in points]
+    best = int(np.argmin(values))
+    return points[best], values[best]
 
 
 def _beta_gradient(neg, spec, beta):
@@ -237,7 +249,7 @@ def _beta_gradient(neg, spec, beta):
     return 1.0 - m ** (1.0 - spec.gamma_star) / len(neg) * s
 
 
-def loss_and_gradients(table, graph, backbone_cfg, spec, margins, batch, margin_update=None):
+def loss_and_gradients(table, graph, backbone_cfg, spec, margins, batch, margin_update=False):
     """Per-pair reference of `trainer.loss_and_gradients` (no forward noise):
     each pair's loss is one B=1 kernel call, each score's chain rule a
     `score_gradient` call, and XSimGCL's two InfoNCE views run their own
@@ -249,15 +261,12 @@ def loss_and_gradients(table, graph, backbone_cfg, spec, margins, batch, margin_
     f_pos = [score(fu[u], fi[i]) for u, i, _ in pairs]
     f_neg = [[score(fu[u], fi[j]) for j in negs] for u, _, negs in pairs]
 
-    if spec.kind == "drrl" and margin_update in ("per_user", "shared"):
+    if spec.kind == "drrl" and margin_update:
         grads = {}
         for (u, _, _), neg in zip(pairs, f_neg):
             grads[u] = grads.get(u, 0.0) + _beta_gradient(neg, spec, margins.beta[u])
-        if margin_update == "shared":
-            margins.beta -= spec.lr_beta * sum(grads.values())
-        else:
-            for u, g in grads.items():
-                margins.beta[u] -= spec.lr_beta * g
+        for u, g in grads.items():
+            margins.beta[u] -= spec.lr_beta * g
 
     n = len(pairs)
     value = 0.0
@@ -442,11 +451,9 @@ def _heldout_pools(split, users):
     return (np.cumsum(sizes) - sizes)[row_user], sizes[row_user], items
 
 
-def sample_batch(split, batch_size, n_neg, noise=None, rng=None, train_pairs=None):
+def sample_batch(split, batch_size, n_neg, noise, rng, train_pairs=None):
     """`dataio.sample_batch` testing each draw by a binary search for its
     `user * num_items + item` key among the sorted train keys; same RNG calls."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     noise = noise or dataio.NoiseConfig()
     if train_pairs is None:
         train_pairs = split.train_pairs()

@@ -98,6 +98,33 @@ class TestConfigParse:
         with pytest.raises(ValueError, match=r"line 3: unknown section \[split\]"):
             config.parse_config("[data]\ninput = splits/iid\n[split]\nkind = temporal\n")
 
+    def test_removed_margin_mode_key_rejected(self):
+        # DrRL margins always take their per-user step; a config.cfg written
+        # before that still names the key
+        with pytest.raises(ValueError, match=r"line 2: unknown key train\.margin_mode"):
+            config.parse_config("[train]\nmargin_mode = per_user\n")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_float_rejected(self, raw, tmp_path):
+        # every bound check is False for nan, so it is refused where it is read
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[loss]\nc = {raw}\n")
+        message = f"line 2: loss.c: must be a finite number, got '{raw}'"
+        with pytest.raises(ValueError, match=message):
+            config.load_config(path, with_env=False)
+        with pytest.raises(ValueError, match="DRRL_LOSS__C: loss.c: must be a finite number"):
+            config.apply_env_overrides(config.RunConfig(), {"DRRL_LOSS__C": raw})
+
+    @pytest.mark.parametrize("raw", ["0", "-1e-4"])
+    def test_nonpositive_margin_learning_rate_rejected(self, raw, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[loss]\nkind = drrl\nlr_beta = {raw}\n")
+        with pytest.raises(ValueError, match="loss.lr_beta must be positive"):
+            config.load_config(path, with_env=False)
+        cfg = config.apply_env_overrides(config.RunConfig(), {"DRRL_LOSS__LR_BETA": raw})
+        with pytest.raises(ValueError, match="loss.lr_beta must be positive"):
+            cfg.validate()
+
     def test_keys_under_an_unknown_section_add_no_error(self):
         # the header is the one error; its keys are inside a section
         with pytest.raises(ValueError) as exc:

@@ -78,8 +78,6 @@ def test_train_config_validation():
         tr.TrainConfig(noise=2.0).validate()
     with pytest.raises(ValueError):
         tr.TrainConfig(noise_pool="other").validate()
-    with pytest.raises(ValueError):
-        tr.TrainConfig(margin_mode="global").validate()
 
 
 def test_margin_update_happens_before_loss():
@@ -88,30 +86,20 @@ def test_margin_update_happens_before_loss():
                     lr_beta=0.05)
     margins = MarginState.initialize(4, spec.beta0)
     before = margins.beta.copy()
-    tr.loss_and_gradients(table, graph, cfg, spec, margins, batch,
-                          margin_update="per_user")
+    tr.loss_and_gradients(table, graph, cfg, spec, margins, batch, margin_update=True)
     # batch users 0..2 get margin steps, user 3 untouched
     assert not np.array_equal(margins.beta[:3], before[:3])
     assert margins.beta[3] == before[3]
 
 
-def test_shared_margin_moves_all_users_equally():
-    table, graph, cfg, batch = toy_setup()
-    spec = LossSpec(kind="drrl", gamma_star=2.0, c=1.0, eps=0.1, beta0=0.2,
-                    lr_beta=0.05)
-    margins = MarginState.initialize(4, spec.beta0)
-    tr.loss_and_gradients(table, graph, cfg, spec, margins, batch,
-                          margin_update="shared")
-    assert np.ptp(margins.beta) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_fixed_margin_mode_leaves_margins_alone():
+def test_no_margin_update_leaves_margins_alone():
+    # without a margin step, the default, a DrRL pass leaves the margins alone
     table, graph, cfg, batch = toy_setup()
     spec = LossSpec(kind="drrl", beta0=0.2)
-    margins = MarginState.initialize(4, spec.beta0)
-    tr.loss_and_gradients(table, graph, cfg, spec, margins, batch,
-                          margin_update="fixed")
-    np.testing.assert_array_equal(margins.beta, np.full(4, 0.2))
+    for update in ({}, {"margin_update": False}):
+        margins = MarginState.initialize(4, spec.beta0)
+        tr.loss_and_gradients(table, graph, cfg, spec, margins, batch, **update)
+        np.testing.assert_array_equal(margins.beta, np.full(4, 0.2))
 
 
 def _relative_gap(got, want):
@@ -134,10 +122,15 @@ def test_infonce_matches_dense_reference(n):
     assert not d_final[[n // 2, n + 1]].any() and not d_lstar[[n // 2, n + 1]].any()
 
 
-@pytest.mark.parametrize("margin_mode", tr.MARGIN_MODES)
+# a margin step, as `train_step` takes, and none, as the verify chain takes
+MARGIN_UPDATES = pytest.mark.parametrize("margin_update", [True, False],
+                                         ids=["per_user", "fixed"])
+
+
+@MARGIN_UPDATES
 @pytest.mark.parametrize("backbone", ["mf", "lightgcn", "xsimgcl"])
 @pytest.mark.parametrize("kind", LOSS_KINDS)
-def test_matches_scalar_reference(kind, backbone, margin_mode, monkeypatch):
+def test_matches_scalar_reference(kind, backbone, margin_update, monkeypatch):
     n_users, n_items, d, n_neg = 6, 9, 4, 7
     rng = np.random.default_rng(11)
     table = EmbeddingTable.init_normal(n_users, n_items, d, seed=3)
@@ -156,22 +149,22 @@ def test_matches_scalar_reference(kind, backbone, margin_mode, monkeypatch):
     start = MarginState(rng.uniform(-0.2, 0.4, n_users))
     margins, ref_margins = start.copy(), start.copy()
     value, gu, gi = tr.loss_and_gradients(table, graph, cfg, spec, margins, batch,
-                                          margin_update=margin_mode)
+                                          margin_update=margin_update)
     ref_value, ref_gu, ref_gi = scalar_reference.loss_and_gradients(
-        table, graph, cfg, spec, ref_margins, batch, margin_update=margin_mode)
+        table, graph, cfg, spec, ref_margins, batch, margin_update=margin_update)
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
     assert _relative_gap(gu, ref_gu) <= 1e-12
     assert _relative_gap(gi, ref_gi) <= 1e-12
     assert _relative_gap(margins.beta, ref_margins.beta) <= 1e-12
-    if kind == "drrl" and margin_mode != "fixed":
+    if kind == "drrl" and margin_update:
         assert not np.array_equal(margins.beta, start.beta)
 
 
-@pytest.mark.parametrize("margin_mode", tr.MARGIN_MODES)
+@MARGIN_UPDATES
 @pytest.mark.parametrize("backbone", ["mf", "lightgcn", "xsimgcl"])
 @pytest.mark.parametrize("kind", LOSS_KINDS)
 @pytest.mark.parametrize("regime", ["dense", "gather"])
-def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_mode,
+def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_update,
                                                  monkeypatch):
     # 9 items score densely against 7 negatives, 40 items gather 3; each
     # budget gives row chunks of 2, 2 and 1
@@ -202,9 +195,9 @@ def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_
     start = MarginState(rng.uniform(-0.2, 0.4, n_users))
     margins, ref_margins = start.copy(), start.copy()
     value, gu, gi = tr.loss_and_gradients(table, graph, cfg, spec, margins, batch,
-                                          margin_update=margin_mode)
+                                          margin_update=margin_update)
     ref_value, ref_gu, ref_gi = scalar_reference.loss_and_gradients(
-        table, graph, cfg, spec, ref_margins, batch, margin_update=margin_mode)
+        table, graph, cfg, spec, ref_margins, batch, margin_update=margin_update)
     assert bool(gathered) == (regime == "gather")
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
     assert _relative_gap(gu, ref_gu) <= 1e-12
@@ -236,9 +229,9 @@ def test_float32_step_matches_float64_step(regime, kind, backbone):
     start = MarginState(rng.uniform(-0.2, 0.4, n_users))
     margins, margins32 = start.copy(), start.copy()
     value, gu, gi = tr.loss_and_gradients(table, graph, cfg, spec, margins, batch,
-                                          margin_update="per_user")
+                                          margin_update=True)
     value32, gu32, gi32 = tr.loss_and_gradients(table32, graph, cfg, spec, margins32, batch,
-                                                margin_update="per_user")
+                                                margin_update=True)
     assert gu32.dtype == gi32.dtype == np.float32
     assert margins32.beta.dtype == np.float64
     assert abs(value32 - value) <= 1e-4 * abs(value)
@@ -268,7 +261,7 @@ def _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg, kind=
     try:
         tr.loss_and_gradients(table, graph, BackboneConfig(kind=kind, layers=2), spec,
                               margins, batch, noise_rng=np.random.default_rng(1),
-                              margin_update="per_user")
+                              margin_update=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
