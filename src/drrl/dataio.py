@@ -294,6 +294,8 @@ def split_temporal(log: InteractionLog, test_frac=0.2, val_frac_of_train=0.1):
         )
     if not (0 <= test_frac < 1):
         raise ValueError("test_frac must lie in [0, 1)")
+    if not (0 < val_frac_of_train < 1):
+        raise ValueError("val_frac_of_train must lie strictly between 0 and 1")
     # ties broken by ascending item id
     users, items, at, size = _user_runs(log, log.timestamps)
     n_test = np.where(size > 1, np.minimum(np.ceil(test_frac * size).astype(np.int64),

@@ -26,10 +26,12 @@ from .graphmodel import (
 )
 from .metrics import evaluate_ranking
 
-# The step scores every item of a chunk's rows with BLAS products when the
-# catalogue has at most this many items per scored (positive or negative)
-# slot of a row; above it, it gathers the sampled items' rows. On 2 vCPUs at
-# B = 1024, d = 64 the dense step won up to 12k items and lost from 16k at
+# The step pulls its score gradients back through a dense (rows x items)
+# block per row chunk when the catalogue has at most this many items per
+# scored (positive or negative) slot of a row, and through one sparse
+# (B x items) matrix above it; the rule also picks the scorer's row chunks.
+# On 2 vCPUs at B = 1024, d = 64, against a scorer that gathered the
+# negatives' rows, the dense step won up to 12k items and lost from 16k at
 # n_neg = 1024, and won at 250 items but lost at 500 at n_neg = 64.
 DENSE_ITEMS_PER_SLOT = 8
 
@@ -51,11 +53,10 @@ class TrainConfig:
 
     def validate(self):
         errors = []
-        for name in ("batch_size", "n_neg", "max_epochs", "patience", "embed_dim"):
-            if getattr(self, name) < 1:
+        for name in ("batch_size", "n_neg", "max_epochs", "patience", "embed_dim",
+                     "metric_k", "lr", "init_std"):
+            if getattr(self, name) <= 0:
                 errors.append(f"train.{name} must be positive")
-        if self.lr <= 0:
-            errors.append("train.lr must be positive")
         if self.weight_decay < 0:
             errors.append("train.weight_decay must be nonnegative")
         if not (0 <= self.noise <= 1):
@@ -156,16 +157,15 @@ def _touched(ids, size):
     return np.flatnonzero(np.bincount(np.ravel(ids), minlength=size))
 
 
-def _negative_scores(user_rows, item_unit, negatives):
+def _negative_scores(user_rows, item_unit, negatives, chunks):
     """Cosine scores (B, n_neg) of each row's user against its negatives,
-    gathered in `row_blocks` whose (rows, n_neg, d) item rows take at most
-    half of BLOCK_BYTES (of float64; a float32 chunk takes half that), so
-    the step's memory does not grow with B * n_neg * d."""
-    n_neg, d = negatives.shape[1], item_unit.shape[1]
+    read off one BLAS product per row chunk, the chunk's users against
+    every item."""
+    num_items = len(item_unit)
     f_neg = np.empty(negatives.shape, item_unit.dtype)
-    for chunk in row_blocks(len(negatives), 2 * 8 * n_neg * d):
-        np.einsum("bd,bjd->bj", user_rows[chunk], item_unit[negatives[chunk]],
-                  out=f_neg[chunk])
+    for chunk in chunks:
+        at = negatives[chunk] + num_items * np.arange(len(negatives[chunk]))[:, None]
+        np.take(user_rows[chunk] @ item_unit.T, at, out=f_neg[chunk])
     return f_neg
 
 
@@ -193,17 +193,6 @@ def _dense_blocks(num_items, negatives):
     that is a 2 MiB block, which fits a core's L2 cache; 4 MiB blocks made
     both chunk loops twice as slow on 2 vCPUs.)"""
     return row_blocks(len(negatives), 2 * 8 * 2 * (num_items + negatives.shape[1] + 1))
-
-
-def _dense_negative_scores(user_rows, item_unit, negatives):
-    """`_negative_scores` read off one BLAS product per row chunk, the
-    chunk's users against every item."""
-    num_items = len(item_unit)
-    f_neg = np.empty(negatives.shape, item_unit.dtype)
-    for chunk in _dense_blocks(num_items, negatives):
-        at = negatives[chunk] + num_items * np.arange(len(negatives[chunk]))[:, None]
-        np.take(user_rows[chunk] @ item_unit.T, at, out=f_neg[chunk])
-    return f_neg
 
 
 def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg):
@@ -245,10 +234,15 @@ def loss_and_gradients(
     batch_users = user_unit[user_row]
     f_pos = np.einsum("bd,bd->b", batch_users, item_unit[pos_items])
     # a catalogue at most DENSE_ITEMS_PER_SLOT times the scored slots of a
-    # row is nearly all touched by each chunk: score and pull back densely
-    dense = len(item_unit) <= DENSE_ITEMS_PER_SLOT * (batch.negatives.shape[1] + 1)
-    score = _dense_negative_scores if dense else _negative_scores
-    f_neg = score(batch_users, item_unit, batch.negatives)
+    # row is nearly all touched by each chunk: pull back densely, and score
+    # in the pullback's L2-sized chunks. A larger one scores in chunks of
+    # half of BLOCK_BYTES (scores plus flat indices): narrow products that
+    # reread the item table are memory-bound
+    num_items, n_neg = item_unit.shape[0], batch.negatives.shape[1]
+    dense = num_items <= DENSE_ITEMS_PER_SLOT * (n_neg + 1)
+    chunks = (_dense_blocks(num_items, batch.negatives) if dense else
+              row_blocks(len(batch_users), 2 * (item_unit.itemsize * num_items + 8 * n_neg)))
+    f_neg = _negative_scores(batch_users, item_unit, batch.negatives, chunks)
 
     # margin update precedes the embedding step (DrRL only)
     beta = None

@@ -125,6 +125,13 @@ class TestConfigParse:
         with pytest.raises(ValueError, match="loss.lr_beta must be positive"):
             cfg.validate()
 
+    @pytest.mark.parametrize("key, raw", [("metric_k", "0"), ("init_std", "0")])
+    def test_nonpositive_train_key_rejected(self, key, raw, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[train]\n{key} = {raw}\n")
+        with pytest.raises(ValueError, match=f"train.{key} must be positive"):
+            config.load_config(path, with_env=False)
+
     def test_keys_under_an_unknown_section_add_no_error(self):
         # the header is the one error; its keys are inside a section
         with pytest.raises(ValueError) as exc:
@@ -252,6 +259,15 @@ class TestCli:
             ["split", str(log_file), str(tmp_path / "t"), "--kind", "temporal"]
         )
         assert code == 0
+
+    def test_temporal_split_rejects_a_validation_fraction_outside_0_1(self, log_file,
+                                                                       tmp_path, capsys):
+        code = cli.main(["split", str(log_file), str(tmp_path / "t"), "--kind", "temporal",
+                         "--val", "-0.5"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: val_frac_of_train must lie strictly between 0 and 1")
+        assert not (tmp_path / "t").exists()
 
     def test_split_error_exits_nonzero(self, tmp_path):
         missing = tmp_path / "missing.tsv"

@@ -10,6 +10,7 @@ from scipy import stats
 import scalar_reference
 from builders import log_of, parts, split_of
 from drrl import dataio
+from drrl.synthetic import make_block_log
 
 
 def write_log(tmp_path, rows, name="log.tsv"):
@@ -209,6 +210,14 @@ class TestSplitTemporal:
         log = _uniform_log(1, 5, timestamps=False)
         with pytest.raises(ValueError):
             dataio.split_temporal(log, 0.2, 0.1)
+
+    @pytest.mark.parametrize("val_frac", [-0.5, 0.0, 1.0, 1.5])
+    def test_validation_fraction_outside_0_1_rejected(self, val_frac):
+        # unchecked, -0.5 turns every test interaction into validation, and
+        # 1.5 most of train
+        log = make_block_log(50, 40)
+        with pytest.raises(ValueError, match="val_frac_of_train must lie strictly between"):
+            dataio.split_temporal(log, 0.2, val_frac)
 
     def test_zero_test_frac_empty_test(self):
         log = _uniform_log(2, 5, timestamps=True)

@@ -78,6 +78,12 @@ def test_train_config_validation():
         tr.TrainConfig(noise=2.0).validate()
     with pytest.raises(ValueError):
         tr.TrainConfig(noise_pool="other").validate()
+    # K = 0 would fail only after a whole epoch, in the evaluator; zero
+    # tables make every cosine 0 / 0
+    for key, value in (("metric_k", 0), ("metric_k", -5), ("init_std", 0.0),
+                       ("init_std", -0.1)):
+        with pytest.raises(ValueError, match=f"train.{key} must be positive"):
+            tr.TrainConfig(**{key: value}).validate()
 
 
 def test_margin_update_happens_before_loss():
@@ -160,25 +166,31 @@ def test_matches_scalar_reference(kind, backbone, margin_update, monkeypatch):
         assert not np.array_equal(margins.beta, start.beta)
 
 
+# the catalogue-dense and catalogue-sparse pullback regimes; the sparse
+# regime's case ids keep the name it had while it gathered the negatives' rows
+REGIMES = pytest.mark.parametrize("regime", ["dense", "sparse"], ids=["dense", "gather"])
+
+
 @MARGIN_UPDATES
 @pytest.mark.parametrize("backbone", ["mf", "lightgcn", "xsimgcl"])
 @pytest.mark.parametrize("kind", LOSS_KINDS)
-@pytest.mark.parametrize("regime", ["dense", "gather"])
+@REGIMES
 def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_update,
                                                  monkeypatch):
-    # 9 items score densely against 7 negatives, 40 items gather 3; each
-    # budget gives row chunks of 2, 2 and 1
+    # 9 items pull back densely against 7 negatives, 40 items sparsely
+    # against 3; each budget gives the scorer row chunks of 2, 2 and 1
     n_users, d = 6, 4
     n_items, n_neg = (9, 7) if regime == "dense" else (40, 3)
     assert (n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)) == (regime == "dense")
     if regime == "dense":
         monkeypatch.setattr(dataio, "BLOCK_BYTES", 2 * 2 * 8 * 2 * (n_items + n_neg + 1))
-        assert tr._dense_blocks(n_items, np.zeros((5, n_neg)))[0] == slice(0, 2)
     else:
-        monkeypatch.setattr(dataio, "BLOCK_BYTES", 2 * 2 * 8 * n_neg * d)
-    gathered = []
-    monkeypatch.setattr(tr, "_negative_scores",
-                        lambda *a, f=tr._negative_scores: gathered.append(1) or f(*a))
+        monkeypatch.setattr(dataio, "BLOCK_BYTES", 2 * 2 * (8 * n_items + 8 * n_neg))
+    chunks, sparse = [], []
+    monkeypatch.setattr(tr, "_negative_scores", lambda *a, f=tr._negative_scores:
+                        chunks.append([c.stop - c.start for c in a[3]]) or f(*a))
+    monkeypatch.setattr(tr, "_sparse_score_pullback",
+                        lambda *a, f=tr._sparse_score_pullback: sparse.append(1) or f(*a))
     rng = np.random.default_rng(12)
     table = EmbeddingTable.init_normal(n_users, n_items, d, seed=4)
     pairs = [(u, i) for u in range(n_users) for i in range(n_items) if (u * 7 + i) % 5 == 0]
@@ -198,7 +210,8 @@ def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_
                                           margin_update=margin_update)
     ref_value, ref_gu, ref_gi = scalar_reference.loss_and_gradients(
         table, graph, cfg, spec, ref_margins, batch, margin_update=margin_update)
-    assert bool(gathered) == (regime == "gather")
+    assert chunks == [[2, 2, 1]]
+    assert bool(sparse) == (regime == "sparse")
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
     assert _relative_gap(gu, ref_gu) <= 1e-12
     assert _relative_gap(gi, ref_gi) <= 1e-12
@@ -207,7 +220,7 @@ def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_
 
 @pytest.mark.parametrize("backbone", ["mf", "lightgcn", "xsimgcl"])
 @pytest.mark.parametrize("kind", LOSS_KINDS)
-@pytest.mark.parametrize("regime", ["dense", "gather"])
+@REGIMES
 def test_float32_step_matches_float64_step(regime, kind, backbone):
     # the scalar-reference step cases on a float32 copy of the table: every
     # kernel but the float64 loss kernels computes in float32
@@ -347,11 +360,20 @@ def test_loss_and_gradients_memory_bounded_by_chunk_budget():
     assert peak < dataio.BLOCK_BYTES
 
 
-def test_loss_and_gradients_memory_bounded_by_chunk_budget_in_gather_regime():
+def test_loss_and_gradients_memory_bounded_by_chunk_budget_in_sparse_regime():
     n_users, n_items, d, batch_size, n_neg = 100, 1000, 128, 512, 64
     assert n_items > tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
     # one float64 (B, n_neg, d) array would exceed the budget
     assert 8 * batch_size * n_neg * d > dataio.BLOCK_BYTES
+    peak = _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg)
+    assert peak < dataio.BLOCK_BYTES
+
+
+def test_sparse_regime_scores_within_the_budget_at_a_large_catalogue():
+    n_users, n_items, d, batch_size, n_neg = 100, 40000, 8, 512, 64
+    assert n_items > tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
+    # one float64 (B, items) score block would take nearly ten times the budget
+    assert 8 * batch_size * n_items > 9 * dataio.BLOCK_BYTES
     peak = _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg)
     assert peak < dataio.BLOCK_BYTES
 
