@@ -45,13 +45,7 @@ class RunConfig:
         return self
 
 
-_SECTIONS = {
-    "data": DataConfig,
-    "backbone": BackboneConfig,
-    "loss": LossSpec,
-    "train": TrainConfig,
-    "output": OutputConfig,
-}
+_SECTIONS = tuple(f.name for f in fields(RunConfig))
 
 
 def _coerce(raw, example):
@@ -132,7 +126,7 @@ def load_config(path, with_env=True) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> str:
     lines = []
-    for section, _ in _SECTIONS.items():
+    for section in _SECTIONS:
         target = getattr(cfg, section)
         lines.append(f"[{section}]")
         for f in fields(target):

@@ -307,36 +307,6 @@ def split_temporal(log: InteractionLog, test_frac=0.2, val_frac_of_train=0.1):
     return _split_of(log, users, items, part, "temporal_ood")
 
 
-class _TrainMask:
-    """Train-item membership for the rows of a batch, read off boolean
-    (rows x items) `row_blocks` gathered from the train part. The last block
-    built is kept, so a batch that fits one block builds it once."""
-
-    def __init__(self, train, users, num_items):
-        self.train, self.users, self.num_items = train, users, num_items
-        self.blocks = row_blocks(len(users), num_items)
-        self.built = (None, None)
-
-    def _block(self, block):
-        if self.built[0] != block.start:
-            users = self.users[block]
-            mask = np.zeros((len(users), self.num_items), dtype=bool)
-            mask[self.train.gather(users)] = True
-            self.built = (block.start, mask)
-        return self.built[1]
-
-    def hits(self, rows, items):
-        """Whether each item is a train item of its batch row; `rows` is
-        ascending, an (n,) vector or an (n, 1) column against (n, k) items."""
-        out = np.empty(items.shape, dtype=bool)
-        for block in self.blocks:
-            lo, hi = np.searchsorted(rows.ravel(), (block.start, block.stop))
-            if lo < hi:
-                keys = items[lo:hi] + self.num_items * (rows[lo:hi] - block.start)
-                out[lo:hi] = np.take(self._block(block), keys)
-        return out
-
-
 def _heldout_pools(split, users):
     """The held-out (validation and test) items of the distinct users, as
     UserItems, and each row's index among those users."""
@@ -363,9 +333,10 @@ def sample_batch(
     an empty pool get no flips. Rows whose user has no item outside the
     train set are skipped, with one warning per call.
 
-    All slots are drawn at once; a draw that hits one of the user's train
-    positives (read off a boolean train mask of the batch rows, built in
-    `row_blocks` of at most BLOCK_BYTES) is redrawn.
+    All slots are drawn at once. The batch rows are then walked in
+    `row_blocks` of at most BLOCK_BYTES: each block's boolean (rows x items)
+    train mask is made once, and the block's draws that hit one of the
+    user's train positives are redrawn until none does.
     """
     noise = noise or NoiseConfig()
     if train_pairs is None:
@@ -382,12 +353,15 @@ def sample_batch(
     users = pairs[:, 0]
 
     negatives = rng.integers(0, num_items, size=(len(pairs), n_neg))
-    flat = negatives.reshape(-1)
-    train_mask = _TrainMask(split.train, users, num_items)
-    redraw = np.flatnonzero(train_mask.hits(np.arange(len(pairs))[:, None], negatives))
-    while redraw.size:
-        flat[redraw] = rng.integers(0, num_items, size=redraw.size)
-        redraw = redraw[train_mask.hits(redraw // n_neg, flat[redraw])]
+    for block in row_blocks(len(pairs), num_items):
+        mask = np.zeros((block.stop - block.start, num_items), dtype=bool)
+        mask[split.train.gather(users[block])] = True
+        flat = negatives[block].reshape(-1)  # a view: the block's rows are contiguous
+        offsets = num_items * np.arange(len(mask))
+        redraw = np.flatnonzero(np.take(mask, negatives[block] + offsets[:, None]))
+        while redraw.size:
+            flat[redraw] = rng.integers(0, num_items, size=redraw.size)
+            redraw = redraw[np.take(mask, flat[redraw] + offsets[redraw // n_neg])]
 
     flips = np.zeros(negatives.shape, dtype=bool)
     if noise.p > 0 and len(pairs):

@@ -107,6 +107,10 @@ class BackboneConfig:
             errors.append("backbone.noise_modulus must be nonnegative")
         if not (0 <= self.contrast_layer <= self.layers):
             errors.append("backbone.contrast_layer must lie in [0, layers]")
+        if self.infonce_weight < 0:
+            errors.append("backbone.infonce_weight must be nonnegative")
+        if self.infonce_temperature <= 0:
+            errors.append("backbone.infonce_temperature must be positive")
         if errors:
             raise ValueError("; ".join(errors))
         return self

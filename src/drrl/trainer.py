@@ -57,8 +57,9 @@ class TrainConfig:
                      "metric_k", "lr", "init_std"):
             if getattr(self, name) <= 0:
                 errors.append(f"train.{name} must be positive")
-        if self.weight_decay < 0:
-            errors.append("train.weight_decay must be nonnegative")
+        for name in ("weight_decay", "seed"):
+            if getattr(self, name) < 0:
+                errors.append(f"train.{name} must be nonnegative")
         if not (0 <= self.noise <= 1):
             errors.append("train.noise must lie in [0, 1]")
         if self.noise_pool not in ("heldout", "train"):

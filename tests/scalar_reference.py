@@ -453,7 +453,8 @@ def _heldout_pools(split, users):
 
 def sample_batch(split, batch_size, n_neg, noise, rng, train_pairs=None):
     """`dataio.sample_batch` testing each draw by a binary search for its
-    `user * num_items + item` key among the sorted train keys; same RNG calls."""
+    `user * num_items + item` key among the sorted train keys; same RNG calls,
+    redrawing the rows of each `row_blocks` block in turn."""
     noise = noise or dataio.NoiseConfig()
     if train_pairs is None:
         train_pairs = split.train_pairs()
@@ -467,12 +468,13 @@ def sample_batch(split, batch_size, n_neg, noise, rng, train_pairs=None):
     users = pairs[:, 0]
 
     negatives = rng.integers(0, num_items, size=(len(pairs), n_neg))
-    flat = negatives.reshape(-1)
-    base = np.repeat(users * num_items, n_neg)
-    redraw = np.flatnonzero(_member(train_keys, base + flat))
-    while redraw.size:
-        flat[redraw] = rng.integers(0, num_items, size=redraw.size)
-        redraw = redraw[_member(train_keys, base[redraw] + flat[redraw])]
+    for block in dataio.row_blocks(len(pairs), num_items):
+        flat = negatives[block].reshape(-1)
+        base = np.repeat(users[block] * num_items, n_neg)
+        redraw = np.flatnonzero(_member(train_keys, base + flat))
+        while redraw.size:
+            flat[redraw] = rng.integers(0, num_items, size=redraw.size)
+            redraw = redraw[_member(train_keys, base[redraw] + flat[redraw])]
 
     flips = np.zeros(negatives.shape, dtype=bool)
     if noise.p > 0 and len(pairs):

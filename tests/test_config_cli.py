@@ -286,6 +286,23 @@ class TestCli:
         assert "drrl split" in err
         assert not (tmp_path / "run").exists()
 
+    def test_train_names_out_of_range_infonce_and_seed_keys(self, split_dir, tmp_path,
+                                                            capsys):
+        # unchecked, temperature 0 raised ZeroDivisionError in the first
+        # XSimGCL step and a negative seed numpy's unnamed error
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=split_dir, outdir=tmp_path / "run")
+                            + "[backbone]\nkind = xsimgcl\ninfonce_temperature = 0\n"
+                            "infonce_weight = -1\n[train]\nseed = -1\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for message in ("backbone.infonce_weight must be nonnegative",
+                        "backbone.infonce_temperature must be positive",
+                        "train.seed must be nonnegative"):
+            assert message in err
+        assert not (tmp_path / "run").exists()
+
     def test_evaluate_outputs_rows_per_k(self, run_dir, tmp_path):
         out = tmp_path / "metrics.csv"
         code = cli.main(

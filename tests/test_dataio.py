@@ -270,19 +270,24 @@ class TestSampleBatch:
         np.testing.assert_array_equal(a.negatives, b.negatives)
         np.testing.assert_array_equal(a.false_negative_mask, b.false_negative_mask)
 
-    def test_clean_negatives_uniform_over_non_train_items(self):
+    def test_clean_negatives_uniform_over_non_train_items(self, monkeypatch):
         # chi-square goodness of fit per user at a fixed seed: the statistic
-        # stays below the 1 - 1e-6 quantile of chi2 with (candidates - 1) dof
+        # stays below the 1 - 1e-6 quantile of chi2 with (candidates - 1) dof;
+        # once in one train-mask block, once in blocks of 3 rows, each
+        # redrawn until clean before the next
         split = _toy_split()
-        batch = dataio.sample_batch(split, 4000, 16, None, np.random.default_rng(0))
-        for user in range(split.num_users):
-            negs = batch.negatives[batch.pairs[:, 0] == user].ravel()
-            counts = np.bincount(negs, minlength=split.num_items)
-            assert counts[sorted(split.train[user])].sum() == 0
-            candidates = sorted(set(range(split.num_items)) - split.train[user])
-            expected = negs.size / len(candidates)
-            chi2 = np.sum((counts[candidates] - expected) ** 2 / expected)
-            assert chi2 < stats.chi2.ppf(1 - 1e-6, len(candidates) - 1)
+        for block_bytes, blocks in ((dataio.BLOCK_BYTES, 1), (3 * split.num_items, 1334)):
+            monkeypatch.setattr(dataio, "BLOCK_BYTES", block_bytes)
+            assert len(dataio.row_blocks(4000, split.num_items)) == blocks
+            batch = dataio.sample_batch(split, 4000, 16, None, np.random.default_rng(0))
+            for user in range(split.num_users):
+                negs = batch.negatives[batch.pairs[:, 0] == user].ravel()
+                counts = np.bincount(negs, minlength=split.num_items)
+                assert counts[sorted(split.train[user])].sum() == 0
+                candidates = sorted(set(range(split.num_items)) - split.train[user])
+                expected = negs.size / len(candidates)
+                chi2 = np.sum((counts[candidates] - expected) ** 2 / expected)
+                assert chi2 < stats.chi2.ppf(1 - 1e-6, len(candidates) - 1)
 
     @pytest.mark.parametrize("pool", ["heldout", "train"])
     def test_flips_occur_at_rate_p_from_the_pool(self, pool):

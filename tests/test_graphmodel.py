@@ -313,3 +313,11 @@ def test_backbone_config_validation():
         gm.BackboneConfig(kind="lightgcn", layers=0).validate()
     with pytest.raises(ValueError):
         gm.BackboneConfig(kind="xsimgcl", layers=2, contrast_layer=3).validate()
+    # temperature 0 divides by zero in infonce_auxiliary; a negative one
+    # flips the contrast
+    for key, value, message in (("infonce_temperature", 0.0, "must be positive"),
+                                ("infonce_temperature", -0.2, "must be positive"),
+                                ("infonce_weight", -0.001, "must be nonnegative")):
+        with pytest.raises(ValueError, match=f"backbone.{key} {message}"):
+            gm.BackboneConfig(kind="xsimgcl", **{key: value}).validate()
+    gm.BackboneConfig(kind="xsimgcl", infonce_weight=0.0).validate()

@@ -84,6 +84,9 @@ def test_train_config_validation():
                        ("init_std", -0.1)):
         with pytest.raises(ValueError, match=f"train.{key} must be positive"):
             tr.TrainConfig(**{key: value}).validate()
+    # numpy would refuse a negative seed only at the first draw, unnamed
+    with pytest.raises(ValueError, match="train.seed must be nonnegative"):
+        tr.TrainConfig(seed=-1).validate()
 
 
 def test_margin_update_happens_before_loss():
