@@ -272,6 +272,8 @@ def split_iid(log: InteractionLog, train_frac=0.8, val_frac_of_train=0.1, seed=0
     sized by nearest-integer rounding with a floor of 1 train item."""
     if not (0 < train_frac < 1) or not (0 < val_frac_of_train < 1):
         raise ValueError("fractions must lie strictly between 0 and 1")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     users, items, at, size = _user_runs(log)
     # row j of a user's shuffled run holds the perm[j]-th of its items

@@ -125,13 +125,14 @@ class ForwardOutput:
 
 
 def _add_noise(layer, modulus, rng):
-    """Add to each row of `layer`, in place, a standard normal draw scaled
-    to L2 norm `modulus`, drawn and scaled in the layer's dtype."""
-    v = rng.standard_normal(layer.shape, dtype=layer.dtype)
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    v /= norms
-    v *= modulus
+    """Add XSimGCL's perturbation to `layer` in place, in its dtype: each
+    row's uniform [0, 1)^d draw, scaled to L2 norm `modulus` and signed
+    entrywise by the layer, so a zero entry gets no noise."""
+    v = rng.random(layer.shape, dtype=layer.dtype)
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
+    norms[norms == 0] = 1.0  # an all-zero draw adds nothing
+    v *= np.sign(layer)
+    v *= modulus / norms
     layer += v
 
 
@@ -139,8 +140,9 @@ def forward(table: EmbeddingTable, graph: InteractionGraph | None, cfg: Backbone
     """Run the configured backbone.
 
     MF is the identity; LightGCN averages L+1 propagation layers; XSimGCL
-    additionally perturbs each propagated layer with noise of fixed L2 norm
-    and exposes the contrast-layer representations.
+    additionally perturbs each propagated layer with sign-aligned noise of
+    L2 norm at most `noise_modulus` and exposes the contrast-layer
+    representations.
     """
     if cfg.kind == "mf":
         return ForwardOutput(table.user, table.item)
@@ -179,7 +181,8 @@ def backward(grad_user, grad_item, graph: InteractionGraph | None, cfg: Backbone
     so the table gradient is sum_k A^k g / (L + 1) + A^l c. It is taken in
     Horner form, one chain of L propagations: h = g / (L + 1) at layer L,
     then h = g / (L + 1) + A h down to layer 0, with c added at layer l.
-    XSimGCL noise is constant under backward.
+    XSimGCL noise is constant under backward: its draw is fixed and its
+    sign(e) factor has zero derivative almost everywhere.
     """
     if cfg.kind == "mf":
         return grad_user, grad_item

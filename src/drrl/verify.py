@@ -390,8 +390,11 @@ SUITES = {
 def run_suites(names=None, seed=0):
     """Run the selected suites (default all) from `seed`, each at its own
     fixed tolerance and instance set; returns {"passed": bool, "checks":
-    [...]}. A suite name outside SUITES raises ValueError before any runs.
+    [...]}. A suite name outside SUITES, or a negative seed, raises
+    ValueError before any runs.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     names = list(names) if names else list(SUITES)
     for name in names:
         if name not in SUITES:

@@ -24,11 +24,13 @@ from drrl.diagnostics import RECORD
 from drrl.graphmodel import ForwardOutput, backward, forward
 
 
-def _noise_with_norm(shape, modulus, rng):
-    v = rng.normal(size=shape)
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return v / norms * modulus
+def _sign_aligned_noise(layer, modulus, rng):
+    """XSimGCL's perturbation of one propagated layer: sign(e) * x / |x| *
+    modulus for a uniform [0, 1)^d row x. The row norms are summed in
+    einsum's order, the forward's, so the two match bit for bit."""
+    x = rng.random(layer.shape)
+    norm = np.sqrt(np.einsum("ij,ij->i", x, x)).reshape(-1, 1)
+    return np.sign(layer) * x * (modulus / norm)
 
 
 def stacked_forward(table, graph, cfg, rng=None):
@@ -37,8 +39,8 @@ def stacked_forward(table, graph, cfg, rng=None):
     for _ in range(cfg.layers):
         u_next, i_next = graph.propagate(u_layers[-1], i_layers[-1])
         if cfg.kind == "xsimgcl" and cfg.noise_modulus > 0:
-            u_next = u_next + _noise_with_norm(u_next.shape, cfg.noise_modulus, rng)
-            i_next = i_next + _noise_with_norm(i_next.shape, cfg.noise_modulus, rng)
+            u_next = u_next + _sign_aligned_noise(u_next, cfg.noise_modulus, rng)
+            i_next = i_next + _sign_aligned_noise(i_next, cfg.noise_modulus, rng)
         u_layers.append(u_next)
         i_layers.append(i_next)
     out = ForwardOutput(np.mean(u_layers, axis=0), np.mean(i_layers, axis=0))

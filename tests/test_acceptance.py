@@ -13,7 +13,7 @@ from drrl import losses as L
 from drrl import verify
 from drrl.dataio import split_iid
 from drrl.diagnostics import aggregate, checkpoint_scores, user_diagnostics
-from drrl.graphmodel import BackboneConfig
+from drrl.graphmodel import BackboneConfig, InteractionGraph
 from drrl.metrics import evaluate_ranking
 from drrl.synthetic import make_block_log, random_ranking_baseline
 from drrl.trainer import TrainConfig, train
@@ -271,3 +271,23 @@ def test_13_preset_range_duality():
         assert cert.primal_value <= cert.dual_value + 1e-12, (gamma, inst.eta, inst.n)
         worst = max(worst, cert.gap)
     assert worst <= 1e-3, f"worst duality gap {worst:.2e}"
+
+
+def test_14_xsimgcl_drrl_end_to_end():
+    # DrRL on the paper's backbone with its noise on: 400 users and 300
+    # items in 10 blocks, where the untrained table ranks about at random
+    log = make_block_log(400, 300, blocks=10, seed=0)
+    split = split_iid(log, seed=0)
+    backbone = BackboneConfig(kind="xsimgcl", layers=2, noise_modulus=0.2)
+    cfg = TrainConfig(batch_size=256, n_neg=16, lr=0.05, max_epochs=10, patience=100,
+                      embed_dim=16, metric_k=10, seed=0)
+    start = time.monotonic()
+    table, _, report = train(split, backbone, SMOKE_SPECS["drrl"], cfg)
+    elapsed = time.monotonic() - start
+    assert elapsed < 60.0, f"took {elapsed:.0f}s"
+    graph = InteractionGraph(split.train_pairs(), split.num_users, split.num_items)
+    scores = checkpoint_scores(table, graph, backbone)
+    recall = evaluate_ranking(scores, split.train, split.test, [10])[("recall", 10)]
+    floor = 5 * random_ranking_baseline(10, log.num_items)
+    assert recall >= floor, f"Recall@10 {recall:.3f} < {floor:.3f}"
+    assert report.epoch_loss[-1] < report.epoch_loss[0]

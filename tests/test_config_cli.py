@@ -269,6 +269,12 @@ class TestCli:
             "error: val_frac_of_train must lie strictly between 0 and 1")
         assert not (tmp_path / "t").exists()
 
+    def test_split_names_a_negative_seed(self, log_file, tmp_path, capsys):
+        code = cli.main(["split", str(log_file), str(tmp_path / "s"), "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "s").exists()
+
     def test_split_error_exits_nonzero(self, tmp_path):
         missing = tmp_path / "missing.tsv"
         assert cli.main(["split", str(missing), str(tmp_path / "o")]) == 1
@@ -478,6 +484,17 @@ class TestCli:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["passed"]
+
+    def test_verify_names_a_negative_seed_before_running_any(self, tmp_path, capsys,
+                                                             monkeypatch):
+        ran = []
+        monkeypatch.setitem(verify.SUITES, "convexity", lambda seed: ran.append(seed) or [])
+        out = tmp_path / "verify.json"
+        code = cli.main(["verify", "--suite", "convexity", "--seed", "-1",
+                         "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert ran == [] and not out.exists()
 
     def test_verify_exits_nonzero_and_reports_a_failed_check(self, tmp_path, monkeypatch):
         # a numpy bool, as the suites' comparisons produce

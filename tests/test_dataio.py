@@ -177,6 +177,12 @@ class TestSplitIid:
         assert parts(split) == want
         assert (split.split_kind, split.seed) == ("iid", seed)
 
+    def test_negative_seed_rejected(self):
+        # unchecked, numpy's default_rng raised an unnamed "expected
+        # non-negative integer"
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            dataio.split_iid(_uniform_log(2, 5), 0.8, 0.1, seed=-1)
+
 
 class TestSplitTemporal:
     def test_latest_interaction_goes_to_test(self):

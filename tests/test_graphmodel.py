@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from drrl import graphmodel as gm
 from drrl.synthetic import make_block_log
@@ -86,11 +87,40 @@ def test_forward_equals_the_mean_of_the_stacked_layers(kind, layers):
 
 
 def test_float32_noise_rows_have_the_modulus_norm():
-    layer = np.zeros((2000, 64), dtype=np.float32)
+    # a layer with no zero entry, small enough that adding the noise rounds
+    # it by far less than 1e-6 of its norm
+    before = (0.01 * np.random.default_rng(1).standard_normal((2000, 64))).astype(np.float32)
+    assert before.all()
+    layer = before.copy()
     gm._add_noise(layer, 0.2, np.random.default_rng(0))
     assert layer.dtype == np.float32
-    norms = np.linalg.norm(layer.astype(np.float64), axis=1)
+    norms = np.linalg.norm(layer.astype(np.float64) - before, axis=1)
     assert np.max(np.abs(norms / 0.2 - 1.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_noise_is_the_sign_aligned_uniform_perturbation(dtype, rtol):
+    # XSimGCL's delta = eps * sign(e) * x / |x| for x uniform on [0, 1)^d, at
+    # fixed seeds in place of an equality with the earlier normal draws
+    rng = np.random.default_rng(2)
+    before = (0.01 * rng.standard_normal((4000, 16))).astype(dtype)
+    before[rng.random(before.shape) < 0.02] = 0.0
+    layer = before.copy()
+    gm._add_noise(layer, 0.2, np.random.default_rng(3))
+    delta = layer.astype(np.float64) - before
+    # the noise lies in the layer's orthant, and a zero entry gets none
+    np.testing.assert_array_equal(np.sign(delta), np.sign(before))
+    # norm eps in full rows; rows with zero entries lose those coordinates
+    norms = np.linalg.norm(delta, axis=1)
+    full = before.all(axis=1)
+    assert 0 < full.sum() < len(full)
+    assert np.max(np.abs(norms[full] / 0.2 - 1.0)) <= rtol
+    assert np.all(norms[~full] < 0.2)
+    # |delta_j| / max_k |delta_k| is x_j / max_k x_k: over each full row's
+    # d - 1 non-maximal coordinates these are iid U[0, 1)
+    size = np.sort(np.abs(delta[full]), axis=1)
+    ratios = (size[:, :-1] / size[:, -1:]).ravel()
+    assert stats.kstest(ratios, "uniform").pvalue >= 1e-3
 
 
 @pytest.mark.parametrize("kind", ["lightgcn", "xsimgcl"])
