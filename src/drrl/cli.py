@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import dataio, diagnostics, verify
@@ -26,23 +25,9 @@ from .metrics import evaluate_ranking
 from .trainer import train
 
 
-def _atomic_write(path, text):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(text, output):
     if output:
-        _atomic_write(output, text)
+        dataio.replace_file(output, text)
     else:
         sys.stdout.write(text)
 
@@ -94,11 +79,13 @@ def cmd_train(args):
     cfg.data.input = os.path.abspath(cfg.data.input)
     table, margins, report = train(split, cfg.backbone, cfg.loss, cfg.train)
     outdir = Path(cfg.output.dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    # an interrupted run leaves no config.cfg, which _load_run rejects by
+    # name, rather than a new checkpoint beside the old run's config
+    (outdir / "config.cfg").unlink(missing_ok=True)
     save_checkpoint(outdir / "checkpoint.bin", table,
                     margins.beta if cfg.loss.kind == "drrl" else None)
     report.to_json(outdir / "report.json")
-    _atomic_write(outdir / "config.cfg", dump_config(cfg))
+    dataio.replace_file(outdir / "config.cfg", dump_config(cfg))
     print(json.dumps({
         "outdir": str(outdir),
         "best_epoch": report.best_epoch,

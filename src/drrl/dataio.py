@@ -4,6 +4,7 @@ with uniform negative sampling."""
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,22 @@ def row_blocks(count, row_size, budget=None):
     if 0 < count <= rows:  # kernels called on a few scores at a time skip the loop
         return [slice(0, count)]
     return [slice(start, min(start + rows, count)) for start in range(0, count, rows)]
+
+
+def replace_file(path, data):
+    """Write a str or bytes payload to `path` whole, through a hidden sibling
+    temporary file renamed onto it, creating the directory. On any failure
+    the temporary file is removed and `path` is left as it was."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class ParseError(ValueError):
@@ -77,9 +94,9 @@ class UserItems:
         at = np.arange(rows.size) + np.repeat(start - np.cumsum(size) + size, size)
         return rows, self.items[at]
 
-    # A read-only per-user view, `part[u]` a frozenset, kept for callers
-    # outside the package (the benchmark's counters and reference ranking
-    # read parts this way); the package itself reads only the arrays.
+    # A read-only per-user view, `part[u]` a frozenset, and its length, kept
+    # for callers outside the package (the benchmark's counters and reference
+    # ranking read parts this way); the package itself reads only the arrays.
     def __len__(self):
         return len(self.indptr) - 1
 
@@ -378,15 +395,13 @@ def sample_batch(
 
 
 def write_split(split: DatasetSplit, outdir):
-    """Three `user<TAB>item` text files plus a JSON summary manifest."""
+    """Three `user<TAB>item` text files plus a JSON summary manifest, written
+    last. Every payload is built before the first file is replaced."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    counts = {}
+    payloads, counts = {}, {}
     for name in PARTS:
         users, items = getattr(split, name).gather(np.arange(split.num_users))
-        tmp = outdir / f".{name}.tmp"
-        tmp.write_text("".join(f"{u}\t{i}\n" for u, i in zip(users.tolist(), items.tolist())))
-        tmp.rename(outdir / f"{name}.tsv")
+        payloads[f"{name}.tsv"] = "".join(map("{}\t{}\n".format, users.tolist(), items.tolist()))
         counts[name] = items.size
     manifest = {
         "num_users": split.num_users,
@@ -395,10 +410,9 @@ def write_split(split: DatasetSplit, outdir):
         "split_kind": split.split_kind,
         "seed": split.seed,
     }
-    tmp = outdir / ".manifest.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    tmp.rename(outdir / "manifest.json")
+    payloads["manifest.json"] = json.dumps(manifest, indent=2)
+    for name, text in payloads.items():
+        replace_file(outdir / name, text)
     return manifest
 
 

@@ -10,6 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
+from .dataio import replace_file
+
 BACKBONES = ("mf", "lightgcn", "xsimgcl")
 
 _MAGIC = b"DRRL"
@@ -283,20 +285,17 @@ def infonce_auxiliary(layer_final, layer_lstar, temperature, weight):
 
 def save_checkpoint(path, table: EmbeddingTable, margins=None):
     """Binary container: magic, version, |U|, |I|, d header; row-major
-    little-endian float32 users then items; optional tagged margin section."""
+    little-endian float32 users then items; optional tagged margin section.
+    The file is replaced whole or left as it was."""
     n_users, d = table.user.shape
-    n_items = table.item.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIII", _VERSION, n_users, n_items, d))
-        fh.write(table.user.astype("<f4").tobytes())
-        fh.write(table.item.astype("<f4").tobytes())
-        if margins is not None:
-            beta = np.asarray(margins, dtype="<f4")
-            if beta.size != n_users:
-                raise ValueError("margin vector length must equal num_users")
-            fh.write(_MARGIN_TAG)
-            fh.write(beta.tobytes())
+    beta = None if margins is None else np.asarray(margins, dtype="<f4")
+    if beta is not None and beta.size != n_users:
+        raise ValueError("margin vector length must equal num_users")
+    replace_file(path, b"".join([
+        _MAGIC, struct.pack("<IIII", _VERSION, n_users, table.item.shape[0], d),
+        table.user.astype("<f4").tobytes(), table.item.astype("<f4").tobytes(),
+        *([] if beta is None else [_MARGIN_TAG, beta.tobytes()]),
+    ]))
 
 
 def _read_part(fh, size, path, part):

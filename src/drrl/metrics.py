@@ -63,10 +63,8 @@ def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
     """
     num_users, num_items = score_matrix.shape
     for name, sets in (("exclude_sets", exclude_sets), ("truth_sets", truth_sets)):
-        if len(sets) != num_users:
-            raise ValueError(
-                f"{name} has {len(sets)} entries for {num_users} score rows"
-            )
+        if (rows := len(sets.indptr) - 1) != num_users:
+            raise ValueError(f"{name} has {rows} entries for {num_users} score rows")
     ks = list(dict.fromkeys(ks))
     if any(k < 1 for k in ks):
         raise ValueError(f"every K must be at least 1, got {ks}")

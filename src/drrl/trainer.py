@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import losses as L
-from .dataio import CACHE_BLOCK, DatasetSplit, NoiseConfig, row_blocks, sample_batch
+from .dataio import CACHE_BLOCK, DatasetSplit, NoiseConfig, replace_file, row_blocks, sample_batch
 from .graphmodel import (
     BackboneConfig,
     CosineScores,
@@ -149,8 +149,7 @@ class TrainReport:
     stop_reason: str = ""
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2)
+        replace_file(path, json.dumps(asdict(self), indent=2))
 
 
 def _touched(ids, size):
@@ -342,7 +341,8 @@ def train(
     The embedding tables and Adam's moments are float32, so propagation,
     scoring, InfoNCE, the pullbacks and Adam move float32 arrays; the loss
     kernels and the margins stay float64. Checkpoints store float32, so
-    saving loses nothing."""
+    saving loses nothing of the tables; DrRL's margins are rounded to
+    float32."""
     backbone_cfg.validate()
     spec.validate()
     train_cfg.validate()

@@ -1,13 +1,15 @@
 import json
 import math
+import os
 import shutil
+import stat
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drrl import cli, config, dataio, diagnostics, graphmodel, verify
+from drrl import cli, config, dataio, diagnostics, graphmodel, trainer, verify
 from drrl.losses import MarginState
 from drrl.metrics import evaluate_ranking
 from drrl.synthetic import make_block_log
@@ -275,6 +277,20 @@ class TestCli:
         assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
         assert not (tmp_path / "s").exists()
 
+    def test_split_core_flags_match_the_api(self, tmp_path):
+        # a user with one interaction and an item with one user, over the block log
+        log = make_block_log(num_users=30, num_items=20, seed=3)
+        rows = [*zip(log.users.tolist(), log.items.tolist()), (30, 0), (5, 20)]
+        path = tmp_path / "log.tsv"
+        path.write_text("".join(f"{u}\t{i}\n" for u, i in rows))
+        assert cli.main(["split", str(path), str(tmp_path / "cli"),
+                         "--user-core", "2", "--item-core", "2"]) == 0
+        filtered = dataio.k_core_filter(dataio.load_interactions(path), 2, 2)
+        assert (filtered.num_users, filtered.num_items) == (30, 20)
+        dataio.write_split(dataio.split_iid(filtered, seed=0), tmp_path / "api")
+        for name in ("train.tsv", "validation.tsv", "test.tsv", "manifest.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+
     def test_split_error_exits_nonzero(self, tmp_path):
         missing = tmp_path / "missing.tsv"
         assert cli.main(["split", str(missing), str(tmp_path / "o")]) == 1
@@ -282,6 +298,58 @@ class TestCli:
     def test_train_writes_artifacts(self, run_dir):
         names = sorted(path.name for path in run_dir.iterdir())
         assert names == ["checkpoint.bin", "config.cfg", "report.json"]
+
+    def test_train_output_flag_overrides_output_dir(self, split_dir, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=split_dir, outdir=tmp_path / "cfg-dir"))
+        out = tmp_path / "flag-dir"
+        assert cli.main(["train", "--config", str(cfg_path), "--output", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "checkpoint.bin", "config.cfg", "report.json"]
+        assert config.load_config(out / "config.cfg", with_env=False).output.dir == str(out)
+        assert not (tmp_path / "cfg-dir").exists()
+
+    def test_every_artifact_has_the_mode_of_a_plainly_opened_file(self, log_file, tmp_path):
+        split, run = tmp_path / "split", tmp_path / "run"
+        outputs = {name: tmp_path / f"{name}.out" for name in ("evaluate", "stats", "verify")}
+        umask = os.umask(0o022)
+        try:
+            assert cli.main(["split", str(log_file), str(split)]) == 0
+            cfg_path = tmp_path / "run.cfg"
+            cfg_path.write_text(LIGHTGCN_DRRL_CFG.format(input=split, outdir=run))
+            assert cli.main(["train", "--config", str(cfg_path)]) == 0
+            assert cli.main(["evaluate", "--run", str(run), "--output",
+                             str(outputs["evaluate"])]) == 0
+            assert cli.main(["stats", "--run", str(run), "--output", str(outputs["stats"])]) == 0
+            assert cli.main(["verify", "--suite", "convexity", "--output",
+                             str(outputs["verify"])]) == 0
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(umask)
+        modes = {path.relative_to(tmp_path).as_posix(): stat.S_IMODE(path.stat().st_mode)
+                 for path in tmp_path.rglob("*") if path.is_file()}
+        assert len(modes) == 4 + 3 + 3 + 2  # split, run, outputs, run.cfg and plain
+        assert modes == dict.fromkeys(modes, modes["plain"])  # no temporary file either
+
+    def test_interrupted_train_leaves_a_directory_load_run_rejects(
+            self, lightgcn_run, split_dir, tmp_path, capsys, monkeypatch):
+        # an MF run into the LightGCN run's directory fails after its checkpoint
+        run = tmp_path / "run"
+        shutil.copytree(lightgcn_run, run)
+        cfg_path = tmp_path / "mf.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=split_dir, outdir=run))
+
+        def disk_full(report, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trainer.TrainReport, "to_json", disk_full)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        with pytest.raises(ValueError, match=f"^{run} is not a run directory"):
+            cli._load_run(run)
+        assert cli.main(["evaluate", "--run", str(run), "--k", "5"]) == 1
+        assert "is not a run directory" in capsys.readouterr().err
 
     def test_train_rejects_a_raw_log_input(self, log_file, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"

@@ -375,6 +375,39 @@ def test_split_roundtrip(tmp_path):
         np.testing.assert_array_equal(got.items, want.items)
 
 
+def test_write_split_whose_manifest_fails_leaves_the_previous_split(tmp_path, monkeypatch):
+    dataio.write_split(_toy_split(), tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(before) == ["manifest.json", "test.tsv", "train.tsv", "validation.tsv"]
+
+    def refuse(*args, **kwargs):
+        raise TypeError("not JSON serializable")
+
+    monkeypatch.setattr(json, "dump", refuse)
+    monkeypatch.setattr(json, "dumps", refuse)
+    other = dataio.split_iid(make_block_log(num_users=6, num_items=8, seed=1), seed=1)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dataio.write_split(other, tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_replace_file_writes_whole_payloads_or_leaves_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "new" / "a.txt"
+    dataio.replace_file(path, "text\n")  # makes the directory
+    assert path.read_text() == "text\n"
+    dataio.replace_file(path, b"\x00bytes")
+    assert path.read_bytes() == b"\x00bytes"
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(dataio.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        dataio.replace_file(path, "lost")
+    assert path.read_bytes() == b"\x00bytes"
+    assert [p.name for p in path.parent.iterdir()] == ["a.txt"]
+
+
 def test_read_split_parses_written_parts_without_the_line_parser(tmp_path, monkeypatch):
     split = _toy_split()
     dataio.write_split(split, tmp_path)

@@ -283,6 +283,20 @@ def test_checkpoint_without_margins(tmp_path):
     assert margins is None
 
 
+def test_checkpoint_with_a_wrong_length_margin_vector_writes_nothing(tmp_path):
+    table = gm.EmbeddingTable.init_normal(3, 4, 2, seed=7)
+    path = tmp_path / "ck.bin"
+    with pytest.raises(ValueError, match="margin vector length must equal num_users"):
+        gm.save_checkpoint(path, table, np.array([0.1, 0.2]))
+    assert list(tmp_path.iterdir()) == []
+    gm.save_checkpoint(path, table, np.array([0.1, -0.2, 0.3]))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="margin vector length must equal num_users"):
+        gm.save_checkpoint(path, gm.EmbeddingTable.init_normal(3, 4, 2, seed=8), np.zeros(4))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"nope" + b"\x00" * 32)

@@ -488,3 +488,87 @@ def test_train_keeps_float32_tables_and_moments_and_saves_them_exactly(tmp_path,
     assert loaded.user.dtype == loaded.item.dtype == np.float64
     np.testing.assert_array_equal(loaded.user, table.user)
     np.testing.assert_array_equal(loaded.item, table.item)
+
+
+def test_train_step_weight_decay_adds_2_wd_e_on_batch_rows_only(monkeypatch):
+    # float64 tables; the gradients handed to Adam with and without decay
+    split = split_iid(make_block_log(num_users=30, num_items=60, seed=0), seed=0)
+    table = EmbeddingTable.init_normal(split.num_users, split.num_items, 8, seed=1)
+    spec = LossSpec(kind="drrl", gamma_star=2.0, c=1.2, eps=0.1, lr_beta=0.01)
+    batches = []
+    monkeypatch.setattr(tr, "sample_batch", lambda *a, f=tr.sample_batch, **k:
+                        batches.append(f(*a, **k)) or batches[-1])
+
+    class Recorder:
+        def step(self, params, grads, lr):
+            self.grads = {key: grad.copy() for key, grad in grads.items()}
+
+    wd = 0.3
+    grads = []
+    for decay in (wd, 0.0):
+        adam = Recorder()
+        cfg = tr.TrainConfig(batch_size=8, n_neg=2, weight_decay=decay)
+        tr.train_step(table.copy(), None, BackboneConfig(kind="mf"), spec,
+                      MarginState.initialize(split.num_users, spec.beta0), split, cfg,
+                      np.random.default_rng(5), np.random.default_rng(6),
+                      split.train_pairs(), adam)
+        grads.append(adam.grads)
+    decayed, plain = grads
+    first, second = batches
+    np.testing.assert_array_equal(first.pairs, second.pairs)
+    np.testing.assert_array_equal(first.negatives, second.negatives)
+    users = np.unique(first.pairs[:, 0])
+    items = np.unique(np.hstack([first.pairs[:, 1:], first.negatives]))
+    assert 0 < users.size < split.num_users and 0 < items.size < split.num_items
+    for key, emb, rows in (("user", table.user, users), ("item", table.item, items)):
+        want = np.zeros_like(emb)
+        want[rows] = 2.0 * wd * emb[rows]
+        np.testing.assert_allclose(decayed[key] - plain[key], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fail_epoch", [0, 2])
+@pytest.mark.parametrize("fail", ["gradient", "loss"])
+def test_train_stops_on_a_non_finite_step_and_returns_the_best_epoch(fail, fail_epoch,
+                                                                      monkeypatch):
+    # 270 train pairs in batches of 64: five steps an epoch; the failure
+    # starts at the second step of `fail_epoch`
+    spec = LossSpec(kind="drrl", gamma_star=2.0, c=1.2, eps=0.1, lr_beta=0.01)
+    _, _, untouched = _smoke_train(spec, patience=10)
+    steps = [0]
+    live = {}
+
+    def failing(table, *args, f=tr.loss_and_gradients, **kwargs):
+        steps[0] += 1
+        if steps[0] <= 5 * fail_epoch + 1:
+            return f(table, *args, **kwargs)
+        live["table"], live["margins"] = table.copy(), args[3].copy()
+        if fail == "gradient":
+            return 0.0, np.full_like(table.user, np.nan), np.zeros_like(table.item)
+        return (np.nan, *f(table, *args, **kwargs)[1:])
+
+    monkeypatch.setattr(tr, "loss_and_gradients", failing)
+    table, margins, report = _smoke_train(spec, patience=10)
+    monkeypatch.undo()
+    assert report.stop_reason == f"non-finite {fail}; kept last good checkpoint"
+    assert report.val_ndcg == untouched.val_ndcg[:fail_epoch]
+    if fail == "gradient":
+        assert report.epoch_loss == untouched.epoch_loss[:fail_epoch]
+    else:
+        assert report.epoch_loss[:fail_epoch] == untouched.epoch_loss[:fail_epoch]
+        assert len(report.epoch_loss) == fail_epoch + 1
+        assert np.isnan(report.epoch_loss[-1])
+    if fail_epoch:
+        # the best of the epochs before the failure, as a run that stops there
+        want_table, want_margins, want = _smoke_train(spec, patience=10, max_epochs=fail_epoch)
+        assert report.best_epoch == want.best_epoch >= 0
+    elif fail == "gradient":
+        # Adam refused the step: the table as the failing step found it
+        want_table, want_margins = live["table"], live["margins"]
+        assert report.best_epoch == -1
+    else:
+        # the NaN values changed no update: the table as the first epoch left it
+        want_table, want_margins, _ = _smoke_train(spec, patience=10, max_epochs=1)
+        assert report.best_epoch == -1
+    np.testing.assert_array_equal(table.user, want_table.user)
+    np.testing.assert_array_equal(table.item, want_table.item)
+    np.testing.assert_array_equal(margins.beta, want_margins.beta)
