@@ -80,8 +80,10 @@ def cmd_train(args):
     table, margins, report = train(split, cfg.backbone, cfg.loss, cfg.train)
     outdir = Path(cfg.output.dir)
     # an interrupted run leaves no config.cfg, which _load_run rejects by
-    # name, rather than a new checkpoint beside the old run's config
-    (outdir / "config.cfg").unlink(missing_ok=True)
+    # name, and no report.json, rather than a new checkpoint beside the old
+    # run's config or report
+    for name in ("config.cfg", "report.json"):
+        (outdir / name).unlink(missing_ok=True)
     save_checkpoint(outdir / "checkpoint.bin", table,
                     margins.beta if cfg.loss.kind == "drrl" else None)
     report.to_json(outdir / "report.json")

@@ -307,14 +307,12 @@ def inner_max_bruteforce(inst: DroInstance, kind: DivergenceKind) -> InnerMaxRes
 
 
 def dual_lagrangian(inst: DroInstance, gamma, lam, rho):
-    """Two-multiplier dual  lam * eta + rho + lam * E[phi*((f - rho)/lam)]."""
-    if lam <= 0.0:
-        # limit lam -> 0: lam * phi*((f - rho)/lam) -> (f - rho)_+ * inf unless
-        # all scores are below rho; only that branch is meaningful here
-        hinge = np.maximum(inst.scores - rho, 0.0)
-        if np.all(hinge == 0.0):
-            return float(rho)
-        return math.inf
+    """Two-multiplier dual  lam * eta + rho + lam * E[phi*((f - rho)/lam)]
+    at a multiplier lam > 0, as `lambda_star` gives at the margin solver's
+    beta* (which lies below the largest score, so the hinge moment is
+    positive). Any other lam raises ValueError."""
+    if not lam > 0.0:
+        raise ValueError(f"dual multiplier lam must be positive, got {lam}")
     x = (inst.scores - rho) / lam
     return float(lam * inst.eta + rho + lam * np.mean(phi_conjugate(x, gamma)))
 

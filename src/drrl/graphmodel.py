@@ -314,11 +314,11 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
+            raise ValueError(f"{path} is not a checkpoint file: bad magic {magic!r}")
         version, n_users, n_items, d = struct.unpack(
             "<IIII", _read_part(fh, 16, path, "header"))
         if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(f"unsupported checkpoint version {version} in {path}")
         user = np.frombuffer(_read_part(fh, n_users * d * 4, path, "user block"),
                              dtype="<f4").reshape(n_users, d)
         item = np.frombuffer(_read_part(fh, n_items * d * 4, path, "item block"),
@@ -332,4 +332,7 @@ def load_checkpoint(path):
                 raise ValueError(f"checkpoint {path} has bytes after its margin section")
         elif tag:
             raise ValueError(f"unknown checkpoint section {tag!r} in {path}")
-    return EmbeddingTable(user.astype(float), item.astype(float)), margins
+    try:
+        return EmbeddingTable(user.astype(float), item.astype(float)), margins
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None

@@ -30,15 +30,13 @@ def _top_lists(masked, exclude, k):
     scores = np.take_along_axis(masked, top, axis=1)
     kth = scores.min(axis=1, keepdims=True)
     # argpartition picks arbitrary items among those tied with a row's k-th
-    # best score: swap in the lowest ids of each such tie group
-    picked = scores == kth
-    need = np.count_nonzero(picked, axis=1)
-    ties = np.flatnonzero(np.count_nonzero(masked == kth, axis=1) > need)
+    # best score: rank such rows whole by one stable sort, which keeps ids
+    # ascending within a tie, and re-read their scores
+    ties = np.flatnonzero(np.count_nonzero(masked == kth, axis=1)
+                          > np.count_nonzero(scores == kth, axis=1))
     if ties.size:
-        rows, items = np.nonzero(masked[ties] == kth[ties])  # ids ascend per row
-        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-        slot_rows, slot_cols = np.nonzero(picked[ties])
-        top[ties[slot_rows], slot_cols] = items[rank < need[ties][rows]]
+        top[ties] = np.argsort(-masked[ties], axis=1, kind="stable")[:, :k]
+        scores[ties] = np.take_along_axis(masked[ties], top[ties], axis=1)
     order = np.lexsort((top, -scores), axis=1)
     top = np.take_along_axis(top, order, axis=1)
     top[np.take_along_axis(scores, order, axis=1) == -np.inf] = -1

@@ -4,9 +4,11 @@ degeneracies, gradient checks, convexity, and worst-case weight laws.
 Each suite runs at its own fixed tolerance and instance set, drawn from its
 `seed`; the oracle-backed `duality`, `lambda`, `kl-limit` and `weights`
 also take `count`, and run the first `count` instances of that set. Each
-returns a list of check dicts {name, passed, ...detail} whose "tolerance"
-field records the bound it was held to; the CLI turns them into a JSON
-report and a nonzero exit on any failure.
+returns a list of check dicts, built by `_check` as {name, passed,
+...detail, tolerance}, where "tolerance" records the bound the check was
+held to; the duality suites add a tolerance-free record for each instance
+over it. The CLI turns them into a JSON report and a nonzero exit on any
+failure.
 """
 
 from __future__ import annotations
@@ -35,6 +37,18 @@ def central_difference(fn, x):
 def relative_error(got, want):
     scale = max(np.max(np.abs(want)), 1e-8)
     return float(np.max(np.abs(got - want)) / scale)
+
+
+def _fd_error(value_of, x, analytic):
+    """Relative error of an analytic gradient against the central difference
+    of `value_of` at `x`."""
+    return relative_error(analytic, central_difference(value_of, x))
+
+
+def _check(name, passed, tol, **detail):
+    """One summary check record: name, passed, the detail fields in order,
+    then the tolerance it was held to."""
+    return {"name": name, "passed": bool(passed), **detail, "tolerance": tol}
 
 
 def _random_instances(rng, count):
@@ -79,10 +93,7 @@ def _duality_checks(name, instances, tol):
                 {"name": f"{name}[{idx}]", "passed": False, "gap": cert.gap,
                  "gamma": gamma, "eta": inst.eta, "n": inst.n}
             )
-    checks.append(
-        {"name": name, "passed": worst <= tol, "instances": len(instances),
-         "worst_gap": worst, "tolerance": tol}
-    )
+    checks.append(_check(name, worst <= tol, tol, instances=len(instances), worst_gap=worst))
     return checks
 
 
@@ -111,10 +122,7 @@ def suite_lambda(seed=0, count=200):
         lam = dc.lambda_star(inst, gamma, beta_star)
         two_mult = dc.dual_lagrangian(inst, gamma, lam, beta_star + lam / (gamma - 1.0))
         worst = max(worst, abs(two_mult - dual_value))
-    return [
-        {"name": "lambda-certificate", "passed": worst <= tol, "instances": count,
-         "worst_gap": worst, "tolerance": tol}
-    ]
+    return [_check("lambda-certificate", worst <= tol, tol, instances=count, worst_gap=worst)]
 
 
 def suite_ccl_equivalence(seed=0):
@@ -128,19 +136,16 @@ def suite_ccl_equivalence(seed=0):
         n = int(rng.integers(4, 9))
         scores = rng.uniform(-1.0, 1.0, n)
         inst = dc.DroInstance(scores, 0.0)
+        boundary = {1.0: scores.mean(), float(n): scores.max()}
         for alpha in (1.0, 2.0, float(n)):
             rep = dc.verify_ccl_ball_equivalence(inst, alpha)
             worst = max(worst, rep["gap"])
-            if alpha == 1.0:
-                worst_exact = max(worst_exact, abs(rep["primal"] - scores.mean()),
-                                  abs(rep["dual"] - scores.mean()))
-            if alpha == float(n):
-                worst_exact = max(worst_exact, abs(rep["primal"] - scores.max()),
-                                  abs(rep["dual"] - scores.max()))
+            if alpha in boundary:
+                worst_exact = max(worst_exact, abs(rep["primal"] - boundary[alpha]),
+                                  abs(rep["dual"] - boundary[alpha]))
     return [
-        {"name": "ccl-equivalence", "passed": worst <= tol and worst_exact <= 1e-6,
-         "instances": count, "worst_gap": worst, "worst_boundary_gap": worst_exact,
-         "tolerance": tol}
+        _check("ccl-equivalence", worst <= tol and worst_exact <= 1e-6, tol,
+               instances=count, worst_gap=worst, worst_boundary_gap=worst_exact)
     ]
 
 
@@ -161,11 +166,10 @@ def suite_kl_limit(seed=0, count=50):
             cr = dc.inner_max_bruteforce(inst, dc.DivergenceKind.cressie_read(gamma))
             gaps.append(abs(cr.value - kl.value) / max(abs(kl.value), 1e-12))
         worst = max(worst, gaps[-1])
-        if not (gaps[0] >= gaps[1] >= gaps[2]):
-            monotone = False
+        monotone = monotone and gaps[0] >= gaps[1] >= gaps[2]
     return [
-        {"name": "kl-limit", "passed": worst <= tol and monotone, "instances": count,
-         "worst_gap_at_1.001": worst, "monotone": monotone, "tolerance": tol}
+        _check("kl-limit", worst <= tol and monotone, tol, instances=count,
+               **{"worst_gap_at_1.001": worst}, monotone=monotone)
     ]
 
 
@@ -189,10 +193,7 @@ def suite_degeneracy(seed=0):
             float(np.max(np.abs(a_neg - b_neg), initial=0.0)),
             float(np.max(np.abs(a_pos - b_pos), initial=0.0)),
         )
-    return [
-        {"name": "drrl-ccl-degeneracy", "passed": worst <= tol, "instances": count,
-         "worst_gap": worst, "tolerance": tol}
-    ]
+    return [_check("drrl-ccl-degeneracy", worst <= tol, tol, instances=count, worst_gap=worst)]
 
 
 def _loss_closures(rng):
@@ -219,9 +220,7 @@ def _fd_check_loss(builder, n_pos, n_neg, rng, beta):
     def value_of(scores):
         return builder(scores[None, :n_pos], scores[None, n_pos:])[0][0]
 
-    fd = central_difference(value_of, np.concatenate([pos, neg]))
-    analytic = np.concatenate([d_pos[0], d_neg[0]])
-    return relative_error(analytic, fd)
+    return _fd_error(value_of, np.concatenate([pos, neg]), np.concatenate([d_pos[0], d_neg[0]]))
 
 
 def _toy_batch(rng, n_users=4, n_items=4, n_neg=2):
@@ -254,9 +253,7 @@ def _fd_check_chain(cfg, spec, rng):
         return v
 
     flat = np.concatenate([table.user.ravel(), table.item.ravel()])
-    fd = central_difference(value_of, flat)
-    analytic = np.concatenate([gu.ravel(), gi.ravel()])
-    return relative_error(analytic, fd)
+    return _fd_error(value_of, flat, np.concatenate([gu.ravel(), gi.ravel()]))
 
 
 def suite_gradients(seed=0):
@@ -271,8 +268,7 @@ def suite_gradients(seed=0):
         for _ in range(5):
             err = _fd_check_loss(builder, int(rng.integers(1, 4)), int(rng.integers(2, 10)), rng, beta)
             worst_scores = max(worst_scores, err)
-    checks.append({"name": "score-gradients", "passed": worst_scores <= tol,
-                   "worst_rel_error": worst_scores, "tolerance": tol})
+    checks.append(_check("score-gradients", worst_scores <= tol, tol, worst_rel_error=worst_scores))
 
     worst_beta = 0.0
     for _ in range(20):
@@ -283,13 +279,10 @@ def suite_gradients(seed=0):
         gstar = float(rng.uniform(1.2, 3.0))
         c = float(rng.uniform(0.5, 2.0))
         eps = float(rng.choice([0.0, 1e-3]))
-        analytic = L.drrl_beta_gradient(neg[None], gstar, c, eps, beta0)[0]
-        fd = central_difference(
-            lambda b: L.drrl_beta_objective(neg, gstar, c, eps, b[0]), np.array([beta0])
-        )[0]
-        worst_beta = max(worst_beta, abs(analytic - fd) / max(abs(fd), 1e-8))
-    checks.append({"name": "margin-gradient", "passed": worst_beta <= 1e-4,
-                   "worst_rel_error": worst_beta, "tolerance": 1e-4})
+        err = _fd_error(lambda b: L.drrl_beta_objective(neg, gstar, c, eps, b[0]),
+                        np.array([beta0]), L.drrl_beta_gradient(neg[None], gstar, c, eps, beta0))
+        worst_beta = max(worst_beta, err)
+    checks.append(_check("margin-gradient", worst_beta <= 1e-4, 1e-4, worst_rel_error=worst_beta))
 
     sl_spec = L.LossSpec(kind="sl", tau=0.2)
     drrl_spec = L.LossSpec(kind="drrl", gamma_star=2.0, c=1.0, eps=1e-3, beta0=0.0)
@@ -302,10 +295,9 @@ def suite_gradients(seed=0):
     for cfg in backbones:
         for spec in (sl_spec, drrl_spec):
             worst_chain = max(worst_chain, _fd_check_chain(cfg, spec, rng))
-    checks.append({"name": "full-chain-gradients", "passed": worst_chain <= tol,
-                   "worst_rel_error": worst_chain, "tolerance": tol})
+    checks.append(_check("full-chain-gradients", worst_chain <= tol, tol,
+                         worst_rel_error=worst_chain))
 
-    worst_nce = 0.0
     z1 = rng.normal(size=(5, 3))
     z2 = rng.normal(size=(5, 3))
     _, d1, d2 = infonce_auxiliary(z1, z2, 0.2, 0.5)
@@ -315,10 +307,9 @@ def suite_gradients(seed=0):
         b = flat[15:].reshape(5, 3)
         return infonce_auxiliary(a, b, 0.2, 0.5)[0]
 
-    fd = central_difference(nce_value, np.concatenate([z1.ravel(), z2.ravel()]))
-    worst_nce = relative_error(np.concatenate([d1.ravel(), d2.ravel()]), fd)
-    checks.append({"name": "infonce-gradients", "passed": worst_nce <= tol,
-                   "worst_rel_error": worst_nce, "tolerance": tol})
+    worst_nce = _fd_error(nce_value, np.concatenate([z1.ravel(), z2.ravel()]),
+                          np.concatenate([d1.ravel(), d2.ravel()]))
+    checks.append(_check("infonce-gradients", worst_nce <= tol, tol, worst_rel_error=worst_nce))
     return checks
 
 
@@ -337,10 +328,7 @@ def suite_convexity(seed=0):
         hb = L.drrl_beta_objective(neg, gstar, c, eps, b)
         hm = L.drrl_beta_objective(neg, gstar, c, eps, 0.5 * (a + b))
         worst = max(worst, hm - 0.5 * (ha + hb))
-    return [
-        {"name": "margin-convexity", "passed": worst <= tol, "instances": count,
-         "worst_violation": worst, "tolerance": tol}
-    ]
+    return [_check("margin-convexity", worst <= tol, tol, instances=count, worst_violation=worst)]
 
 
 def suite_weights(seed=0, count=200):
@@ -367,10 +355,9 @@ def suite_weights(seed=0, count=200):
         w = L.worst_case_weights(rng.uniform(-1, 1, (1, int(rng.integers(2, 20)))), sl)
         worst_sl = max(worst_sl, abs(w.mean() - 1.0))
     return [
-        {"name": "weight-normalization", "passed": worst_mass <= tol and worst_val <= tol,
-         "worst_mass_gap": worst_mass, "worst_value_gap": worst_val, "tolerance": tol},
-        {"name": "sl-weights-mean-one", "passed": worst_sl <= 1e-12,
-         "worst_gap": worst_sl, "tolerance": 1e-12},
+        _check("weight-normalization", worst_mass <= tol and worst_val <= tol, tol,
+               worst_mass_gap=worst_mass, worst_value_gap=worst_val),
+        _check("sl-weights-mean-one", worst_sl <= 1e-12, 1e-12, worst_gap=worst_sl),
     ]
 
 

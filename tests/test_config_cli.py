@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from builders import split_of
 from drrl import cli, config, dataio, diagnostics, graphmodel, trainer, verify
 from drrl.losses import MarginState
 from drrl.metrics import evaluate_ranking
@@ -132,6 +133,23 @@ class TestConfigParse:
         path = tmp_path / "run.cfg"
         path.write_text(f"[train]\n{key} = {raw}\n")
         with pytest.raises(ValueError, match=f"train.{key} must be positive"):
+            config.load_config(path, with_env=False)
+
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ValueError, match=r"line 2: expected `key = value`, got 'kind sl'"):
+            config.parse_config("[loss]\nkind sl\n")
+
+    @pytest.mark.parametrize("section, key, raw", [
+        ("loss", "alpha", "-0.5"),
+        ("loss", "c", "0"),
+        ("loss", "eps", "-1e-3"),
+        ("backbone", "noise_modulus", "-0.1"),
+    ])
+    def test_value_below_its_bound_is_named(self, section, key, raw, tmp_path):
+        bound = "positive" if key == "c" else "nonnegative"
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ValueError, match=f"^{section}.{key} must be {bound}$"):
             config.load_config(path, with_env=False)
 
     def test_keys_under_an_unknown_section_add_no_error(self):
@@ -291,6 +309,18 @@ class TestCli:
         for name in ("train.tsv", "validation.tsv", "test.tsv", "manifest.json"):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--train", "1.5"], "fractions must lie strictly between 0 and 1"),
+        (["--kind", "temporal", "--test", "1.0"], "test_frac must lie in [0, 1)"),
+        (["--user-core", "1000"], "k-core filtering removed every interaction"),
+    ])
+    def test_split_names_an_unusable_flag_and_writes_nothing(self, log_file, tmp_path, capsys,
+                                                             flags, message):
+        code = cli.main(["split", str(log_file), str(tmp_path / "s"), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "s").exists()
+
     def test_split_error_exits_nonzero(self, tmp_path):
         missing = tmp_path / "missing.tsv"
         assert cli.main(["split", str(missing), str(tmp_path / "o")]) == 1
@@ -350,6 +380,45 @@ class TestCli:
             cli._load_run(run)
         assert cli.main(["evaluate", "--run", str(run), "--k", "5"]) == 1
         assert "is not a run directory" in capsys.readouterr().err
+
+    def test_interrupted_train_leaves_no_report_of_the_previous_run(
+            self, lightgcn_run, split_dir, tmp_path, capsys, monkeypatch):
+        # the LightGCN run's report.json would describe a model that is gone
+        run = tmp_path / "run"
+        shutil.copytree(lightgcn_run, run)
+        assert (run / "report.json").is_file()
+        cfg_path = tmp_path / "mf.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=split_dir, outdir=run))
+
+        def disk_full(report, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trainer.TrainReport, "to_json", disk_full)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert [path.name for path in run.iterdir()] == ["checkpoint.bin"]
+        with pytest.raises(ValueError, match=f"^{run} is not a run directory"):
+            cli._load_run(run)
+
+    def test_train_names_a_split_without_train_interactions(self, tmp_path, capsys):
+        dataio.write_split(split_of([set(), set()], [{0}, {1}], [{1}, {0}], 2), tmp_path / "s")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=tmp_path / "s", outdir=tmp_path / "run"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: split has no train interactions\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_train_names_a_split_whose_users_lack_negatives(self, tmp_path, capsys):
+        # every user holds every item, so every sampled row is skipped
+        dataio.write_split(split_of([{0, 1, 2}, {0, 1, 2}], [set(), set()], [set(), set()], 3),
+                           tmp_path / "s")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=tmp_path / "s", outdir=tmp_path / "run"))
+        with pytest.warns(UserWarning, match="their users have no negative pool"):
+            assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: empty batch (all sampled users lack negatives)\n"
+        assert not (tmp_path / "run").exists()
 
     def test_train_rejects_a_raw_log_input(self, log_file, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"

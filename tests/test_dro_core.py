@@ -176,6 +176,12 @@ class TestDual:
             cert.dual_value, abs=1e-9
         )
 
+    @pytest.mark.parametrize("lam", [0.0, -0.5, float("nan")])
+    def test_two_multiplier_dual_names_a_nonpositive_multiplier(self, lam):
+        inst = dc.DroInstance(np.array([-0.2, 0.1, 0.4]), 0.1)
+        with pytest.raises(ValueError, match=f"dual multiplier lam must be positive, got {lam}"):
+            dc.dual_lagrangian(inst, 2.0, lam, 0.0)
+
     @given(score_arrays, st.floats(1.2, 3.0), st.floats(0.01, 0.5))
     @settings(max_examples=30, deadline=None)
     def test_dual_upper_bounds_primal(self, scores, gamma, eta):

@@ -304,6 +304,26 @@ def test_checkpoint_bad_magic(tmp_path):
         gm.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("at, patch, end, phrase", [
+    (0, b"nope", None, "not a checkpoint file: bad magic b'nope'"),
+    (4, struct.pack("<I", 2), None, "unsupported checkpoint version 2"),
+    (16, struct.pack("<I", 0), 20, "embedding dimension must be at least 1"),  # no blocks
+    (20, struct.pack("<f", float("nan")), None, "embeddings must be finite"),
+], ids=["bad-magic", "version-2", "dimension-0", "nan-entry"])
+def test_checkpoint_errors_name_the_file(tmp_path, at, patch, end, phrase):
+    # 3 users, 4 items, d = 2: the header's d sits at bytes 16-19, the user block from 20
+    table = gm.EmbeddingTable.init_normal(3, 4, 2, seed=7)
+    path = tmp_path / "ck.bin"
+    gm.save_checkpoint(path, table)
+    data = path.read_bytes()
+    path.write_bytes((data[:at] + patch + data[at + len(patch):])[:end])
+    with pytest.raises(ValueError) as exc:
+        gm.load_checkpoint(path)
+    message = str(exc.value)
+    assert phrase in message
+    assert str(path) in message
+
+
 @pytest.mark.parametrize("cut, part, needs, found", [
     (4 + 10, "header", 16, 10),
     (20 + 5, "user block", 24, 5),

@@ -354,6 +354,31 @@ def test_xsimgcl_step_stays_finite_when_a_batch_touches_an_isolated_item():
     assert np.isfinite(grad_user).all() and np.isfinite(grad_item).all()
 
 
+def test_xsimgcl_step_on_one_repeated_pair_equals_the_step_without_infonce():
+    # one distinct user and one distinct positive: each contrast set has a
+    # single node, so the InfoNCE term adds nothing at any weight
+    n_users, n_items = 4, 6
+    rng = np.random.default_rng(3)
+    table = EmbeddingTable.init_normal(n_users, n_items, 3, seed=2)
+    pairs = [(u, i) for u in range(n_users) for i in range(n_items) if (u + i) % 2 == 0]
+    graph = InteractionGraph(np.asarray(pairs), n_users, n_items)
+    batch = BatchSample(np.array([[1, 3]] * 4), rng.integers(0, n_items, size=(4, 5)),
+                        np.zeros((4, 5), dtype=bool))
+    spec = LossSpec(kind="drrl", gamma_star=2.0, c=1.5, eps=0.1)
+    steps = []
+    for weight in (0.5, 0.0):
+        cfg = BackboneConfig(kind="xsimgcl", layers=2, noise_modulus=0.2, infonce_weight=weight)
+        margins = MarginState.initialize(n_users, 0.2)
+        value, grad_user, grad_item = tr.loss_and_gradients(
+            table, graph, cfg, spec, margins, batch, noise_rng=np.random.default_rng(9),
+            margin_update=True)
+        steps.append((value, grad_user, grad_item, margins.beta))
+    assert steps[0][0] == steps[1][0]
+    for got, want in zip(steps[0][1:], steps[1][1:]):
+        np.testing.assert_array_equal(got, want)
+    assert steps[1][1].any() and steps[1][2].any()
+
+
 def test_loss_and_gradients_memory_bounded_by_chunk_budget():
     n_users, n_items, d, batch_size, n_neg = 100, 200, 128, 64, 512
     assert n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
