@@ -22,7 +22,7 @@ from .config import dump_config, load_config
 from .graphmodel import CosineScores, InteractionGraph, load_checkpoint, save_checkpoint
 from .losses import MarginState
 from .metrics import evaluate_ranking
-from .trainer import train
+from .trainer import finite_or_none, train
 
 
 def _emit(text, output):
@@ -91,9 +91,9 @@ def cmd_train(args):
     print(json.dumps({
         "outdir": str(outdir),
         "best_epoch": report.best_epoch,
-        "best_val_ndcg": report.best_metric,
+        "best_val_ndcg": finite_or_none(report.best_metric),
         "stop_reason": report.stop_reason,
-    }))
+    }, allow_nan=False))
     return 0
 
 

@@ -74,10 +74,12 @@ def _set(cfg, section, key, raw):
 
 def parse_config(text) -> RunConfig:
     """Parse the flat format, collecting every error before raising. The
-    keys of an unknown section are not checked: its header is the error."""
+    keys of an unknown section are not checked: its header is the error. A
+    key may be set once; a section header may repeat."""
     cfg = RunConfig()
     errors = []
     section = None
+    first_set = {}  # (section, key) -> the line that sets it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,7 +95,9 @@ def parse_config(text) -> RunConfig:
             errors.append(f"line {lineno}: key outside any [section]")
         elif section in _SECTIONS:
             key, value = (part.strip() for part in line.split("=", 1))
-            error = _set(cfg, section, key, value)
+            first = first_set.setdefault((section, key), lineno)
+            error = (f"{section}.{key} is already set on line {first}" if first != lineno
+                     else _set(cfg, section, key, value))
             if error:
                 errors.append(f"line {lineno}: {error}")
     if errors:

@@ -78,7 +78,6 @@ class DroInstance:
 class InnerMaxResult:
     value: float
     q: np.ndarray
-    divergence: float
     converged: bool
 
 
@@ -169,16 +168,15 @@ def divergence(q, p, kind: DivergenceKind):
     return float(np.sum(p[pos] * phi_gamma(ratio[pos], kind.gamma)))
 
 
-def _wr_greedy(scores, p, alpha_cap):
-    """Exact maximizer under the worst-case-regret ball: each coordinate is
-    capped at alpha * P_j; fill the caps in descending score order."""
-    n = scores.size
-    cap = alpha_cap * p
+def _wr_greedy(scores, cap):
+    """Exact maximizer under the worst-case-regret ball around uniform P:
+    each coordinate is capped at `cap` = alpha / n; fill the caps in
+    descending score order."""
     order = np.argsort(-scores, kind="stable")
-    q = np.zeros(n)
+    q = np.zeros(scores.size)
     mass = 1.0
     for j in order:
-        take = min(cap[j], mass)
+        take = min(cap, mass)
         q[j] = take
         mass -= take
         if mass <= 0:
@@ -293,17 +291,16 @@ def inner_max_bruteforce(inst: DroInstance, kind: DivergenceKind) -> InnerMaxRes
     p = inst.base
     eta = inst.eta
     if eta == 0.0 or np.ptp(f) == 0.0:
-        return InnerMaxResult(float(f @ p), p.copy(), 0.0, True)
+        return InnerMaxResult(float(f @ p), p.copy(), True)
     if kind.kind == WORST_REGRET:
-        q = _wr_greedy(f, p, math.exp(eta))
-        return InnerMaxResult(float(f @ q), q, divergence(q, p, kind), True)
+        q = _wr_greedy(f, math.exp(eta) * p[0])
+        return InnerMaxResult(float(f @ q), q, True)
     vertex = np.zeros(inst.n)
     vertex[np.argmax(f)] = 1.0
-    reach = divergence(vertex, p, kind)
-    if reach <= eta:
-        return InnerMaxResult(float(f.max()), vertex, reach, True)
+    if divergence(vertex, p, kind) <= eta:
+        return InnerMaxResult(float(f.max()), vertex, True)
     q, converged = _barrier_max(f, 1.0 if kind.kind == KL else kind.gamma, eta)
-    return InnerMaxResult(float(f @ q), q, divergence(q, p, kind), converged)
+    return InnerMaxResult(float(f @ q), q, converged)
 
 
 def dual_lagrangian(inst: DroInstance, gamma, lam, rho):
@@ -435,17 +432,12 @@ def solve_beta(inst: DroInstance, gamma) -> DualCertificate:
 def verify_ccl_ball_equivalence(inst: DroInstance, alpha):
     """Compare the worst-case-regret ball value (radius log alpha) against the
     margin-form dual  min_beta { beta + alpha * mean (f - beta)_+ }, whose
-    minimizer is a quantile of the scores."""
+    minimizer is a quantile of the scores. Returns the primal and dual
+    values and their gap."""
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     wr_inst = DroInstance(inst.scores, math.log(alpha))
     primal = inner_max_bruteforce(wr_inst, DivergenceKind.worst_regret())
-    beta, dual = minimize_beta_objective(inst.scores, 1.0, alpha)
-    return {
-        "alpha": float(alpha),
-        "primal": primal.value,
-        "dual": float(dual),
-        "beta": float(beta),
-        "gap": abs(primal.value - dual),
-    }
+    dual = minimize_beta_objective(inst.scores, 1.0, alpha)[1]
+    return {"primal": primal.value, "dual": dual, "gap": abs(primal.value - dual)}
 

@@ -60,8 +60,6 @@ class InteractionGraph:
 
     def __init__(self, train_pairs, num_users, num_items):
         pairs = np.asarray(train_pairs, dtype=np.int64).reshape(-1, 2)
-        self.num_users = num_users
-        self.num_items = num_items
         data = np.ones(len(pairs))
         adj = sp.csr_matrix(
             (data, (pairs[:, 0], pairs[:, 1])), shape=(num_users, num_items)

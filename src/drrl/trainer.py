@@ -139,6 +139,11 @@ def apply_weight_decay(table: EmbeddingTable, grad_user, grad_item, batch_users,
         grad[rows] += 2.0 * wd * emb[rows]
 
 
+def finite_or_none(value):
+    """`value`, or None (JSON's null) where it is not finite."""
+    return value if math.isfinite(value) else None
+
+
 @dataclass
 class TrainReport:
     epoch_loss: list = field(default_factory=list)
@@ -149,7 +154,12 @@ class TrainReport:
     stop_reason: str = ""
 
     def to_json(self, path):
-        replace_file(path, json.dumps(asdict(self), indent=2))
+        """Write the report as strict JSON: a non-finite epoch loss, and the
+        best metric of a run that validated no epoch, read null."""
+        record = asdict(self)
+        record.update(epoch_loss=[finite_or_none(v) for v in self.epoch_loss],
+                      best_metric=finite_or_none(self.best_metric))
+        replace_file(path, json.dumps(record, indent=2, allow_nan=False))
 
 
 def _touched(ids, size):

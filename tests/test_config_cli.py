@@ -152,6 +152,15 @@ class TestConfigParse:
         with pytest.raises(ValueError, match=f"^{section}.{key} must be {bound}$"):
             config.load_config(path, with_env=False)
 
+    def test_key_set_twice_is_named_with_both_lines(self):
+        with pytest.raises(ValueError, match=r"line 4: train\.lr is already set on line 2"):
+            config.parse_config("[train]\nlr = 0.1\nbatch_size = 8\nlr = 0.2\n")
+        # across a repeated section header too; the header itself may repeat
+        with pytest.raises(ValueError, match=r"line 6: train\.lr is already set on line 2$"):
+            config.parse_config("[train]\nlr = 0.1\n[loss]\nkind = sl\n[train]\nlr = 0.2\n")
+        cfg = config.parse_config("[train]\nlr = 0.1\n[loss]\nkind = sl\n[train]\nn_neg = 4\n")
+        assert (cfg.train.lr, cfg.train.n_neg) == (0.1, 4)
+
     def test_keys_under_an_unknown_section_add_no_error(self):
         # the header is the one error; its keys are inside a section
         with pytest.raises(ValueError) as exc:
@@ -399,6 +408,29 @@ class TestCli:
         assert [path.name for path in run.iterdir()] == ["checkpoint.bin"]
         with pytest.raises(ValueError, match=f"^{run} is not a run directory"):
             cli._load_run(run)
+
+    @pytest.mark.parametrize("failure", ["floating-point-error", "nan-loss"])
+    def test_report_and_summary_are_strict_json_after_a_non_finite_first_step(
+            self, split_dir, tmp_path, capsys, monkeypatch, failure):
+        def step(*args):
+            if failure == "floating-point-error":
+                raise FloatingPointError("overflow")
+            return math.nan
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        monkeypatch.setattr(trainer, "train_step", step)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=split_dir, outdir=tmp_path / "run"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        summary = json.loads(capsys.readouterr().out, parse_constant=strict)
+        report = json.loads((tmp_path / "run" / "report.json").read_text(),
+                            parse_constant=strict)
+        assert summary["best_val_ndcg"] is None and summary["best_epoch"] == -1
+        assert report["best_metric"] is None and report["best_epoch"] == -1
+        assert report["epoch_loss"] == ([] if failure == "floating-point-error" else [None])
+        assert report["stop_reason"] == summary["stop_reason"]
 
     def test_train_names_a_split_without_train_interactions(self, tmp_path, capsys):
         dataio.write_split(split_of([set(), set()], [{0}, {1}], [{1}, {0}], 2), tmp_path / "s")

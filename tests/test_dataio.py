@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,6 +446,25 @@ def test_read_split_names_bad_rows_with_file_and_line(tmp_path, row, message):
         dataio.read_split(tmp_path)
     assert exc.value.line_number == 3
     assert str(exc.value).startswith(f"{path}, line 3: ")
+
+
+def test_read_split_names_a_bad_row_after_a_blank_line_at_its_own_line(tmp_path):
+    dataio.write_split(_toy_split(), tmp_path)
+    path = tmp_path / "validation.tsv"
+    path.write_text(path.read_text() + "\n1\t8\n")
+    with pytest.raises(dataio.ParseError, match=f"^{re.escape(str(path))}, line 4: item id 8"):
+        dataio.read_split(tmp_path)
+
+
+def test_importing_one_module_loads_no_other_drrl_or_scipy_module():
+    # the package's __init__ imports nothing, so a narrow import stays narrow
+    path = [str(Path(dataio.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import sys, drrl.dataio; print(sorted(name for name in sys.modules "
+            "if name.partition('.')[0] in ('drrl', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
+    assert out.stdout.strip() == "['drrl', 'drrl.dataio']"
 
 
 @pytest.mark.parametrize("edit, message", [

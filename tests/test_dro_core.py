@@ -84,6 +84,37 @@ def test_divergence_infinite_off_support():
     assert dc.divergence(q, p, dc.DivergenceKind.kl()) == np.inf
 
 
+def test_divergence_kinds_name_bad_arguments():
+    with pytest.raises(ValueError, match="unknown divergence kind: 'tv'"):
+        dc.DivergenceKind("tv")
+    with pytest.raises(ValueError, match="Cressie-Read divergence needs gamma > 1"):
+        dc.DivergenceKind.cressie_read(1.0)
+    with pytest.raises(ValueError, match="Q and P must have the same length"):
+        dc.divergence(np.full(2, 0.5), np.full(3, 1 / 3), dc.DivergenceKind.kl())
+
+
+@pytest.mark.parametrize("scores, eta, message", [
+    (np.array([]), 0.1, "scores must be a nonempty 1-d array"),
+    (np.zeros((2, 2)), 0.1, "scores must be a nonempty 1-d array"),
+    (np.array([0.1, np.nan]), 0.1, "scores must be finite"),
+    (np.array([0.1, 0.2]), -0.1, "eta must be nonnegative"),
+], ids=["empty", "2-d", "nan", "negative-eta"])
+def test_dro_instance_names_bad_scores_and_radius(scores, eta, message):
+    with pytest.raises(ValueError, match=message):
+        dc.DroInstance(scores, eta)
+
+
+def test_generator_conjugate_and_radius_name_arguments_out_of_range():
+    with pytest.raises(ValueError, match="phi_gamma is defined for t >= 0 only"):
+        dc.phi_gamma(np.array([1.0, -0.1]), 2.0)
+    for call in (lambda: dc.phi_gamma(1.0, 1.0), lambda: dc.phi_conjugate(0.0, 1.0),
+                 lambda: dc.c_gamma(0.1, 1.0)):
+        with pytest.raises(ValueError, match="gamma must exceed 1"):
+            call()
+    with pytest.raises(ValueError, match="eta must be nonnegative"):
+        dc.c_gamma(-0.1, 2.0)
+
+
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=8))
 @settings(max_examples=200)
 def test_project_simplex_is_a_distribution(v):
@@ -225,6 +256,17 @@ def test_minimize_beta_objective_rejects_c_below_one():
     assert 0.0 <= value - (scores.mean() + 0.1) <= 1e-4
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "plus-inf"])
+def test_minimize_beta_objective_names_a_score_neither_finite_nor_minus_inf(bad):
+    with pytest.raises(ValueError, match="scores must be finite or -inf, with a finite score"):
+        dc.minimize_beta_objective(np.array([[0.2, -0.4], [0.1, bad]]), 2.0, 1.2)
+
+
+def test_minimize_beta_objective_names_a_row_without_a_finite_score():
+    with pytest.raises(ValueError, match="with a finite score in every row"):
+        dc.minimize_beta_objective(np.array([[0.2, -np.inf], [-np.inf, -np.inf]]), 2.0, 1.2)
+
+
 def test_margin_solver_and_training_gradient_agree():
     # the training kernel's margin gradient changes sign across the solver's beta*
     rng = np.random.default_rng(12)
@@ -360,6 +402,11 @@ def test_ccl_ball_equivalence_boundary_cases():
     repn = dc.verify_ccl_ball_equivalence(inst, 3.0)
     assert repn["primal"] == pytest.approx(inst.scores.max(), abs=1e-6)
     assert repn["dual"] == pytest.approx(inst.scores.max(), abs=1e-6)
+
+
+def test_ccl_ball_equivalence_names_alpha_below_one():
+    with pytest.raises(ValueError, match="alpha must be at least 1"):
+        dc.verify_ccl_ball_equivalence(dc.DroInstance(np.array([0.4, -0.2]), 0.0), 0.5)
 
 
 # (gamma, n, eta) cases for the oracle against the scalar reference;

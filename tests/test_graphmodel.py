@@ -264,6 +264,27 @@ def test_infonce_leaves_out_nodes_with_a_zero_view():
     assert not d_final[[1, 3]].any() and not d_lstar[[1, 3]].any()
 
 
+def test_infonce_names_views_of_different_shapes():
+    with pytest.raises(ValueError, match="both layers must cover the same node set"):
+        gm.infonce_auxiliary(np.ones((3, 2)), np.ones((2, 2)), 0.2, 0.5)
+
+
+def test_embedding_table_names_a_1d_table_and_unequal_dimensions():
+    with pytest.raises(ValueError, match="embedding matrices must be 2-d"):
+        gm.EmbeddingTable(np.zeros(3), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="user and item dimensions differ"):
+        gm.EmbeddingTable(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+def test_graph_backbones_name_a_missing_graph():
+    table = gm.EmbeddingTable.init_normal(2, 3, 2, seed=0)
+    cfg = gm.BackboneConfig(kind="lightgcn")
+    with pytest.raises(ValueError, match="graph backbones need an interaction graph"):
+        gm.forward(table, None, cfg)
+    with pytest.raises(ValueError, match="graph backbones need an interaction graph"):
+        gm.backward(table.user, table.item, None, cfg)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     table = gm.EmbeddingTable.init_normal(3, 4, 2, seed=7)
     margins = np.array([0.1, -0.2, 0.3])
@@ -367,6 +388,15 @@ def test_checkpoint_rejects_bytes_after_the_margin_section(tmp_path, tail):
     gm.save_checkpoint(path, table, np.array([0.1, -0.2, 0.3]))
     path.write_bytes(path.read_bytes() + tail)
     with pytest.raises(ValueError, match=f"checkpoint {path} has bytes after its margin section"):
+        gm.load_checkpoint(path)
+
+
+def test_checkpoint_names_an_unknown_section_tag(tmp_path):
+    table = gm.EmbeddingTable.init_normal(3, 4, 2, seed=7)
+    path = tmp_path / "ck.bin"
+    gm.save_checkpoint(path, table)
+    path.write_bytes(path.read_bytes() + b"NOTE" + b"\x00" * 12)
+    with pytest.raises(ValueError, match=f"unknown checkpoint section b'NOTE' in {path}$"):
         gm.load_checkpoint(path)
 
 

@@ -350,3 +350,21 @@ def test_kernels_match_row_by_row_calls(kind):
 def test_empty_positives_rejected():
     with pytest.raises(ValueError):
         L.mse_loss(row([]), row([0.1]))
+
+
+def test_kernels_name_out_of_range_parameters():
+    pos, neg = row([0.5]), row([0.2, -0.1])
+    with pytest.raises(ValueError, match="tau must be positive"):
+        L.softmax_loss(pos, neg, 0.0)
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        L.ccl_loss(pos, neg, -1.0, 0.0)
+    for gamma_star, c, eps in ((0.5, 1.2, 0.0), (2.0, 0.0, 0.0), (2.0, 1.2, -0.1)):
+        with pytest.raises(ValueError, match=r"need gamma_star >= 1, c > 0, eps >= 0"):
+            L.drrl_loss(pos, neg, gamma_star, c, eps, 0.0)
+    with pytest.raises(ValueError, match="lr_beta must be positive"):
+        L.beta_step(L.MarginState.initialize(2, 0.0), 1.0, 0.0)
+
+
+def test_batch_loss_names_a_batch_of_zero_rows():
+    with pytest.raises(ValueError, match="empty batch"):
+        L.batch_loss(np.empty((0, 1)), np.empty((0, 4)), L.LossSpec(kind="sl"))

@@ -34,6 +34,11 @@ def test_top_k_excludes_and_breaks_ties_by_id():
     assert top.tolist() == [0, 2]
 
 
+def test_top_k_names_k_below_one():
+    with pytest.raises(ValueError, match="K must be at least 1, got 0"):
+        metrics.top_k_items(np.array([0.5, 0.9]), set(), 0)
+
+
 def test_single_hit_at_rank_two():
     # one relevant item at rank 2: NDCG = 1 / log2(3)
     scores = np.array([0.9, 0.8, 0.1])
