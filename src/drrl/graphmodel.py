@@ -225,8 +225,8 @@ def cosine_matrix(user_emb, item_emb):
 
 class CosineScores:
     """Noise-free cosine scores, read in row blocks: `scores[rows]` is the
-    (len(rows), items) block of users `rows`. Both final tables are
-    normalized once; no users x items array is held."""
+    (len(rows), items) block of users `rows`, in the tables' dtype. Both
+    final tables are normalized once; no users x items array is held."""
 
     def __init__(self, table: EmbeddingTable, graph: InteractionGraph | None,
                  cfg: BackboneConfig):
@@ -234,6 +234,7 @@ class CosineScores:
         self.user, _ = unit_rows(out.final_user)
         self.item, _ = unit_rows(out.final_item)
         self.shape = (len(self.user), len(self.item))
+        self.dtype = self.user.dtype
 
     def __getitem__(self, rows):
         return self.user[rows] @ self.item.T
@@ -308,7 +309,8 @@ def _read_part(fh, size, path, part):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (EmbeddingTable, margins-or-None)."""
+    """Read a checkpoint; returns (EmbeddingTable, margins-or-None): the
+    tables in float32, as stored, and the margins in float64."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -331,6 +333,6 @@ def load_checkpoint(path):
         elif tag:
             raise ValueError(f"unknown checkpoint section {tag!r} in {path}")
     try:
-        return EmbeddingTable(user.astype(float), item.astype(float)), margins
+        return EmbeddingTable(user.astype(np.float32), item.astype(np.float32)), margins
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None

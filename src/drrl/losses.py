@@ -165,10 +165,20 @@ def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights="full"):
     gradient and the worst-case weights all call it. It walks cache-sized
     `row_blocks` in float64, whatever the scores' dtype, and every pass over
     a block writes in place into the same scratch blocks (or the output).
-    The g*-th power is formed as the (g* - 1)-th times the base, so the
-    kernel takes one non-integer power per element."""
+    A row whose largest term T = c (max f - beta)_+ + eps has a g*-th power
+    outside [2^-900, 2^900], where a power of the terms or of M would over-
+    or underflow, has its terms divided by T before any power (one row max
+    per block, taken where eps and the block's largest term allow it, and
+    never at g* = 1), as
+    `dro_core._bisect_margin` does: with s = terms / T in [0, 1] and
+    S = (mean s^{g*})^{1/g*} >= n^{-1/g*}, M = T S and the weights are
+    S^{1-g*}/n s^{g*-1} c 1[f > beta]. Every other row keeps scale 1, and
+    with it the bits of the unscaled formula. The g*-th power is formed as
+    the (g* - 1)-th times the base, so the kernel takes one non-integer
+    power per element."""
     rows, n = f_neg.shape
     beta = _column(beta, rows, "beta")
+    low_top, high_top = 2.0 ** (-900.0 / gamma_star), 2.0 ** (900.0 / gamma_star)
     m = []
     out = (np.empty((rows, n)) if weights == "full"
            else np.empty(rows) if weights == "sum" else None)
@@ -179,13 +189,23 @@ def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights="full"):
         np.maximum(x, 0.0, out=x)
         x *= c
         x += eps
+        scale = None
+        # every term is at least eps, and at g* = 1 the kernel takes no power
+        if gamma_star != 1.0 and (eps < low_top or x.max() > high_top):
+            top = x.max(axis=1, keepdims=True)
+            # a row of zero terms (fully truncated at eps = 0) needs no scale
+            kept = (top == 0.0) | ((top >= low_top) & (top <= high_top))
+            if not kept.all():
+                scale = np.where(kept, 1.0, top)
+                x /= scale
         low = np.power(x, gamma_star - 1.0, out=out[block] if weights == "full"
                        else None if low is None else low[:len(f)])
         x *= low
-        m.append((np.add.reduce(x, 1) / n) ** (1.0 / gamma_star))
+        mean = (np.add.reduce(x, 1) / n) ** (1.0 / gamma_star)  # M / scale
+        m.append(mean if scale is None else mean * scale[:, 0])
         if weights is None:
             continue
-        mb = m[-1][:, None]
+        mb = mean[:, None]
         low *= np.power(mb, 1.0 - gamma_star, where=(mb > 0.0) | (gamma_star == 1.0),
                         out=np.zeros_like(mb)) / n
         low *= c

@@ -5,11 +5,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import row_blocks
+from . import dataio
 
-# Working memory per score of a ranking block: a float64 copy of the block,
-# argpartition's int64 index block and boolean masks
-BYTES_PER_SCORE = 20
+# Working memory per score of a ranking block, which is ranked in place:
+# argpartition's int64 index block and boolean masks, or on rows tied at
+# their k-th score a negated copy and its int64 argsort. Measured with
+# tracemalloc: 8.4 bytes on distinct scores, 12.5 on a float32 block whose
+# rows all tie and 16.6 on a float64 one
+BYTES_PER_SCORE = 17
+
+
+def visit_score_blocks(score_matrix, rows, bytes_per_score, visit):
+    """Call `visit(rows, scores)` on blocks covering the index array `rows`
+    in order: each scores block is `score_matrix[rows]` in the matrix's
+    float dtype (an integer matrix's in float64), free to overwrite. The
+    blocks are `dataio.row_blocks` slices of products of many rows, each one
+    `graphmodel.CosineScores` product or one gather from an array. The
+    products take half of `dataio.BLOCK_BYTES` and a block's own working
+    memory, `bytes_per_score` per score, the other half."""
+    num_items = score_matrix.shape[1]
+    dtype = np.result_type(score_matrix.dtype, np.float32)
+    budget = dataio.BLOCK_BYTES // 2
+    for chunk in dataio.row_blocks(rows.size, dtype.itemsize * num_items, budget):
+        product = None  # freed before the next one is scored
+        product = np.asarray(score_matrix[rows[chunk]], dtype=dtype)
+        for part in dataio.row_blocks(len(product), bytes_per_score * num_items, budget):
+            visit(rows[chunk][part], product[part])
 
 
 def _top_lists(masked, exclude, k):
@@ -35,8 +56,10 @@ def _top_lists(masked, exclude, k):
     ties = np.flatnonzero(np.count_nonzero(masked == kth, axis=1)
                           > np.count_nonzero(scores == kth, axis=1))
     if ties.size:
-        top[ties] = np.argsort(-masked[ties], axis=1, kind="stable")[:, :k]
-        scores[ties] = np.take_along_axis(masked[ties], top[ties], axis=1)
+        tied = masked[ties]
+        np.negative(tied, out=tied)  # the one copy, negated in place
+        top[ties] = np.argsort(tied, axis=1, kind="stable")[:, :k]
+        scores[ties] = -np.take_along_axis(tied, top[ties], axis=1)
     order = np.lexsort((top, -scores), axis=1)
     top = np.take_along_axis(top, order, axis=1)
     top[np.take_along_axis(scores, order, axis=1) == -np.inf] = -1
@@ -54,10 +77,11 @@ def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
     """Average Recall@K / NDCG@K over users with nonempty ground truth.
 
     `score_matrix` (an array, or a `graphmodel.CosineScores`) is read by
-    row blocks; `exclude_sets` and `truth_sets` are split parts
-    (`dataio.UserItems`), one user per score row. Ranks the users in
-    `dataio.row_blocks`, once to max(ks), and reads every K off that one top
-    list. Returns {(metric, K): value}; users with empty truth are skipped.
+    `visit_score_blocks` and each block ranked in its own float dtype;
+    `exclude_sets` and `truth_sets` are split parts (`dataio.UserItems`),
+    one user per score row. Ranks each block once to max(ks) and reads
+    every K off that one top list. Returns {(metric, K): value}; users with
+    empty truth are skipped.
     """
     num_users, num_items = score_matrix.shape
     for name, sets in (("exclude_sets", exclude_sets), ("truth_sets", truth_sets)):
@@ -75,16 +99,15 @@ def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
         return sums
     discount = 1.0 / np.log2(np.arange(2, min(max(ks), num_items) + 2))
     ideal_dcg = np.cumsum(discount)
-    for block in row_blocks(scored.size, BYTES_PER_SCORE * num_items):
-        users = scored[block]
+
+    def rank(users, block):
         rows, items = truth_sets.gather(users)
         if items.min() < 0 or items.max() >= num_items:
             raise ValueError(
                 f"truth item ids must lie in [0, {num_items}), "
                 f"got {items.min()}..{items.max()}"
             )
-        top = _top_lists(np.asarray(score_matrix[users], dtype=float),
-                         exclude_sets.gather(users), max(ks))
+        top = _top_lists(block, exclude_sets.gather(users), max(ks))
         is_truth = np.zeros((users.size, num_items), dtype=bool)
         is_truth[rows, items] = True
         hits = is_truth[np.arange(users.size)[:, None], top] & (top >= 0)
@@ -96,6 +119,8 @@ def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
             sums[("recall", k)] += float(np.sum(hit_count[:, col] / n_truth))
             sums[("ndcg", k)] += float(np.sum(
                 dcg[:, col] / ideal_dcg[np.minimum(k, n_truth) - 1]))
+
+    visit_score_blocks(score_matrix, scored, BYTES_PER_SCORE, rank)
     return {key: val / scored.size for key, val in sums.items()}
 
 

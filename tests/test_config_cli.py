@@ -491,6 +491,26 @@ class TestCli:
         assert cli.main(["evaluate", "--run", str(run_dir), "--output", str(out)]) == 0
         assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["5", "5"]
 
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn", "xsimgcl"])
+    def test_read_side_validation_ndcg_equals_the_reports_best_metric(
+            self, backbone, split_dir, tmp_path_factory, tmp_path):
+        # the read side scores the checkpoint's float32 tables as training
+        # validated them: the same NDCG, exactly through the API and to the
+        # CSV's six digits through the command
+        text = GOOD_CFG if backbone == "mf" else LIGHTGCN_DRRL_CFG.replace(
+            "kind = lightgcn", f"kind = {backbone}")
+        run = _train(text, split_dir, tmp_path_factory)
+        best = json.loads((run / "report.json").read_text())["best_metric"]
+        cfg, _, split, table, graph = _run_state(run, split_dir)
+        assert cfg.backbone.kind == backbone and table.user.dtype == np.float32
+        k = cfg.train.metric_k
+        scores = graphmodel.CosineScores(table, graph, cfg.backbone)
+        assert evaluate_ranking(scores, split.train, split.validation, [k])[("ndcg", k)] == best
+        out = tmp_path / "validation.csv"
+        assert cli.main(["evaluate", "--run", str(run), "--target", "validation",
+                         "--output", str(out)]) == 0
+        assert f"ndcg,{k},{best:.6f}" in out.read_text().splitlines()
+
     def test_evaluate_scores_under_the_runs_backbone(self, lightgcn_run, split_dir, tmp_path):
         out = tmp_path / "metrics.csv"
         code = cli.main(["evaluate", "--run", str(lightgcn_run), "--k", "5", "--k", "10",

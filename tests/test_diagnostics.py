@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from builders import split_of
+from builders import cosine_scores_peak, split_of
 from drrl import losses as L
 from drrl import dataio
 from drrl.dataio import split_iid
@@ -263,3 +263,19 @@ def test_memory_bounded_by_block_budget_under_every_kernel(spec):
     n_items, d = 4000, 16
     assert _peak_diagnostics_bytes(600, n_items, d, spec) < (
         dataio.BLOCK_BYTES + 8 * (600 + n_items) * d)
+
+
+@pytest.mark.parametrize("spec", [L.LossSpec(kind="sl"),
+                                  L.LossSpec(kind="drrl", gamma_star=13.5, c=1.0, eps=0.1)],
+                         ids=["sl", "drrl"])
+def test_diagnostics_on_cosine_scores_stay_within_the_block_budget(spec):
+    n_items = 4000
+    # one float32 users x items score matrix would exceed the budget
+    assert 4 * 1200 * n_items > dataio.BLOCK_BYTES
+
+    def diagnose(scores, split):
+        user_diagnostics(scores, split, spec, resolve_margin=spec.kind == "drrl")
+
+    small, large = (cosine_scores_peak(diagnose, n, n_items) for n in (1200, 2400))
+    assert small < dataio.BLOCK_BYTES
+    assert large < 1.05 * small

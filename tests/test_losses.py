@@ -1,4 +1,7 @@
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from drrl import losses as L
+from drrl.config import load_config
 from drrl.dataio import CACHE_BLOCK
 
 scores = st.floats(-1.0, 1.0, allow_nan=False)
@@ -258,6 +262,77 @@ def test_margin_gradient_memory_stays_within_a_few_blocks():
         tracemalloc.stop()
     # two float64 scratch blocks and per-row vectors, not one (rows, n) array
     assert peak < 4 * 8 * CACHE_BLOCK < 8 * rows * n
+
+
+PRESET_GAMMA_STARS = sorted({
+    load_config(path, with_env=False).loss.gamma_star
+    for path in (Path(__file__).resolve().parent.parent / "presets").glob("*drrl*.cfg")})
+
+
+@pytest.mark.parametrize("gamma_star", PRESET_GAMMA_STARS)
+def test_drrl_kernel_scales_only_rows_whose_powers_leave_the_float_range(gamma_star):
+    # cosine-range scores keep scale 1 and the unscaled formula's bits; rows
+    # of terms near 1e-200 or 1e200, whose g*-th powers under- or overflow,
+    # are divided by their largest term and match a 40-digit reference
+    rng = np.random.default_rng(23)
+    f_neg = rng.uniform(-1, 1, (40, 300))
+    beta = rng.uniform(-0.8, 0.8, 40)
+    beta[:2] = 1.0  # fully truncated rows
+    for c in (1.0, 1.25, 5.0):
+        for eps in (0.0, 1e-10, 0.1):
+            m_ref, d_ref = ref.drrl_negative_weights(f_neg, gamma_star, c, eps, beta[:, None])
+            m, d_neg = L._drrl_negative_weights(f_neg, gamma_star, c, eps, beta)
+            np.testing.assert_array_equal(m, m_ref)
+            np.testing.assert_array_equal(d_neg, d_ref)
+    extreme = np.abs(f_neg[:4, :60]) * np.array([1e-200, 1e-200, 1e200, 1e200])[:, None]
+    extreme_beta = np.array([0.0, 0.5e-200, 0.0, 0.5e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        m, d_neg = L._drrl_negative_weights(extreme, gamma_star, 1.25, 0.0, extreme_beta)
+    for i in range(4):
+        m_ref, d_ref = decimal_drrl(extreme[i], gamma_star, 1.25, 0.0, extreme_beta[i])
+        assert m[i] == pytest.approx(m_ref, rel=1e-12)
+        np.testing.assert_allclose(d_neg[i], d_ref, rtol=1e-12, atol=0.0)
+
+
+def decimal_drrl(f, gamma_star, c, eps, beta):
+    """M and dM/df_j = c/n (t_j / M)^{g*-1} 1[f_j > beta] of one row, in
+    40-digit decimal arithmetic, which neither over- nor underflows here."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        g, c, n = Decimal(gamma_star), Decimal(c), len(f)
+        terms = [c * max(Decimal(x) - Decimal(beta), Decimal(0)) + Decimal(eps) for x in f]
+        m = (sum(t ** g for t in terms) / n) ** (1 / g)
+        weights = [c / n * (t / m) ** (g - 1) if x > beta else Decimal(0)
+                   for t, x in zip(terms, f)]
+        return float(m), np.array([float(w) for w in weights])
+
+
+def test_drrl_kernel_stays_finite_at_large_gamma_star():
+    # at g* = 400 the unscaled t^{g*} underflows for terms below 0.17 and
+    # overflows above 5.9, which zeroes row 0's weights and makes row 1's
+    # nan; the weights c/n (t/M)^{g*-1} themselves stay bounded
+    rng = np.random.default_rng(29)
+    f_neg = rng.uniform(-1, 1, (4, 50))
+    beta = np.array([0.9, -6.0, 0.2, 2.0])  # small terms, large terms, both; none
+    with np.errstate(over="ignore", invalid="ignore"):
+        unscaled = ref.drrl_negative_weights(f_neg, 400.0, 1.2, 0.0, beta[:, None])[1]
+    assert np.all(unscaled[0] == 0.0) and np.all(np.isnan(unscaled[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        m, d_neg = L._drrl_negative_weights(f_neg, 400.0, 1.2, 0.0, beta)
+        grad = L.drrl_beta_gradient(f_neg, 400.0, 1.2, 0.0, beta)
+        weights = L.worst_case_weights(f_neg, L.LossSpec(kind="drrl", gamma_star=400.0,
+                                                         c=1.2), beta)
+    for i in range(3):
+        m_ref, d_ref = decimal_drrl(f_neg[i], 400.0, 1.2, 0.0, beta[i])
+        assert m[i] == pytest.approx(m_ref, rel=1e-12)
+        # weights below 1e-300 are taken as 0 where float64 underflows
+        np.testing.assert_allclose(d_neg[i], d_ref, rtol=1e-12, atol=1e-300)
+        assert grad[i] == pytest.approx(1.0 - d_ref.sum(), rel=1e-12, abs=1e-12)
+    np.testing.assert_array_equal(weights, 50 * d_neg)
+    # the fully truncated row at eps = 0 keeps its one-sided limit 0
+    assert m[3] == 0.0 and np.all(d_neg[3] == 0.0) and grad[3] == 1.0
 
 
 def test_drrl_kernel_rejects_a_margin_per_other_rows():

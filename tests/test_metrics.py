@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import one_user_metric, user_items
+from builders import cosine_scores_peak, one_user_metric, user_items
 from drrl import dataio, metrics
 
 
@@ -160,6 +160,33 @@ def test_evaluator_memory_bounded_by_block_budget():
     small, large = _evaluator_peak(1200, n_items), _evaluator_peak(2400, n_items)
     assert small < dataio.BLOCK_BYTES
     assert large < 1.05 * small
+
+
+def test_evaluator_on_cosine_scores_stays_within_the_block_budget():
+    n_items = 4000
+    # one float32 users x items score matrix would exceed the budget
+    assert 4 * 1200 * n_items > dataio.BLOCK_BYTES
+
+    def rank(scores, split):
+        metrics.evaluate_ranking(scores, split.train, split.test, [10, 20, 50])
+
+    small, large = (cosine_scores_peak(rank, n, n_items) for n in (1200, 2400))
+    assert small < dataio.BLOCK_BYTES
+    assert large < 1.05 * small
+
+
+@pytest.mark.parametrize("dtype, want", [(np.float32, np.float32), (np.float64, np.float64),
+                                         (np.int64, np.float64)])
+def test_visit_score_blocks_cover_the_rows_in_the_matrix_float_dtype(dtype, want, monkeypatch):
+    scores = np.arange(7 * 5, dtype=dtype).reshape(7, 5)
+    rows = np.array([6, 0, 3, 4, 1])
+    # products of 2 rows at float64, 4 at float32, walked in blocks of 1 row
+    monkeypatch.setattr(dataio, "BLOCK_BYTES", 2 * 8 * 5 * 2)
+    seen = []
+    metrics.visit_score_blocks(scores, rows, 16, lambda r, b: seen.append((r.copy(), b)))
+    assert all(len(r) == 1 and b.dtype == want and b.flags.writeable for r, b in seen)
+    np.testing.assert_array_equal(np.concatenate([r for r, _ in seen]), rows)
+    np.testing.assert_array_equal(np.concatenate([b for _, b in seen]), scores[rows])
 
 
 def test_evaluate_ranking_all_empty_rejected():

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -510,9 +511,24 @@ def test_train_keeps_float32_tables_and_moments_and_saves_them_exactly(tmp_path,
     assert margins.beta.dtype == np.float64
     save_checkpoint(tmp_path / "model.ckpt", table, margins.beta)
     loaded, _ = load_checkpoint(tmp_path / "model.ckpt")
-    assert loaded.user.dtype == loaded.item.dtype == np.float64
+    assert loaded.user.dtype == loaded.item.dtype == np.float32
     np.testing.assert_array_equal(loaded.user, table.user)
     np.testing.assert_array_equal(loaded.item, table.item)
+
+
+def test_train_at_a_large_gamma_star_takes_finite_steps():
+    # g* = 400 at eps = 0 on LightGCN: the DrRL kernel's unscaled powers
+    # over- and underflowed here, and the run stopped at its first step
+    split = split_iid(make_block_log(num_users=40, num_items=30, seed=3), seed=0)
+    cfg = tr.TrainConfig(batch_size=64, n_neg=8, max_epochs=2, embed_dim=8, metric_k=5)
+    spec = LossSpec(kind="drrl", gamma_star=400.0, c=1.2, eps=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, margins, report = tr.train(split, BackboneConfig(kind="lightgcn", layers=2), spec,
+                                      cfg)
+    assert report.stop_reason == "max epochs reached"
+    assert len(report.epoch_loss) == 2 and np.all(np.isfinite(report.epoch_loss))
+    assert np.all(np.isfinite(margins.beta))
 
 
 def test_train_step_weight_decay_adds_2_wd_e_on_batch_rows_only(monkeypatch):
