@@ -77,6 +77,7 @@ def cmd_train(args):
     split = dataio.read_split(cfg.data.input)
     # recorded absolute, so the run directory reads from any working directory
     cfg.data.input = os.path.abspath(cfg.data.input)
+    text = dump_config(cfg)  # names a value config.cfg cannot hold before training
     table, margins, report = train(split, cfg.backbone, cfg.loss, cfg.train)
     outdir = Path(cfg.output.dir)
     # an interrupted run leaves no config.cfg, which _load_run rejects by
@@ -87,7 +88,7 @@ def cmd_train(args):
     save_checkpoint(outdir / "checkpoint.bin", table,
                     margins.beta if cfg.loss.kind == "drrl" else None)
     report.to_json(outdir / "report.json")
-    dataio.replace_file(outdir / "config.cfg", dump_config(cfg))
+    dataio.replace_file(outdir / "config.cfg", text)
     print(json.dumps({
         "outdir": str(outdir),
         "best_epoch": report.best_epoch,

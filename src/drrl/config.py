@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -13,6 +14,10 @@ from .losses import LossSpec
 from .trainer import TrainConfig
 
 ENV_PREFIX = "DRRL_"
+
+# a comment starts at a `#` that begins a line or follows whitespace, so a
+# value such as the path /tmp/a#b keeps its `#`
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass
@@ -75,13 +80,14 @@ def _set(cfg, section, key, raw):
 def parse_config(text) -> RunConfig:
     """Parse the flat format, collecting every error before raising. The
     keys of an unknown section are not checked: its header is the error. A
-    key may be set once; a section header may repeat."""
+    key may be set once; a section header may repeat. A `#` that begins a
+    line or follows whitespace starts a comment."""
     cfg = RunConfig()
     errors = []
     section = None
     first_set = {}  # (section, key) -> the line that sets it
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -129,11 +135,20 @@ def load_config(path, with_env=True) -> RunConfig:
 
 
 def dump_config(cfg: RunConfig) -> str:
+    """The text that `parse_config` reads back as `cfg`. A value it would
+    read back otherwise (one with a comment start, a line break or outer
+    whitespace) is named in a ValueError."""
     lines = []
     for section in _SECTIONS:
         target = getattr(cfg, section)
         lines.append(f"[{section}]")
         for f in fields(target):
-            lines.append(f"{f.name} = {getattr(target, f.name)}")
+            value = str(getattr(target, f.name))
+            line = f"{f.name} = {value}"
+            if (line.splitlines() != [line]
+                    or _COMMENT.split(line, 1)[0].partition("=")[2].strip() != value):
+                raise ValueError(f"{section}.{f.name} = {value!r} cannot be written to a "
+                                 "config file: it would not read back the same")
+            lines.append(line)
         lines.append("")
     return "\n".join(lines)

@@ -105,8 +105,7 @@ def user_diagnostics(
         if not users.size:
             return
         # the one float64 copy of the block, which every kernel below reads
-        scores = np.full(block.shape, -np.inf)
-        np.copyto(scores, block, where=candidates)
+        scores = np.where(candidates, block, np.float64(-np.inf))
         beta = _margins(scores, users, spec, margins, resolve_margin)
         records = np.empty(users.size, RECORD)
         records["user"] = users

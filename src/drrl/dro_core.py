@@ -397,22 +397,24 @@ def minimize_beta_objective(scores, gamma_star, c, eps=0.0):
             f"margin objective needs c >= 1, got c = {c}: for c < 1 it is unbounded below"
         )
     f = np.atleast_2d(np.asarray(scores, dtype=float))
-    present = np.isfinite(f)
-    count = np.count_nonzero(present, axis=1)
-    if not np.all(present | (f == -np.inf)) or not count.all():
+    # a row's max is nan or +inf where it holds either, and -inf where it
+    # holds no finite score (the initial value, also on a zero-column block)
+    top = f.max(axis=1, initial=-np.inf)
+    if not np.isfinite(top).all():
         raise ValueError("scores must be finite or -inf, with a finite score in every row")
-    top = f.max(axis=1)
     if c == 1.0:
         beta = np.full(len(f), -np.inf)
-        value = np.where(present, f, 0.0).sum(axis=1) / count + eps
+        present = f > -np.inf
+        value = np.add.reduce(f, 1, where=present) / np.count_nonzero(present, axis=1) + eps
     elif gamma_star == 1.0:
+        count = np.count_nonzero(f > -np.inf, axis=1)
         at = f.shape[1] - 1 - (count // c).astype(np.intp)  # ascending position
         beta = np.take_along_axis(np.partition(f, np.unique(at), axis=1), at[:, None], axis=1)[:, 0]
         value = beta + c * np.maximum(f - beta[:, None], 0.0).sum(axis=1) / count + eps
     else:
         beta, value = np.empty((2, len(f)))
         for i, (row, hi) in enumerate(zip(f, top.tolist())):
-            beta[i], value[i] = _bisect_margin(row[present[i]], hi, gamma_star, c, eps)
+            beta[i], value[i] = _bisect_margin(row[row > -np.inf], hi, gamma_star, c, eps)
     beta = np.where(beta < top, beta, np.nextafter(top, -np.inf))
     return (float(beta[0]), float(value[0])) if np.ndim(scores) == 1 else (beta, value)
 

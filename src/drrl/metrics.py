@@ -8,10 +8,11 @@ import numpy as np
 from . import dataio
 
 # Working memory per score of a ranking block, which is ranked in place:
-# argpartition's int64 index block and boolean masks, or on rows tied at
-# their k-th score a negated copy and its int64 argsort. Measured with
-# tracemalloc: 8.4 bytes on distinct scores, 12.5 on a float32 block whose
-# rows all tie and 16.6 on a float64 one
+# argpartition's int64 index block, or on rows tied at their k-th score or
+# holding NaN or +inf, a copy of those rows and its int64 argsort or index
+# block. Measured with tracemalloc: 8.3 bytes on distinct scores, 12.5 on a
+# float32 block whose rows all tie and 16.5 on a float64 one (16.4 where
+# every row holds a NaN)
 BYTES_PER_SCORE = 17
 
 
@@ -33,6 +34,20 @@ def visit_score_blocks(score_matrix, rows, bytes_per_score, visit):
             visit(rows[chunk][part], product[part])
 
 
+def _pick(block, picks):
+    """Ids of the `picks` largest entries of each row of `block`, in no order
+    (a copy: a view would keep the whole index block alive)."""
+    num_items = block.shape[1]
+    return np.argpartition(block, num_items - picks, axis=1)[:, num_items - picks:].copy()
+
+
+def _mask_non_finite(block, rows):
+    """Set the non-finite scores in the given rows of `block` to -inf."""
+    part = block[rows]
+    part[~np.isfinite(part)] = -np.inf
+    block[rows] = part
+
+
 def _top_lists(masked, exclude, k):
     """Top-k item ids of every row of the float block `masked`, which is
     overwritten: the (row, item) index arrays `exclude` and non-finite
@@ -41,28 +56,39 @@ def _top_lists(masked, exclude, k):
     if k < 1:
         raise ValueError(f"K must be at least 1, got {k}")
     masked[exclude] = -np.inf
-    masked[~np.isfinite(masked)] = -np.inf
     num_items = masked.shape[1]
     k = min(k, num_items)
     if k == 0:
         return np.empty((masked.shape[0], 0), dtype=np.intp)
-    # (a copy: a view would keep the whole index block alive)
-    top = np.argpartition(masked, num_items - k, axis=1)[:, num_items - k:].copy()
+    # the k + 1 best of each row: the (k+1)-th tells whether the k-th is tied
+    picks = min(k + 1, num_items)
+    top = _pick(masked, picks)
     scores = np.take_along_axis(masked, top, axis=1)
-    kth = scores.min(axis=1, keepdims=True)
-    # argpartition picks arbitrary items among those tied with a row's k-th
-    # best score: rank such rows whole by one stable sort, which keeps ids
-    # ascending within a tie, and re-read their scores
-    ties = np.flatnonzero(np.count_nonzero(masked == kth, axis=1)
-                          > np.count_nonzero(scores == kth, axis=1))
+    # NaN and +inf partition above every number, so a row holding either has
+    # one among its picks: only such rows are masked (by a helper, whose row
+    # copy is freed before any tie sort) and picked again
+    bad = np.flatnonzero(~(scores.max(axis=1) < np.inf))
+    if bad.size:
+        _mask_non_finite(masked, bad)
+        top[bad] = _pick(masked[bad], picks)
+        scores = np.take_along_axis(masked, top, axis=1)
+    # by score descending, then id ascending: an id sort, then a stable one
+    order = np.argsort(top, axis=1)
+    top, scores = (np.take_along_axis(a, order, axis=1) for a in (top, scores))
+    order = np.argsort(-scores, axis=1, kind="stable")
+    top, scores = (np.take_along_axis(a, order, axis=1) for a in (top, scores))
+    # an unpicked item can outrank a pick, by id, only where the k-th and
+    # (k+1)-th picks tie above -inf: rank such rows whole by one stable sort,
+    # which keeps ids ascending within a tie, and re-read their scores
+    kth = scores[:, k - 1]
+    ties = np.flatnonzero((kth == scores[:, picks - 1]) & (kth > -np.inf) & (picks > k))
+    top, scores = top[:, :k], scores[:, :k]
     if ties.size:
         tied = masked[ties]
         np.negative(tied, out=tied)  # the one copy, negated in place
         top[ties] = np.argsort(tied, axis=1, kind="stable")[:, :k]
         scores[ties] = -np.take_along_axis(tied, top[ties], axis=1)
-    order = np.lexsort((top, -scores), axis=1)
-    top = np.take_along_axis(top, order, axis=1)
-    top[np.take_along_axis(scores, order, axis=1) == -np.inf] = -1
+    top[scores == -np.inf] = -1
     return top
 
 
@@ -133,7 +159,7 @@ def weight_stats(weights, candidates, flagged):
     with nothing flagged. k1 is taken as count / sum(w / max w), a sum of
     terms at most 1, so that rounding never puts it below 1."""
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
+    if w.size and np.fmin.reduce(w, axis=None) < 0:  # fmin skips nan, as w < 0 does
         raise ValueError("weights must be nonnegative")
     with np.errstate(invalid="ignore"):  # 0 / 0 on degenerate rows
         scaled = w / w.max(axis=1, keepdims=True)
@@ -145,5 +171,6 @@ def weight_stats(weights, candidates, flagged):
 def truncation_ratio(scores, beta, candidates):
     """Row-wise fraction of each row's candidate scores (a boolean (B, n)
     mask) at or below its margin beta (B,): the zero-gradient region."""
-    below = np.count_nonzero((scores <= np.asarray(beta)[:, None]) & candidates, axis=1)
-    return below / np.count_nonzero(candidates, axis=1)
+    below = scores <= np.asarray(beta)[:, None]
+    below &= candidates
+    return np.count_nonzero(below, axis=1) / np.count_nonzero(candidates, axis=1)

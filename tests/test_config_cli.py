@@ -179,6 +179,19 @@ class TestConfigParse:
         cfg = config.parse_config("# header\n\n[loss]\nkind = bpr  # inline\n")
         assert cfg.loss.kind == "bpr"
 
+    def test_a_hash_inside_a_value_reads_back(self):
+        cfg = config.parse_config("[data]\ninput = /tmp/a#b/split\t# a comment\n")
+        assert cfg.data.input == "/tmp/a#b/split"
+        assert config.parse_config(config.dump_config(cfg)).data.input == "/tmp/a#b/split"
+
+    @pytest.mark.parametrize("value", ["/tmp/a #b", "/tmp/a\n#b", " /tmp/a", "/tmp/a "])
+    def test_dump_names_a_value_that_would_not_read_back(self, value):
+        cfg = config.RunConfig()
+        cfg.data.input = value
+        with pytest.raises(ValueError, match=r"data\.input = .* cannot be written to a "
+                                             "config file"):
+            config.dump_config(cfg)
+
     def test_env_override(self):
         cfg = config.parse_config("[loss]\nkind = sl\ntau = 0.2\n")
         config.apply_env_overrides(cfg, {"DRRL_LOSS__TAU": "0.4"})
@@ -337,6 +350,31 @@ class TestCli:
     def test_train_writes_artifacts(self, run_dir):
         names = sorted(path.name for path in run_dir.iterdir())
         assert names == ["checkpoint.bin", "config.cfg", "report.json"]
+
+    def test_run_under_a_directory_with_a_hash_is_read_back(self, split_dir, tmp_path):
+        # config.cfg records data.input as /.../a#b/split, which evaluate and
+        # stats read back whole
+        shutil.copytree(split_dir, tmp_path / "a#b" / "split")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=tmp_path / "a#b" / "split",
+                                            outdir=tmp_path / "a#b" / "run"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        run = tmp_path / "a#b" / "run"
+        assert config.load_config(run / "config.cfg").data.input == str(
+            tmp_path / "a#b" / "split")
+        assert cli.main(["evaluate", "--run", str(run), "--output", str(tmp_path / "m")]) == 0
+        assert cli.main(["stats", "--run", str(run), "--output", str(tmp_path / "s")]) == 0
+
+    def test_train_names_an_output_dir_config_cfg_cannot_hold(self, split_dir, tmp_path,
+                                                             capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=split_dir, outdir=tmp_path / "run"))
+        out = tmp_path / "a #b"
+        assert cli.main(["train", "--config", str(cfg_path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output.dir = {str(out)!r} cannot be written to a config file: it would "
+            "not read back the same\n")
+        assert not out.exists()
 
     def test_train_output_flag_overrides_output_dir(self, split_dir, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -267,6 +267,16 @@ def test_minimize_beta_objective_names_a_row_without_a_finite_score():
         dc.minimize_beta_objective(np.array([[0.2, -np.inf], [-np.inf, -np.inf]]), 2.0, 1.2)
 
 
+@pytest.mark.parametrize("scores", [np.empty((2, 0)), np.array([])],
+                         ids=["zero-columns", "empty-row"])
+@pytest.mark.parametrize("gamma_star, c", [(2.0, 1.2), (1.0, 1.5), (2.0, 1.0)])
+def test_minimize_beta_objective_names_a_block_without_columns(scores, gamma_star, c):
+    # the row maxima that validate a block start from -inf, which a row
+    # without columns keeps
+    with pytest.raises(ValueError, match="with a finite score in every row"):
+        dc.minimize_beta_objective(scores, gamma_star, c)
+
+
 def test_margin_solver_and_training_gradient_agree():
     # the training kernel's margin gradient changes sign across the solver's beta*
     rng = np.random.default_rng(12)

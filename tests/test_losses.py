@@ -295,6 +295,35 @@ def test_drrl_kernel_scales_only_rows_whose_powers_leave_the_float_range(gamma_s
         np.testing.assert_allclose(d_neg[i], d_ref, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("gamma_star", sorted({1.0, 1.5, 400.0, *PRESET_GAMMA_STARS}))
+@pytest.mark.parametrize("shared", [False, True], ids=["per-row-beta", "scalar-beta"])
+@pytest.mark.parametrize("low", [-1.0, -20.0], ids=["half-truncated", "mostly-truncated"])
+def test_drrl_kernel_at_eps_zero_equals_the_whole_array_power_bit_for_bit(gamma_star, shared,
+                                                                           low):
+    # at eps = 0 a mostly truncated block takes the power of its untruncated
+    # terms only, the others the power of every term; the bytes of both,
+    # signed zeros included, equal those of a power of every term
+    rng = np.random.default_rng(31)
+    f_neg = rng.uniform(low, 1, (70, 1000))  # three cache blocks
+    f_neg[rng.random(f_neg.shape) < 0.2] = -np.inf
+    f_neg[rng.random(f_neg.shape) < 0.05] = -0.0
+    f_neg[rng.random(f_neg.shape) < 0.05] = 0.0
+    f_neg[5] = -np.inf  # a row of -inf scores
+    # every row's largest term c (max f - beta) lies in [0.5, 1.8] or is 0, where
+    # even g* = 400 keeps the kernel's scale 1
+    beta = np.float64(0.0) if shared else rng.uniform(-0.5, 0.5, 70)
+    if not shared:
+        beta[[1, 40, -1]] = 1.0  # fully truncated rows, in the first and the last block
+        beta[[2, 41]] = 0.0  # f = -0.0 > beta = 0.0 is False
+    for c in (1.0, 1.2):
+        m_ref, d_ref = ref.drrl_negative_weights(f_neg, gamma_star, c, 0.0,
+                                                 beta if shared else beta[:, None])
+        for weights, want in (("full", d_ref), ("sum", d_ref.sum(axis=1)), (None, None)):
+            m, got = L._drrl_negative_weights(f_neg, gamma_star, c, 0.0, beta, weights)
+            assert m.tobytes() == m_ref.tobytes()
+            assert (got is None) if want is None else got.tobytes() == want.tobytes()
+
+
 def decimal_drrl(f, gamma_star, c, eps, beta):
     """M and dM/df_j = c/n (t_j / M)^{g*-1} 1[f_j > beta] of one row, in
     40-digit decimal arithmetic, which neither over- nor underflows here."""

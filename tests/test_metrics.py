@@ -116,6 +116,49 @@ def test_evaluate_ranking_matches_bruteforce_with_ties(seed):
             assert got[(name, k)] == pytest.approx(want, abs=1e-12)
 
 
+# a few values, so that rows tie, also at the K-th and (K+1)-th positions,
+# beside non-finite scores, which never rank
+_SCORE_POOL = [np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0]
+
+
+def _brute_top(scores, exclude, k):
+    """The first k of the ranked items, sorted by (-score, id)."""
+    ranked = (i for i in range(len(scores)) if i not in exclude and math.isfinite(scores[i]))
+    return sorted(ranked, key=lambda i: (-scores[i], i))[:k]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_ranking_with_non_finite_scores_matches_the_sorted_reference(data):
+    n_users, n_items = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 25))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    scores = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from(_SCORE_POOL), st.floats(-4, 4, width=32)),
+        min_size=n_users * n_items, max_size=n_users * n_items)), dtype=dtype)
+    scores = scores.reshape(n_users, n_items)
+    items = st.sets(st.integers(0, n_items - 1))
+    excludes = [data.draw(items) for _ in range(n_users)]
+    truths = [data.draw(items) - excludes[u] for u in range(n_users)]
+    ks = data.draw(st.lists(st.integers(1, n_items + 2), min_size=1, max_size=3, unique=True))
+    rows = [scores[u].tolist() for u in range(n_users)]
+    for u in range(n_users):
+        assert metrics.top_k_items(scores[u], excludes[u], max(ks)).tolist() == _brute_top(
+            rows[u], excludes[u], max(ks))
+    scored = [u for u in range(n_users) if truths[u]]
+    if not scored:
+        return
+    got = metrics.evaluate_ranking(scores, user_items(excludes), user_items(truths), ks)
+    for k in ks:
+        recall = ndcg = 0.0
+        for u in scored:
+            hits = [i in truths[u] for i in _brute_top(rows[u], excludes[u], k)]
+            recall += sum(hits) / len(truths[u])
+            ndcg += (sum(1 / math.log2(r + 2) for r, hit in enumerate(hits) if hit)
+                     / sum(1 / math.log2(r + 2) for r in range(min(k, len(truths[u])))))
+        assert got[("recall", k)] == pytest.approx(recall / len(scored), abs=1e-12)
+        assert got[("ndcg", k)] == pytest.approx(ndcg / len(scored), abs=1e-12)
+
+
 def test_evaluate_ranking_rejects_mismatched_set_lengths():
     scores = np.zeros((2, 3))
     with pytest.raises(ValueError, match="exclude_sets has 1 entries for 2 score rows"):
