@@ -26,13 +26,13 @@ from .graphmodel import (
 )
 from .metrics import evaluate_ranking
 
-# The step pulls its score gradients back through a dense (rows x items)
-# block per row chunk when the catalogue has at most this many items per
-# scored (positive or negative) slot of a row, and through one sparse
-# (B x items) matrix above it; the rule also picks the scorer's row chunks.
-# On 2 vCPUs at B = 1024, d = 64, against a scorer that gathered the
-# negatives' rows, the dense step won up to 12k items and lost from 16k at
-# n_neg = 1024, and won at 250 items but lost at 500 at n_neg = 64.
+# The step pulls its score gradients back through the scorer's (rows x
+# items) block when the catalogue has at most this many items per scored
+# (positive or negative) slot of a row, and through one sparse (B x items)
+# matrix above it. Last measured on 2 vCPUs at B = 1024, d = 64, with a
+# since-deleted gather scorer and a bincount-filled block: the dense pullback
+# won up to 12k items and lost from 16k at n_neg = 1024, and won at 250
+# items but lost at 500 at n_neg = 64.
 DENSE_ITEMS_PER_SLOT = 8
 
 
@@ -132,10 +132,11 @@ class Adam:
 
 def apply_weight_decay(table: EmbeddingTable, grad_user, grad_item, batch_users, batch_items, wd):
     """Add 2 * wd * e to the gradient of every embedding touched by the batch,
-    once per row however often the id arrays repeat it."""
-    for ids, emb, grad in ((batch_users, table.user, grad_user),
+    once per row however often the id arrays repeat it. `batch_items` is a
+    tuple of item id arrays (say the positives and the negatives)."""
+    for ids, emb, grad in (((batch_users,), table.user, grad_user),
                            (batch_items, table.item, grad_item)):
-        rows = _touched(ids, len(emb))
+        rows = _touched(len(emb), *ids)
         grad[rows] += 2.0 * wd * emb[rows]
 
 
@@ -162,20 +163,29 @@ class TrainReport:
         replace_file(path, json.dumps(record, indent=2, allow_nan=False))
 
 
-def _touched(ids, size):
-    """Sorted distinct ids (as np.unique) of an id array over range(size)."""
-    return np.flatnonzero(np.bincount(np.ravel(ids), minlength=size))
+def _touched(size, *ids):
+    """Sorted distinct ids (as np.unique) of id arrays over range(size)."""
+    return np.flatnonzero(sum(np.bincount(np.ravel(a), minlength=size) for a in ids))
 
 
-def _negative_scores(user_rows, item_unit, negatives, chunks):
+def _slots(negatives, num_items, chunk):
+    """Row sub-blocks of a row chunk, of at most CACHE_BLOCK negatives each:
+    yields each sub-block's rows of the batch and its negatives' flat
+    indices into the chunk's (rows x items) block."""
+    for rows in row_blocks(chunk.stop - chunk.start, negatives.shape[1], CACHE_BLOCK):
+        at = negatives[chunk][rows] + num_items * np.arange(rows.start, rows.stop)[:, None]
+        yield slice(chunk.start + rows.start, chunk.start + rows.stop), at
+
+
+def _negative_scores(user_rows, item_unit, negatives, chunks, block):
     """Cosine scores (B, n_neg) of each row's user against its negatives,
     read off one BLAS product per row chunk, the chunk's users against
-    every item."""
-    num_items = len(item_unit)
+    every item, written into `block`."""
     f_neg = np.empty(negatives.shape, item_unit.dtype)
     for chunk in chunks:
-        at = negatives[chunk] + num_items * np.arange(len(negatives[chunk]))[:, None]
-        np.take(user_rows[chunk] @ item_unit.T, at, out=f_neg[chunk])
+        scores = np.matmul(user_rows[chunk], item_unit.T, out=block[:chunk.stop - chunk.start])
+        for rows, at in _slots(negatives, len(item_unit), chunk):
+            f_neg[rows] = np.take(scores, at)
     return f_neg
 
 
@@ -196,31 +206,23 @@ def _sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_
     return coeff @ item_unit, coeff.T @ user_rows
 
 
-def _dense_blocks(num_items, negatives):
-    """Row chunks of the catalogue-dense regime: a chunk's (rows, items)
-    score and gradient blocks and its (rows, n_neg + 1) index and weight
-    arrays together take at most half of BLOCK_BYTES. (At the preset shape
-    that is a 2 MiB block, which fits a core's L2 cache; 4 MiB blocks made
-    both chunk loops twice as slow on 2 vCPUs.)"""
-    return row_blocks(len(negatives), 2 * 8 * 2 * (num_items + negatives.shape[1] + 1))
-
-
-def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg):
-    """`_sparse_score_pullback` through a dense (rows x items) block per row
-    chunk, filled by one (float64) bincount and applied, in the item
-    table's dtype, by two BLAS products."""
+def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg, chunks,
+                          block):
+    """`_sparse_score_pullback` through the scorer's (rows x items) `block`,
+    reused per row chunk: zeroed, given each row's d_pos and then its d_neg
+    (repeats add up in the sparse matrix's entry order; `np.add.at` is fast
+    on 1-D indices only) and applied by two BLAS products."""
     num_items = len(item_unit)
     grad_rows = np.empty(user_rows.shape, item_unit.dtype)
     grad_items = np.zeros_like(item_unit)
-    for chunk in _dense_blocks(num_items, negatives):
-        n = chunk.stop - chunk.start
-        at = np.hstack([pos_items[chunk, None], negatives[chunk]])
-        at += num_items * np.arange(n)[:, None]
-        block = np.bincount(at.ravel(), np.hstack([d_pos[chunk], d_neg[chunk]]).ravel(),
-                            n * num_items).reshape(n, num_items)
-        block = block.astype(item_unit.dtype, copy=False)
-        np.matmul(block, item_unit, out=grad_rows[chunk])
-        grad_items += block.T @ user_rows[chunk]
+    for chunk in chunks:
+        coeff = block[:chunk.stop - chunk.start]
+        coeff.fill(0)
+        coeff[np.arange(len(coeff)), pos_items[chunk]] = d_pos[chunk, 0]
+        for rows, at in _slots(negatives, num_items, chunk):
+            np.add.at(coeff.reshape(-1), at.ravel(), d_neg[rows].ravel())
+        np.matmul(coeff, item_unit, out=grad_rows[chunk])
+        grad_items += coeff.T @ user_rows[chunk]
     return grad_rows, grad_items
 
 
@@ -243,16 +245,19 @@ def loss_and_gradients(
     item_unit, item_norms = unit_rows(out.final_item)
     batch_users = user_unit[user_row]
     f_pos = np.einsum("bd,bd->b", batch_users, item_unit[pos_items])
-    # a catalogue at most DENSE_ITEMS_PER_SLOT times the scored slots of a
-    # row is nearly all touched by each chunk: pull back densely, and score
-    # in the pullback's L2-sized chunks. A larger one scores in chunks of
-    # half of BLOCK_BYTES (scores plus flat indices): narrow products that
-    # reread the item table are memory-bound
+    # every row chunk is scored in one (rows x items) block of at most half
+    # of BLOCK_BYTES: at the preset shape (1024 x 1000 float64) one chunk
+    # holds the whole batch, as narrow products that reread the item table
+    # are memory-bound. A catalogue at most DENSE_ITEMS_PER_SLOT times the
+    # scored slots of a row is nearly all touched by each chunk, and the
+    # pullback reuses the block
     num_items, n_neg = item_unit.shape[0], batch.negatives.shape[1]
     dense = num_items <= DENSE_ITEMS_PER_SLOT * (n_neg + 1)
-    chunks = (_dense_blocks(num_items, batch.negatives) if dense else
-              row_blocks(len(batch_users), 2 * (item_unit.itemsize * num_items + 8 * n_neg)))
-    f_neg = _negative_scores(batch_users, item_unit, batch.negatives, chunks)
+    chunks = row_blocks(len(batch_users), 2 * item_unit.itemsize * num_items)
+    block = np.empty((chunks[0].stop if chunks else 0, num_items), item_unit.dtype)
+    f_neg = _negative_scores(batch_users, item_unit, batch.negatives, chunks, block)
+    if not dense:
+        del block
 
     # margin update precedes the embedding step (DrRL only)
     beta = None
@@ -264,16 +269,22 @@ def loss_and_gradients(
                         spec.lr_beta)
         beta = margins.beta[users]
     # the loss kernels compute in float64, where DrRL's M^{1-g*} (about
-    # 1e125 at eps = 1e-10, g* = 13.5) cannot overflow: batch_loss upcasts
-    # the scores, and the DrRL kernel, which the margin gradient above hands
+    # 1e125 at eps = 1e-10, g* = 13.5) cannot overflow: the scores are
+    # upcast here (dropping those in the tables' dtype before the loss
+    # allocates), and the DrRL kernel, which the margin gradient above hands
     # the scores in the tables' dtype, upcasts one cache block at a time; the
     # score gradients they return are bounded and go back to the tables' dtype
+    f_neg = f_neg.astype(np.float64, copy=False)
     value, d_pos, d_neg = L.batch_loss(f_pos[:, None], f_neg, spec, beta)
+    del f_neg
     d_pos, d_neg = (d.astype(item_unit.dtype, copy=False) for d in (d_pos, d_neg))
 
-    pullback = _dense_score_pullback if dense else _sparse_score_pullback
-    grad_rows, grad_item_unit = pullback(batch_users, item_unit, pos_items, batch.negatives,
-                                         d_pos, d_neg)
+    if dense:
+        grad_rows, grad_item_unit = _dense_score_pullback(
+            batch_users, item_unit, pos_items, batch.negatives, d_pos, d_neg, chunks, block)
+    else:
+        grad_rows, grad_item_unit = _sparse_score_pullback(
+            batch_users, item_unit, pos_items, batch.negatives, d_pos, d_neg)
     grad_user_unit = np.zeros_like(user_unit)
     np.add.at(grad_user_unit, user_row, grad_rows)
     grad_final_u = np.zeros_like(out.final_user)
@@ -285,7 +296,7 @@ def loss_and_gradients(
         grad_contrast = (np.zeros_like(grad_final_u), np.zeros_like(grad_final_i))
         for idx, final, contrast, grad_final, grad_c in (
             (user_ids, out.final_user, out.contrast_user, grad_final_u, grad_contrast[0]),
-            (_touched(pos_items, len(grad_final_i)), out.final_item, out.contrast_item,
+            (_touched(len(grad_final_i), pos_items), out.final_item, out.contrast_item,
              grad_final_i, grad_contrast[1]),
         ):
             aux, d_final, d_contrast = infonce_auxiliary(
@@ -325,7 +336,7 @@ def train_step(
     if train_cfg.weight_decay:
         apply_weight_decay(
             table, grad_user, grad_item, batch.pairs[:, 0],
-            np.hstack([batch.pairs[:, 1:], batch.negatives]), train_cfg.weight_decay,
+            (batch.pairs[:, 1], batch.negatives), train_cfg.weight_decay,
         )
     params = {"user": table.user, "item": table.item}
     adam.step(params, {"user": grad_user, "item": grad_item}, train_cfg.lr)

@@ -66,10 +66,24 @@ def test_weight_decay_touches_only_batch_rows():
     gu = np.zeros((3, 2))
     gi = np.zeros((3, 2))
     # repeated ids decay their row once
-    tr.apply_weight_decay(table, gu, gi, np.array([1, 1]), np.array([0, 2, 0]), 0.5)
+    tr.apply_weight_decay(table, gu, gi, np.array([1, 1]), (np.array([0, 2, 0]),), 0.5)
     np.testing.assert_allclose(gu[1], table.user[1])
     assert not gu[0].any() and not gu[2].any()
     assert not gi[1].any()
+
+
+def test_weight_decay_counts_an_item_once_across_positives_and_negatives():
+    table = EmbeddingTable.init_normal(3, 5, 2, seed=1)
+    gu = np.zeros((3, 2))
+    gi = np.zeros((5, 2))
+    # item 3 is row 0's positive and row 1's negative (twice)
+    positives, negatives = np.array([3, 1]), np.array([[0, 0], [3, 3]])
+    tr.apply_weight_decay(table, gu, gi, np.array([0, 2]), (positives, negatives), 0.25)
+    np.testing.assert_array_equal(gi[3], 2 * 0.25 * table.item[3])
+    np.testing.assert_array_equal(gi[[0, 1]], 2 * 0.25 * table.item[[0, 1]])
+    assert not gi[[2, 4]].any()
+    np.testing.assert_array_equal(gu[[0, 2]], 2 * 0.25 * table.user[[0, 2]])
+    assert not gu[1].any()
 
 
 def test_train_config_validation():
@@ -110,6 +124,16 @@ def test_no_margin_update_leaves_margins_alone():
         margins = MarginState.initialize(4, spec.beta0)
         tr.loss_and_gradients(table, graph, cfg, spec, margins, batch, **update)
         np.testing.assert_array_equal(margins.beta, np.full(4, 0.2))
+
+
+@pytest.mark.parametrize("kind", ["drrl", "sl"])
+def test_empty_batch_fails_with_a_named_error(kind):
+    table, graph, cfg, _ = toy_setup()
+    batch = BatchSample(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.int64),
+                        np.zeros((0, 2), dtype=bool))
+    with pytest.raises(ValueError, match="empty batch"):
+        tr.loss_and_gradients(table, graph, cfg, LossSpec(kind=kind),
+                              MarginState.initialize(4, 0.1), batch, margin_update=True)
 
 
 def _relative_gap(got, want):
@@ -182,17 +206,17 @@ REGIMES = pytest.mark.parametrize("regime", ["dense", "sparse"], ids=["dense", "
 def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_update,
                                                  monkeypatch):
     # 9 items pull back densely against 7 negatives, 40 items sparsely
-    # against 3; each budget gives the scorer row chunks of 2, 2 and 1
+    # against 3; the budget fits two rows' float64 (rows x items) score
+    # block, so the scorer walks row chunks of 2, 2 and 1
     n_users, d = 6, 4
     n_items, n_neg = (9, 7) if regime == "dense" else (40, 3)
     assert (n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)) == (regime == "dense")
-    if regime == "dense":
-        monkeypatch.setattr(dataio, "BLOCK_BYTES", 2 * 2 * 8 * 2 * (n_items + n_neg + 1))
-    else:
-        monkeypatch.setattr(dataio, "BLOCK_BYTES", 2 * 2 * (8 * n_items + 8 * n_neg))
-    chunks, sparse = [], []
+    monkeypatch.setattr(dataio, "BLOCK_BYTES", 2 * 2 * 8 * n_items)
+    chunks, pulled, sparse = [], [], []
     monkeypatch.setattr(tr, "_negative_scores", lambda *a, f=tr._negative_scores:
                         chunks.append([c.stop - c.start for c in a[3]]) or f(*a))
+    monkeypatch.setattr(tr, "_dense_score_pullback", lambda *a, f=tr._dense_score_pullback:
+                        pulled.append([c.stop - c.start for c in a[6]]) or f(*a))
     monkeypatch.setattr(tr, "_sparse_score_pullback",
                         lambda *a, f=tr._sparse_score_pullback: sparse.append(1) or f(*a))
     rng = np.random.default_rng(12)
@@ -215,6 +239,7 @@ def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_
     ref_value, ref_gu, ref_gi = scalar_reference.loss_and_gradients(
         table, graph, cfg, spec, ref_margins, batch, margin_update=margin_update)
     assert chunks == [[2, 2, 1]]
+    assert pulled == ([] if regime == "sparse" else chunks)
     assert bool(sparse) == (regime == "sparse")
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
     assert _relative_gap(gu, ref_gu) <= 1e-12
@@ -414,6 +439,19 @@ def test_loss_and_gradients_memory_bounded_by_chunk_budget_in_dense_regime():
     assert 8 * batch_size * n_items > dataio.BLOCK_BYTES
     peak = _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg)
     assert peak < dataio.BLOCK_BYTES
+
+
+def test_preset_shape_step_peaks_no_higher_than_the_l2_chunked_step():
+    # B = 1024, n_neg = 1024 on 1000 items: one (1024 x 1000) float64 score
+    # block serves the whole batch. The step that scored and pulled back in
+    # L2-sized chunks through a bincount block peaked at 27,687,146 traced
+    # bytes here (numpy 2.4); holding the float64 scores through the
+    # pullback would add their 8 MiB
+    n_users, n_items, d, batch_size, n_neg = 2000, 1000, 64, 1024, 1024
+    assert n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
+    assert 8 * batch_size * n_items <= dataio.BLOCK_BYTES // 2
+    peak = _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg)
+    assert peak <= 27_687_146
 
 
 @pytest.mark.parametrize("kind", ["mf", "xsimgcl"])
