@@ -58,11 +58,9 @@ def main():
                 resolve_margin=spec.kind == "ccl",
             )
             agg = aggregate(rows)
-            line += f" k1={agg['k1_mean']:.2f}"
-            if agg["k2_mean"] is not None:
-                line += f" k2={agg['k2_mean']:.2f}"
-            if agg["truncation_mean"] is not None:
-                line += f" trunc={agg['truncation_mean']:.2f}"
+            for label, key in (("k1", "k1_mean"), ("k2", "k2_mean"), ("trunc", "truncation_mean")):
+                if agg[key] is not None:
+                    line += f" {label}={agg[key]:.2f}"
         print(line)
 
 

@@ -132,7 +132,7 @@ def cmd_stats(args):
         blanked = ("" if math.isnan(v) else v for v in optional)
         lines.append(",".join(map(str, (user, k1, *blanked, int(degenerate)))))
     _emit("\n".join(lines) + "\n", args.output)
-    print(json.dumps(diagnostics.aggregate(rows)), file=sys.stderr)
+    print(json.dumps(diagnostics.aggregate(rows), allow_nan=False), file=sys.stderr)
     return 0
 
 

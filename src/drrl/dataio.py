@@ -162,20 +162,17 @@ def _first_appearance_ids(ids):
 
 
 def load_interactions(path) -> InteractionLog:
-    """Parse `user<TAB>item[<TAB>timestamp]` rows; `#` lines are comments.
+    """Parse `user<TAB>item[<TAB>timestamp]` rows under `_int_rows`' rules.
 
     Ids are remapped to dense 0-based indices in first-appearance order;
     duplicate (user, item) pairs collapse to their first row, keeping the
-    earliest timestamp.
+    earliest timestamp. A row without a timestamp reads 0 and leaves the
+    log without timestamps.
     """
-    path = Path(path)
-    rows = _int_rows(path)
-    if rows is not None and rows.shape[1] in (2, 3):
-        has_ts = rows.shape[1] == 3
-        users, items = rows[:, 0], rows[:, 1]
-        timestamps = rows[:, 2] if has_ts else np.zeros(len(rows), dtype=np.int64)
-    else:
-        users, items, timestamps, has_ts = _parse_log_lines(path)
+    rows, fewest = _int_rows(path, (2, 3))
+    if not len(rows):
+        raise EmptyLogError(f"no interactions found in {path}")
+    users, items, timestamps = rows.T
     users, num_users = _first_appearance_ids(users)
     items, num_items = _first_appearance_ids(items)
     _, first, pair = np.unique(users * num_items + items, return_index=True,
@@ -184,14 +181,16 @@ def load_interactions(path) -> InteractionLog:
     np.minimum.at(earliest, pair, timestamps)
     order = np.argsort(first)
     return InteractionLog(users[first[order]], items[first[order]], earliest[order],
-                          num_users, num_items, has_timestamps=has_ts)
+                          num_users, num_items, has_timestamps=fewest == 3)
 
 
-def _int_rows(path):
-    """A text file's whitespace-separated int64 fields as one (rows, fields)
-    array, by one numpy call; None when a field is no int64 (a `#` comment
-    included), the rows differ in length or there are none. Callers then
-    reparse the file line by line, which names the bad line."""
+def _int_rows(path, widths, bounds=None):
+    """A text file's whitespace-separated int64 rows as one (rows,
+    max(widths)) array, short rows padded with 0, and the fewest fields of
+    any row. Blank lines and lines whose first field starts with `#` are
+    skipped; each row has one of `widths` fields, its leading user and item
+    ids within [0, bound) of `bounds`. One numpy call parses a machine-written
+    file; `_parse_lines` reads one it rejects and names the first bad line."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file without rows
@@ -200,36 +199,49 @@ def _int_rows(path):
             warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
     except (ValueError, DeprecationWarning):
-        return None
-    return rows if rows.size else None
+        return _parse_lines(path, widths, bounds)
+    fields, pad = rows.shape[1], max(widths) - rows.shape[1]
+    lead = rows[:, :len(bounds or ())]
+    if not (rows.size and fields in widths
+            and (bounds is None or ((lead >= 0) & (lead < bounds)).all())):
+        return _parse_lines(path, widths, bounds)
+    return (np.pad(rows, ((0, 0), (0, pad))) if pad else rows), fields
 
 
-def _parse_log_lines(path):
-    """`load_interactions`' parse, one line at a time: (users, items,
-    timestamps, has_timestamps); a bad line raises ParseError naming it."""
-    rows = []
-    has_ts = True
+_NUMBER_WORDS = {2: "two", 3: "three"}
+
+
+def _parse_lines(path, widths, bounds):
+    """`_int_rows` one line at a time; the first bad line raises ParseError."""
+    width = max(widths)
+    expected = f"expected {' or '.join(map(_NUMBER_WORDS.get, widths))} integer fields, got"
+    flat, fewest = [], width
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             fields = raw.split()
-            if not fields or fields[0].startswith("#"):
+            if not fields or fields[0][0] == "#":
                 continue
-            if len(fields) not in (2, 3):
-                raise ParseError(lineno, f"expected 2 or 3 fields, got {len(fields)}", path)
+            n = len(fields)
+            if n not in widths:
+                raise ParseError(lineno, f"{expected} {n} field{'s' * (n > 1)} in "
+                                 f"{raw.strip()!r}", path)
             try:
-                rows.append((int(fields[0]), int(fields[1]),
-                             int(fields[2]) if len(fields) == 3 else 0))
+                flat += map(int, fields)
             except ValueError:
-                raise ParseError(lineno, f"non-integer field in {raw.strip()!r}",
+                raise ParseError(lineno, f"{expected} a non-integer field in {raw.strip()!r}",
                                  path) from None
-            has_ts = has_ts and len(fields) == 3
-    if not rows:
-        raise EmptyLogError(f"no interactions found in {path}")
+            if bounds:
+                for name, value, bound in zip(("user", "item"), flat[-n:], bounds):
+                    if not 0 <= value < bound:
+                        raise ParseError(lineno, f"{name} id {value} outside the manifest's "
+                                         f"range [0, {bound})", path)
+            if n < width:
+                fewest = min(fewest, n)
+                flat += [0] * (width - n)
     try:
-        users, items, timestamps = np.array(rows, dtype=np.int64).T.copy()
+        return np.array(flat, dtype=np.int64).reshape(-1, width), fewest
     except OverflowError:
         raise ValueError(f"{path}: an id or timestamp does not fit in 64 bits") from None
-    return users, items, timestamps, has_ts
 
 
 def k_core_filter(log: InteractionLog, user_core, item_core) -> InteractionLog:
@@ -417,39 +429,10 @@ def write_split(split: DatasetSplit, outdir):
 
 
 def _read_part(path, num_users, num_items):
-    """One `user<TAB>item` part file; a malformed row or an id outside
-    [0, num_users) x [0, num_items) raises ParseError naming file and line.
-    The machine-written rows are parsed by one numpy call (`_int_rows`);
-    only an empty part or one that call or the id check rejects is read
-    line by line."""
-    rows = _int_rows(path)
-    if (rows is None or rows.shape[1] != 2
-            or not ((rows >= 0) & (rows < [num_users, num_items])).all()):
-        return _parse_part_lines(path, num_users, num_items)
+    """One `user<TAB>item` part file under `_int_rows`' rules, its ids within
+    the manifest's [0, num_users) x [0, num_items)."""
+    rows, _ = _int_rows(path, (2,), (num_users, num_items))
     return _user_items(rows[:, 0], rows[:, 1], num_users, num_items)
-
-
-def _parse_part_lines(path, num_users, num_items):
-    """`_read_part` one line at a time, naming the first bad line."""
-    users, items = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.split()
-            if not fields:
-                continue
-            try:
-                user, item = map(int, fields)
-            except ValueError:
-                raise ParseError(lineno, f"expected two integer fields, got {raw.strip()!r}",
-                                 path) from None
-            for name, value, bound in (("user", user, num_users), ("item", item, num_items)):
-                if not 0 <= value < bound:
-                    raise ParseError(lineno, f"{name} id {value} outside the manifest's "
-                                     f"range [0, {bound})", path)
-            users.append(user)
-            items.append(item)
-    return _user_items(np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
-                       num_users, num_items)
 
 
 def _read_manifest(path):

@@ -124,14 +124,14 @@ def user_diagnostics(
 def aggregate(rows):
     """Mean k1 and k2 over non-degenerate users, and mean truncation over
     every user with a margin: a degenerate user (every candidate truncated)
-    counts with truncation 1."""
+    counts with truncation 1. A mean over no users is None."""
     live = ~rows.degenerate
     k2 = rows.k2[~np.isnan(rows.k2)]  # nan on every degenerate user
     truncation = rows.truncation[~np.isnan(rows.truncation)]
     return {
         "users": len(rows),
         "degenerate_users": int(np.count_nonzero(rows.degenerate)),
-        "k1_mean": float(np.mean(rows.k1[live])) if live.any() else float("nan"),
+        "k1_mean": float(np.mean(rows.k1[live])) if live.any() else None,
         "k2_mean": float(np.mean(k2)) if k2.size else None,
         "truncation_mean": float(np.mean(truncation)) if truncation.size else None,
     }

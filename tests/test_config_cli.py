@@ -696,6 +696,23 @@ class TestCli:
         assert "warning" not in err and "c = 0.5" not in err
         assert not out.exists()
 
+    def test_stats_summary_is_strict_json_when_every_user_is_degenerate(self, lightgcn_run,
+                                                                       tmp_path, capsys):
+        # margins above every cosine score truncate every candidate, so no
+        # user is left to average k1 over
+        run = tmp_path / "run"
+        shutil.copytree(lightgcn_run, run)
+        table, margins = graphmodel.load_checkpoint(run / "checkpoint.bin")
+        graphmodel.save_checkpoint(run / "checkpoint.bin", table, np.full(margins.size, 2.0))
+        assert cli.main(["stats", "--run", str(run), "--output", str(tmp_path / "s.csv")]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads(capsys.readouterr().err.splitlines()[-1], parse_constant=refuse)
+        assert summary["degenerate_users"] == summary["users"] > 0
+        assert summary["k1_mean"] is None and summary["k2_mean"] is None
+
     def test_stats_rejects_pairwise_losses(self, run_dir, capsys, monkeypatch):
         monkeypatch.setenv("DRRL_LOSS__KIND", "bpr")
         code = cli.main(["stats", "--run", str(run_dir)])

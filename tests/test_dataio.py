@@ -120,6 +120,14 @@ class TestLoadInteractions:
         for name in ("users", "items", "timestamps"):
             np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))
 
+    def test_mixed_rows_read_without_timestamps(self, tmp_path):
+        # one row without a timestamp leaves the log without timestamps; that
+        # row reads 0 and, as the earliest, wins its duplicate pair
+        path = write_log(tmp_path, ["9\t7\t4", "9\t3", "2\t7\t8", "9\t3\t1"])
+        log = dataio.load_interactions(path)
+        assert not log.has_timestamps
+        assert rows_of(log) == [(0, 0, 4), (0, 1, 0), (1, 0, 8)]
+
 
 def test_k_core_filter_reaches_fixpoint(tmp_path):
     # item 12 has a single interaction; dropping it leaves user 1 below core
@@ -415,7 +423,7 @@ def test_replace_file_writes_whole_payloads_or_leaves_the_file(tmp_path, monkeyp
 def test_read_split_parses_written_parts_without_the_line_parser(tmp_path, monkeypatch):
     split = _toy_split()
     dataio.write_split(split, tmp_path)
-    monkeypatch.setattr(dataio, "_parse_part_lines", None)
+    monkeypatch.setattr(dataio, "_parse_lines", None)
     loaded = dataio.read_split(tmp_path)
     for name in dataio.PARTS:
         np.testing.assert_array_equal(getattr(loaded, name).items, getattr(split, name).items)
@@ -427,6 +435,21 @@ def test_read_split_collapses_repeated_and_unordered_rows(tmp_path):
     loaded = dataio.read_split(tmp_path)
     assert parts(loaded)[0] == [[0, 1, 2], [3, 4]]
     np.testing.assert_array_equal(loaded.train.indptr, [0, 3, 5])
+
+
+def test_read_split_skips_comment_and_blank_lines_in_parts(tmp_path):
+    # a leading `#` line sends a part through the line parser, which must
+    # read the rows the one numpy call reads from the part as written
+    for name in ("fast", "lines"):
+        dataio.write_split(_toy_split(), tmp_path / name)
+    train, validation = tmp_path / "lines" / "train.tsv", tmp_path / "lines" / "validation.tsv"
+    rows = train.read_text().splitlines()
+    train.write_text("\n".join(["# user\titem", rows[0], "", "  # note", *rows[1:], ""]))
+    validation.write_text("# user\titem\n" + validation.read_text())
+    fast, lines = dataio.read_split(tmp_path / "fast"), dataio.read_split(tmp_path / "lines")
+    for name in dataio.PARTS:
+        np.testing.assert_array_equal(getattr(lines, name).indptr, getattr(fast, name).indptr)
+        np.testing.assert_array_equal(getattr(lines, name).items, getattr(fast, name).items)
 
 
 @pytest.mark.parametrize("row, message", [

@@ -118,6 +118,13 @@ def test_records_carry_what_the_benchmark_reads_with_nan_for_missing_values():
     assert aggregate(empty)["users"] == 0
 
 
+def test_aggregate_of_no_rows_reads_null_means():
+    no_items = split_of([set()], [set()], [set()], 0)
+    empty = aggregate(user_diagnostics(np.zeros((1, 0)), no_items, CCL))
+    assert empty == {"users": 0, "degenerate_users": 0, "k1_mean": None, "k2_mean": None,
+                     "truncation_mean": None}
+
+
 @pytest.mark.parametrize("noise_pool", ["heldout", "train"])
 def test_rows_do_not_depend_on_mask_block_size(noise_pool, monkeypatch):
     whole = rows_of(CCL, noise_pool=noise_pool)

@@ -79,6 +79,11 @@ def test_evaluate_ranking_skips_empty_truth():
     assert res[("recall", 1)] == 1.0
 
 
+def test_evaluate_ranking_of_no_ks_is_empty():
+    score_matrix = np.array([[0.9, 0.1, 0.2]])
+    assert metrics.evaluate_ranking(score_matrix, user_items([set()]), user_items([{0}]), []) == {}
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=150, deadline=None)
 def test_evaluate_ranking_matches_bruteforce_with_ties(seed):
