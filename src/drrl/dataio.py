@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -209,6 +210,9 @@ def _int_rows(path, widths, bounds=None):
 
 
 _NUMBER_WORDS = {2: "two", 3: "three"}
+# the fields numpy's parser reads as int64, which `int` alone does not
+# check: it also reads `1_0` and non-ASCII digits
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_lines(path, widths, bounds):
@@ -225,11 +229,10 @@ def _parse_lines(path, widths, bounds):
             if n not in widths:
                 raise ParseError(lineno, f"{expected} {n} field{'s' * (n > 1)} in "
                                  f"{raw.strip()!r}", path)
-            try:
-                flat += map(int, fields)
-            except ValueError:
+            if not all(map(_INT_FIELD.fullmatch, fields)):
                 raise ParseError(lineno, f"{expected} a non-integer field in {raw.strip()!r}",
-                                 path) from None
+                                 path)
+            flat += map(int, fields)
             if bounds:
                 for name, value, bound in zip(("user", "item"), flat[-n:], bounds):
                     if not 0 <= value < bound:

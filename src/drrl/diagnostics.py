@@ -4,7 +4,9 @@ For every user, the candidate negatives are all items outside the training
 set; held-out positives among them are flagged so the k2 statistic (mean
 weight on flagged items relative to the overall mean) can be reported.
 Users are diagnosed a block of score rows at a time, with every score
-outside a user's candidates set to -inf, which the kernels weigh 0.
+outside a user's candidates set to -inf, which the kernels weigh 0. Where a
+margin truncates some candidate, only each row's untruncated and flagged
+candidates are weighed, packed to the left of a narrower block.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from . import losses as L
 from .dro_core import minimize_beta_objective
 # cosine_matrix and forward are unused here: perfbench's tracer wraps them in this module
 from .graphmodel import CosineScores, cosine_matrix, forward  # noqa: F401
-from .metrics import truncation_ratio, visit_score_blocks, weight_stats
+from .metrics import visit_score_blocks, weight_stats
 
 # Working memory per score of a diagnostics block, beside the product it is
-# sliced from: the float64 padded scores, the masks, and the weights with
-# the kernels' own float64 temporaries. Measured with tracemalloc on float32
-# and float64 blocks alike: 34.1 bytes under SL, 27.1 under CCL and 26.1
-# under DrRL
+# sliced from: the float64 padded scores, the masks, the packed scores and
+# the weights with the kernels' own float64 temporaries. Measured with
+# tracemalloc on float32 and float64 blocks alike: 34.1 bytes under SL, 31.0
+# under CCL and DrRL on a block that packs all but one candidate per row,
+# and 27.1 under DrRL on one that packs none
 BYTES_PER_SCORE = 36
 
 # One record per diagnosed user. A value a user does not have is nan: k1 and
@@ -59,6 +62,17 @@ def _margins(scores, users, spec, margins, resolve_margin):
         return margins.beta[users]
     # the margin the loss trains with: CCL's is fixed, DrRL's starts at beta0
     return np.full(users.size, spec.margin if spec.kind == "ccl" else spec.beta0)
+
+
+def _packed(keep, scores, flagged):
+    """Each row's `keep` entries of `scores` and of `flagged`, left-aligned
+    in order in blocks as wide as the most any row keeps (at least 1): the
+    scores padded with -inf, which weighs 0, and the flags with False."""
+    counts = np.count_nonzero(keep, axis=1)
+    slots = np.arange(max(counts.max(), 1)) < counts[:, None]
+    packed = np.full(slots.shape, -np.inf), np.zeros(slots.shape, bool)
+    packed[0][slots], packed[1][slots] = scores[keep], flagged[keep]
+    return packed
 
 
 def user_diagnostics(
@@ -109,12 +123,23 @@ def user_diagnostics(
         beta = _margins(scores, users, spec, margins, resolve_margin)
         records = np.empty(users.size, RECORD)
         records["user"] = users
+        records["beta"] = np.nan if beta is None else beta
+        records["truncation"] = np.nan
+        if beta is not None:
+            below = scores <= beta[:, None]
+            below &= candidates
+            truncated = np.count_nonzero(below, axis=1)
+            records["truncation"] = truncated / np.count_nonzero(candidates, axis=1)
+            if truncated.any():
+                # a truncated candidate weighs 0 and counts only through the
+                # candidate counts weight_stats reads: weigh only the others,
+                # NaN included, and the flagged ones
+                keep = candidates & ~below
+                keep |= flagged
+                scores, flagged = _packed(keep, scores, flagged)
         records["k1"], records["k2"] = weight_stats(L.worst_case_weights(scores, spec, beta),
                                                     candidates, flagged)
         records["degenerate"] = np.isnan(records["k1"])
-        records["beta"] = np.nan if beta is None else beta
-        records["truncation"] = (np.nan if beta is None
-                                 else truncation_ratio(scores, beta, candidates))
         blocks.append(records)
 
     visit_score_blocks(score_matrix, np.arange(num_users), BYTES_PER_SCORE, diagnose)

@@ -12,15 +12,6 @@ from .dataio import CACHE_BLOCK, row_blocks
 LOSS_KINDS = ("mse", "bce", "bpr", "sl", "ccl", "drrl")
 WORST_CASE_KINDS = ("sl", "ccl", "drrl")  # the kinds with worst-case weights
 
-# The DrRL kernel at eps = 0 powers only a block's untruncated terms where
-# it holds at least this many terms and more than 7 in 8 are truncated: a
-# power of 0 is slow, but a masked power is slower per term it takes. On a
-# 2-vCPU host (float64, g* - 1 = 11.1), a 40,000-term block took 0.03 ms
-# masked against 0.54 ms whole at 99.9% truncation and 0.19 against 0.73 at
-# 95%, but 0.87 against 0.65 at 50%; a 64-term one took 4.1 us masked
-# against 0.8 us whole
-SPARSE_POWER_TERMS = 1024
-
 
 @dataclass
 class LossSpec:
@@ -184,16 +175,14 @@ def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights="full"):
     S^{1-g*}/n s^{g*-1} c 1[f > beta]. Every other row keeps scale 1, and
     with it the bits of the unscaled formula. The g*-th power is formed as
     the (g* - 1)-th times the base, so the kernel takes one non-integer
-    power per element. At eps = 0, a block of at least `SPARSE_POWER_TERMS`
-    terms of which more than 7 in 8 are truncated takes it only on the
-    untruncated terms, since a truncated term's power is known."""
+    power per element."""
     rows, n = f_neg.shape
     beta = _column(beta, rows, "beta")
     low_top, high_top = 2.0 ** (-900.0 / gamma_star), 2.0 ** (900.0 / gamma_star)
     m = []
     out = (np.empty((rows, n)) if weights == "full"
            else np.empty(rows) if weights == "sum" else None)
-    x = low = live = None  # the scratch blocks, made by the first block's passes
+    x = low = None  # the scratch blocks, made by the first block's passes
     for block in row_blocks(rows, n, CACHE_BLOCK):
         f, b = f_neg[block], beta[block] if beta.ndim else beta
         x = np.subtract(f, b, out=None if x is None else x[:len(f)])
@@ -210,19 +199,7 @@ def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights="full"):
                 scale = np.where(kept, 1.0, top)
                 x /= scale
         low = out[block] if weights == "full" else None if low is None else low[:len(f)]
-        sparse = False
-        if eps == 0.0 and x.size >= SPARSE_POWER_TERMS:
-            live = np.not_equal(x, 0.0, out=None if live is None else live[:len(f)])
-            sparse = 8 * np.count_nonzero(live) < live.size
-        if sparse:
-            # np.maximum(-0.0, 0.0) is +0.0, so a truncated term is +0.0, whose
-            # power is 0 (1 at g* = 1, where every power is 1): only the other
-            # terms, NaN included, take it
-            low = np.empty_like(x) if low is None else low
-            low.fill(1.0 if gamma_star == 1.0 else 0.0)
-            np.power(x, gamma_star - 1.0, out=low, where=live)
-        else:
-            low = np.power(x, gamma_star - 1.0, out=low)
+        low = np.power(x, gamma_star - 1.0, out=low)
         x *= low
         mean = (np.add.reduce(x, 1) / n) ** (1.0 / gamma_star)  # M / scale
         m.append(mean if scale is None else mean * scale[:, 0])

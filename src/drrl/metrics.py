@@ -1,5 +1,4 @@
-"""Top-K ranking metrics plus the diagnostic weight and truncation
-statistics."""
+"""Top-K ranking metrics plus the diagnostic weight statistics."""
 
 from __future__ import annotations
 
@@ -152,10 +151,12 @@ def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
 
 def weight_stats(weights, candidates, flagged):
     """Row-wise k1 = max / mean and k2 = mean over the flagged items / mean
-    of nonnegative weights (B, n), which are 0 outside each row's
-    `candidates`; the means are over the candidates and `flagged` is a
-    subset of them (both boolean (B, n) masks). Returns k1 and k2, each
-    (B,): both nan on a degenerate row (every weight 0), k2 nan on a row
+    of nonnegative weights (B, n). The means are over each row's
+    candidates, counted from the boolean mask `candidates`, which is read
+    only through its row counts: `weights` may leave out candidates that
+    weigh 0, and weighs 0 wherever it holds no candidate. `flagged`, a
+    boolean (B, n) mask over `weights`, marks candidates. Returns k1 and k2,
+    each (B,): both nan on a degenerate row (every weight 0), k2 nan on a row
     with nothing flagged. k1 is taken as count / sum(w / max w), a sum of
     terms at most 1, so that rounding never puts it below 1."""
     w = np.asarray(weights, dtype=float)
@@ -166,11 +167,3 @@ def weight_stats(weights, candidates, flagged):
         k1 = np.count_nonzero(candidates, axis=1) / scaled.sum(axis=1)
         k2 = k1 * scaled.sum(axis=1, where=flagged) / np.count_nonzero(flagged, axis=1)
     return k1, k2
-
-
-def truncation_ratio(scores, beta, candidates):
-    """Row-wise fraction of each row's candidate scores (a boolean (B, n)
-    mask) at or below its margin beta (B,): the zero-gradient region."""
-    below = scores <= np.asarray(beta)[:, None]
-    below &= candidates
-    return np.count_nonzero(below, axis=1) / np.count_nonzero(candidates, axis=1)

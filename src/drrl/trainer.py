@@ -180,10 +180,10 @@ def _slots(negatives, num_items, chunk):
 
 
 def _negative_scores(user_rows, item_unit, negatives, chunks, block):
-    """Cosine scores (B, n_neg) of each row's user against its negatives,
-    read off one BLAS product per row chunk, the chunk's users against
-    every item, written into `block`."""
-    f_neg = np.empty(negatives.shape, item_unit.dtype)
+    """Cosine scores (B, n_neg) of each row's user against its negatives in
+    float64, read off one BLAS product per row chunk, the chunk's users
+    against every item, written into `block`."""
+    f_neg = np.empty(negatives.shape)
     for chunk in chunks:
         scores = np.matmul(user_rows[chunk], item_unit.T, out=block[:chunk.stop - chunk.start])
         for rows, at in _slots(negatives, len(item_unit), chunk):
@@ -271,12 +271,8 @@ def loss_and_gradients(
                         spec.lr_beta)
         beta = margins.beta[users]
     # the loss kernels compute in float64, where DrRL's M^{1-g*} (about
-    # 1e125 at eps = 1e-10, g* = 13.5) cannot overflow: the scores are
-    # upcast here (dropping those in the tables' dtype before the loss
-    # allocates), and the DrRL kernel, which the margin gradient above hands
-    # the scores in the tables' dtype, upcasts one cache block at a time; the
-    # score gradients they return are bounded and go back to the tables' dtype
-    f_neg = f_neg.astype(np.float64, copy=False)
+    # 1e125 at eps = 1e-10, g* = 13.5) cannot overflow; the score gradients
+    # they return are bounded and go back to the tables' dtype
     value, d_pos, d_neg = L.batch_loss(f_pos[:, None], f_neg, spec, beta)
     del f_neg
     d_pos, d_neg = (d.astype(item_unit.dtype, copy=False) for d in (d_pos, d_neg))

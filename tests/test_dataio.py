@@ -90,7 +90,7 @@ class TestLoadInteractions:
             dataio.load_interactions(path)
         assert exc.value.line_number == 2
 
-    @pytest.mark.parametrize("field", ["2.5", "1e3", "inf"])
+    @pytest.mark.parametrize("field", ["2.5", "1e3", "inf", "1_0", "\u0663"])
     def test_non_integer_field_reports_number(self, tmp_path, field):
         path = write_log(tmp_path, ["1\t2", f"3\t{field}"])
         with pytest.raises(dataio.ParseError, match="non-integer field") as exc:
@@ -456,6 +456,8 @@ def test_read_split_skips_comment_and_blank_lines_in_parts(tmp_path):
     ("1\t2\t3", "expected two integer fields"),
     ("1\tx", "expected two integer fields"),
     ("1\t2.5", "expected two integer fields"),
+    ("1_0\t1", "expected two integer fields"),
+    ("\u0663\t1", "expected two integer fields"),
     ("2\t1", r"user id 2 outside the manifest's range \[0, 2\)"),
     ("-1\t1", r"user id -1 outside"),
     ("1\t8", r"item id 8 outside the manifest's range \[0, 8\)"),

@@ -87,6 +87,46 @@ def test_drrl_rows_use_the_given_margins():
     assert rows[0].k2 == pytest.approx(0.25 / (0.7 / 3))
 
 
+def test_weights_kernel_reads_each_blocks_packed_width(monkeypatch):
+    # at margins 0.45 user 0 keeps its one candidate above the margin and
+    # its other flagged one, users 1 and 2 their flagged one: the kernel
+    # weighs 2 columns, not the catalogue's 5
+    widths = []
+    kernel = L._drrl_negative_weights
+
+    def recording(f_neg, *args, **kwargs):
+        widths.append(f_neg.shape[1])
+        return kernel(f_neg, *args, **kwargs)
+
+    monkeypatch.setattr(L, "_drrl_negative_weights", recording)
+    spec = L.LossSpec(kind="drrl", gamma_star=2.0, c=1.5)
+    rows = user_diagnostics(SCORES, SPLIT, spec, margins=L.MarginState(np.full(3, 0.45)))
+    assert widths == [2]
+    assert rows.truncation.tolist() == [pytest.approx(2 / 3), 1.0, 1.0]
+    assert rows.k1[0] == 3.0 and rows.degenerate.tolist() == [False, True, True]
+
+
+@pytest.mark.parametrize("spec", [CCL, L.LossSpec(kind="drrl", gamma_star=2.0, c=1.5)],
+                         ids=["ccl", "drrl"])
+def test_block_with_nothing_above_its_margins_and_nothing_flagged_is_degenerate(spec):
+    # the packed block keeps no candidate, yet the kernels get one column
+    split = split_of([{0}, {2}], [set(), set()], [set(), set()], 3)
+    scores = np.array([[0.3, 0.1, 0.2], [0.4, 0.0, 0.9]])
+    rows = user_diagnostics(scores, split, spec, margins=L.MarginState(np.full(2, 0.5)))
+    assert rows.truncation.tolist() == [1.0, 1.0] and rows.degenerate.all()
+    assert np.isnan(rows.k1).all() and np.isnan(rows.k2).all()
+
+
+def test_nan_candidate_is_weighed_not_truncated():
+    # NaN is not at or below the margin: it is packed with the 0.9, and its
+    # DrRL weight, nan, leaves the user degenerate, as weighing the whole row does
+    split = split_of([{0}], [set()], [set()], 4)
+    scores = np.array([[0.3, np.nan, 0.2, 0.9]])
+    spec = L.LossSpec(kind="drrl", gamma_star=2.0, c=1.5)
+    row = user_diagnostics(scores, split, spec, margins=L.MarginState(np.array([0.25])))[0]
+    assert row.truncation == pytest.approx(1 / 3) and row.degenerate
+
+
 def test_user_with_no_candidates_is_skipped():
     split = split_of([{0, 1}, {0}], [set(), {1}], [set(), set()], 2)
     rows = user_diagnostics(np.array([[0.3, 0.1], [0.2, 0.4]]), split, CCL)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import cosine_scores_peak, one_user_metric, user_items
-from drrl import dataio, metrics
+from builders import cosine_scores_peak, one_user_metric, split_of, user_items
+from drrl import dataio, losses, metrics
+from drrl.diagnostics import user_diagnostics
 
 
 def brute_recall(scores, exclude, truth, k):
@@ -283,7 +284,10 @@ class TestWeightStats:
 
 
 def test_truncation_ratio():
+    # the fraction of each user's candidates at or below their margin: user
+    # 0's candidates are every item, user 1's item 0 only
     scores = np.array([[0.5, 0.1, -0.3, 0.0], [1.0, -np.inf, 3.0, -1.0]])
-    candidates = np.array([[True, True, True, True], [True, False, False, False]])
-    got = metrics.truncation_ratio(scores, np.array([0.0, 2.0]), candidates)
-    assert got.tolist() == [0.5, 1.0]
+    split = split_of([set(), {1, 2, 3}], [set(), set()], [set(), set()], 4)
+    margins = losses.MarginState(np.array([0.0, 2.0]))
+    got = user_diagnostics(scores, split, losses.LossSpec(kind="ccl"), margins=margins)
+    assert got.truncation.tolist() == [0.5, 1.0]
