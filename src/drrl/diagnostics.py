@@ -14,17 +14,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses as L
-from .dro_core import minimize_beta_objective
-# cosine_matrix and forward are unused here: perfbench's tracer wraps them in this module
+# cosine_matrix, forward and minimize_beta_objective are unused here: perfbench's
+# tracer wraps them in this module
+from .dro_core import minimize_beta_objective, solve_margins  # noqa: F401
 from .graphmodel import CosineScores, cosine_matrix, forward  # noqa: F401
 from .metrics import visit_score_blocks, weight_stats
 
 # Working memory per score of a diagnostics block, beside the product it is
-# sliced from: the float64 padded scores, the masks, the packed scores and
-# the weights with the kernels' own float64 temporaries. Measured with
-# tracemalloc on float32 and float64 blocks alike: 34.1 bytes under SL, 31.0
-# under CCL and DrRL on a block that packs all but one candidate per row,
-# and 27.1 under DrRL on one that packs none
+# sliced from: the float64 scores, the flag and truncation masks, the packed
+# scores and the weights with the kernels' own float64 temporaries. Measured
+# with tracemalloc on one 300 x 4000 block, float32 and float64 alike: 33.1
+# bytes under SL, 30.0 under CCL and DrRL on a block that packs all but one
+# candidate per row, and 26.1 under DrRL on one that packs none
 BYTES_PER_SCORE = 36
 
 # One record per diagnosed user. A value a user does not have is nan: k1 and
@@ -32,20 +33,6 @@ BYTES_PER_SCORE = 36
 # margin and truncation ratio under SL, which has no margin.
 RECORD = np.dtype([("user", np.int64), ("k1", np.float64), ("k2", np.float64),
                    ("truncation", np.float64), ("beta", np.float64), ("degenerate", bool)])
-
-
-def _candidate_masks(split, users, num_items, noise_pool):
-    """Boolean (len(users), num_items) masks of each user's candidate items
-    and of the flagged false negatives among them."""
-    in_train = np.zeros((users.size, num_items), dtype=bool)
-    in_train[split.train.gather(users)] = True
-    if noise_pool == "train":
-        return np.ones_like(in_train), in_train
-    candidates = ~in_train
-    flagged = np.zeros_like(in_train)
-    flagged[split.validation.gather(users)] = True
-    flagged[split.test.gather(users)] = True
-    return candidates, flagged & candidates
 
 
 def _margins(scores, users, spec, margins, resolve_margin):
@@ -57,7 +44,7 @@ def _margins(scores, users, spec, margins, resolve_margin):
         # is the DrRL term at g* = 1 with c = alpha and eps = 0
         objective = (1.0, spec.alpha, 0.0) if spec.kind == "ccl" else (
             spec.gamma_star, spec.c, spec.eps)
-        return minimize_beta_objective(scores, *objective)[0]
+        return solve_margins(scores, *objective)[0]
     if margins is not None:
         return margins.beta[users]
     # the margin the loss trains with: CCL's is fixed, DrRL's starts at beta0
@@ -93,10 +80,11 @@ def user_diagnostics(
     copied once into float64, the dtype every kernel here computes in.
     `resolve_margin` recomputes each user's margin by minimizing the
     truncated-moment objective on that user's candidate scores
-    (`dro_core.minimize_beta_objective`, once per block) instead of reading
-    it from the trained margin state. At c = 1 (alpha = 1 under CCL), the
-    radius 0, the worst case is P itself: the margin reads -inf, every
-    candidate weighs 1, k1 and k2 read 1 and truncation reads 0.
+    (`dro_core.solve_margins`, once per block) instead of reading it from
+    the given or trained margin state; a nan given margin raises
+    ValueError. At c = 1 (alpha = 1 under CCL), the radius 0, the worst
+    case is P itself: the margin reads -inf, every candidate weighs 1, k1
+    and k2 read 1 and truncation reads 0.
     `noise_pool` selects which items count as false negatives for k2: the
     user's held-out positives (default) or their train positives (in which
     case train positives also join the candidate sweep, mirroring the
@@ -107,19 +95,36 @@ def user_diagnostics(
                          f"diagnostics support {L.WORST_CASE_KINDS}")
     if noise_pool not in ("heldout", "train"):
         raise ValueError(f"noise pool must be 'heldout' or 'train', got {noise_pool!r}")
+    if margins is not None and spec.kind != "sl" and not resolve_margin:
+        nan = np.flatnonzero(np.isnan(margins.beta))
+        if nan.size:
+            raise ValueError(f"given margins must not be nan: user {nan[0]}'s is")
     num_users, num_items = score_matrix.shape
+    # each user's candidate count: the items outside their train set, or
+    # every item under the train pool
+    candidate_counts = np.full(num_users, num_items) if noise_pool == "train" else (
+        num_items - np.diff(split.train.indptr))
     blocks = [np.empty(0, RECORD)]
 
     def diagnose(users, block):
-        candidates, flagged = _candidate_masks(split, users, num_items, noise_pool)
-        live = candidates.any(axis=1)
+        live = candidate_counts[users] > 0
         if not live.all():
-            users, candidates, flagged, block = (
-                users[live], candidates[live], flagged[live], block[live])
+            users, block = users[live], block[live]
         if not users.size:
             return
+        counts = candidate_counts[users]
+        train = split.train.gather(users)
+        flagged = np.zeros(block.shape, bool)
+        if noise_pool == "train":
+            flagged[train] = True
+        else:
+            # train items are no candidates: -inf, which the kernels weigh 0
+            block[train] = -np.inf
+            flagged[split.validation.gather(users)] = True
+            flagged[split.test.gather(users)] = True
+            flagged[train] = False
         # the one float64 copy of the block, which every kernel below reads
-        scores = np.where(candidates, block, np.float64(-np.inf))
+        scores = block.astype(np.float64)
         beta = _margins(scores, users, spec, margins, resolve_margin)
         records = np.empty(users.size, RECORD)
         records["user"] = users
@@ -127,18 +132,18 @@ def user_diagnostics(
         records["truncation"] = np.nan
         if beta is not None:
             below = scores <= beta[:, None]
-            below &= candidates
-            truncated = np.count_nonzero(below, axis=1)
-            records["truncation"] = truncated / np.count_nonzero(candidates, axis=1)
+            # the non-candidates, at -inf, are all at or below any margin
+            truncated = np.count_nonzero(below, axis=1) - (num_items - counts)
+            records["truncation"] = truncated / counts
             if truncated.any():
                 # a truncated candidate weighs 0 and counts only through the
                 # candidate counts weight_stats reads: weigh only the others,
                 # NaN included, and the flagged ones
-                keep = candidates & ~below
+                keep = ~below
                 keep |= flagged
                 scores, flagged = _packed(keep, scores, flagged)
         records["k1"], records["k2"] = weight_stats(L.worst_case_weights(scores, spec, beta),
-                                                    candidates, flagged)
+                                                    counts, flagged)
         records["degenerate"] = np.isnan(records["k1"])
         blocks.append(records)
 

@@ -372,12 +372,52 @@ def _bisect_margin(f, top, gamma_star, c, eps):
     return beta, value
 
 
+def solve_margins(scores, gamma_star, c, eps=0.0):
+    """The margins of `minimize_beta_objective` on a block `(B, n)`, checked
+    as it checks them: a `(B,)` array, and a function that forms the rows'
+    minima. The bisection at g* > 1 finds the minima on its way; at c = 1
+    and g* = 1 they take passes over the whole block of their own, which a
+    caller that reads only the margins never makes."""
+    if c < 1:
+        raise ValueError(
+            f"margin objective needs c >= 1, got c = {c}: for c < 1 it is unbounded below"
+        )
+    f = np.atleast_2d(np.asarray(scores, dtype=float))
+    # a row's max is nan or +inf where it holds either, and -inf where it
+    # holds no finite score (the initial value, also on a zero-column block)
+    top = f.max(axis=1, initial=-np.inf)
+    if not np.isfinite(top).all():
+        raise ValueError("scores must be finite or -inf, with a finite score in every row")
+    if c == 1.0:
+        beta = np.full(len(f), -np.inf)
+
+        def minimum():
+            present = f > -np.inf
+            return np.add.reduce(f, 1, where=present) / np.count_nonzero(present, axis=1) + eps
+    elif gamma_star == 1.0:
+        count = np.count_nonzero(f > -np.inf, axis=1)
+        at = f.shape[1] - 1 - (count // c).astype(np.intp)  # ascending position
+        beta = np.take_along_axis(np.partition(f, np.unique(at), axis=1), at[:, None], axis=1)[:, 0]
+
+        def minimum():
+            return beta + c * np.maximum(f - beta[:, None], 0.0).sum(axis=1) / count + eps
+    else:
+        beta, value = np.empty((2, len(f)))
+        for i, (row, hi) in enumerate(zip(f, top.tolist())):
+            beta[i], value[i] = _bisect_margin(row[row > -np.inf], hi, gamma_star, c, eps)
+
+        def minimum():
+            return value
+    return np.where(beta < top, beta, np.nextafter(top, -np.inf)), minimum
+
+
 def minimize_beta_objective(scores, gamma_star, c, eps=0.0):
     """Minimize the margin objective  beta + M(beta),
     M(beta) = (mean [c (f - beta)_+ + eps]^{g*})^{1/g*}  (`losses`), over beta
     for one row of scores `(n,)` or each row of `(B, n)`, where -inf marks an
     absent score and means run over the row's own scores. Returns (beta*,
-    minimum): floats for one row, `(B,)` arrays for a block.
+    minimum): floats for one row, `(B,)` arrays for a block, both from one
+    `solve_margins` call.
 
     The one margin solver: (g*, c_gamma(eta), 0) gives the Renyi dual of
     `solve_beta` and (1, alpha, 0) the truncated CCL dual. Below c = 1 the
@@ -392,30 +432,8 @@ def minimize_beta_objective(scores, gamma_star, c, eps=0.0):
     is reported one float below it, where the kernels weigh the top scores,
     which carry the worst case, rather than none.
     """
-    if c < 1:
-        raise ValueError(
-            f"margin objective needs c >= 1, got c = {c}: for c < 1 it is unbounded below"
-        )
-    f = np.atleast_2d(np.asarray(scores, dtype=float))
-    # a row's max is nan or +inf where it holds either, and -inf where it
-    # holds no finite score (the initial value, also on a zero-column block)
-    top = f.max(axis=1, initial=-np.inf)
-    if not np.isfinite(top).all():
-        raise ValueError("scores must be finite or -inf, with a finite score in every row")
-    if c == 1.0:
-        beta = np.full(len(f), -np.inf)
-        present = f > -np.inf
-        value = np.add.reduce(f, 1, where=present) / np.count_nonzero(present, axis=1) + eps
-    elif gamma_star == 1.0:
-        count = np.count_nonzero(f > -np.inf, axis=1)
-        at = f.shape[1] - 1 - (count // c).astype(np.intp)  # ascending position
-        beta = np.take_along_axis(np.partition(f, np.unique(at), axis=1), at[:, None], axis=1)[:, 0]
-        value = beta + c * np.maximum(f - beta[:, None], 0.0).sum(axis=1) / count + eps
-    else:
-        beta, value = np.empty((2, len(f)))
-        for i, (row, hi) in enumerate(zip(f, top.tolist())):
-            beta[i], value[i] = _bisect_margin(row[row > -np.inf], hi, gamma_star, c, eps)
-    beta = np.where(beta < top, beta, np.nextafter(top, -np.inf))
+    beta, minimum = solve_margins(scores, gamma_star, c, eps)
+    value = minimum()
     return (float(beta[0]), float(value[0])) if np.ndim(scores) == 1 else (beta, value)
 
 

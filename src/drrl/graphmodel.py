@@ -328,6 +328,8 @@ def load_checkpoint(path):
         if tag == _MARGIN_TAG:
             margins = np.frombuffer(_read_part(fh, n_users * 4, path, "margin section"),
                                     dtype="<f4").astype(float)
+            if not np.isfinite(margins).all():
+                raise ValueError(f"checkpoint {path}: margins must be finite")
             if fh.read(1):
                 raise ValueError(f"checkpoint {path} has bytes after its margin section")
         elif tag:

@@ -149,11 +149,10 @@ def evaluate_ranking(score_matrix, exclude_sets, truth_sets, ks):
     return {key: val / scored.size for key, val in sums.items()}
 
 
-def weight_stats(weights, candidates, flagged):
+def weight_stats(weights, counts, flagged):
     """Row-wise k1 = max / mean and k2 = mean over the flagged items / mean
-    of nonnegative weights (B, n). The means are over each row's
-    candidates, counted from the boolean mask `candidates`, which is read
-    only through its row counts: `weights` may leave out candidates that
+    of nonnegative weights (B, n). The means are over each row's `counts`
+    candidates, which may exceed n: `weights` may leave out candidates that
     weigh 0, and weighs 0 wherever it holds no candidate. `flagged`, a
     boolean (B, n) mask over `weights`, marks candidates. Returns k1 and k2,
     each (B,): both nan on a degenerate row (every weight 0), k2 nan on a row
@@ -164,6 +163,6 @@ def weight_stats(weights, candidates, flagged):
         raise ValueError("weights must be nonnegative")
     with np.errstate(invalid="ignore"):  # 0 / 0 on degenerate rows
         scaled = w / w.max(axis=1, keepdims=True)
-        k1 = np.count_nonzero(candidates, axis=1) / scaled.sum(axis=1)
+        k1 = counts / scaled.sum(axis=1)
         k2 = k1 * scaled.sum(axis=1, where=flagged) / np.count_nonzero(flagged, axis=1)
     return k1, k2

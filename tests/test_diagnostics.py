@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from builders import cosine_scores_peak, split_of
+from builders import cosine_scores_peak, parts, split_of
 from drrl import losses as L
 from drrl import dataio
 from drrl.dataio import split_iid
@@ -127,6 +127,14 @@ def test_nan_candidate_is_weighed_not_truncated():
     assert row.truncation == pytest.approx(1 / 3) and row.degenerate
 
 
+def test_nan_given_margin_is_named():
+    # no count of the scores at or below nan is a truncation ratio
+    spec = L.LossSpec(kind="drrl", gamma_star=2.0, c=1.5)
+    margins = L.MarginState(np.array([0.1, np.nan, 0.2]))
+    with pytest.raises(ValueError, match="given margins must not be nan: user 1's is"):
+        user_diagnostics(SCORES, SPLIT, spec, margins=margins)
+
+
 def test_user_with_no_candidates_is_skipped():
     split = split_of([{0, 1}, {0}], [set(), {1}], [set(), set()], 2)
     rows = user_diagnostics(np.array([[0.3, 0.1], [0.2, 0.4]]), split, CCL)
@@ -240,6 +248,28 @@ def test_blocks_match_the_per_user_reference(spec, noise_pool, margin, monkeypat
         monkeypatch.setattr(dataio, "BLOCK_BYTES",
                             BYTES_PER_SCORE * split.num_items * users_per_block)
         _same_rows(user_diagnostics(scores, split, spec, **kwargs), want)
+
+
+@pytest.mark.parametrize("spec", [
+    L.LossSpec(kind="ccl", alpha=2.0, margin=0.1),
+    L.LossSpec(kind="drrl", gamma_star=2.0, c=1.3, eps=0.05),
+], ids=["ccl", "drrl"])
+@pytest.mark.parametrize("noise_pool", ["heldout", "train"])
+def test_parts_that_repeat_train_items_match_the_per_user_reference(spec, noise_pool):
+    # a hand-written split directory can list a train item in a held-out
+    # part as well: it stays no candidate, so it is never flagged
+    split, scores, margins = _random_case()
+    train, validation, test = parts(split)
+    for user, items in enumerate(train):
+        if user % 2 == 0:
+            validation[user].append(items[0])
+        if user % 3 == 0:
+            test[user].append(items[-1])
+    split = split_of(*(list(map(set, part)) for part in (train, validation, test)),
+                     split.num_items)
+    for kwargs in ({"margins": margins}, {"resolve_margin": True}):
+        want = ref.user_diagnostics(scores, split, spec, noise_pool=noise_pool, **kwargs)
+        _same_rows(user_diagnostics(scores, split, spec, noise_pool=noise_pool, **kwargs), want)
 
 
 @pytest.mark.parametrize("spec", [L.LossSpec(kind="drrl", gamma_star=2.0, c=1.0, eps=0.1),

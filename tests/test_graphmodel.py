@@ -391,6 +391,20 @@ def test_checkpoint_rejects_bytes_after_the_margin_section(tmp_path, tail):
         gm.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "plus-inf", "minus-inf"])
+def test_checkpoint_rejects_a_non_finite_margin(tmp_path, value):
+    # 3 users, 4 items, d = 2: the margin section's first value sits at
+    # bytes 80-83, after the 4-byte tag
+    table = gm.EmbeddingTable.init_normal(3, 4, 2, seed=7)
+    path = tmp_path / "ck.bin"
+    gm.save_checkpoint(path, table, np.array([0.1, -0.2, 0.3]))
+    data = path.read_bytes()
+    path.write_bytes(data[:80] + struct.pack("<f", value) + data[84:])
+    with pytest.raises(ValueError, match=f"^checkpoint {path}: margins must be finite$"):
+        gm.load_checkpoint(path)
+
+
 def test_checkpoint_names_an_unknown_section_tag(tmp_path):
     table = gm.EmbeddingTable.init_normal(3, 4, 2, seed=7)
     path = tmp_path / "ck.bin"

@@ -258,29 +258,41 @@ class TestWeightStats:
         w = [[3.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
         # row 1's third item is not a candidate
         candidates = [[True, True, True], [True, True, False]]
-        k1, k2 = metrics.weight_stats(w, candidates, [[False, True, True], [True, False, False]])
+        k1, k2 = metrics.weight_stats(w, np.count_nonzero(candidates, axis=1),
+                                      [[False, True, True], [True, False, False]])
         assert k1.tolist() == pytest.approx([3.0 / (4 / 3), 2.0])
         assert k2.tolist() == pytest.approx([0.5 / (4 / 3), 2.0])
 
     def test_empty_mask_gives_no_k2(self):
-        _, k2 = metrics.weight_stats([[1.0, 2.0]], everything([[1.0, 2.0]]), [[False, False]])
+        w = [[1.0, 2.0]]
+        _, k2 = metrics.weight_stats(w, np.count_nonzero(everything(w), axis=1), [[False, False]])
         assert np.isnan(k2[0])
 
     def test_zero_weights_flagged_degenerate(self):
-        k1, k2 = metrics.weight_stats([[0.0, 0.0]], everything([[0.0, 0.0]]), [[True, False]])
+        w = [[0.0, 0.0]]
+        k1, k2 = metrics.weight_stats(w, np.count_nonzero(everything(w), axis=1), [[True, False]])
         assert np.isnan(k1[0]) and np.isnan(k2[0])
 
     def test_negative_weights_rejected(self):
+        w = [[-1.0, 2.0]]
         with pytest.raises(ValueError):
-            metrics.weight_stats([[-1.0, 2.0]], everything([[-1.0, 2.0]]), [[False, False]])
+            metrics.weight_stats(w, np.count_nonzero(everything(w), axis=1), [[False, False]])
 
     @pytest.mark.parametrize("value", [0.1, 0.3, 1e-300, 7.0])
     @pytest.mark.parametrize("n", [3, 10, 997])
     def test_k1_of_uniform_weights_is_exactly_one(self, value, n):
         # max / mean reads 0.9999999999999999 on [0.1] * 3
         w = np.full((2, n), value)
-        k1, _ = metrics.weight_stats(w, everything(w), ~everything(w))
+        k1, _ = metrics.weight_stats(w, np.count_nonzero(everything(w), axis=1), ~everything(w))
         assert k1.tolist() == [1.0, 1.0]
+
+    def test_counts_beyond_the_blocks_width_take_the_means_over_every_candidate(self):
+        # a packed block of 2 columns for rows of 6 and 4 candidates: the
+        # left-out candidates weigh 0 and count only in the means
+        w = [[3.0, 1.0], [2.0, 0.0]]
+        k1, k2 = metrics.weight_stats(w, np.array([6, 4]), [[False, True], [True, False]])
+        assert k1.tolist() == pytest.approx([3.0 / (4 / 6), 2.0 / (2 / 4)])
+        assert k2.tolist() == pytest.approx([1.0 / (4 / 6), 2.0 / (2 / 4)])
 
 
 def test_truncation_ratio():
