@@ -100,7 +100,9 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     cfg, _, split, scores = _load_run(args.run)
-    truth = split.test if args.target == "test" else split.validation
+    truth = getattr(split, args.target)
+    if not truth.items.size:
+        raise ValueError(f"split {cfg.data.input} has no {args.target} interactions")
     results = evaluate_ranking(scores, split.train, truth, args.k or [cfg.train.metric_k])
     lines = ["metric,k,value"]
     for (metric, k), value in sorted(results.items()):

@@ -7,7 +7,7 @@ import json
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +136,14 @@ class DatasetSplit:
     num_users: int
     num_items: int
     seed: int | None = None
+    # each user's validation and test items, ascending, repeats collapsed:
+    # the held-out pool of the sampler's flips and of the diagnostics' flags
+    heldout_items: UserItems = field(init=False, repr=False)
+
+    def __post_init__(self):
+        everyone = np.arange(self.num_users)
+        rows, items = np.hstack([self.validation.gather(everyone), self.test.gather(everyone)])
+        self.heldout_items = _user_items(rows, items, self.num_users, self.num_items)
 
     def train_pairs(self):
         """(user, item) rows of every train interaction, in that order."""
@@ -341,15 +349,6 @@ def split_temporal(log: InteractionLog, test_frac=0.2, val_frac_of_train=0.1):
     return _split_of(log, users, items, part, "temporal_ood")
 
 
-def _heldout_pools(split, users):
-    """The held-out (validation and test) items of the distinct users, as
-    UserItems, and each row's index among those users."""
-    distinct, row_user = np.unique(users, return_inverse=True)
-    (rv, iv), (rt, it) = split.validation.gather(distinct), split.test.gather(distinct)
-    return _user_items(np.concatenate([rv, rt]), np.concatenate([iv, it]), distinct.size,
-                       split.num_items), row_user
-
-
 def sample_batch(
     split: DatasetSplit,
     batch_size,
@@ -361,8 +360,8 @@ def sample_batch(
     """Uniform positive pairs with per-pair uniform negatives.
 
     Under a noise config with p > 0 each negative slot is, with probability
-    p, drawn from the configured pool of the user's positives (held-out by
-    default, or their train positives) and flagged as a false negative;
+    p, drawn from the configured part of the user's positives (by default
+    `heldout_items`, or `train`) and flagged as a false negative;
     otherwise it is drawn outside the user's train positives. Users with
     an empty pool get no flips. Rows whose user has no item outside the
     train set are skipped, with one warning per call.
@@ -399,13 +398,12 @@ def sample_batch(
 
     flips = np.zeros(negatives.shape, dtype=bool)
     if noise.p > 0 and len(pairs):
-        pools, row = ((split.train, users) if noise.pool == "train"
-                      else _heldout_pools(split, users))
-        starts = pools.indptr[row]
-        sizes = pools.indptr[row + 1] - starts
+        pool = split.train if noise.pool == "train" else split.heldout_items
+        starts = pool.indptr[users]
+        sizes = pool.indptr[users + 1] - starts
         flips = (rng.random(negatives.shape) < noise.p) & (sizes > 0)[:, None]
         rows = np.nonzero(flips)[0]
-        negatives[flips] = pools.items[starts[rows] + rng.integers(0, sizes[rows])]
+        negatives[flips] = pool.items[starts[rows] + rng.integers(0, sizes[rows])]
     return BatchSample(pairs, negatives, flips)
 
 

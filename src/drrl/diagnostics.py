@@ -85,10 +85,10 @@ def user_diagnostics(
     ValueError. At c = 1 (alpha = 1 under CCL), the radius 0, the worst
     case is P itself: the margin reads -inf, every candidate weighs 1, k1
     and k2 read 1 and truncation reads 0.
-    `noise_pool` selects which items count as false negatives for k2: the
-    user's held-out positives (default) or their train positives (in which
-    case train positives also join the candidate sweep, mirroring the
-    train-pool noise protocol).
+    `noise_pool` selects the part whose items count as false negatives for
+    k2, as it selects the sampler's flip pool: `split.heldout_items`
+    (default) or `split.train` (in which case train positives also join the
+    candidate sweep, mirroring the train-pool noise protocol).
     """
     if spec.kind not in L.WORST_CASE_KINDS:
         raise ValueError(f"no worst-case weight notion for loss {spec.kind!r}; "
@@ -100,10 +100,11 @@ def user_diagnostics(
         if nan.size:
             raise ValueError(f"given margins must not be nan: user {nan[0]}'s is")
     num_users, num_items = score_matrix.shape
-    # each user's candidate count: the items outside their train set, or
-    # every item under the train pool
-    candidate_counts = np.full(num_users, num_items) if noise_pool == "train" else (
-        num_items - np.diff(split.train.indptr))
+    # the flagged part, and each user's candidate count: the items outside
+    # their train set, or every item under the train pool
+    pool, candidate_counts = (
+        (split.train, np.full(num_users, num_items)) if noise_pool == "train"
+        else (split.heldout_items, num_items - np.diff(split.train.indptr)))
     blocks = [np.empty(0, RECORD)]
 
     def diagnose(users, block):
@@ -113,16 +114,12 @@ def user_diagnostics(
         if not users.size:
             return
         counts = candidate_counts[users]
-        train = split.train.gather(users)
         flagged = np.zeros(block.shape, bool)
-        if noise_pool == "train":
-            flagged[train] = True
-        else:
+        flagged[pool.gather(users)] = True
+        if noise_pool == "heldout":
             # train items are no candidates: -inf, which the kernels weigh 0
-            block[train] = -np.inf
-            flagged[split.validation.gather(users)] = True
-            flagged[split.test.gather(users)] = True
-            flagged[train] = False
+            train = split.train.gather(users)
+            block[train], flagged[train] = -np.inf, False
         # the one float64 copy of the block, which every kernel below reads
         scores = block.astype(np.float64)
         beta = _margins(scores, users, spec, margins, resolve_margin)

@@ -365,6 +365,8 @@ def train(
     backbone_cfg.validate()
     spec.validate()
     train_cfg.validate()
+    if not split.validation.items.size:
+        raise ValueError("split has no validation interactions to validate each epoch on")
     seeds = np.random.SeedSequence(train_cfg.seed).spawn(3)
     init_seed = seeds[0].generate_state(1)[0]
     sample_rng = np.random.default_rng(seeds[1])

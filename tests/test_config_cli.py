@@ -478,9 +478,41 @@ class TestCli:
         assert capsys.readouterr().err == "error: split has no train interactions\n"
         assert not (tmp_path / "run").exists()
 
+    def test_train_names_a_split_without_validation_interactions(self, log_file, tmp_path,
+                                                                 capsys):
+        # no user's train pool of at most 16 items rounds 1% up to one item;
+        # the error comes before the first step, not after an epoch
+        assert cli.main(["split", str(log_file), str(tmp_path / "s"), "--val", "0.01"]) == 0
+        assert json.loads((tmp_path / "s" / "manifest.json").read_text())["counts"][
+            "validation"] == 0
+        capsys.readouterr()
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=tmp_path / "s", outdir=tmp_path / "run"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == ("error: split has no validation interactions "
+                                           "to validate each epoch on\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_evaluate_names_an_empty_target_part_and_its_split(self, log_file, tmp_path,
+                                                               capsys):
+        split = tmp_path / "s"
+        assert cli.main(["split", str(log_file), str(split), "--kind", "temporal",
+                         "--test", "0"]) == 0
+        assert json.loads((split / "manifest.json").read_text())["counts"]["test"] == 0
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(GOOD_CFG.format(input=split, outdir=tmp_path / "run"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--run", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: split {split} has no test interactions\n"
+        assert cli.main(["evaluate", "--run", str(tmp_path / "run"),
+                         "--target", "validation"]) == 0
+
     def test_train_names_a_split_whose_users_lack_negatives(self, tmp_path, capsys):
-        # every user holds every item, so every sampled row is skipped
-        dataio.write_split(split_of([{0, 1, 2}, {0, 1, 2}], [set(), set()], [set(), set()], 3),
+        # every user holds every item, so every sampled row is skipped; a
+        # hand-written validation part repeats a train item, since a split
+        # without validation interactions fails before the first step
+        dataio.write_split(split_of([{0, 1, 2}, {0, 1, 2}], [{0}, set()], [set(), set()], 3),
                            tmp_path / "s")
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(GOOD_CFG.format(input=tmp_path / "s", outdir=tmp_path / "run"))

@@ -243,6 +243,45 @@ class TestSplitTemporal:
         assert all(not s for s in split.test)
 
 
+def _overlapping_split():
+    """Validation and test parts that share items with each other and repeat
+    train items; user 3 holds every item but one in train."""
+    return split_of(train=[{0, 1, 2}, {3}, {4, 5}, {0, 1, 2, 3, 4, 5, 6, 7}],
+                    validation=[{2, 6}, {3, 7, 8}, set(), {1}],
+                    test=[{0, 6, 7}, {7}, {5}, {1, 8}], num_items=9)
+
+
+class TestHeldoutItems:
+    def test_each_users_validation_and_test_items_ascending_once(self, tmp_path):
+        split = _overlapping_split()
+        part = split.heldout_items
+        assert len(part) == split.num_users
+        for user in range(split.num_users):
+            items = part.items[part.indptr[user]:part.indptr[user + 1]].tolist()
+            assert items == sorted(split.validation[user] | split.test[user])
+        # a split read back from its files derives the same part
+        dataio.write_split(split, tmp_path / "s")
+        again = dataio.read_split(tmp_path / "s").heldout_items
+        np.testing.assert_array_equal(again.indptr, part.indptr)
+        np.testing.assert_array_equal(again.items, part.items)
+
+    @pytest.mark.parametrize("p", [0.3, 1.0])
+    def test_every_heldout_flip_lies_in_the_part(self, p):
+        split = _overlapping_split()
+        for seed in range(3):
+            batch = dataio.sample_batch(split, 300, 8, dataio.NoiseConfig(p),
+                                        np.random.default_rng(seed))
+            mask = batch.false_negative_mask
+            assert mask.any()
+            for (user, _), negs, flagged in zip(batch.pairs, batch.negatives, mask):
+                assert set(negs[flagged].tolist()) <= split.heldout_items[user]
+            # the reference draws each pool from per-user set unions
+            want = scalar_reference.sample_batch(split, 300, 8, dataio.NoiseConfig(p),
+                                                 np.random.default_rng(seed))
+            np.testing.assert_array_equal(batch.negatives, want.negatives)
+            np.testing.assert_array_equal(mask, want.false_negative_mask)
+
+
 class TestSampleBatch:
     def test_clean_batch_avoids_train_positives(self):
         split = _toy_split()
