@@ -19,8 +19,8 @@ import numpy as np
 BLOCK_BYTES = 16 << 20
 
 # Elements in one cache-sized block (256 KiB of float64), walked by the
-# element-wise kernels that make several passes over each block: the DrRL
-# loss kernel and Adam.
+# element-wise kernels that make several passes over each block (the DrRL
+# loss kernel and Adam) and by `slot_blocks`' index blocks.
 CACHE_BLOCK = 1 << 15
 
 PARTS = ("train", "validation", "test")
@@ -34,6 +34,15 @@ def row_blocks(count, row_size, budget=None):
     if 0 < count <= rows:  # kernels called on a few scores at a time skip the loop
         return [slice(0, count)]
     return [slice(start, min(start + rows, count)) for start in range(0, count, rows)]
+
+
+def slot_blocks(negatives, num_items, chunk):
+    """Row sub-blocks of a row chunk of `negatives` (B, n_neg), of at most
+    CACHE_BLOCK slots each: yields each sub-block's rows of the batch and
+    its slots' flat indices into the chunk's (rows x items) block."""
+    for rows in row_blocks(chunk.stop - chunk.start, negatives.shape[1], CACHE_BLOCK):
+        at = negatives[chunk][rows] + num_items * np.arange(rows.start, rows.stop)[:, None]
+        yield slice(chunk.start + rows.start, chunk.start + rows.stop), at
 
 
 def replace_file(path, data):
@@ -368,8 +377,9 @@ def sample_batch(
 
     All slots are drawn at once. The batch rows are then walked in
     `row_blocks` of at most BLOCK_BYTES: each block's boolean (rows x items)
-    train mask is made once, and the block's draws that hit one of the
-    user's train positives are redrawn until none does.
+    train mask is made once, the block's draws that hit one of the user's
+    train positives are found in `slot_blocks` of at most CACHE_BLOCK
+    slots, and they are redrawn until none does.
     """
     noise = noise or NoiseConfig()
     if train_pairs is None:
@@ -391,7 +401,10 @@ def sample_batch(
         mask[split.train.gather(users[block])] = True
         flat = negatives[block].reshape(-1)  # a view: the block's rows are contiguous
         offsets = num_items * np.arange(len(mask))
-        redraw = np.flatnonzero(np.take(mask, negatives[block] + offsets[:, None]))
+        # the first draws' hits in ascending slot order, the order they are redrawn in
+        redraw = np.concatenate([
+            np.flatnonzero(np.take(mask, at)) + (rows.start - block.start) * n_neg
+            for rows, at in slot_blocks(negatives, num_items, block)])
         while redraw.size:
             flat[redraw] = rng.integers(0, num_items, size=redraw.size)
             redraw = redraw[np.take(mask, flat[redraw] + offsets[redraw // n_neg])]

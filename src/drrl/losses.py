@@ -153,6 +153,27 @@ def ccl_loss(f_pos, f_neg, alpha, margin):
     return value, d_pos, d_neg
 
 
+def _power_mean(x, gamma_star, eps, low=None):
+    """The scale, power and mean passes of `_drrl_negative_weights` over a
+    block of terms x (rows, n), each at least eps: divides the rows that
+    need it by their largest term, writes x^{g*-1} into `low` (or a new
+    array) and x^{g*} into x, and returns M / scale, M and `low`."""
+    low_top, high_top = 2.0 ** (-900.0 / gamma_star), 2.0 ** (900.0 / gamma_star)
+    scale = None
+    # every term is at least eps, and at g* = 1 the kernel takes no power
+    if gamma_star != 1.0 and (eps < low_top or x.max() > high_top):
+        top = x.max(axis=1, keepdims=True)
+        # a row of zero terms (fully truncated at eps = 0) needs no scale
+        kept = (top == 0.0) | ((top >= low_top) & (top <= high_top))
+        if not kept.all():
+            scale = np.where(kept, 1.0, top)
+            x /= scale
+    low = np.power(x, gamma_star - 1.0, out=low)
+    x *= low
+    mean = (np.add.reduce(x, 1) / x.shape[1]) ** (1.0 / gamma_star)
+    return mean, mean if scale is None else mean * scale[:, 0], low
+
+
 def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights="full"):
     """Per-row M = (mean [c (f - beta)_+ + eps]^{g*})^{1/g*} (B,) and its
     weights dM/df = M^{1-g*}/n [c (f-beta)_+ + eps]^{g*-1} c 1[f > beta]:
@@ -165,6 +186,11 @@ def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights="full"):
     gradient and the worst-case weights all call it. It walks cache-sized
     `row_blocks` in float64, whatever the scores' dtype, and every pass over
     a block writes in place into the same scratch blocks (or the output).
+    A block of several rows whose every score lies at or below its row's
+    margin (no nan) is fully truncated: each of its terms is eps, so it
+    forms no terms and takes no power. Its rows' M is that of one row of
+    n terms eps, formed once per call by the same passes (`_power_mean`),
+    and its weights and sums are 0. One-row blocks skip that test.
     A row whose largest term T = c (max f - beta)_+ + eps has a g*-th power
     outside [2^-900, 2^900], where a power of the terms or of M would over-
     or underflow, has its terms divided by T before any power (one row max
@@ -178,31 +204,29 @@ def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights="full"):
     power per element."""
     rows, n = f_neg.shape
     beta = _column(beta, rows, "beta")
-    low_top, high_top = 2.0 ** (-900.0 / gamma_star), 2.0 ** (900.0 / gamma_star)
     m = []
     out = (np.empty((rows, n)) if weights == "full"
            else np.empty(rows) if weights == "sum" else None)
-    x = low = None  # the scratch blocks, made by the first block's passes
+    x = low = truncated = None  # the scratch blocks and the truncated rows' M
     for block in row_blocks(rows, n, CACHE_BLOCK):
         f, b = f_neg[block], beta[block] if beta.ndim else beta
+        # fully truncated: every row's max f - beta is at most 0; it is nan,
+        # and the block live, where a score is nan or f = beta = +-inf makes
+        # a term nan
+        if len(f) > 1 and (f.max(axis=1, keepdims=True) - b <= 0.0).all():
+            if truncated is None:
+                truncated = _power_mean(np.full((1, n), float(eps)), gamma_star, eps)[1][0]
+            m.append(np.full(len(f), truncated))
+            if weights is not None:
+                out[block] = 0.0
+            continue
         x = np.subtract(f, b, out=None if x is None else x[:len(f)])
         np.maximum(x, 0.0, out=x)
         x *= c
         x += eps
-        scale = None
-        # every term is at least eps, and at g* = 1 the kernel takes no power
-        if gamma_star != 1.0 and (eps < low_top or x.max() > high_top):
-            top = x.max(axis=1, keepdims=True)
-            # a row of zero terms (fully truncated at eps = 0) needs no scale
-            kept = (top == 0.0) | ((top >= low_top) & (top <= high_top))
-            if not kept.all():
-                scale = np.where(kept, 1.0, top)
-                x /= scale
         low = out[block] if weights == "full" else None if low is None else low[:len(f)]
-        low = np.power(x, gamma_star - 1.0, out=low)
-        x *= low
-        mean = (np.add.reduce(x, 1) / n) ** (1.0 / gamma_star)  # M / scale
-        m.append(mean if scale is None else mean * scale[:, 0])
+        mean, block_m, low = _power_mean(x, gamma_star, eps, low)  # mean = M / scale
+        m.append(block_m)
         if weights is None:
             continue
         mb = mean[:, None]

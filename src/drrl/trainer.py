@@ -11,7 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import losses as L
-from .dataio import CACHE_BLOCK, DatasetSplit, NoiseConfig, replace_file, row_blocks, sample_batch
+from .dataio import (CACHE_BLOCK, DatasetSplit, NoiseConfig, replace_file, row_blocks,
+                     sample_batch, slot_blocks)
 from .graphmodel import (
     BackboneConfig,
     CosineScores,
@@ -170,15 +171,6 @@ def _touched(size, *ids):
     return np.flatnonzero(sum(np.bincount(np.ravel(a), minlength=size) for a in ids))
 
 
-def _slots(negatives, num_items, chunk):
-    """Row sub-blocks of a row chunk, of at most CACHE_BLOCK negatives each:
-    yields each sub-block's rows of the batch and its negatives' flat
-    indices into the chunk's (rows x items) block."""
-    for rows in row_blocks(chunk.stop - chunk.start, negatives.shape[1], CACHE_BLOCK):
-        at = negatives[chunk][rows] + num_items * np.arange(rows.start, rows.stop)[:, None]
-        yield slice(chunk.start + rows.start, chunk.start + rows.stop), at
-
-
 def _negative_scores(user_rows, item_unit, negatives, chunks, block):
     """Cosine scores (B, n_neg) of each row's user against its negatives in
     float64, read off one BLAS product per row chunk, the chunk's users
@@ -186,7 +178,7 @@ def _negative_scores(user_rows, item_unit, negatives, chunks, block):
     f_neg = np.empty(negatives.shape)
     for chunk in chunks:
         scores = np.matmul(user_rows[chunk], item_unit.T, out=block[:chunk.stop - chunk.start])
-        for rows, at in _slots(negatives, len(item_unit), chunk):
+        for rows, at in slot_blocks(negatives, len(item_unit), chunk):
             f_neg[rows] = np.take(scores, at)
     return f_neg
 
@@ -221,7 +213,7 @@ def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_n
         coeff = block[:chunk.stop - chunk.start]
         coeff.fill(0)
         coeff[np.arange(len(coeff)), pos_items[chunk]] = d_pos[chunk, 0]
-        for rows, at in _slots(negatives, num_items, chunk):
+        for rows, at in slot_blocks(negatives, num_items, chunk):
             np.add.at(coeff.reshape(-1), at.ravel(), d_neg[rows].ravel())
         np.matmul(coeff, item_unit, out=grad_rows[chunk])
         grad_items += coeff.T @ user_rows[chunk]

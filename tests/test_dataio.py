@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,41 @@ class TestSampleBatch:
         first = rng.integers(0, 40, size=(50, 16))
         hit = [[j in split.train[u] for j in negs] for (u, _), negs in zip(rows, first)]
         assert np.mean(hit) > 0.5
+
+    @pytest.mark.parametrize("block_bytes, slots", [(dataio.BLOCK_BYTES, [7]), (50 * 40, [2] * 4)])
+    @pytest.mark.parametrize("noise", [None, dataio.NoiseConfig(0.3)])
+    def test_slot_blocks_match_the_sorted_key_reference_bit_for_bit(self, noise, block_bytes,
+                                                                    slots, monkeypatch):
+        # 1000 slots a row make slot blocks of 32 rows: 200 rows are 7 of
+        # them in one train-mask block, or 4 mask blocks of 50 rows (32 and
+        # 18) at 50 * 40 bytes
+        monkeypatch.setattr(dataio, "BLOCK_BYTES", block_bytes)
+        for seed in range(3):
+            split = _busy_split(seed, num_items=40)
+            batch = dataio.sample_batch(split, 200, 1000, noise, np.random.default_rng(seed))
+            ref = scalar_reference.sample_batch(split, 200, 1000, noise,
+                                                np.random.default_rng(seed))
+            np.testing.assert_array_equal(batch.pairs, ref.pairs)
+            np.testing.assert_array_equal(batch.negatives, ref.negatives)
+            np.testing.assert_array_equal(batch.false_negative_mask, ref.false_negative_mask)
+        assert [len(list(dataio.slot_blocks(batch.negatives, 40, block)))
+                for block in dataio.row_blocks(200, 40)] == slots
+
+    def test_memory_stays_within_the_batch_and_a_few_slot_blocks(self):
+        # the negatives, the flags and one train-mask block, plus a few
+        # cache-sized int64 blocks: no (B, n_neg) index temporary
+        split = dataio.split_iid(make_block_log(2000, 1000, interactions_per_user=20, seed=0),
+                                 seed=0)
+        train_pairs = split.train_pairs()
+        tracemalloc.start()
+        try:
+            batch = dataio.sample_batch(split, 1024, 1024, None, np.random.default_rng(0),
+                                        train_pairs=train_pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = batch.negatives.nbytes + batch.false_negative_mask.nbytes + 1024 * 1000
+        assert peak < arrays + 4 * 8 * dataio.CACHE_BLOCK
 
     def test_bad_noise_config_rejected(self):
         with pytest.raises(ValueError):

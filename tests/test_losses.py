@@ -324,6 +324,81 @@ def test_drrl_kernel_at_eps_zero_equals_the_whole_array_power_bit_for_bit(gamma_
             assert (got is None) if want is None else got.tobytes() == want.tobytes()
 
 
+def truncated_reference(f_neg, gamma_star, c, eps, beta, truncated):
+    """`ref.drrl_negative_weights`, except that each fully truncated row (its
+    terms all eps) whose eps^{g*} lies outside [2^-900, 2^900] has M = eps:
+    there the kernel divides the terms by eps before any power, so that
+    S = 1 and M = eps S, where the unscaled reference under- or overflows."""
+    m_ref, d_ref = ref.drrl_negative_weights(f_neg, gamma_star, c, eps, beta)
+    if gamma_star != 1.0 and eps != 0.0 and not (
+            2.0 ** (-900.0 / gamma_star) <= eps <= 2.0 ** (900.0 / gamma_star)):
+        m_ref[truncated] = eps
+    return m_ref, d_ref
+
+
+@pytest.mark.parametrize("gamma_star", sorted({1.0, 1.5, 400.0, *PRESET_GAMMA_STARS}))
+@pytest.mark.parametrize("eps", [0.0, 1e-300, 1e-10, 0.1])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shared", [False, True], ids=["per-row-beta", "scalar-beta"])
+def test_fully_truncated_blocks_equal_the_whole_array_reference(gamma_star, eps, dtype, shared):
+    # 134 rows of 1000 scores are cache blocks of 32, 32, 32, 32 and 6 rows.
+    # With per-row margins blocks 0, 3 and 4 are fully truncated (block 3
+    # holds a row of -inf and rows whose largest score equals the margin),
+    # block 1 is live and block 2 is truncated but for one nan, which keeps
+    # it live; at the scalar margin 1.0 block 1 is truncated too. The blocks
+    # that form no terms give the bytes, signed zeros included, of the
+    # whole-array formula
+    rng = np.random.default_rng(37)
+    f_neg = rng.uniform(-1, 1, (134, 1000)).astype(dtype)
+    f_neg[100] = -np.inf
+    f_neg[70, 500] = np.nan
+    beta = np.full(134, 1.0)
+    # every live row's largest term c (max f - beta) + eps lies in [0.5, 2],
+    # where even g* = 400 keeps the kernel's scale 1
+    beta[32:64] = rng.uniform(-0.5, 0.5, 32)
+    beta[101:128] = f_neg[101:128].max(axis=1)
+    if shared:
+        beta = np.float64(1.0)
+    truncated = np.ones(134, bool)
+    truncated[70] = False  # the nan row's M is nan
+    if not shared:
+        truncated[32:64] = False
+    for c in (1.0, 1.25):
+        m_ref, d_ref = truncated_reference(f_neg, gamma_star, c, eps,
+                                           beta if shared else beta[:, None], truncated)
+        for weights, want in (("full", d_ref), ("sum", d_ref.sum(axis=1)), (None, None)):
+            m, got = L._drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights)
+            assert np.isnan(m[70])
+            # the nan row's largest term is nan, so wherever the kernel
+            # scales rows it scales that one by nan and every weight of the
+            # row is nan, where the reference has a nan at the nan score only
+            rest = np.arange(134) != 70
+            assert m[rest].tobytes() == m_ref[rest].tobytes()
+            assert (got is None) if want is None else got[rest].tobytes() == want[rest].tobytes()
+            if weights is not None:
+                assert not np.any(got[truncated])  # +0.0: the bytes above are the reference's
+
+
+def test_fully_truncated_blocks_form_no_terms():
+    # at a margin above every score no block forms its terms: the margin
+    # gradient's peak is below one float64 scratch block, and the loss's
+    # score gradients are +0.0
+    rows, n = 1024, 1024
+    rng = np.random.default_rng(41)
+    f_neg, beta = rng.uniform(-1, 0.85, (rows, n)), np.full(rows, 0.85)
+    tracemalloc.start()
+    try:
+        grad = L.drrl_beta_gradient(f_neg, 13.5, 1.0, 1e-10, beta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grad.tobytes() == np.ones(rows).tobytes()
+    assert peak < 8 * CACHE_BLOCK
+    spec = L.LossSpec(kind="drrl", gamma_star=13.5, c=1.0, eps=1e-10)
+    _, _, d_neg = L.batch_loss(np.zeros((rows, 1)), f_neg, spec, beta)
+    assert d_neg.tobytes() == np.zeros((rows, n)).tobytes()
+
+
 def decimal_drrl(f, gamma_star, c, eps, beta):
     """M and dM/df_j = c/n (t_j / M)^{g*-1} 1[f_j > beta] of one row, in
     40-digit decimal arithmetic, which neither over- nor underflows here."""
