@@ -379,7 +379,10 @@ def sample_batch(
     `row_blocks` of at most BLOCK_BYTES: each block's boolean (rows x items)
     train mask is made once, the block's draws that hit one of the user's
     train positives are found in `slot_blocks` of at most CACHE_BLOCK
-    slots, and they are redrawn until none does.
+    slots, and they are redrawn until none does. The flips, and then their
+    pool items, are drawn last, each in order in row blocks of at most
+    CACHE_BLOCK slots: the values of one whole-batch draw, without its
+    batch-sized temporaries.
     """
     noise = noise or NoiseConfig()
     if train_pairs is None:
@@ -414,9 +417,14 @@ def sample_batch(
         pool = split.train if noise.pool == "train" else split.heldout_items
         starts = pool.indptr[users]
         sizes = pool.indptr[users + 1] - starts
-        flips = (rng.random(negatives.shape) < noise.p) & (sizes > 0)[:, None]
-        rows = np.nonzero(flips)[0]
-        negatives[flips] = pool.items[starts[rows] + rng.integers(0, sizes[rows])]
+        blocks = row_blocks(len(pairs), n_neg, CACHE_BLOCK)
+        for rows in blocks:
+            np.less(rng.random((rows.stop - rows.start, n_neg)), noise.p, out=flips[rows])
+        flips &= (sizes > 0)[:, None]
+        for rows in blocks:
+            hit = flips[rows]
+            at = np.flatnonzero(hit) // n_neg + rows.start
+            negatives[rows][hit] = pool.items[starts[at] + rng.integers(0, sizes[at])]
     return BatchSample(pairs, negatives, flips)
 
 

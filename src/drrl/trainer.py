@@ -28,14 +28,19 @@ from .graphmodel import (
 from .metrics import evaluate_ranking
 
 # The step pulls its score gradients back through the scorer's (rows x
-# items) block when the catalogue has at most this many items per scored
-# (positive or negative) slot of a row, and through one sparse (B x items)
-# matrix above it. Float32 MF DrRL `loss_and_gradients` at B = 1024, d = 64
-# on a 2000 x 1000 log (2 vCPUs, medians of 20-60 calls alternating the two
-# pullbacks in one process, five processes): at n_neg = 1024, 1000 items
-# below the threshold, dense 29-41 ms against 51-74 ms sparse; at n_neg = 64,
-# 1000 items above it, sparse 4.7-7.2 ms against 5.3-7.1 ms dense, faster
-# in three processes of five.
+# items) block when the catalogue has at most this many items per live slot
+# of a row on average, items x B <= 8 (B + nonzero d_neg), and through one
+# sparse (B x items) matrix of the live entries alone above it. The block
+# is held through the loss only if the catalogue has at most 8 items per
+# scored slot (n_neg + 1), the most a row can have live. Measured while the
+# sparse matrix held every slot, float32 MF DrRL `loss_and_gradients` at
+# B = 1024, d = 64 on a 2000 x 1000 log (2 vCPUs, medians of 20-60 calls
+# alternating the two pullbacks in one process, five processes): at
+# n_neg = 1024, 1000 items below the threshold, dense 29-41 ms against
+# 51-74 ms sparse; at n_neg = 64, 1000 items above it, sparse 4.7-7.2 ms
+# against 5.3-7.1 ms dense, faster in three processes of five. With every
+# negative truncated the sparse matrix holds B entries: at n_neg = 1024 in
+# float64 its pullback took 0.8 ms against 6.1-20.9 ms through the block.
 DENSE_ITEMS_PER_SLOT = 8
 
 
@@ -185,17 +190,20 @@ def _negative_scores(user_rows, item_unit, negatives, chunks, block):
 
 def _sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg):
     """Score gradients pulled back to the batch's unit user rows (B, d) and
-    to every unit item row, through one sparse (B x items) matrix: row b
-    holds d_pos at its positive and d_neg at each of its negatives (repeats
-    add up)."""
-    items = np.hstack([pos_items[:, None], negatives])
+    to every unit item row, through one sparse (B x items) matrix of the
+    live entries only: row b holds d_pos at its positive, then d_neg at each
+    of its negatives whose d_neg is nonzero, in slot order (repeats add up).
+    Only those entries are cast to the tables' dtype."""
+    rows, n_neg = negatives.shape
+    live = np.flatnonzero(d_neg != 0)
+    starts = np.searchsorted(live, n_neg * np.arange(rows + 1))  # of each row's live run
     coeff = sp.csr_matrix(
         (
-            np.hstack([d_pos, d_neg]).ravel(),
-            items.ravel(),
-            np.arange(0, items.size + 1, items.shape[1]),
+            np.insert(d_neg.ravel()[live].astype(item_unit.dtype), starts[:-1], d_pos.ravel()),
+            np.insert(negatives.ravel()[live], starts[:-1], pos_items),
+            starts + np.arange(rows + 1),
         ),
-        shape=(len(items), len(item_unit)),
+        shape=(rows, len(item_unit)),
     )
     return coeff @ item_unit, coeff.T @ user_rows
 
@@ -205,7 +213,10 @@ def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_n
     """`_sparse_score_pullback` through the scorer's (rows x items) `block`,
     reused per row chunk: zeroed, given each row's d_pos and then its d_neg
     (repeats add up in the sparse matrix's entry order; `np.add.at` is fast
-    on 1-D indices only) and applied by two BLAS products."""
+    on 1-D indices only) and applied by two BLAS products. Zeros are added
+    too: picking out the nonzero slots first made the scatter slower (1024
+    x 1024 slots into 1000 items, 2 vCPUs: 5.0-8.1 ms at 5-20% nonzero
+    against 2.9-3.1 ms over every slot)."""
     num_items = len(item_unit)
     grad_rows = np.empty(user_rows.shape, item_unit.dtype)
     grad_items = np.zeros_like(item_unit)
@@ -214,7 +225,8 @@ def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_n
         coeff.fill(0)
         coeff[np.arange(len(coeff)), pos_items[chunk]] = d_pos[chunk, 0]
         for rows, at in slot_blocks(negatives, num_items, chunk):
-            np.add.at(coeff.reshape(-1), at.ravel(), d_neg[rows].ravel())
+            np.add.at(coeff.reshape(-1), at.ravel(),
+                      d_neg[rows].ravel().astype(coeff.dtype, copy=False))
         np.matmul(coeff, item_unit, out=grad_rows[chunk])
         grad_items += coeff.T @ user_rows[chunk]
     return grad_rows, grad_items
@@ -244,7 +256,7 @@ def loss_and_gradients(
     # holds the whole batch, as narrow products that reread the item table
     # are memory-bound. A catalogue at most DENSE_ITEMS_PER_SLOT times the
     # scored slots of a row is nearly all touched by each chunk, and the
-    # pullback reuses the block
+    # block is held for the pullback
     num_items, n_neg = item_unit.shape[0], batch.negatives.shape[1]
     dense = num_items <= DENSE_ITEMS_PER_SLOT * (n_neg + 1)
     chunks = row_blocks(len(batch_users), 2 * item_unit.itemsize * num_items)
@@ -264,11 +276,17 @@ def loss_and_gradients(
         beta = margins.beta[users]
     # the loss kernels compute in float64, where DrRL's M^{1-g*} (about
     # 1e125 at eps = 1e-10, g* = 13.5) cannot overflow; the score gradients
-    # they return are bounded and go back to the tables' dtype
+    # they return are bounded, and the pullbacks cast the ones they scatter
+    # to the tables' dtype
     value, d_pos, d_neg = L.batch_loss(f_pos[:, None], f_neg, spec, beta)
     del f_neg
-    d_pos, d_neg = (d.astype(item_unit.dtype, copy=False) for d in (d_pos, d_neg))
-
+    # the live slots of a row are its positive and each negative whose
+    # d_neg is nonzero (one that CCL or DrRL truncates has exactly 0); an
+    # all-live loss keeps the verdict above
+    if dense and num_items * len(d_neg) > DENSE_ITEMS_PER_SLOT * (
+            len(d_neg) + np.count_nonzero(d_neg)):
+        dense = False
+        del block
     if dense:
         grad_rows, grad_item_unit = _dense_score_pullback(
             batch_users, item_unit, pos_items, batch.negatives, d_pos, d_neg, chunks, block)

@@ -443,6 +443,42 @@ class TestSampleBatch:
         arrays = batch.negatives.nbytes + batch.false_negative_mask.nbytes + 1024 * 1000
         assert peak < arrays + 4 * 8 * dataio.CACHE_BLOCK
 
+    @pytest.mark.parametrize("pool", ["heldout", "train"])
+    @pytest.mark.parametrize("p", [0.2, 1.0])
+    def test_flips_drawn_in_slot_blocks_match_the_whole_draw_bit_for_bit(self, p, pool):
+        # 200 rows of 1000 slots are 7 slot blocks of flip and pool draws
+        for seed in range(3):
+            split = _busy_split(seed, num_items=40)
+            noise = dataio.NoiseConfig(p, pool)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            batch = dataio.sample_batch(split, 200, 1000, noise, rng)
+            ref = scalar_reference.sample_batch(split, 200, 1000, noise, ref_rng)
+            np.testing.assert_array_equal(batch.negatives, ref.negatives)
+            np.testing.assert_array_equal(batch.false_negative_mask, ref.false_negative_mask)
+            assert batch.false_negative_mask.any()
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("p", [0.2, 1.0])
+    def test_noisy_memory_stays_within_the_batch_and_a_few_slot_blocks(self, p):
+        # the noise-free call's arrays plus five cache-sized int64 blocks:
+        # the flips and their pool draws take one slot block at a time
+        # (10.3 MiB at p = 0.2, 11.0 MiB at p = 1), not a float64 (B, n_neg)
+        # draw and batch-sized index arrays (19.0 and 50.0 MiB when drawn
+        # whole)
+        split = dataio.split_iid(make_block_log(2000, 1000, interactions_per_user=20, seed=0),
+                                 seed=0)
+        train_pairs = split.train_pairs()
+        tracemalloc.start()
+        try:
+            batch = dataio.sample_batch(split, 1024, 1024, dataio.NoiseConfig(p),
+                                        np.random.default_rng(0), train_pairs=train_pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.false_negative_mask.mean() >= 0.9 * p
+        arrays = batch.negatives.nbytes + batch.false_negative_mask.nbytes + 1024 * 1000
+        assert peak < arrays + 5 * 8 * dataio.CACHE_BLOCK
+
     def test_bad_noise_config_rejected(self):
         with pytest.raises(ValueError):
             dataio.NoiseConfig(1.5)

@@ -1,9 +1,11 @@
 import json
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import scalar_reference
 from drrl import dataio
@@ -280,6 +282,135 @@ def test_float32_step_matches_float64_step(regime, kind, backbone):
     assert _relative_gap(gu32, gu) <= 1e-4
     assert _relative_gap(gi32, gi) <= 1e-4
     assert _relative_gap(margins32.beta, margins.beta) <= 1e-4
+
+
+def _live_rule_case(n_items, n_neg, backbone="mf"):
+    """The regime tests' set-up at a given shape: 5 rows of 6 users with
+    repeated users and a negative repeated within a row and equal to a
+    positive."""
+    rng = np.random.default_rng(12)
+    table = EmbeddingTable.init_normal(6, n_items, 4, seed=4)
+    pairs = [(u, i) for u in range(6) for i in range(n_items) if (u * 7 + i) % 5 == 0]
+    graph = InteractionGraph(np.asarray(pairs), 6, n_items)
+    cfg = BackboneConfig(kind=backbone, layers=2, noise_modulus=0.0, infonce_weight=0.5)
+    batch = BatchSample(
+        np.array([[0, 5], [2, 3], [0, 1], [5, 0], [3, n_items - 1]]),
+        np.vstack([[5, 5, 1] + [2] * (n_neg - 3), rng.integers(0, n_items, size=(4, n_neg))]),
+        np.zeros((5, n_neg), dtype=bool),
+    )
+    return table, graph, cfg, batch
+
+
+def _record_pullbacks(monkeypatch):
+    """The pullback each `loss_and_gradients` call takes with the live
+    negatives of the d_neg it pulls back, and the entry count of each
+    sparse matrix it builds."""
+    taken, entries = [], []
+    for name in ("dense", "sparse"):
+        monkeypatch.setattr(tr, f"_{name}_score_pullback",
+                            lambda *a, f=getattr(tr, f"_{name}_score_pullback"), name=name:
+                            taken.append((name, np.count_nonzero(a[5]))) or f(*a))
+
+    def csr_matrix(arrays, **kwargs):
+        entries.append(len(arrays[0]))
+        return sp.csr_matrix(arrays, **kwargs)
+
+    monkeypatch.setattr(tr, "sp", types.SimpleNamespace(csr_matrix=csr_matrix))
+    return taken, entries
+
+
+def _assert_matches_scalar_reference(table, graph, cfg, spec, start, batch, margin_update):
+    margins, ref_margins = start.copy(), start.copy()
+    value, gu, gi = tr.loss_and_gradients(table, graph, cfg, spec, margins, batch,
+                                          margin_update=margin_update)
+    ref_value, ref_gu, ref_gi = scalar_reference.loss_and_gradients(
+        table, graph, cfg, spec, ref_margins, batch, margin_update=margin_update)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert _relative_gap(gu, ref_gu) <= 1e-12
+    assert _relative_gap(gi, ref_gi) <= 1e-12
+    np.testing.assert_allclose(margins.beta, ref_margins.beta, rtol=1e-12, atol=0)
+
+
+@MARGIN_UPDATES
+@pytest.mark.parametrize("backbone", ["mf", "lightgcn", "xsimgcl"])
+def test_fully_truncated_batch_at_a_dense_catalogue_pulls_back_only_its_positives(
+        backbone, margin_update, monkeypatch):
+    # 9 items against 7 negatives are catalogue-dense, but margins above
+    # every cosine (still above 1 after the margin step) truncate every
+    # negative: only the 5 positives carry a gradient
+    n_items, n_neg = 9, 7
+    assert n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
+    table, graph, cfg, batch = _live_rule_case(n_items, n_neg, backbone)
+    taken, entries = _record_pullbacks(monkeypatch)
+    spec = LossSpec(kind="drrl", gamma_star=2.0, c=1.2, eps=0.1, lr_beta=0.05)
+    start = MarginState(np.linspace(1.2, 1.5, 6))
+    _assert_matches_scalar_reference(table, graph, cfg, spec, start, batch, margin_update)
+    assert taken == [("sparse", 0)] and entries == [len(batch.pairs)]
+
+
+def test_all_live_loss_at_a_dense_catalogue_keeps_the_dense_pullback(monkeypatch):
+    table, graph, cfg, batch = _live_rule_case(9, 7)
+    taken, entries = _record_pullbacks(monkeypatch)
+    tr.loss_and_gradients(table, graph, cfg, LossSpec(kind="sl", tau=0.2),
+                          MarginState.initialize(6, 1.5), batch)
+    assert taken == [("dense", batch.negatives.size)] and entries == []
+
+
+@pytest.mark.parametrize("kind", ["ccl", "drrl"])
+def test_partly_live_batch_takes_the_side_its_live_count_predicts(kind, monkeypatch):
+    # 40 items against 7 negatives are catalogue-dense; the live rule keeps
+    # 5 rows dense while 40 * 5 <= 8 (5 + live negatives), at 20 or more of
+    # the 35. The margins sweep the live count across that line
+    n_items, n_neg = 40, 7
+    assert n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
+    table, graph, cfg, batch = _live_rule_case(n_items, n_neg)
+    taken, entries = _record_pullbacks(monkeypatch)
+    for margin in np.linspace(-0.6, 0.6, 13):
+        spec = LossSpec(kind=kind, alpha=2.0, margin=margin, gamma_star=2.0, c=1.2, eps=0.1)
+        _assert_matches_scalar_reference(table, graph, cfg, spec, MarginState(np.full(6, margin)),
+                                         batch, margin_update=False)
+    assert [name for name, _ in taken] == [
+        "dense" if n_items * 5 <= 8 * (5 + live) else "sparse" for _, live in taken]
+    assert entries == [5 + live for name, live in taken if name == "sparse"]
+    assert 0 < len(entries) < len(taken)
+
+
+def _every_slot_sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg):
+    """`_sparse_score_pullback` as it was before it dropped zero entries:
+    every slot of every row, in slot order, in the dtype of d_pos and d_neg."""
+    items = np.hstack([pos_items[:, None], negatives])
+    coeff = sp.csr_matrix(
+        (
+            np.hstack([d_pos, d_neg]).ravel(),
+            items.ravel(),
+            np.arange(0, items.size + 1, items.shape[1]),
+        ),
+        shape=(len(items), len(item_unit)),
+    )
+    return coeff @ item_unit, coeff.T @ user_rows
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sparse_pullback_of_live_entries_equals_the_every_slot_pullback_bit_for_bit(dtype):
+    rng = np.random.default_rng(5)
+    batch_size, n_neg, n_items, d = 64, 30, 500, 8
+    user_rows = rng.normal(size=(batch_size, d)).astype(dtype)
+    item_unit = rng.normal(size=(n_items, d)).astype(dtype)
+    pos_items = rng.integers(0, n_items, batch_size)
+    negatives = rng.integers(0, n_items, (batch_size, n_neg))
+    negatives[:, 1] = negatives[:, 0]  # repeats within a row
+    negatives[:, 2] = pos_items  # and a negative equal to the positive
+    d_pos = rng.normal(size=(batch_size, 1))
+    d_neg = rng.normal(size=(batch_size, n_neg)) * (rng.random((batch_size, n_neg)) < 0.3)
+    d_neg[[0, 7, -1]] = 0.0  # rows without a live negative, the first and last among them
+    d_neg[8] = -0.0
+    d_neg[9] = rng.normal(size=n_neg)  # a row whose every negative is live
+    got = tr._sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg)
+    want = _every_slot_sparse_score_pullback(user_rows, item_unit, pos_items, negatives,
+                                             d_pos.astype(dtype), d_neg.astype(dtype))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == dtype
+        assert g.tobytes() == w.tobytes()
 
 
 def _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg, kind="mf",
