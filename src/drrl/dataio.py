@@ -411,6 +411,7 @@ def sample_batch(
         while redraw.size:
             flat[redraw] = rng.integers(0, num_items, size=redraw.size)
             redraw = redraw[np.take(mask, flat[redraw] + offsets[redraw // n_neg])]
+        del mask  # before the next block's mask, and the flips
 
     flips = np.zeros(negatives.shape, dtype=bool)
     if noise.p > 0 and len(pairs):

@@ -29,18 +29,20 @@ from .metrics import evaluate_ranking
 
 # The step pulls its score gradients back through the scorer's (rows x
 # items) block when the catalogue has at most this many items per live slot
-# of a row on average, items x B <= 8 (B + nonzero d_neg), and through one
-# sparse (B x items) matrix of the live entries alone above it. The block
-# is held through the loss only if the catalogue has at most 8 items per
-# scored slot (n_neg + 1), the most a row can have live. Measured while the
-# sparse matrix held every slot, float32 MF DrRL `loss_and_gradients` at
-# B = 1024, d = 64 on a 2000 x 1000 log (2 vCPUs, medians of 20-60 calls
-# alternating the two pullbacks in one process, five processes): at
-# n_neg = 1024, 1000 items below the threshold, dense 29-41 ms against
-# 51-74 ms sparse; at n_neg = 64, 1000 items above it, sparse 4.7-7.2 ms
-# against 5.3-7.1 ms dense, faster in three processes of five. With every
-# negative truncated the sparse matrix holds B entries: at n_neg = 1024 in
-# float64 its pullback took 0.8 ms against 6.1-20.9 ms through the block.
+# of a row on average, items x B <= 8 (B + live entries), and through one
+# sparse (B x items) matrix of the live entries alone above it. A truncating
+# loss (CCL, DrRL) hands over its live entries; every slot of the others is
+# live. The block is held through the loss only if the catalogue has at most
+# 8 items per scored slot (n_neg + 1), the most a row can have live.
+# Measured while the sparse matrix held every slot, float32 MF DrRL
+# `loss_and_gradients` at B = 1024, d = 64 on a 2000 x 1000 log (2 vCPUs,
+# medians of 20-60 calls alternating the two pullbacks in one process, five
+# processes): at n_neg = 1024, 1000 items below the threshold, dense
+# 29-41 ms against 51-74 ms sparse; at n_neg = 64, 1000 items above it,
+# sparse 4.7-7.2 ms against 5.3-7.1 ms dense, faster in three processes of
+# five. With every negative truncated the sparse matrix holds B entries: at
+# n_neg = 1024 in float64 its pullback took 0.8 ms against 6.1-20.9 ms
+# through the block.
 DENSE_ITEMS_PER_SLOT = 8
 
 
@@ -191,16 +193,15 @@ def _negative_scores(user_rows, item_unit, negatives, chunks, block):
 def _sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg):
     """Score gradients pulled back to the batch's unit user rows (B, d) and
     to every unit item row, through one sparse (B x items) matrix of the
-    live entries only: row b holds d_pos at its positive, then d_neg at each
-    of its negatives whose d_neg is nonzero, in slot order (repeats add up).
-    Only those entries are cast to the tables' dtype."""
+    live entries `d_neg` (`losses.LiveEntries`) only: row b holds d_pos at
+    its positive, then d_neg at each of its live negatives, in slot order
+    (repeats add up). Only those entries are cast to the tables' dtype."""
     rows, n_neg = negatives.shape
-    live = np.flatnonzero(d_neg != 0)
-    starts = np.searchsorted(live, n_neg * np.arange(rows + 1))  # of each row's live run
+    starts = np.searchsorted(d_neg.index, n_neg * np.arange(rows + 1))  # of each row's live run
     coeff = sp.csr_matrix(
         (
-            np.insert(d_neg.ravel()[live].astype(item_unit.dtype), starts[:-1], d_pos.ravel()),
-            np.insert(negatives.ravel()[live], starts[:-1], pos_items),
+            np.insert(d_neg.value.astype(item_unit.dtype), starts[:-1], d_pos.ravel()),
+            np.insert(negatives.ravel()[d_neg.index], starts[:-1], pos_items),
             starts + np.arange(rows + 1),
         ),
         shape=(rows, len(item_unit)),
@@ -213,20 +214,30 @@ def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_n
     """`_sparse_score_pullback` through the scorer's (rows x items) `block`,
     reused per row chunk: zeroed, given each row's d_pos and then its d_neg
     (repeats add up in the sparse matrix's entry order; `np.add.at` is fast
-    on 1-D indices only) and applied by two BLAS products. Zeros are added
-    too: picking out the nonzero slots first made the scatter slower (1024
-    x 1024 slots into 1000 items, 2 vCPUs: 5.0-8.1 ms at 5-20% nonzero
-    against 2.9-3.1 ms over every slot)."""
-    num_items = len(item_unit)
+    on 1-D indices only) and applied by two BLAS products. A dense d_neg
+    (B, n) is added slot by slot, in `slot_blocks`; `LiveEntries` add only
+    their live entries, which beat densifying them once (1024 x 1024 slots
+    into 1000 float32 items, 2 vCPUs, medians of 15 alternating calls: 2.4-
+    2.9 ms against 5.2-5.7 ms at 12% live, the fewest the block takes at
+    B = 1024, 4.9-5.2 against 5.8-6.1 ms at 60%; 6.7-7.2 against 6.4-6.6 ms
+    at 100%)."""
+    num_items, n_neg = len(item_unit), negatives.shape[1]
     grad_rows = np.empty(user_rows.shape, item_unit.dtype)
     grad_items = np.zeros_like(item_unit)
     for chunk in chunks:
         coeff = block[:chunk.stop - chunk.start]
         coeff.fill(0)
         coeff[np.arange(len(coeff)), pos_items[chunk]] = d_pos[chunk, 0]
-        for rows, at in slot_blocks(negatives, num_items, chunk):
-            np.add.at(coeff.reshape(-1), at.ravel(),
-                      d_neg[rows].ravel().astype(coeff.dtype, copy=False))
+        if isinstance(d_neg, L.LiveEntries):
+            live = slice(*np.searchsorted(d_neg.index, [n_neg * chunk.start, n_neg * chunk.stop]))
+            slot = d_neg.index[live]
+            at = np.take(negatives, slot)
+            at += num_items * (slot // n_neg - chunk.start)
+            np.add.at(coeff.reshape(-1), at, d_neg.value[live].astype(coeff.dtype))
+        else:
+            for rows, at in slot_blocks(negatives, num_items, chunk):
+                np.add.at(coeff.reshape(-1), at.ravel(),
+                          d_neg[rows].ravel().astype(coeff.dtype, copy=False))
         np.matmul(coeff, item_unit, out=grad_rows[chunk])
         grad_items += coeff.T @ user_rows[chunk]
     return grad_rows, grad_items
@@ -280,17 +291,20 @@ def loss_and_gradients(
     # to the tables' dtype
     value, d_pos, d_neg = L.batch_loss(f_pos[:, None], f_neg, spec, beta)
     del f_neg
-    # the live slots of a row are its positive and each negative whose
-    # d_neg is nonzero (one that CCL or DrRL truncates has exactly 0); an
+    # the live slots of a row are its positive and each negative that CCL or
+    # DrRL hands over as a live entry (a truncated one has exactly 0); an
     # all-live loss keeps the verdict above
-    if dense and num_items * len(d_neg) > DENSE_ITEMS_PER_SLOT * (
-            len(d_neg) + np.count_nonzero(d_neg)):
+    truncating = isinstance(d_neg, L.LiveEntries)
+    if dense and truncating and num_items * len(d_pos) > DENSE_ITEMS_PER_SLOT * (
+            len(d_pos) + len(d_neg.index)):
         dense = False
         del block
     if dense:
         grad_rows, grad_item_unit = _dense_score_pullback(
             batch_users, item_unit, pos_items, batch.negatives, d_pos, d_neg, chunks, block)
     else:
+        if not truncating:  # every slot of an all-live loss is a live entry
+            d_neg = L.LiveEntries(np.arange(d_neg.size), d_neg.ravel(), d_neg.shape)
         grad_rows, grad_item_unit = _sparse_score_pullback(
             batch_users, item_unit, pos_items, batch.negatives, d_pos, d_neg)
     grad_user_unit = np.zeros_like(user_unit)

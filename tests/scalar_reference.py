@@ -2,7 +2,8 @@
 keeps every layer, the dense InfoNCE kernel that forms its cosine,
 gradient and weighted-cosine (n x n) arrays one by one, cosine scores and
 their Jacobians for one (user, item) pair, the closed-form worst-case
-weights, the whole-array DrRL kernel with a fresh array per pass,
+weights, the whole-array DrRL kernel with a fresh array per pass and the
+whole-array CCL weights,
 checkpoint diagnostics with one kernel call per user, a
 loss-and-gradients pass that loops over pairs and negatives one at a time,
 the earlier projected-ascent inner maximization (simplex projection,
@@ -166,6 +167,12 @@ def drrl_negative_weights(f_neg, gamma_star, c, eps, beta):
     return m[:, 0], scale * lowered * c * (f_neg > beta)
 
 
+def ccl_negative_weights(f_neg, alpha, margin):
+    """Whole-array CCL score weights (B, n): alpha / n above the margin (a
+    scalar or a (B, 1) column), 0 at or below it and at a nan score."""
+    return np.where(f_neg > margin, alpha / f_neg.shape[1], 0.0)
+
+
 def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=False,
                      noise_pool="heldout"):
     """Per-user reference of `diagnostics.user_diagnostics`: each user's
@@ -208,7 +215,7 @@ def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=Fal
             _, _, d_neg = L.ccl_loss(positive, f[None], spec.alpha, beta)
         else:
             _, _, d_neg = L.drrl_loss(positive, f[None], spec.gamma_star, spec.c, 0.0, beta)
-        w = d_neg[0]
+        w = L.dense(d_neg)[0]
         mean = w.mean()
         degenerate = bool(mean == 0.0)
         k1 = float("nan") if degenerate else float(w.max() / mean)
@@ -278,7 +285,7 @@ def loss_and_gradients(table, graph, backbone_cfg, spec, margins, batch, margin_
         beta = None if spec.kind != "drrl" else np.array([margins.beta[u]])
         v, d_pos, d_neg = L.batch_loss(np.array([[fp]]), np.array([fn]), spec, beta)
         value += v / n
-        for item, coeff in [(i, d_pos[0, 0] / n)] + list(zip(negs, d_neg[0] / n)):
+        for item, coeff in [(i, d_pos[0, 0] / n)] + list(zip(negs, L.dense(d_neg)[0] / n)):
             gu, gi = score_gradient(fu[u], fi[item])
             grad_u[u] += coeff * gu
             grad_i[item] += coeff * gi

@@ -137,7 +137,7 @@ def test_05_ccl_degeneracy():
         a_value, _, a_neg = L.drrl_loss(pos, neg, 1.0, alpha, 0.0, beta)
         b_value, _, b_neg = L.ccl_loss(pos, neg, alpha, beta)
         worst = max(worst, abs(a_value[0] - b_value[0]),
-                    float(np.max(np.abs(a_neg - b_neg), initial=0.0)))
+                    float(np.max(np.abs(L.dense(a_neg) - L.dense(b_neg)), initial=0.0)))
     assert worst <= 1e-12, f"worst degeneracy gap {worst:.2e}"
 
 

@@ -479,6 +479,25 @@ class TestSampleBatch:
         arrays = batch.negatives.nbytes + batch.false_negative_mask.nbytes + 1024 * 1000
         assert peak < arrays + 5 * 8 * dataio.CACHE_BLOCK
 
+    @pytest.mark.parametrize("pool", ["heldout", "train"])
+    def test_mask_block_is_released_before_the_flips(self, pool):
+        # at p = 1 the flip draws peak with the batch's arrays and their slot
+        # blocks alone (1.1 MB beside them); the last (B x items) train mask
+        # block, 1 MB, is no longer held through them (2.1 MB beside them)
+        split = dataio.split_iid(make_block_log(2000, 1000, interactions_per_user=20, seed=0),
+                                 seed=0)
+        train_pairs = split.train_pairs()
+        tracemalloc.start()
+        try:
+            batch = dataio.sample_batch(split, 1024, 1024, dataio.NoiseConfig(1.0, pool),
+                                        np.random.default_rng(0), train_pairs=train_pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.false_negative_mask.all()
+        arrays = batch.pairs.nbytes + batch.negatives.nbytes + batch.false_negative_mask.nbytes
+        assert peak < arrays + 5 * 8 * dataio.CACHE_BLOCK
+
     def test_bad_noise_config_rejected(self):
         with pytest.raises(ValueError):
             dataio.NoiseConfig(1.5)

@@ -106,7 +106,7 @@ def test_sl_weights_mean_one(neg, tau):
 def test_ccl_truncation_zeroes_gradient():
     value, _, d_neg = L.ccl_loss(row([0.8]), row([0.5, 0.1, -0.3]), 2.0, 0.2)
     assert value[0] == pytest.approx(-0.8 + 2.0 * 0.3 / 3)
-    assert d_neg[0] == pytest.approx([2.0 / 3, 0.0, 0.0])
+    assert L.dense(d_neg)[0] == pytest.approx([2.0 / 3, 0.0, 0.0])
 
 
 def test_drrl_hand_values():
@@ -114,7 +114,7 @@ def test_drrl_hand_values():
     value, _, d_neg = L.drrl_loss(row([0.8]), row([0.5, 0.1, -0.3]), 2.0, 1.0, 0.0, 0.0)
     m = np.sqrt(0.26 / 3)
     assert value[0] == pytest.approx(-0.8 + m)
-    assert d_neg[0] == pytest.approx(np.array([0.5, 0.1, 0.0]) / m / 3)
+    assert L.dense(d_neg)[0] == pytest.approx(np.array([0.5, 0.1, 0.0]) / m / 3)
 
 
 def test_drrl_worst_case_weights_hand_values():
@@ -142,7 +142,7 @@ def test_worst_case_weights_match_closed_forms(gamma):
 def test_drrl_fully_truncated_degenerates():
     assert not L.worst_case_weights(row([-0.5, -0.2]), drrl_at(2.0), 0.5).any()
     _, _, d_neg = L.drrl_loss(row([0.3]), row([-0.5, -0.2]), 2.0, 1.0, 0.0, 0.5)
-    assert d_neg[0] == pytest.approx([0.0, 0.0])
+    assert L.dense(d_neg)[0] == pytest.approx([0.0, 0.0])
     assert L.drrl_beta_gradient(row([-0.5, -0.2]), 2.0, 1.0, 0.0, 0.5) == pytest.approx([1.0])
 
 
@@ -207,6 +207,7 @@ def test_drrl_kernel_matches_two_power_formulas(gamma_star, eps):
     m, d_ref = two_power_drrl(f_neg, gamma_star, c, eps, beta[:, None])
     # at zero positive scores each row's value is M itself
     value, _, d_neg = L.drrl_loss(np.zeros((8, 1)), f_neg, gamma_star, c, eps, beta)
+    d_neg = L.dense(d_neg)
     np.testing.assert_allclose(value, m, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(d_neg, d_ref, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(L.drrl_beta_gradient(f_neg, gamma_star, c, eps, beta),
@@ -237,14 +238,14 @@ def test_blocked_drrl_kernel_equals_the_whole_array_reference(rows, n, gamma_sta
                                              beta if shared else beta[:, None])
     m, d_neg = L._drrl_negative_weights(f_neg, gamma_star, c, eps, beta)
     np.testing.assert_array_equal(m, m_ref)
-    np.testing.assert_array_equal(d_neg, d_ref)
+    np.testing.assert_array_equal(L.dense(d_neg), d_ref)
     np.testing.assert_array_equal(L._drrl_negative_weights(f_neg, gamma_star, c, eps, beta,
                                                            weights=None)[0], m_ref)
     np.testing.assert_array_equal(L.drrl_beta_gradient(f_neg, gamma_star, c, eps, beta),
                                   1.0 - d_ref.sum(axis=1))
     spec = L.LossSpec(kind="drrl", gamma_star=gamma_star, c=c, eps=eps)
     _, _, d_batch = L.batch_loss(np.zeros((rows, 1)), f_neg, spec, beta)
-    np.testing.assert_array_equal(d_batch, d_ref / rows)
+    np.testing.assert_array_equal(L.dense(d_batch), d_ref / rows)
     objective = [L.drrl_beta_objective(f, gamma_star, c, eps, b)
                  for f, b in zip(f_neg[:3], np.broadcast_to(beta, rows)[:3])]
     np.testing.assert_array_equal(objective, np.broadcast_to(beta, rows)[:3] + m_ref[:3])
@@ -283,12 +284,13 @@ def test_drrl_kernel_scales_only_rows_whose_powers_leave_the_float_range(gamma_s
             m_ref, d_ref = ref.drrl_negative_weights(f_neg, gamma_star, c, eps, beta[:, None])
             m, d_neg = L._drrl_negative_weights(f_neg, gamma_star, c, eps, beta)
             np.testing.assert_array_equal(m, m_ref)
-            np.testing.assert_array_equal(d_neg, d_ref)
+            np.testing.assert_array_equal(L.dense(d_neg), d_ref)
     extreme = np.abs(f_neg[:4, :60]) * np.array([1e-200, 1e-200, 1e200, 1e200])[:, None]
     extreme_beta = np.array([0.0, 0.5e-200, 0.0, 0.5e200])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         m, d_neg = L._drrl_negative_weights(extreme, gamma_star, 1.25, 0.0, extreme_beta)
+    d_neg = L.dense(d_neg)
     for i in range(4):
         m_ref, d_ref = decimal_drrl(extreme[i], gamma_star, 1.25, 0.0, extreme_beta[i])
         assert m[i] == pytest.approx(m_ref, rel=1e-12)
@@ -300,9 +302,10 @@ def test_drrl_kernel_scales_only_rows_whose_powers_leave_the_float_range(gamma_s
 @pytest.mark.parametrize("low", [-1.0, -20.0], ids=["half-truncated", "mostly-truncated"])
 def test_drrl_kernel_at_eps_zero_equals_the_whole_array_power_bit_for_bit(gamma_star, shared,
                                                                            low):
-    # at eps = 0 a mostly truncated block takes the power of its untruncated
-    # terms only, the others the power of every term; the bytes of both,
-    # signed zeros included, equal those of a power of every term
+    # at eps = 0 a live block, half or mostly truncated, takes the power of
+    # every term, its truncated terms' 0 included, and a fully truncated
+    # block none; the bytes of both, signed zeros included, equal those of
+    # the whole-array reference's power of every term
     rng = np.random.default_rng(31)
     f_neg = rng.uniform(low, 1, (70, 1000))  # three cache blocks
     f_neg[rng.random(f_neg.shape) < 0.2] = -np.inf
@@ -318,8 +321,9 @@ def test_drrl_kernel_at_eps_zero_equals_the_whole_array_power_bit_for_bit(gamma_
     for c in (1.0, 1.2):
         m_ref, d_ref = ref.drrl_negative_weights(f_neg, gamma_star, c, 0.0,
                                                  beta if shared else beta[:, None])
-        for weights, want in (("full", d_ref), ("sum", d_ref.sum(axis=1)), (None, None)):
+        for weights, want in (("live", d_ref), ("sum", d_ref.sum(axis=1)), (None, None)):
             m, got = L._drrl_negative_weights(f_neg, gamma_star, c, 0.0, beta, weights)
+            got = L.dense(got)
             assert m.tobytes() == m_ref.tobytes()
             assert (got is None) if want is None else got.tobytes() == want.tobytes()
 
@@ -366,8 +370,9 @@ def test_fully_truncated_blocks_equal_the_whole_array_reference(gamma_star, eps,
     for c in (1.0, 1.25):
         m_ref, d_ref = truncated_reference(f_neg, gamma_star, c, eps,
                                            beta if shared else beta[:, None], truncated)
-        for weights, want in (("full", d_ref), ("sum", d_ref.sum(axis=1)), (None, None)):
+        for weights, want in (("live", d_ref), ("sum", d_ref.sum(axis=1)), (None, None)):
             m, got = L._drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights)
+            got = L.dense(got)
             assert np.isnan(m[70])
             # the nan row's largest term is nan, so wherever the kernel
             # scales rows it scales that one by nan and every weight of the
@@ -396,7 +401,67 @@ def test_fully_truncated_blocks_form_no_terms():
     assert peak < 8 * CACHE_BLOCK
     spec = L.LossSpec(kind="drrl", gamma_star=13.5, c=1.0, eps=1e-10)
     _, _, d_neg = L.batch_loss(np.zeros((rows, 1)), f_neg, spec, beta)
-    assert d_neg.tobytes() == np.zeros((rows, n)).tobytes()
+    assert L.dense(d_neg).tobytes() == np.zeros((rows, n)).tobytes()
+
+
+def live_scores(case, rng):
+    """Three cache blocks of scores (70, 1000) and per-row margins, in which
+    every block is fully truncated ("truncated"), the first block is and the
+    others are partly live ("partly"), or every score is live ("all");
+    "partly" holds nan, -inf and -0.0 scores and rows whose margin equals
+    their largest score."""
+    f_neg = rng.uniform(-1, 1, (70, 1000))
+    if case == "truncated":
+        return f_neg, np.full(70, 1.0)
+    if case == "all":
+        return f_neg, np.full(70, -1.5)
+    f_neg[rng.random(f_neg.shape) < 0.1] = -np.inf
+    f_neg[rng.random(f_neg.shape) < 0.05] = -0.0
+    f_neg[40:, 3] = np.nan
+    beta = rng.uniform(-0.5, 0.5, 70)
+    beta[:32] = 1.0  # block 0 is fully truncated
+    beta[[33, 66]] = f_neg[[33, 66]].max(axis=1)
+    beta[[34, 67]] = 0.0  # f = -0.0 > beta = 0.0 is False
+    return f_neg, beta
+
+
+def assert_live_entries(got, d_ref, case):
+    """`got` holds the flat indices and values of d_ref's nonzeros, bytes
+    and index dtype included: none if `case` is "truncated", all if "all",
+    and some otherwise."""
+    index = np.flatnonzero(d_ref != 0)
+    assert got.shape == d_ref.shape
+    assert got.index.dtype == index.dtype and got.index.tobytes() == index.tobytes()
+    assert got.value.tobytes() == d_ref.ravel()[index].tobytes()
+    if case == "partly":
+        assert 0 < len(index) < d_ref.size
+    else:
+        assert len(index) == (0 if case == "truncated" else d_ref.size)
+
+
+@pytest.mark.parametrize("gamma_star, eps", [(1.0, 0.0), (400.0, 0.25)])
+@pytest.mark.parametrize("shared", [False, True], ids=["per-row-beta", "scalar-beta"])
+@pytest.mark.parametrize("case", ["truncated", "partly", "all"])
+def test_live_entries_are_the_nonzeros_of_the_whole_array_weights(case, shared, gamma_star,
+                                                                  eps):
+    # DrRL's and CCL's live entries are the nonzero weights of the
+    # whole-array references, nan included. At g* = 400 every row's largest
+    # term lies in [0.25, 3.3], where the kernel scales no row (g* = 1 never
+    # does): a nan row max would scale the row's every term to nan
+    rng = np.random.default_rng(43)
+    f_neg, beta = live_scores(case, rng)
+    if shared:
+        beta = np.float64(beta[-1])
+    column = beta if shared else beta[:, None]
+    for c in (1.0, 1.2):
+        assert_live_entries(L._drrl_negative_weights(f_neg, gamma_star, c, eps, beta)[1],
+                            ref.drrl_negative_weights(f_neg, gamma_star, c, eps, column)[1],
+                            case)
+    assert_live_entries(L.ccl_loss(np.zeros((70, 1)), f_neg, 2.0, beta)[2],
+                        ref.ccl_negative_weights(f_neg, 2.0, column), case)
+    # at alpha = 0 every weight is 0, so no entry is live
+    assert_live_entries(L.ccl_loss(np.zeros((70, 1)), f_neg, 0.0, beta)[2],
+                        ref.ccl_negative_weights(f_neg, 0.0, column), "truncated")
 
 
 def decimal_drrl(f, gamma_star, c, eps, beta):
@@ -425,6 +490,7 @@ def test_drrl_kernel_stays_finite_at_large_gamma_star():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         m, d_neg = L._drrl_negative_weights(f_neg, 400.0, 1.2, 0.0, beta)
+        d_neg = L.dense(d_neg)
         grad = L.drrl_beta_gradient(f_neg, 400.0, 1.2, 0.0, beta)
         weights = L.worst_case_weights(f_neg, L.LossSpec(kind="drrl", gamma_star=400.0,
                                                          c=1.2), beta)
@@ -466,7 +532,7 @@ def test_drrl_gamma_star_one_equals_ccl(pos, neg, alpha, beta):
     a_value, _, a_neg = L.drrl_loss(row(pos), row(neg), 1.0, alpha, 0.0, beta)
     b_value, _, b_neg = L.ccl_loss(row(pos), row(neg), alpha, beta)
     assert a_value[0] == pytest.approx(b_value[0], abs=1e-12)
-    np.testing.assert_allclose(a_neg, b_neg, atol=1e-12)
+    np.testing.assert_allclose(L.dense(a_neg), L.dense(b_neg), atol=1e-12)
 
 
 @given(neg_arrays, st.floats(1.0, 3.0), st.floats(0.5, 2.0),
@@ -518,7 +584,8 @@ def test_kernels_match_row_by_row_calls(kind):
     for b in range(5):
         _, p, n = L.batch_loss(pos[b:b + 1], neg[b:b + 1], spec, beta[b:b + 1])
         np.testing.assert_allclose(d_pos[b] * 5, p[0], rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(d_neg[b] * 5, n[0], rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(L.dense(d_neg)[b] * 5, L.dense(n)[0], rtol=1e-14,
+                                   atol=1e-15)
     grads = L.drrl_beta_gradient(neg, spec.gamma_star, spec.c, spec.eps, beta)
     for b in range(5):
         assert grads[b] == pytest.approx(

@@ -13,7 +13,7 @@ from drrl import trainer as tr
 from drrl.dataio import BatchSample, split_iid
 from drrl.graphmodel import (BackboneConfig, EmbeddingTable, InteractionGraph, load_checkpoint,
                              save_checkpoint)
-from drrl.losses import LOSS_KINDS, LossSpec, MarginState
+from drrl.losses import LOSS_KINDS, LiveEntries, LossSpec, MarginState
 from drrl.synthetic import make_block_log
 
 
@@ -301,6 +301,11 @@ def _live_rule_case(n_items, n_neg, backbone="mf"):
     return table, graph, cfg, batch
 
 
+def _live_count(d_neg):
+    """The live negatives of a d_neg that a pullback takes, in either form."""
+    return len(d_neg.index) if isinstance(d_neg, LiveEntries) else np.count_nonzero(d_neg)
+
+
 def _record_pullbacks(monkeypatch):
     """The pullback each `loss_and_gradients` call takes with the live
     negatives of the d_neg it pulls back, and the entry count of each
@@ -309,7 +314,7 @@ def _record_pullbacks(monkeypatch):
     for name in ("dense", "sparse"):
         monkeypatch.setattr(tr, f"_{name}_score_pullback",
                             lambda *a, f=getattr(tr, f"_{name}_score_pullback"), name=name:
-                            taken.append((name, np.count_nonzero(a[5]))) or f(*a))
+                            taken.append((name, _live_count(a[5]))) or f(*a))
 
     def csr_matrix(arrays, **kwargs):
         entries.append(len(arrays[0]))
@@ -405,7 +410,9 @@ def test_sparse_pullback_of_live_entries_equals_the_every_slot_pullback_bit_for_
     d_neg[[0, 7, -1]] = 0.0  # rows without a live negative, the first and last among them
     d_neg[8] = -0.0
     d_neg[9] = rng.normal(size=n_neg)  # a row whose every negative is live
-    got = tr._sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg)
+    live = np.flatnonzero(d_neg)
+    got = tr._sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos,
+                                    LiveEntries(live, d_neg.ravel()[live], d_neg.shape))
     want = _every_slot_sparse_score_pullback(user_rows, item_unit, pos_items, negatives,
                                              d_pos.astype(dtype), d_neg.astype(dtype))
     for g, w in zip(got, want):
@@ -439,6 +446,35 @@ def _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg, kind=
     finally:
         tracemalloc.stop()
     return peak
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fully_truncated_step_forms_no_batch_sized_score_gradient(dtype):
+    # margins above every cosine truncate all 1024 x 1024 negatives: the
+    # step holds the float64 scores f_neg and the (B x items) score block,
+    # about 2 MB of d-sized rows and gradients beside them, and no (B, n)
+    # float64 zero gradient, which would add 8 MB
+    batch_size = n_neg = 1024
+    n_items = 1000
+    assert n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)  # the block is held
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable.init_normal(2000, n_items, 64, seed=0, dtype=dtype)
+    batch = BatchSample(
+        np.stack([rng.integers(0, 2000, batch_size), rng.integers(0, n_items, batch_size)],
+                 axis=1),
+        rng.integers(0, n_items, size=(batch_size, n_neg)),
+        np.zeros((batch_size, n_neg), dtype=bool),
+    )
+    spec = LossSpec(kind="drrl", gamma_star=13.5, c=1.0, eps=1e-10)
+    tracemalloc.start()
+    try:
+        tr.loss_and_gradients(table, None, BackboneConfig(kind="mf"), spec,
+                              MarginState.initialize(2000, 1.5), batch, margin_update=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scores = 8 * batch_size * n_neg + table.item.itemsize * batch_size * n_items
+    assert peak < scores + 8 * batch_size * n_neg // 2
 
 
 def test_xsimgcl_contrast_set_is_batch_users_and_positive_items(monkeypatch):
