@@ -276,7 +276,8 @@ def _drrl_negative_weights(f_neg, gamma_star, c, eps, beta, weights="live"):
     del x, low  # the scratch blocks, before the live entries are joined
     m = _joined(m)  # no rows, or several blocks
     if weights == "live":
-        return m, LiveEntries(_joined(index, np.intp), _joined(value), (rows, n))
+        index = _joined(index, np.intp)  # its parts go before the values are joined
+        return m, LiveEntries(index, _joined(value), (rows, n))
     return m, sums
 
 

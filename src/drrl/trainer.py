@@ -214,30 +214,22 @@ def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_n
     """`_sparse_score_pullback` through the scorer's (rows x items) `block`,
     reused per row chunk: zeroed, given each row's d_pos and then its d_neg
     (repeats add up in the sparse matrix's entry order; `np.add.at` is fast
-    on 1-D indices only) and applied by two BLAS products. A dense d_neg
-    (B, n) is added slot by slot, in `slot_blocks`; `LiveEntries` add only
-    their live entries, which beat densifying them once (1024 x 1024 slots
-    into 1000 float32 items, 2 vCPUs, medians of 15 alternating calls: 2.4-
-    2.9 ms against 5.2-5.7 ms at 12% live, the fewest the block takes at
-    B = 1024, 4.9-5.2 against 5.8-6.1 ms at 60%; 6.7-7.2 against 6.4-6.6 ms
-    at 100%)."""
-    num_items, n_neg = len(item_unit), negatives.shape[1]
+    on 1-D indices only) and applied by two BLAS products. `LiveEntries` are
+    densified once and every slot is added, zeros too: picking out the
+    nonzero slots of a dense d_neg first made the scatter slower (1024 x
+    1024 slots into 1000 items, 2 vCPUs: 5.0-8.1 ms at 5-20% nonzero against
+    2.9-3.1 ms over every slot)."""
+    num_items = len(item_unit)
+    d_neg = L.dense(d_neg)
     grad_rows = np.empty(user_rows.shape, item_unit.dtype)
     grad_items = np.zeros_like(item_unit)
     for chunk in chunks:
         coeff = block[:chunk.stop - chunk.start]
         coeff.fill(0)
         coeff[np.arange(len(coeff)), pos_items[chunk]] = d_pos[chunk, 0]
-        if isinstance(d_neg, L.LiveEntries):
-            live = slice(*np.searchsorted(d_neg.index, [n_neg * chunk.start, n_neg * chunk.stop]))
-            slot = d_neg.index[live]
-            at = np.take(negatives, slot)
-            at += num_items * (slot // n_neg - chunk.start)
-            np.add.at(coeff.reshape(-1), at, d_neg.value[live].astype(coeff.dtype))
-        else:
-            for rows, at in slot_blocks(negatives, num_items, chunk):
-                np.add.at(coeff.reshape(-1), at.ravel(),
-                          d_neg[rows].ravel().astype(coeff.dtype, copy=False))
+        for rows, at in slot_blocks(negatives, num_items, chunk):
+            np.add.at(coeff.reshape(-1), at.ravel(),
+                      d_neg[rows].ravel().astype(coeff.dtype, copy=False))
         np.matmul(coeff, item_unit, out=grad_rows[chunk])
         grad_items += coeff.T @ user_rows[chunk]
     return grad_rows, grad_items

@@ -460,43 +460,26 @@ class TestSampleBatch:
 
     @pytest.mark.parametrize("p", [0.2, 1.0])
     def test_noisy_memory_stays_within_the_batch_and_a_few_slot_blocks(self, p):
-        # the noise-free call's arrays plus five cache-sized int64 blocks:
-        # the flips and their pool draws take one slot block at a time
-        # (10.3 MiB at p = 0.2, 11.0 MiB at p = 1), not a float64 (B, n_neg)
-        # draw and batch-sized index arrays (19.0 and 50.0 MiB when drawn
-        # whole)
+        # the batch's arrays plus five cache-sized int64 blocks: the flips
+        # and their pool draws take one slot block at a time (9.7 MiB at
+        # p = 0.2, 10.1 MiB at p = 1), not a float64 (B, n_neg) draw and
+        # batch-sized index arrays (19.0 and 50.0 MiB when drawn whole), and
+        # the last (B x items) train mask block is released before them
+        # (11.0 MiB at p = 1 when it is held)
         split = dataio.split_iid(make_block_log(2000, 1000, interactions_per_user=20, seed=0),
                                  seed=0)
         train_pairs = split.train_pairs()
-        tracemalloc.start()
-        try:
-            batch = dataio.sample_batch(split, 1024, 1024, dataio.NoiseConfig(p),
-                                        np.random.default_rng(0), train_pairs=train_pairs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert batch.false_negative_mask.mean() >= 0.9 * p
-        arrays = batch.negatives.nbytes + batch.false_negative_mask.nbytes + 1024 * 1000
-        assert peak < arrays + 5 * 8 * dataio.CACHE_BLOCK
-
-    @pytest.mark.parametrize("pool", ["heldout", "train"])
-    def test_mask_block_is_released_before_the_flips(self, pool):
-        # at p = 1 the flip draws peak with the batch's arrays and their slot
-        # blocks alone (1.1 MB beside them); the last (B x items) train mask
-        # block, 1 MB, is no longer held through them (2.1 MB beside them)
-        split = dataio.split_iid(make_block_log(2000, 1000, interactions_per_user=20, seed=0),
-                                 seed=0)
-        train_pairs = split.train_pairs()
-        tracemalloc.start()
-        try:
-            batch = dataio.sample_batch(split, 1024, 1024, dataio.NoiseConfig(1.0, pool),
-                                        np.random.default_rng(0), train_pairs=train_pairs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert batch.false_negative_mask.all()
-        arrays = batch.pairs.nbytes + batch.negatives.nbytes + batch.false_negative_mask.nbytes
-        assert peak < arrays + 5 * 8 * dataio.CACHE_BLOCK
+        for pool in ("heldout", "train"):
+            tracemalloc.start()
+            try:
+                batch = dataio.sample_batch(split, 1024, 1024, dataio.NoiseConfig(p, pool),
+                                            np.random.default_rng(0), train_pairs=train_pairs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert batch.false_negative_mask.mean() >= 0.9 * p
+            arrays = batch.pairs.nbytes + batch.negatives.nbytes + batch.false_negative_mask.nbytes
+            assert peak < arrays + 5 * 8 * dataio.CACHE_BLOCK, pool
 
     def test_bad_noise_config_rejected(self):
         with pytest.raises(ValueError):
