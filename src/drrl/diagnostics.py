@@ -3,10 +3,10 @@
 For every user, the candidate negatives are all items outside the training
 set; held-out positives among them are flagged so the k2 statistic (mean
 weight on flagged items relative to the overall mean) can be reported.
-Users are diagnosed a block of score rows at a time, with every score
-outside a user's candidates set to -inf, which the kernels weigh 0. Where a
-margin truncates some candidate, only each row's untruncated and flagged
-candidates are weighed, packed to the left of a narrower block.
+Users are diagnosed a block of score rows at a time, in its own dtype, with
+every score outside a user's candidates set to -inf, which the kernels weigh
+0. Where a margin truncates some candidate, only each row's untruncated and
+flagged candidates are weighed, packed to the left of a narrower block.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ from .graphmodel import CosineScores, cosine_matrix, forward  # noqa: F401
 from .metrics import visit_score_blocks, weight_stats
 
 # Working memory per score of a diagnostics block, beside the product it is
-# sliced from: the float64 scores, the flag and truncation masks, the packed
-# scores and the weights with the kernels' own float64 temporaries. Measured
-# with tracemalloc on one 300 x 4000 block, float32 and float64 alike: 33.1
-# bytes under SL, 30.0 under CCL and DrRL on a block that packs all but one
-# candidate per row, and 26.1 under DrRL on one that packs none
+# sliced from: the flag and margin masks, the packed scores and the weights
+# with the kernels' own float64 temporaries. Measured with tracemalloc on one
+# 300 x 4000 block: CCL sets it, at 34.2 bytes (DrRL 34.1) on a block that
+# packs all but one candidate per row, whose live entries and their dense
+# weights sit beside the packed scores; SL reads 33.1 on a float32 block,
+# whose float64 cast its kernel makes (25.1 on a float64 one), and CCL and
+# DrRL 26.2 on a block that packs none
 BYTES_PER_SCORE = 36
 
 # One record per diagnosed user. A value a user does not have is nan: k1 and
@@ -54,7 +56,7 @@ def _margins(scores, users, spec, margins, resolve_margin):
 def _packed(keep, scores, flagged):
     """Each row's `keep` entries of `scores` and of `flagged`, left-aligned
     in order in blocks as wide as the most any row keeps (at least 1): the
-    scores padded with -inf, which weighs 0, and the flags with False."""
+    scores in float64 padded with -inf, which weighs 0, the flags with False."""
     counts = np.count_nonzero(keep, axis=1)
     slots = np.arange(max(counts.max(), 1)) < counts[:, None]
     packed = np.full(slots.shape, -np.inf), np.zeros(slots.shape, bool)
@@ -76,8 +78,8 @@ def user_diagnostics(
 
     `score_matrix` (an array, or a `graphmodel.CosineScores`) is read one
     block of users at a time through `metrics.visit_score_blocks`, so that
-    the working memory stays within `dataio.BLOCK_BYTES`. Each block is
-    copied once into float64, the dtype every kernel here computes in.
+    the working memory stays within `dataio.BLOCK_BYTES`. Each block is read
+    in its own dtype and weighed in float64, which holds a float32 exactly.
     `resolve_margin` recomputes each user's margin by minimizing the
     truncated-moment objective on that user's candidate scores
     (`dro_core.solve_margins`, once per block) instead of reading it from
@@ -120,26 +122,24 @@ def user_diagnostics(
             # train items are no candidates: -inf, which the kernels weigh 0
             train = split.train.gather(users)
             block[train], flagged[train] = -np.inf, False
-        # the one float64 copy of the block, which every kernel below reads
-        scores = block.astype(np.float64)
-        beta = _margins(scores, users, spec, margins, resolve_margin)
+        beta = _margins(block, users, spec, margins, resolve_margin)
         records = np.empty(users.size, RECORD)
         records["user"] = users
         records["beta"] = np.nan if beta is None else beta
         records["truncation"] = np.nan
         if beta is not None:
-            below = scores <= beta[:, None]
-            # the non-candidates, at -inf, are all at or below any margin
-            truncated = np.count_nonzero(below, axis=1) - (num_items - counts)
+            # above the margin, NaN too; the non-candidates (-inf) are not
+            keep = np.less_equal(block, beta[:, None])
+            np.logical_not(keep, out=keep)
+            truncated = counts - np.count_nonzero(keep, axis=1)
             records["truncation"] = truncated / counts
             if truncated.any():
                 # a truncated candidate weighs 0 and counts only through the
-                # candidate counts weight_stats reads: weigh only the others,
-                # NaN included, and the flagged ones
-                keep = ~below
+                # candidate counts weight_stats reads: weigh only the others
+                # and the flagged ones
                 keep |= flagged
-                scores, flagged = _packed(keep, scores, flagged)
-        records["k1"], records["k2"] = weight_stats(L.worst_case_weights(scores, spec, beta),
+                block, flagged = _packed(keep, block, flagged)
+        records["k1"], records["k2"] = weight_stats(L.worst_case_weights(block, spec, beta),
                                                     counts, flagged)
         records["degenerate"] = np.isnan(records["k1"])
         blocks.append(records)

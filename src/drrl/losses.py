@@ -171,15 +171,25 @@ def ccl_loss(f_pos, f_neg, alpha, margin):
     _check_scores(f_pos, f_neg)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    margin = _column(margin, len(f_neg), "margin")
-    hinge = f_neg - margin
-    np.maximum(hinge, 0.0, out=hinge)
-    value = -f_pos.sum(axis=1) / f_pos.shape[1] + alpha * (hinge.sum(axis=1) / f_neg.shape[1])
+    rows, n = f_neg.shape
+    margin = _column(margin, rows, "margin")
+    sums, index, hinge = np.empty(rows), [], None
+    # cache-sized blocks through one float64 scratch block: each row's hinge
+    # sum runs over the same n contiguous terms as over the whole array
+    for block in row_blocks(rows, n, CACHE_BLOCK):
+        f, b = f_neg[block], margin[block] if margin.ndim else margin
+        hinge = np.subtract(f, b, out=None if hinge is None else hinge[:len(f)])
+        np.maximum(hinge, 0.0, out=hinge)
+        np.add.reduce(hinge, 1, out=sums[block])
+        if alpha:  # subgradient 0 at the kink f = margin
+            hit = (f > b).ravel().nonzero()[0]
+            if block.start:
+                hit += block.start * n
+            index.append(hit)
+    value = -f_pos.sum(axis=1) / f_pos.shape[1] + alpha * (sums / n)
     d_pos = np.full(f_pos.shape, -1.0 / f_pos.shape[1])
-    # subgradient 0 at the kink f = margin; every live entry weighs alpha / n
-    live = (f_neg > margin).ravel().nonzero()[0] if alpha else np.empty(0, np.intp)
-    d_neg = LiveEntries(live, np.full(live.size, alpha / f_neg.shape[1]), f_neg.shape)
-    return value, d_pos, d_neg
+    live = _joined(index, np.intp)  # every live entry weighs alpha / n
+    return value, d_pos, LiveEntries(live, np.full(live.size, alpha / n), f_neg.shape)
 
 
 def _power_mean(x, gamma_star, eps, low=None):
@@ -328,7 +338,6 @@ def worst_case_weights(f_neg, spec: LossSpec, beta=None):
     margin at radius 0 for every row, weighs each finite score 1: the worst
     case is the uniform P itself.
     """
-    f_neg = np.asarray(f_neg, dtype=float)
     if spec.kind in ("ccl", "drrl") and beta is None:
         raise ValueError(f"{spec.kind} worst-case weights need the rows' margin beta, got None")
     if spec.kind != "sl" and np.all(np.asarray(beta) == -np.inf):
@@ -336,7 +345,8 @@ def worst_case_weights(f_neg, spec: LossSpec, beta=None):
     positive = np.zeros((len(f_neg), 1))  # d_neg does not depend on it
     n = f_neg.shape[1]
     if spec.kind == "sl":
-        return n * spec.tau * softmax_loss(positive, f_neg, spec.tau)[2]
+        # float32 / tau stays float32; CCL and DrRL form their terms in float64
+        return n * spec.tau * softmax_loss(positive, f_neg.astype(float, copy=False), spec.tau)[2]
     if spec.kind == "ccl":
         d_neg = ccl_loss(positive, f_neg, spec.alpha, beta)[2]
     elif spec.kind == "drrl":

@@ -251,6 +251,29 @@ def test_blocks_match_the_per_user_reference(spec, noise_pool, margin, monkeypat
 
 
 @pytest.mark.parametrize("spec", [
+    L.LossSpec(kind="sl", tau=0.2),
+    L.LossSpec(kind="ccl", alpha=2.0, margin=0.1),
+    L.LossSpec(kind="drrl", gamma_star=1.0, c=1.3, eps=0.05),
+    L.LossSpec(kind="drrl", gamma_star=2.0, c=1.3, eps=0.05),
+    L.LossSpec(kind="drrl", gamma_star=13.5, c=1.3, eps=0.05),
+], ids=["sl", "ccl", "drrl-1", "drrl-2", "drrl-13.5"])
+@pytest.mark.parametrize("noise_pool", ["heldout", "train"])
+@pytest.mark.parametrize("margin", ["given", "default", "resolved"])
+def test_float32_block_reads_the_records_of_its_float64_cast(spec, noise_pool, margin):
+    # a float32 block is weighed in its own dtype, with no float64 copy of
+    # it; every kernel casts it exactly, so its records are those of the
+    # float64 block byte for byte
+    split, scores, margins = _random_case()
+    kwargs = {"noise_pool": noise_pool, "margins": margins if margin == "given" else None,
+              "resolve_margin": margin == "resolved"}
+    scores = scores.astype(np.float32)
+    got = user_diagnostics(scores, split, spec, **kwargs)
+    want = user_diagnostics(scores.astype(np.float64), split, spec, **kwargs)
+    assert len(got) == (29 if noise_pool == "heldout" else 30)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
     L.LossSpec(kind="ccl", alpha=2.0, margin=0.1),
     L.LossSpec(kind="drrl", gamma_star=2.0, c=1.3, eps=0.05),
 ], ids=["ccl", "drrl"])

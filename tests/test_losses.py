@@ -404,6 +404,21 @@ def test_fully_truncated_blocks_form_no_terms():
     assert L.dense(d_neg).tobytes() == np.zeros((rows, n)).tobytes()
 
 
+def test_ccl_memory_stays_below_one_batch_array():
+    # CCL walks cache-sized blocks: a fully truncated batch forms neither a
+    # (rows, n) float64 hinge nor a (rows, n) mask
+    rows, n = 1024, 1024
+    f_neg = np.random.default_rng(41).uniform(-1, 0.85, (rows, n))
+    tracemalloc.start()
+    try:
+        value, _, d_neg = L.ccl_loss(np.zeros((rows, 1)), f_neg, 2.0, 0.85)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d_neg.index.size == 0 and value.tobytes() == np.zeros(rows).tobytes()
+    assert peak < 8 * rows * n
+
+
 def live_scores(case, rng):
     """Three cache blocks of scores (70, 1000) and per-row margins, in which
     every block is fully truncated ("truncated"), the first block is and the
