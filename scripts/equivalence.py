@@ -40,20 +40,13 @@ ROOT = Path(__file__).resolve().parent.parent
 DIAGNOSTIC_FIELDS = ("user", "k1", "k2", "truncation", "beta", "degenerate")
 
 
-def _specs(L):
-    return {
-        "sl": L.LossSpec(kind="sl", tau=0.2),
-        "ccl": L.LossSpec(kind="ccl", alpha=2.0, margin=0.1),
-        "drrl-1": L.LossSpec(kind="drrl", gamma_star=1.0, c=1.3, eps=0.05),
-        "drrl-2": L.LossSpec(kind="drrl", gamma_star=2.0, c=1.3, eps=0.05),
-        "drrl-13.5": L.LossSpec(kind="drrl", gamma_star=13.5, c=1.3, eps=0.05),
-    }
-
-
-def _diagnostics_case(dataio, L, num_users, num_items, margin_range, seed):
+def _diagnostics_case(num_users, num_items, margin_range, seed):
     """A split, scores and margins with the edge users the block code pads
     around: user 3 trains on every item, user 5 scores every item below
     every margin, and some users hold out nothing."""
+    from drrl import dataio
+    from drrl.losses import MarginState
+
     rng = np.random.default_rng(seed)
     parts = ([], [], [])
     for user in range(num_users):
@@ -69,7 +62,7 @@ def _diagnostics_case(dataio, L, num_users, num_items, margin_range, seed):
         "iid", num_users, num_items)
     scores = rng.uniform(-1.0, 1.0, (num_users, num_items))
     scores[5] = -0.9
-    return split, scores, L.MarginState(rng.uniform(*margin_range, num_users))
+    return split, scores, MarginState(rng.uniform(*margin_range, num_users))
 
 
 def _kernel_scores(rows, n, case, rng):
@@ -100,14 +93,20 @@ def _entries(d_neg):
 
 def run_matrix():
     """Every output of the matrix, keyed "field | case"."""
-    from drrl import dataio, diagnostics
+    from drrl import diagnostics
     from drrl import losses as L
 
     out = {}
-    specs = _specs(L)
+    specs = {
+        "sl": L.LossSpec(kind="sl", tau=0.2),
+        "ccl": L.LossSpec(kind="ccl", alpha=2.0, margin=0.1),
+        "drrl-1": L.LossSpec(kind="drrl", gamma_star=1.0, c=1.3, eps=0.05),
+        "drrl-2": L.LossSpec(kind="drrl", gamma_star=2.0, c=1.3, eps=0.05),
+        "drrl-13.5": L.LossSpec(kind="drrl", gamma_star=13.5, c=1.3, eps=0.05),
+    }
     cases = {"30x24": (30, 24, (-0.2, 0.6), 0), "300x500": (300, 500, (0.3, 0.9), 1)}
     for name, (users, items, margin_range, seed) in cases.items():
-        split, scores, margins = _diagnostics_case(dataio, L, users, items, margin_range, seed)
+        split, scores, margins = _diagnostics_case(users, items, margin_range, seed)
         for dtype in (np.float32, np.float64):
             for spec_name, spec in specs.items():
                 for pool in ("heldout", "train"):
