@@ -5,10 +5,12 @@
 Extracts REV's `src/` with `git archive` into a temporary directory and runs
 one fixed matrix on fixed seeds in one child process per tree: this script's
 own tree and REV's. Prints, per output field, the number of cases, the
-largest relative difference between the trees and whether every case is
-bit-identical. Exits 1 if a field is missing from either tree or differs by
-more than `--bound`; at the default bound 0 every case must be
-bit-identical.
+largest element-wise relative difference between the trees, the largest
+norm-wise one (a case's largest absolute difference over its largest
+element, as the tests bound gradients) and whether every case is
+bit-identical. Exits 1 if a field is missing from either tree or differs
+element-wise by more than `--bound`; at the default bound 0 every case must
+be bit-identical.
 
 The matrix:
 - `diagnostics.user_diagnostics` records (user, k1, k2, truncation, beta,
@@ -19,7 +21,16 @@ The matrix:
   shared and -inf margins, on float32 and float64 blocks;
 - `losses.ccl_loss` and `losses.drrl_loss` values and gradients on fully
   truncated, partly live and all-live blocks of 1 x 5 to 1024 x 1024 and
-  3 x 40000 scores, in float32 and float64.
+  3 x 40000 scores, in float32 and float64;
+- `graphmodel.infonce_auxiliary` losses and gradients on n = 2, 10 and 700
+  live nodes plus a zero row in each view, at temperatures 0.2, 0.01 and
+  1e-3, in float32 and float64. The views cluster around one direction, so
+  that the softmax rows stay spread at 1e-3: on a row one-hot to rounding
+  the gradient lies below the rounding of the own node's weight, which two
+  correct kernels may round differently;
+- `trainer.loss_and_gradients` values and table gradients of one XSimGCL
+  step (noise and InfoNCE on) and one LightGCN step, DrRL with per-user
+  margins and repeated users, in float32 and float64.
 """
 
 from __future__ import annotations
@@ -91,9 +102,40 @@ def _entries(d_neg):
     return index, d_neg.ravel()[index]
 
 
+def _contrast_views(n, seed):
+    """Two (n + 2, 16) views around one shared direction, of uneven norms,
+    with one zero row in each."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=16)
+    views = [(base + 0.1 * rng.normal(size=(n + 2, 16))) * rng.uniform(0.1, 3.0, (n + 2, 1))
+             for _ in range(2)]
+    views[0][n // 2] = 0.0
+    views[1][n + 1] = 0.0
+    return views
+
+
+def _step_case(kind, dtype):
+    """`loss_and_gradients` arguments: a DrRL batch of 96 rows (repeated
+    users, 32 negatives) over a 120 x 200 random graph, d = 16."""
+    from drrl import dataio
+    from drrl import losses as L
+    from drrl.graphmodel import BackboneConfig, EmbeddingTable, InteractionGraph
+
+    rng = np.random.default_rng(11)
+    pairs = np.unique(np.column_stack([rng.integers(0, 120, 1500),
+                                       rng.integers(0, 200, 1500)]), axis=0)
+    batch = dataio.BatchSample(pairs[rng.choice(len(pairs), 96)],
+                               rng.integers(0, 200, (96, 32)), np.zeros((96, 32), bool))
+    cfg = BackboneConfig(kind=kind, layers=2, noise_modulus=0.1, infonce_weight=0.5)
+    return (EmbeddingTable.init_normal(120, 200, 16, seed=3, dtype=dtype),
+            InteractionGraph(pairs, 120, 200), cfg,
+            L.LossSpec(kind="drrl", gamma_star=2.0, c=1.3, eps=0.05),
+            L.MarginState(rng.uniform(-0.3, 0.6, 120)), batch)
+
+
 def run_matrix():
     """Every output of the matrix, keyed "field | case"."""
-    from drrl import diagnostics
+    from drrl import diagnostics, graphmodel, trainer
     from drrl import losses as L
 
     out = {}
@@ -154,6 +196,26 @@ def run_matrix():
                     for field, array in (("value", value), ("d_pos", d_pos),
                                          ("d_neg.index", index), ("d_neg.value", live)):
                         out[f"{kernel}.{field} | {tag}-{params}"] = array
+
+    for n in (2, 10, 700):
+        zf, zl = _contrast_views(n, n)
+        for dtype in (np.float32, np.float64):
+            for t in (0.2, 0.01, 1e-3):
+                value, d_final, d_lstar = graphmodel.infonce_auxiliary(
+                    zf.astype(dtype), zl.astype(dtype), t, 0.5)
+                for field, array in (("loss", np.float64(value)), ("d_final", d_final),
+                                     ("d_lstar", d_lstar)):
+                    key = f"infonce_auxiliary.{field} ({np.dtype(dtype).name})"
+                    out[f"{key} | n={n}-t={t}"] = array
+
+    for kind in ("xsimgcl", "lightgcn"):
+        for dtype in (np.float32, np.float64):
+            results = trainer.loss_and_gradients(*_step_case(kind, dtype),
+                                                 noise_rng=np.random.default_rng(5),
+                                                 margin_update=True)
+            for field, array in zip(("value", "grad_user", "grad_item"), results):
+                key = f"loss_and_gradients.{field} ({np.dtype(dtype).name})"
+                out[f"{key} | {kind}"] = np.asarray(array)
     return out
 
 
@@ -168,6 +230,22 @@ def relative_difference(a, b):
     d[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
     d[np.isnan(d)] = np.inf
     return float(d.max(initial=0.0))
+
+
+def norm_difference(a, b):
+    """The largest |a - b| over the largest |a| or |b| (0 where both are
+    equal or all zero, inf where the shapes differ): the gap that the tests'
+    tolerances bound, which an element left small by cancellation does not
+    inflate. Non-finite elements count as in `relative_difference`."""
+    if a.shape != b.shape:
+        return np.inf
+    a, b = a.astype(np.float64).ravel(), b.astype(np.float64).ravel()
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    if same.all():
+        return 0.0
+    with np.errstate(all="ignore"):
+        gap = np.abs(a - b)[~same].max() / max(np.abs(a).max(), np.abs(b).max())
+    return float(gap) if np.isfinite(gap) else np.inf
 
 
 def _outputs(src, workdir, label):
@@ -187,20 +265,22 @@ def compare(theirs, ours, bound):
     for key in sorted(set(theirs) | set(ours)):
         field = key.split(" | ")[0]
         if key not in theirs or key not in ours:
-            diff, same = np.inf, False
+            diff = norm = np.inf
+            same = False
         else:
             a, b = theirs[key], ours[key]
             same = a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-            diff = 0.0 if same else relative_difference(a, b)
-        cases, worst, identical = fields.get(field, (0, 0.0, True))
-        fields[field] = cases + 1, max(worst, diff), identical and same
+            diff, norm = (0.0, 0.0) if same else (relative_difference(a, b),
+                                                  norm_difference(a, b))
+        cases, worst, worst_norm, identical = fields.get(field, (0, 0.0, 0.0, True))
+        fields[field] = cases + 1, max(worst, diff), max(worst_norm, norm), identical and same
     ok = True
-    print(f"{'field':<40} {'cases':>6} {'max rel diff':>13}  bit-identical")
-    for field, (cases, worst, identical) in fields.items():
+    print(f"{'field':<40} {'cases':>6} {'max rel diff':>13} {'max norm diff':>14}  bit-identical")
+    for field, (cases, worst, worst_norm, identical) in fields.items():
         passed = worst <= bound and (identical or bound > 0)
         ok &= passed
-        print(f"{field:<40} {cases:>6} {worst:>13.3g}  {'yes' if identical else 'no'}"
-              f"{'' if passed else '  FAIL'}")
+        print(f"{field:<40} {cases:>6} {worst:>13.3g} {worst_norm:>14.3g}  "
+              f"{'yes' if identical else 'no'}{'' if passed else '  FAIL'}")
     return ok
 
 

@@ -382,19 +382,25 @@ def solve_margins(scores, gamma_star, c, eps=0.0):
         raise ValueError(
             f"margin objective needs c >= 1, got c = {c}: for c < 1 it is unbounded below"
         )
-    f = np.atleast_2d(np.asarray(scores, dtype=float))
-    # a row's max is nan or +inf where it holds either, and -inf where it
-    # holds no finite score (the initial value, also on a zero-column block)
+    f = np.atleast_2d(np.asarray(scores))
+    if f.dtype != np.float32:
+        f = f.astype(float, copy=False)
+    # a row's max, exact in the block's dtype, is nan or +inf where it holds
+    # either, and -inf where it holds no finite score (the initial value,
+    # also on a zero-column block); a float32 block is cast to float64 only
+    # where the margins or minima need it
     top = f.max(axis=1, initial=-np.inf)
     if not np.isfinite(top).all():
         raise ValueError("scores must be finite or -inf, with a finite score in every row")
     if c == 1.0:
-        beta = np.full(len(f), -np.inf)
-
         def minimum():
-            present = f > -np.inf
-            return np.add.reduce(f, 1, where=present) / np.count_nonzero(present, axis=1) + eps
-    elif gamma_star == 1.0:
+            g = f.astype(float, copy=False)
+            present = g > -np.inf
+            return np.add.reduce(g, 1, where=present) / np.count_nonzero(present, axis=1) + eps
+        return np.full(len(f), -np.inf), minimum
+    top = top.astype(float)
+    if gamma_star == 1.0:
+        f = f.astype(float, copy=False)
         count = np.count_nonzero(f > -np.inf, axis=1)
         at = f.shape[1] - 1 - (count // c).astype(np.intp)  # ascending position
         beta = np.take_along_axis(np.partition(f, np.unique(at), axis=1), at[:, None], axis=1)[:, 0]
@@ -404,7 +410,8 @@ def solve_margins(scores, gamma_star, c, eps=0.0):
     else:
         beta, value = np.empty((2, len(f)))
         for i, (row, hi) in enumerate(zip(f, top.tolist())):
-            beta[i], value[i] = _bisect_margin(row[row > -np.inf], hi, gamma_star, c, eps)
+            beta[i], value[i] = _bisect_margin(row[row > -np.inf].astype(float, copy=False), hi,
+                                               gamma_star, c, eps)
 
         def minimum():
             return value

@@ -3,6 +3,7 @@ cosine scoring, the XSimGCL InfoNCE term, and binary checkpoints."""
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -240,22 +241,42 @@ class CosineScores:
         return self.user[rows] @ self.item.T
 
 
+# The largest 1/temperature + log(n) at which `infonce_auxiliary` takes the
+# exp of its logits unshifted, per dtype (86.7 in float32, 707.8 in
+# float64): a logit is a cosine over the temperature, so at most
+# 1/temperature, and a row's sum of n exps then stays below the dtype's
+# largest float by a factor e^2, room for the rounding of the cosines and
+# of the sums. Above it, and in any other dtype, each row is shifted by its
+# max first.
+_UNSHIFTED_EXP = {np.dtype(t): float(np.log(np.finfo(t).max)) - 2.0
+                  for t in (np.float32, np.float64)}
+
+
 def infonce_auxiliary(layer_final, layer_lstar, temperature, weight):
     """In-batch InfoNCE between two layer views of one contrast set: the
     batch's distinct users, or its distinct positive items (XSimGCL's set,
     so n <= B). Node a's positive is its own view in the other layer; the
     set's other nodes are its negatives. A node whose row is zero in either
     view (an isolated node's propagated layer, without noise) has no
-    direction and is left out, with zero gradients. Forms one (n x n) array
-    in the views' dtype; each view's gradient is the `normalization_pullback`
-    (the scoring step's) of that array times the other view. Returns (scaled
-    loss, d_final, d_lstar).
+    direction and is left out, with zero gradients. Returns (scaled loss,
+    d_final, d_lstar).
+
+    Forms one (n x n) array in the views' dtype, the logits and then their
+    exps, and makes three BLAS products: the logits; the exps, their
+    diagonal moved out (`E`), times [l_hat | 1], whose last column is each
+    row's off-diagonal sum `off`; and E^T times f_hat. The softmax gradient
+    d loss / d cos = scale (softmax - I), scale = weight / (n temperature),
+    is then r E - diag(r off) with r = scale / row sum, and its row factor
+    and diagonal act on the (n x d) operands and results only:
+    g l_hat = r (E l_hat - off l_hat) and g^T f_hat = E^T (r f_hat) -
+    r off f_hat, exact where a row's softmax is one-hot to rounding. Each
+    view's gradient is their `normalization_pullback` (the scoring step's).
     """
     zf = np.asarray(layer_final)
     zl = np.asarray(layer_lstar)
     if zf.shape != zl.shape:
         raise ValueError("both layers must cover the same node set")
-    n = zf.shape[0]
+    n, d = zf.shape
     if n < 2 or weight == 0.0:
         return 0.0, np.zeros_like(zf), np.zeros_like(zl)
     nf = np.linalg.norm(zf, axis=1)
@@ -266,19 +287,35 @@ def infonce_auxiliary(layer_final, layer_lstar, temperature, weight):
         loss, d_final[live], d_lstar[live] = infonce_auxiliary(zf[live], zl[live],
                                                                temperature, weight)
         return loss, d_final, d_lstar
-    fhat, lhat = zf / nf[:, None], zl / nl[:, None]
+    fhat = zf / nf[:, None]
+    lhat_ones = np.empty((n, d + 1), nl.dtype)
+    lhat = np.divide(zl, nl[:, None], out=lhat_ones[:, :d])
+    lhat_ones[:, d] = 1
     s = (fhat / temperature) @ lhat.T
-    s_diag = np.einsum("nd,nd->n", fhat, lhat) / temperature
-    smax = s.max(axis=1, keepdims=True)
-    # g = weight (softmax(s) - I) / (n temperature) = d loss / d cos, in s
-    g = np.exp(np.subtract(s, smax, out=s), out=s)
-    total = g.sum(axis=1, keepdims=True)
-    loss = float(np.mean(smax.ravel() + np.log(total.ravel()) - s_diag))
-    scale = weight / (n * temperature)
-    g *= scale / total
-    g[np.diag_indices(n)] -= scale
-    d_final = normalization_pullback(g @ lhat, fhat, nf)
-    d_lstar = normalization_pullback(g.T @ fhat, lhat, nl)
+    s_diag = s.diagonal().copy()
+    shifted = 1 / temperature + math.log(n) > _UNSHIFTED_EXP.get(s.dtype, -np.inf)
+    if shifted:
+        smax = s.max(axis=1)
+        s -= smax[:, None]
+    e = np.exp(s, out=s)
+    diag = e.reshape(-1)[::n + 1]
+    total = diag.copy()
+    diag[:] = 0
+    e_lhat = e @ lhat_ones
+    off = e_lhat[:, d]
+    total += off
+    terms = np.log(total) - s_diag
+    if shifted:
+        terms += smax
+    loss = float(np.mean(terms))
+    r = weight / (n * temperature) / total
+    g_lhat = e_lhat[:, :d]
+    g_lhat -= off[:, None] * lhat
+    g_lhat *= r[:, None]
+    g_fhat = e.T @ (fhat * r[:, None])
+    g_fhat -= (r * off)[:, None] * fhat
+    d_final = normalization_pullback(g_lhat, fhat, nf)
+    d_lstar = normalization_pullback(g_fhat, lhat, nl)
     return weight * loss, d_final, d_lstar
 
 

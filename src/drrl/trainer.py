@@ -235,6 +235,16 @@ def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_n
     return grad_rows, grad_items
 
 
+def _row_sums(rows, values, like):
+    """Zeros like `like`, with each `values[b]` added to row `rows[b]` in
+    order: the sums of a 2-D `np.add.at`, bit for bit, made by one on flat
+    indices (`np.add.at` is fast on 1-D indices only)."""
+    out = np.zeros(like.shape, like.dtype)
+    d = out.shape[1]
+    np.add.at(out.reshape(-1), (rows[:, None] * d + np.arange(d)).ravel(), values.ravel())
+    return out
+
+
 def loss_and_gradients(
     table, graph, backbone_cfg, spec, margins, batch, noise_rng=None, margin_update=False
 ):
@@ -299,8 +309,7 @@ def loss_and_gradients(
             d_neg = L.LiveEntries(np.arange(d_neg.size), d_neg.ravel(), d_neg.shape)
         grad_rows, grad_item_unit = _sparse_score_pullback(
             batch_users, item_unit, pos_items, batch.negatives, d_pos, d_neg)
-    grad_user_unit = np.zeros_like(user_unit)
-    np.add.at(grad_user_unit, user_row, grad_rows)
+    grad_user_unit = _row_sums(user_row, grad_rows, user_unit)
     grad_final_u = np.zeros_like(out.final_user)
     grad_final_u[user_ids] = normalization_pullback(grad_user_unit, user_unit, user_norms)
     grad_final_i = normalization_pullback(grad_item_unit, item_unit, item_norms)

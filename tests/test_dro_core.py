@@ -353,6 +353,21 @@ def test_padded_block_matches_its_row_solves(gamma_star, c, eps):
         assert beta == want_beta
 
 
+@pytest.mark.parametrize("gamma_star, c, eps", [
+    (2.0, 1.0, 0.1), (1.0, 2.0, 0.0), (2.0, 1.3, 0.05), (13.5, 1.05, 0.1)])
+def test_float32_block_solves_as_its_float64_cast(gamma_star, c, eps):
+    # the row maxima are taken in float32, exactly; the margins and minima
+    # are formed in float64, bit for bit as on the cast block
+    rng = np.random.default_rng(8)
+    block = rng.uniform(-1.0, 1.0, (12, 40)).astype(np.float32)
+    block[rng.random(block.shape) < 0.4] = -np.inf
+    block[:, 0] = rng.uniform(-1.0, 1.0, 12)
+    beta, minimum = dc.solve_margins(block, gamma_star, c, eps)
+    want_beta, want_minimum = dc.solve_margins(block.astype(float), gamma_star, c, eps)
+    assert beta.dtype == np.float64 and beta.tobytes() == want_beta.tobytes()
+    assert minimum().tobytes() == want_minimum().tobytes()
+
+
 def _preset_shaped_rows(rng):
     """(scores, g*, c, eps): the dual's rows as the verify suites draw them
     (4 to 64 uniform scores, gamma in 1.08 to 3, eps = 0), and 1024

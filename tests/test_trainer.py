@@ -158,6 +158,93 @@ def test_infonce_matches_dense_reference(n):
     assert not d_final[[n // 2, n + 1]].any() and not d_lstar[[n // 2, n + 1]].any()
 
 
+def _clustered_views(n, seed, d=8):
+    """Two (n + 2, d) views around one shared direction, of uneven norms,
+    with one zero row in each: their cosines are close, so a row's softmax
+    is not one-hot to rounding even at temperature 1e-3."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=d)
+    views = [(base + 0.1 * rng.normal(size=(n + 2, d))) * rng.uniform(0.1, 3.0, (n + 2, 1))
+             for _ in range(2)]
+    views[0][n // 2] = 0.0
+    views[1][n + 1] = 0.0
+    return views
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 200, 1000])
+def test_infonce_shifts_each_row_by_its_max_where_the_exps_would_overflow(n):
+    # 1 / temperature = 1000 lies above float64's exp range, so every row is
+    # shifted by its max before the exp
+    zf, zl = _clustered_views(n, n)
+    value, d_final, d_lstar = tr.infonce_auxiliary(zf, zl, 1e-3, 0.5)
+    ref_value, ref_final, ref_lstar = scalar_reference.infonce_auxiliary(zf, zl, 1e-3, 0.5)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert _relative_gap(d_final, ref_final) <= 1e-12
+    assert _relative_gap(d_lstar, ref_lstar) <= 1e-12
+    assert not d_final[[n // 2, n + 1]].any() and not d_lstar[[n // 2, n + 1]].any()
+
+
+@pytest.mark.parametrize("temperature", [0.2, 0.01], ids=["unshifted", "row_max"])
+@pytest.mark.parametrize("n", [2, 3, 10, 200, 700])
+def test_float32_infonce_matches_the_float64_reference(n, temperature):
+    # float32's exp overflows above 88.7: at 0.2 the logits are taken
+    # unshifted, at 0.01 (1 / t = 100) each row is shifted by its max. The
+    # bound is float32 rounding: the kernel that shifted every row read at
+    # most 1.3e-5 on these views
+    zf, zl = _clustered_views(n, n)
+    value, d_final, d_lstar = tr.infonce_auxiliary(zf.astype(np.float32),
+                                                   zl.astype(np.float32), temperature, 0.5)
+    ref_value, ref_final, ref_lstar = scalar_reference.infonce_auxiliary(zf, zl, temperature,
+                                                                         0.5)
+    assert d_final.dtype == d_lstar.dtype == np.float32
+    assert abs(value - ref_value) <= 5e-5 * abs(ref_value)
+    assert _relative_gap(d_final, ref_final) <= 5e-5
+    assert _relative_gap(d_lstar, ref_lstar) <= 5e-5
+
+
+def test_aligned_float32_views_at_a_low_temperature_stay_finite():
+    # identical views put every logit's row max on the diagonal, at
+    # 1 / t = 200, far beyond float32's exp range
+    z = np.random.default_rng(3).normal(size=(300, 16)).astype(np.float32)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        value, d_final, d_lstar = tr.infonce_auxiliary(z, z.copy(), 0.005, 0.5)
+    assert np.isfinite(value)
+    assert np.isfinite(d_final).all() and np.isfinite(d_lstar).all()
+
+
+def test_infonce_keeps_the_gradient_of_a_row_one_hot_to_rounding():
+    # two nodes, each closer to its own view than to the other's by about
+    # 0.1 in cosine: at t = 1e-3 a row's other exp is about e^-100 of its
+    # own, far below float64's rounding of 1, so the softmax rounds to one-hot.
+    # The gradient is then, in closed form, scale p (l_other - l_own) for the
+    # other node's softmax weight p, pulled back to the unit view
+    zf = np.array([[1.0, 0.0, 0.1], [0.9, 0.45, 0.0]])
+    zl = np.array([[1.0, 0.02, 0.1], [0.9, 0.44, 0.02]])
+    t, weight = 1e-3, 0.5
+    _, d_final, _ = tr.infonce_auxiliary(zf, zl, t, weight)
+    fhat = zf / np.linalg.norm(zf, axis=1, keepdims=True)
+    lhat = zl / np.linalg.norm(zl, axis=1, keepdims=True)
+    cos = fhat @ lhat.T
+    p = np.exp((cos[[0, 1], [1, 0]] - cos[[0, 1], [0, 1]]) / t)  # / (1 + p), which is 1
+    assert np.all((p > 1e-300) & (p < 1e-20))
+    g = weight / (2 * t) * p[:, None] * (lhat[::-1] - lhat)
+    want = (g - np.einsum("nd,nd->n", g, fhat)[:, None] * fhat) / np.linalg.norm(
+        zf, axis=1, keepdims=True)
+    assert _relative_gap(d_final, want) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_sums_add_in_batch_order_as_a_2d_add_at(dtype):
+    rng = np.random.default_rng(4)
+    rows = rng.integers(0, 7, 300)  # every user repeats
+    values = rng.normal(size=(300, 5)).astype(dtype)
+    like = np.empty((7, 5), dtype)
+    want = np.zeros_like(like)
+    np.add.at(want, rows, values)
+    got = tr._row_sums(rows, values, like)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 # a margin step, as `train_step` takes, and none, as the verify chain takes
 MARGIN_UPDATES = pytest.mark.parametrize("margin_update", [True, False],
                                          ids=["per_user", "fixed"])
