@@ -30,7 +30,9 @@ The matrix:
   correct kernels may round differently;
 - `trainer.loss_and_gradients` values and table gradients of one XSimGCL
   step (noise and InfoNCE on) and one LightGCN step, DrRL with per-user
-  margins and repeated users, in float32 and float64.
+  margins and repeated users, and of MF steps under each of the six losses
+  (MSE, BCE, BPR, SL, CCL, DrRL) at one catalogue that takes the dense
+  score pullback and one that takes the sparse one, in float32 and float64.
 """
 
 from __future__ import annotations
@@ -133,6 +135,27 @@ def _step_case(kind, dtype):
             L.MarginState(rng.uniform(-0.3, 0.6, 120)), batch)
 
 
+def _mf_step_case(kind, num_items, dtype):
+    """`loss_and_gradients` arguments of one MF step under loss `kind`: 96
+    rows (repeated users, 32 negatives) over 120 users and `num_items`
+    items, d = 16, with CCL's and DrRL's margins low enough that about nine
+    in ten negatives are live, so that the catalogue alone picks the
+    pullback: the dense one at 200 items, the sparse one at 400, above
+    8 (n_neg + 1) = 264."""
+    from drrl import dataio
+    from drrl import losses as L
+    from drrl.graphmodel import BackboneConfig, EmbeddingTable
+
+    rng = np.random.default_rng(13)
+    batch = dataio.BatchSample(
+        np.column_stack([rng.integers(0, 120, 96), rng.integers(0, num_items, 96)]),
+        rng.integers(0, num_items, (96, 32)), np.zeros((96, 32), bool))
+    spec = L.LossSpec(kind=kind, tau=0.2, alpha=2.0, margin=-0.3, gamma_star=2.0, c=1.3,
+                      eps=0.05)
+    return (EmbeddingTable.init_normal(120, num_items, 16, seed=3, dtype=dtype), None,
+            BackboneConfig(kind="mf"), spec, L.MarginState(rng.uniform(-0.5, -0.2, 120)), batch)
+
+
 def run_matrix():
     """Every output of the matrix, keyed "field | case"."""
     from drrl import diagnostics, graphmodel, trainer
@@ -216,6 +239,14 @@ def run_matrix():
             for field, array in zip(("value", "grad_user", "grad_item"), results):
                 key = f"loss_and_gradients.{field} ({np.dtype(dtype).name})"
                 out[f"{key} | {kind}"] = np.asarray(array)
+    for loss in ("mse", "bce", "bpr", "sl", "ccl", "drrl"):
+        for regime, num_items in (("dense", 200), ("sparse", 400)):
+            for dtype in (np.float32, np.float64):
+                results = trainer.loss_and_gradients(*_mf_step_case(loss, num_items, dtype),
+                                                     margin_update=True)
+                for field, array in zip(("value", "grad_user", "grad_item"), results):
+                    key = f"loss_and_gradients.{field} ({np.dtype(dtype).name})"
+                    out[f"{key} | mf-{loss}-{regime}"] = np.asarray(array)
     return out
 
 
@@ -236,7 +267,8 @@ def norm_difference(a, b):
     """The largest |a - b| over the largest |a| or |b| (0 where both are
     equal or all zero, inf where the shapes differ): the gap that the tests'
     tolerances bound, which an element left small by cancellation does not
-    inflate. Non-finite elements count as in `relative_difference`."""
+    inflate. Non-finite elements count as in `relative_difference`; the
+    largest |a| or |b| skips nan, which both may hold elsewhere."""
     if a.shape != b.shape:
         return np.inf
     a, b = a.astype(np.float64).ravel(), b.astype(np.float64).ravel()
@@ -244,7 +276,8 @@ def norm_difference(a, b):
     if same.all():
         return 0.0
     with np.errstate(all="ignore"):
-        gap = np.abs(a - b)[~same].max() / max(np.abs(a).max(), np.abs(b).max())
+        gap = np.abs(a - b)[~same].max() / np.fmax(np.fmax.reduce(np.abs(a)),
+                                                    np.fmax.reduce(np.abs(b)))
     return float(gap) if np.isfinite(gap) else np.inf
 
 

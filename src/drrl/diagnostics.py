@@ -42,10 +42,10 @@ def _margins(scores, users, spec, margins, resolve_margin):
     if spec.kind == "sl":
         return None
     if resolve_margin:
-        # one solve for the block, whose -inf scores are absent; CCL's hinge
-        # is the DrRL term at g* = 1 with c = alpha and eps = 0
-        objective = (1.0, spec.alpha, 0.0) if spec.kind == "ccl" else (
-            spec.gamma_star, spec.c, spec.eps)
+        # one solve for the block, whose -inf scores are absent, at eps = 0:
+        # the objective whose optimum `worst_case_weights` weighs, and CCL's
+        # hinge, the DrRL term at g* = 1 with c = alpha
+        objective = (1.0, spec.alpha) if spec.kind == "ccl" else (spec.gamma_star, spec.c)
         return solve_margins(scores, *objective)[0]
     if margins is not None:
         return margins.beta[users]
@@ -81,9 +81,10 @@ def user_diagnostics(
     the working memory stays within `dataio.BLOCK_BYTES`. Each block is read
     in its own dtype and weighed in float64, which holds a float32 exactly.
     `resolve_margin` recomputes each user's margin by minimizing the
-    truncated-moment objective on that user's candidate scores
-    (`dro_core.solve_margins`, once per block) instead of reading it from
-    the given or trained margin state; a nan given margin raises
+    truncated-moment objective at eps = 0 on that user's candidate scores
+    (`dro_core.solve_margins`, once per block), the objective whose optimum
+    `worst_case_weights` weighs as a mean-one density, instead of reading
+    it from the given or trained margin state; a nan given margin raises
     ValueError. At c = 1 (alpha = 1 under CCL), the radius 0, the worst
     case is P itself: the margin reads -inf, every candidate weighs 1, k1
     and k2 read 1 and truncation reads 0.

@@ -193,15 +193,21 @@ def _negative_scores(user_rows, item_unit, negatives, chunks, block):
 def _sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg):
     """Score gradients pulled back to the batch's unit user rows (B, d) and
     to every unit item row, through one sparse (B x items) matrix of the
-    live entries `d_neg` (`losses.LiveEntries`) only: row b holds d_pos at
-    its positive, then d_neg at each of its live negatives, in slot order
-    (repeats add up). Only those entries are cast to the tables' dtype."""
+    live entries of `d_neg`, in the form `losses.batch_loss` returns it:
+    the `LiveEntries` of a truncating loss, or a (B, n_neg) array whose
+    every slot is live. Row b holds d_pos at its positive, then d_neg at
+    each of its live negatives, in slot order (repeats add up). Only those
+    entries are cast to the tables' dtype."""
     rows, n_neg = negatives.shape
-    starts = np.searchsorted(d_neg.index, n_neg * np.arange(rows + 1))  # of each row's live run
+    starts = n_neg * np.arange(rows + 1)  # of each row's live run
+    index, value = slice(None), d_neg  # every slot of an all-live d_neg
+    if isinstance(d_neg, L.LiveEntries):
+        index, value = d_neg.index, d_neg.value
+        starts = np.searchsorted(index, starts)
     coeff = sp.csr_matrix(
         (
-            np.insert(d_neg.value.astype(item_unit.dtype), starts[:-1], d_pos.ravel()),
-            np.insert(negatives.ravel()[d_neg.index], starts[:-1], pos_items),
+            np.insert(value.ravel().astype(item_unit.dtype), starts[:-1], d_pos.ravel()),
+            np.insert(negatives.ravel()[index], starts[:-1], pos_items),
             starts + np.arange(rows + 1),
         ),
         shape=(rows, len(item_unit)),
@@ -296,17 +302,14 @@ def loss_and_gradients(
     # the live slots of a row are its positive and each negative that CCL or
     # DrRL hands over as a live entry (a truncated one has exactly 0); an
     # all-live loss keeps the verdict above
-    truncating = isinstance(d_neg, L.LiveEntries)
-    if dense and truncating and num_items * len(d_pos) > DENSE_ITEMS_PER_SLOT * (
-            len(d_pos) + len(d_neg.index)):
+    if dense and isinstance(d_neg, L.LiveEntries) and num_items * len(d_pos) > (
+            DENSE_ITEMS_PER_SLOT * (len(d_pos) + len(d_neg.index))):
         dense = False
         del block
     if dense:
         grad_rows, grad_item_unit = _dense_score_pullback(
             batch_users, item_unit, pos_items, batch.negatives, d_pos, d_neg, chunks, block)
     else:
-        if not truncating:  # every slot of an all-live loss is a live entry
-            d_neg = L.LiveEntries(np.arange(d_neg.size), d_neg.ravel(), d_neg.shape)
         grad_rows, grad_item_unit = _sparse_score_pullback(
             batch_users, item_unit, pos_items, batch.negatives, d_pos, d_neg)
     grad_user_unit = _row_sums(user_row, grad_rows, user_unit)

@@ -87,7 +87,11 @@ def infonce_auxiliary(layer_final, layer_lstar, temperature, weight):
     total = g_cos.sum(axis=1, keepdims=True)
     loss = float(np.mean(-s_diag + smax.ravel() + np.log(total.ravel())))
     g_cos /= total
-    g_cos[diag] -= 1.0
+    # p_ii - 1 is minus the row's off-diagonal mass, summed as such: on a row
+    # whose softmax is one-hot to rounding, p_ii - 1 itself rounds to 0
+    off = g_cos.copy()
+    off[diag] = 0.0
+    g_cos[diag] = -off.sum(axis=1)
     g_cos *= weight
     g_cos /= n * temperature
     weighted = g_cos * cos
@@ -204,7 +208,8 @@ def user_diagnostics(score_matrix, split, spec, margins=None, resolve_margin=Fal
                 if beta == ranked[0]:
                     beta = float(np.nextafter(beta, -math.inf))
             elif resolve_margin:
-                beta, _ = dc.minimize_beta_objective(f, spec.gamma_star, spec.c, spec.eps)
+                # at eps = 0, the objective whose optimum the weights are taken at
+                beta, _ = dc.minimize_beta_objective(f, spec.gamma_star, spec.c)
             elif margins is not None:
                 beta = float(margins.beta[user])
             else:

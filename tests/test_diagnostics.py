@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scalar_reference as ref
 from builders import cosine_scores_peak, parts, split_of
 from drrl import losses as L
 from drrl import dataio
+from drrl.config import load_config
 from drrl.dataio import split_iid
 from drrl.diagnostics import (
     BYTES_PER_SCORE,
@@ -310,6 +312,30 @@ def test_radius_zero_weighs_every_candidate_alike(spec):
     assert (rows.k1 == 1.0).all()
     flagged = ~np.isnan(rows.k2)
     assert flagged.any() and (rows.k2[flagged] == 1.0).all()
+
+
+@pytest.mark.parametrize("preset", ["electronics-ood-mf-drrl", "kitchen-ood-mf-drrl"])
+def test_resolved_margins_make_the_worst_case_weights_a_mean_one_density(preset):
+    # the two presets at c > 1 train with eps = 0.1, but their worst-case
+    # weights are the Renyi ball's own, taken at eps = 0: a margin resolved
+    # on the eps-free objective is their optimum, where each user's weights
+    # on their candidates average 1. The rows are wide enough (970
+    # candidates) that no optimum sits on the top score's kink, where the
+    # slope does not vanish and the mean is not 1
+    path = Path(__file__).resolve().parent.parent / "presets" / f"{preset}.cfg"
+    spec = load_config(path, with_env=False).loss
+    assert spec.c > 1 and spec.eps > 0
+    rng = np.random.default_rng(0)
+    num_users, num_items = 20, 1000
+    train = [set(rng.choice(num_items, 30, replace=False).tolist()) for _ in range(num_users)]
+    split = split_of(train, [set()] * num_users, [set()] * num_users, num_items)
+    scores = rng.uniform(-1.0, 1.0, (num_users, num_items))
+    rows = user_diagnostics(scores, split, spec, resolve_margin=True)
+    assert len(rows) == num_users and np.isfinite(rows.beta).all()
+    for user, beta in zip(rows.user, rows.beta):
+        candidates = sorted(set(range(num_items)) - train[user])
+        w = L.worst_case_weights(scores[user, candidates][None], spec, beta)
+        assert w.mean() == pytest.approx(1.0, abs=1e-6)
 
 
 def _block_model(n_users, n_items, d):

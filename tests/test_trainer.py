@@ -233,6 +233,19 @@ def test_infonce_keeps_the_gradient_of_a_row_one_hot_to_rounding():
     assert _relative_gap(d_final, want) <= 1e-12
 
 
+def test_infonce_matches_the_reference_on_random_two_node_views_at_a_low_temperature():
+    # at t = 0.01 a random 2-node row's other exp is often far below the
+    # rounding of its own, so both the kernel and the reference must form
+    # p_ii - 1 from the off-diagonal mass; the losses round alike only to
+    # about 1e-7 there (log of 1 + x), so only the gradients are compared
+    for seed in range(50):
+        zf, zl = np.random.default_rng(seed).normal(size=(2, 2, 8))
+        _, d_final, d_lstar = tr.infonce_auxiliary(zf, zl, 0.01, 0.5)
+        _, ref_final, ref_lstar = scalar_reference.infonce_auxiliary(zf, zl, 0.01, 0.5)
+        assert _relative_gap(d_final, ref_final) <= 1e-12
+        assert _relative_gap(d_lstar, ref_lstar) <= 1e-12
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_row_sums_add_in_batch_order_as_a_2d_add_at(dtype):
     rng = np.random.default_rng(4)
@@ -498,13 +511,15 @@ def test_sparse_pullback_of_live_entries_equals_the_every_slot_pullback_bit_for_
     d_neg[8] = -0.0
     d_neg[9] = rng.normal(size=n_neg)  # a row whose every negative is live
     live = np.flatnonzero(d_neg)
-    got = tr._sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos,
-                                    LiveEntries(live, d_neg.ravel()[live], d_neg.shape))
     want = _every_slot_sparse_score_pullback(user_rows, item_unit, pos_items, negatives,
                                              d_pos.astype(dtype), d_neg.astype(dtype))
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype == dtype
-        assert g.tobytes() == w.tobytes()
+    # the live entries of a truncating loss, and the (B, n) array of an
+    # all-live one, as batch_loss returns each
+    for form in (LiveEntries(live, d_neg.ravel()[live], d_neg.shape), d_neg):
+        got = tr._sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, form)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == dtype
+            assert g.tobytes() == w.tobytes()
 
 
 def _peak_loss_and_gradients_bytes(n_users, n_items, d, batch_size, n_neg, kind="mf",
