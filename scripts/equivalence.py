@@ -32,7 +32,10 @@ The matrix:
   step (noise and InfoNCE on) and one LightGCN step, DrRL with per-user
   margins and repeated users, and of MF steps under each of the six losses
   (MSE, BCE, BPR, SL, CCL, DrRL) at one catalogue that takes the dense
-  score pullback and one that takes the sparse one, in float32 and float64.
+  score pullback and one that takes the sparse one, in float32 and float64;
+  under SL, CCL and DrRL also with `dataio.BLOCK_BYTES` cut to two rows of
+  the (rows x items) score block, so that the scorer and the dense pullback
+  walk 48 row chunks.
 """
 
 from __future__ import annotations
@@ -158,7 +161,7 @@ def _mf_step_case(kind, num_items, dtype):
 
 def run_matrix():
     """Every output of the matrix, keyed "field | case"."""
-    from drrl import diagnostics, graphmodel, trainer
+    from drrl import dataio, diagnostics, graphmodel, trainer
     from drrl import losses as L
 
     out = {}
@@ -231,22 +234,33 @@ def run_matrix():
                     key = f"infonce_auxiliary.{field} ({np.dtype(dtype).name})"
                     out[f"{key} | n={n}-t={t}"] = array
 
+    def record_step(results, dtype, case):
+        for field, array in zip(("value", "grad_user", "grad_item"), results):
+            out[f"loss_and_gradients.{field} ({np.dtype(dtype).name}) | {case}"] = (
+                np.asarray(array))
+
     for kind in ("xsimgcl", "lightgcn"):
         for dtype in (np.float32, np.float64):
-            results = trainer.loss_and_gradients(*_step_case(kind, dtype),
-                                                 noise_rng=np.random.default_rng(5),
-                                                 margin_update=True)
-            for field, array in zip(("value", "grad_user", "grad_item"), results):
-                key = f"loss_and_gradients.{field} ({np.dtype(dtype).name})"
-                out[f"{key} | {kind}"] = np.asarray(array)
+            record_step(trainer.loss_and_gradients(*_step_case(kind, dtype),
+                                                   noise_rng=np.random.default_rng(5),
+                                                   margin_update=True), dtype, kind)
+    budget = dataio.BLOCK_BYTES
     for loss in ("mse", "bce", "bpr", "sl", "ccl", "drrl"):
         for regime, num_items in (("dense", 200), ("sparse", 400)):
             for dtype in (np.float32, np.float64):
-                results = trainer.loss_and_gradients(*_mf_step_case(loss, num_items, dtype),
-                                                     margin_update=True)
-                for field, array in zip(("value", "grad_user", "grad_item"), results):
-                    key = f"loss_and_gradients.{field} ({np.dtype(dtype).name})"
-                    out[f"{key} | mf-{loss}-{regime}"] = np.asarray(array)
+                record_step(trainer.loss_and_gradients(*_mf_step_case(loss, num_items, dtype),
+                                                       margin_update=True),
+                            dtype, f"mf-{loss}-{regime}")
+                if loss in ("sl", "ccl", "drrl"):
+                    # two rows of the (rows x items) score block per chunk:
+                    # the scorer and the dense pullback walk 48 chunks
+                    dataio.BLOCK_BYTES = 2 * 2 * np.dtype(dtype).itemsize * num_items
+                    try:
+                        results = trainer.loss_and_gradients(
+                            *_mf_step_case(loss, num_items, dtype), margin_update=True)
+                    finally:
+                        dataio.BLOCK_BYTES = budget
+                    record_step(results, dtype, f"mf-{loss}-{regime}-2-row-chunks")
     return out
 
 

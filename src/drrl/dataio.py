@@ -7,7 +7,7 @@ import json
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,13 @@ def slot_blocks(negatives, num_items, chunk):
     for rows in row_blocks(chunk.stop - chunk.start, negatives.shape[1], CACHE_BLOCK):
         at = negatives[chunk][rows] + num_items * np.arange(rows.start, rows.stop)[:, None]
         yield slice(chunk.start + rows.start, chunk.start + rows.stop), at
+
+
+def non_finite_fields(config, section):
+    """An error naming `section.key` for each float field of the dataclass
+    `config` that holds nan or an infinity."""
+    return [f"{section}.{f.name} must be finite" for f in fields(config)
+            if isinstance(f.default, float) and not np.isfinite(getattr(config, f.name))]
 
 
 def replace_file(path, data):

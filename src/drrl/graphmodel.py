@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .dataio import replace_file
+from .dataio import non_finite_fields, replace_file
 
 BACKBONES = ("mf", "lightgcn", "xsimgcl")
 
@@ -99,7 +99,7 @@ class BackboneConfig:
     infonce_temperature: float = 0.2
 
     def validate(self):
-        errors = []
+        errors = non_finite_fields(self, "backbone")
         if self.kind not in BACKBONES:
             errors.append(f"backbone.kind must be one of {BACKBONES}, got {self.kind!r}")
         if self.kind != "mf" and self.layers < 1:

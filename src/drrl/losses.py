@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import CACHE_BLOCK, row_blocks
+from .dataio import CACHE_BLOCK, non_finite_fields, row_blocks
 
 LOSS_KINDS = ("mse", "bce", "bpr", "sl", "ccl", "drrl")
 WORST_CASE_KINDS = ("sl", "ccl", "drrl")  # the kinds with worst-case weights
@@ -26,7 +26,7 @@ class LossSpec:
     lr_beta: float = 1e-4       # margin learning rate
 
     def validate(self):
-        errors = []
+        errors = non_finite_fields(self, "loss")
         if self.kind not in LOSS_KINDS:
             errors.append(f"loss.kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         if self.tau <= 0:

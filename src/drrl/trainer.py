@@ -11,8 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import losses as L
-from .dataio import (CACHE_BLOCK, DatasetSplit, NoiseConfig, replace_file, row_blocks,
-                     sample_batch, slot_blocks)
+from .dataio import (CACHE_BLOCK, DatasetSplit, NoiseConfig, non_finite_fields, replace_file,
+                     row_blocks, sample_batch, slot_blocks)
 from .graphmodel import (
     BackboneConfig,
     CosineScores,
@@ -27,13 +27,12 @@ from .graphmodel import (
 )
 from .metrics import evaluate_ranking
 
-# The step pulls its score gradients back through the scorer's (rows x
-# items) block when the catalogue has at most this many items per live slot
-# of a row on average, items x B <= 8 (B + live entries), and through one
-# sparse (B x items) matrix of the live entries alone above it. A truncating
-# loss (CCL, DrRL) hands over its live entries; every slot of the others is
-# live. The block is held through the loss only if the catalogue has at most
-# 8 items per scored slot (n_neg + 1), the most a row can have live.
+# After the loss, the step pulls its score gradients back through a (rows x
+# items) block per row chunk when the catalogue has at most this many items
+# per live slot of a row on average, items x B <= 8 (B + live negatives),
+# and through one sparse (B x items) matrix of the live entries alone above
+# it. A truncating loss (CCL, DrRL) hands over its live entries; every slot
+# of the others is live, so for them the rule reads items <= 8 (n_neg + 1).
 # Measured while the sparse matrix held every slot, float32 MF DrRL
 # `loss_and_gradients` at B = 1024, d = 64 on a 2000 x 1000 log (2 vCPUs,
 # medians of 20-60 calls alternating the two pullbacks in one process, five
@@ -62,7 +61,7 @@ class TrainConfig:
     noise_pool: str = "heldout"  # heldout | train
 
     def validate(self):
-        errors = []
+        errors = non_finite_fields(self, "train")
         for name in ("batch_size", "n_neg", "max_epochs", "patience", "embed_dim",
                      "metric_k", "lr", "init_std"):
             if getattr(self, name) <= 0:
@@ -178,13 +177,25 @@ def _touched(size, *ids):
     return np.flatnonzero(sum(np.bincount(np.ravel(a), minlength=size) for a in ids))
 
 
-def _negative_scores(user_rows, item_unit, negatives, chunks, block):
+def _score_blocks(num_rows, item_unit):
+    """Row chunks of a batch of `num_rows` rows, each with its view of one
+    (rows x items) block in the item table's dtype that every chunk reuses.
+    A chunk holds as many rows as fit half of BLOCK_BYTES: at the preset
+    shape (1024 x 1000 float64) one chunk holds the whole batch, as narrow
+    products that reread the item table are memory-bound."""
+    num_items = len(item_unit)
+    chunks = row_blocks(num_rows, 2 * item_unit.itemsize * num_items)
+    block = np.empty((chunks[0].stop if chunks else 0, num_items), item_unit.dtype)
+    return [(chunk, block[:chunk.stop - chunk.start]) for chunk in chunks]
+
+
+def _negative_scores(user_rows, item_unit, negatives):
     """Cosine scores (B, n_neg) of each row's user against its negatives in
     float64, read off one BLAS product per row chunk, the chunk's users
-    against every item, written into `block`."""
+    against every item."""
     f_neg = np.empty(negatives.shape)
-    for chunk in chunks:
-        scores = np.matmul(user_rows[chunk], item_unit.T, out=block[:chunk.stop - chunk.start])
+    for chunk, block in _score_blocks(len(user_rows), item_unit):
+        scores = np.matmul(user_rows[chunk], item_unit.T, out=block)
         for rows, at in slot_blocks(negatives, len(item_unit), chunk):
             f_neg[rows] = np.take(scores, at)
     return f_neg
@@ -215,22 +226,20 @@ def _sparse_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_
     return coeff @ item_unit, coeff.T @ user_rows
 
 
-def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg, chunks,
-                          block):
-    """`_sparse_score_pullback` through the scorer's (rows x items) `block`,
-    reused per row chunk: zeroed, given each row's d_pos and then its d_neg
-    (repeats add up in the sparse matrix's entry order; `np.add.at` is fast
-    on 1-D indices only) and applied by two BLAS products. `LiveEntries` are
-    densified once and every slot is added, zeros too: picking out the
-    nonzero slots of a dense d_neg first made the scatter slower (1024 x
-    1024 slots into 1000 items, 2 vCPUs: 5.0-8.1 ms at 5-20% nonzero against
-    2.9-3.1 ms over every slot)."""
+def _dense_score_pullback(user_rows, item_unit, pos_items, negatives, d_pos, d_neg):
+    """`_sparse_score_pullback` through a (rows x items) block per row
+    chunk: zeroed, given each row's d_pos and then its d_neg (repeats add up
+    in the sparse matrix's entry order; `np.add.at` is fast on 1-D indices
+    only) and applied by two BLAS products. `LiveEntries` are densified once
+    and every slot is added, zeros too: picking out the nonzero slots of a
+    dense d_neg first made the scatter slower (1024 x 1024 slots into 1000
+    items, 2 vCPUs: 5.0-8.1 ms at 5-20% nonzero against 2.9-3.1 ms over
+    every slot)."""
     num_items = len(item_unit)
     d_neg = L.dense(d_neg)
     grad_rows = np.empty(user_rows.shape, item_unit.dtype)
     grad_items = np.zeros_like(item_unit)
-    for chunk in chunks:
-        coeff = block[:chunk.stop - chunk.start]
+    for chunk, coeff in _score_blocks(len(user_rows), item_unit):
         coeff.fill(0)
         coeff[np.arange(len(coeff)), pos_items[chunk]] = d_pos[chunk, 0]
         for rows, at in slot_blocks(negatives, num_items, chunk):
@@ -270,19 +279,7 @@ def loss_and_gradients(
     item_unit, item_norms = unit_rows(out.final_item)
     batch_users = user_unit[user_row]
     f_pos = np.einsum("bd,bd->b", batch_users, item_unit[pos_items])
-    # every row chunk is scored in one (rows x items) block of at most half
-    # of BLOCK_BYTES: at the preset shape (1024 x 1000 float64) one chunk
-    # holds the whole batch, as narrow products that reread the item table
-    # are memory-bound. A catalogue at most DENSE_ITEMS_PER_SLOT times the
-    # scored slots of a row is nearly all touched by each chunk, and the
-    # block is held for the pullback
-    num_items, n_neg = item_unit.shape[0], batch.negatives.shape[1]
-    dense = num_items <= DENSE_ITEMS_PER_SLOT * (n_neg + 1)
-    chunks = row_blocks(len(batch_users), 2 * item_unit.itemsize * num_items)
-    block = np.empty((chunks[0].stop if chunks else 0, num_items), item_unit.dtype)
-    f_neg = _negative_scores(batch_users, item_unit, batch.negatives, chunks, block)
-    if not dense:
-        del block
+    f_neg = _negative_scores(batch_users, item_unit, batch.negatives)
 
     # margin update precedes the embedding step (DrRL only)
     beta = None
@@ -299,19 +296,14 @@ def loss_and_gradients(
     # to the tables' dtype
     value, d_pos, d_neg = L.batch_loss(f_pos[:, None], f_neg, spec, beta)
     del f_neg
-    # the live slots of a row are its positive and each negative that CCL or
-    # DrRL hands over as a live entry (a truncated one has exactly 0); an
-    # all-live loss keeps the verdict above
-    if dense and isinstance(d_neg, L.LiveEntries) and num_items * len(d_pos) > (
-            DENSE_ITEMS_PER_SLOT * (len(d_pos) + len(d_neg.index))):
-        dense = False
-        del block
-    if dense:
-        grad_rows, grad_item_unit = _dense_score_pullback(
-            batch_users, item_unit, pos_items, batch.negatives, d_pos, d_neg, chunks, block)
-    else:
-        grad_rows, grad_item_unit = _sparse_score_pullback(
-            batch_users, item_unit, pos_items, batch.negatives, d_pos, d_neg)
+    # a row's live slots: its positive and each negative that CCL or DrRL
+    # hands over as a live entry (a truncated one has exactly 0); every slot
+    # of the other losses is live
+    live = len(d_pos) + (len(d_neg.index) if isinstance(d_neg, L.LiveEntries) else d_neg.size)
+    pullback = (_dense_score_pullback if len(item_unit) * len(d_pos) <= DENSE_ITEMS_PER_SLOT * live
+                else _sparse_score_pullback)
+    grad_rows, grad_item_unit = pullback(batch_users, item_unit, pos_items, batch.negatives,
+                                         d_pos, d_neg)
     grad_user_unit = _row_sums(user_row, grad_rows, user_unit)
     grad_final_u = np.zeros_like(out.final_user)
     grad_final_u[user_ids] = normalization_pullback(grad_user_unit, user_unit, user_norms)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -117,6 +118,20 @@ class TestConfigParse:
             config.load_config(path, with_env=False)
         with pytest.raises(ValueError, match="DRRL_LOSS__C: loss.c: must be a finite number"):
             config.apply_env_overrides(config.RunConfig(), {"DRRL_LOSS__C": raw})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("section, key", [
+        (section, f.name) for section in ("backbone", "loss", "train")
+        for f in dataclasses.fields(getattr(config.RunConfig(), section)) if f.type == "float"])
+    def test_non_finite_float_is_named_by_its_validator(self, section, key, value):
+        # a dataclass built through the API skips the loader's check; nan
+        # passes every bound comparison, and inf the lower bounds
+        cfg = config.RunConfig()
+        setattr(getattr(cfg, section), key, value)
+        with pytest.raises(ValueError, match=rf"\b{section}\.{key} must be finite"):
+            getattr(cfg, section).validate()
+        with pytest.raises(ValueError, match=rf"\b{section}\.{key} must be finite"):
+            cfg.validate()
 
     @pytest.mark.parametrize("raw", ["0", "-1e-4"])
     def test_nonpositive_margin_learning_rate_rejected(self, raw, tmp_path):

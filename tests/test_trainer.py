@@ -296,9 +296,8 @@ def test_matches_scalar_reference(kind, backbone, margin_update, monkeypatch):
         assert not np.array_equal(margins.beta, start.beta)
 
 
-# the catalogue-dense and catalogue-sparse pullback regimes; the sparse
-# regime's case ids keep the name it had while it gathered the negatives' rows
-REGIMES = pytest.mark.parametrize("regime", ["dense", "sparse"], ids=["dense", "gather"])
+# the catalogue-dense and catalogue-sparse pullback regimes
+REGIMES = pytest.mark.parametrize("regime", ["dense", "sparse"])
 
 
 @MARGIN_UPDATES
@@ -314,13 +313,20 @@ def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_
     n_items, n_neg = (9, 7) if regime == "dense" else (40, 3)
     assert (n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)) == (regime == "dense")
     monkeypatch.setattr(dataio, "BLOCK_BYTES", 2 * 2 * 8 * n_items)
-    chunks, pulled, sparse = [], [], []
-    monkeypatch.setattr(tr, "_negative_scores", lambda *a, f=tr._negative_scores:
-                        chunks.append([c.stop - c.start for c in a[3]]) or f(*a))
-    monkeypatch.setattr(tr, "_dense_score_pullback", lambda *a, f=tr._dense_score_pullback:
-                        pulled.append([c.stop - c.start for c in a[6]]) or f(*a))
-    monkeypatch.setattr(tr, "_sparse_score_pullback",
-                        lambda *a, f=tr._sparse_score_pullback: sparse.append(1) or f(*a))
+    # the row chunks each walk over the score blocks takes, and the pullback
+    # each step takes, in call order
+    walks = []
+
+    def score_blocks(*a, f=tr._score_blocks):
+        blocks = f(*a)
+        walks.append([c.stop - c.start for c, _ in blocks])
+        return blocks
+
+    monkeypatch.setattr(tr, "_score_blocks", score_blocks)
+    for name in ("dense", "sparse"):
+        monkeypatch.setattr(tr, f"_{name}_score_pullback",
+                            lambda *a, f=getattr(tr, f"_{name}_score_pullback"), name=name:
+                            walks.append(name) or f(*a))
     rng = np.random.default_rng(12)
     table = EmbeddingTable.init_normal(n_users, n_items, d, seed=4)
     pairs = [(u, i) for u in range(n_users) for i in range(n_items) if (u * 7 + i) % 5 == 0]
@@ -340,9 +346,10 @@ def test_matches_scalar_reference_in_each_regime(regime, kind, backbone, margin_
                                           margin_update=margin_update)
     ref_value, ref_gu, ref_gi = scalar_reference.loss_and_gradients(
         table, graph, cfg, spec, ref_margins, batch, margin_update=margin_update)
-    assert chunks == [[2, 2, 1]]
-    assert pulled == ([] if regime == "sparse" else chunks)
-    assert bool(sparse) == (regime == "sparse")
+    # the scorer walks three chunks, the dense pullback the same ones, and
+    # the sparse regime never calls the dense pullback
+    assert walks == ([[2, 2, 1], "dense", [2, 2, 1]] if regime == "dense"
+                     else [[2, 2, 1], "sparse"])
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
     assert _relative_gap(gu, ref_gu) <= 1e-12
     assert _relative_gap(gi, ref_gi) <= 1e-12
@@ -577,6 +584,37 @@ def test_fully_truncated_step_forms_no_batch_sized_score_gradient(dtype):
         tracemalloc.stop()
     scores = 8 * batch_size * n_neg + table.item.itemsize * batch_size * n_items
     assert peak < scores + 8 * batch_size * n_neg // 2
+
+
+def test_no_score_block_is_alive_through_the_loss(monkeypatch):
+    # an all-live SL step at a catalogue that takes the dense pullback: when
+    # the loss runs, the step holds its scores and d-sized rows, but no
+    # (B x items) score block, which neither the loss nor the pullback's
+    # choice reads
+    batch_size, n_neg, n_items, d = 256, 64, 400, 16
+    assert n_items <= tr.DENSE_ITEMS_PER_SLOT * (n_neg + 1)
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable.init_normal(300, n_items, d, seed=0)
+    batch = BatchSample(
+        np.stack([rng.integers(0, 300, batch_size), rng.integers(0, n_items, batch_size)],
+                 axis=1),
+        rng.integers(0, n_items, size=(batch_size, n_neg)),
+        np.zeros((batch_size, n_neg), dtype=bool),
+    )
+    held, taken = [], []
+    monkeypatch.setattr(tr.L, "batch_loss", lambda *a, f=tr.L.batch_loss:
+                        held.append(tracemalloc.get_traced_memory()[0] - start) or f(*a))
+    monkeypatch.setattr(tr, "_dense_score_pullback", lambda *a, f=tr._dense_score_pullback:
+                        taken.append("dense") or f(*a))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tr.loss_and_gradients(table, None, BackboneConfig(kind="mf"), LossSpec(kind="sl"),
+                              MarginState.initialize(300, 0.0), batch)
+    finally:
+        tracemalloc.stop()
+    assert taken == ["dense"]
+    assert len(held) == 1 and held[0] < 8 * batch_size * n_items
 
 
 def test_xsimgcl_contrast_set_is_batch_users_and_positive_items(monkeypatch):
