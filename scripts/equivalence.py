@@ -35,7 +35,12 @@ The matrix:
   score pullback and one that takes the sparse one, in float32 and float64;
   under SL, CCL and DrRL also with `dataio.BLOCK_BYTES` cut to two rows of
   the (rows x items) score block, so that the scorer and the dense pullback
-  walk 48 row chunks.
+  walk 48 row chunks;
+- `metrics.evaluate_ranking` Recall and NDCG, of the whole block and of
+  each user alone, on float32 and float64 blocks with tied scores, all-tied
+  rows, NaN and +-inf, rows with fewer ranked items than K (top lists
+  padded with -1) and K at and above the catalogue, also with
+  `dataio.BLOCK_BYTES` cut so that the ranking walks blocks of two rows.
 """
 
 from __future__ import annotations
@@ -159,9 +164,40 @@ def _mf_step_case(kind, num_items, dtype):
             BackboneConfig(kind="mf"), spec, L.MarginState(rng.uniform(-0.5, -0.2, 120)), batch)
 
 
+def _ranking_case(num_users, num_items, seed):
+    """Scores on seven levels with NaN and +-inf, and train and truth parts:
+    user 0's scores all tie, user 1 has two finite scores, user 2 trains on
+    all but two items, and some users hold no truth."""
+    from drrl import dataio
+
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-3, 4, (num_users, num_items)) / 4.0
+    for value in (np.nan, np.inf, -np.inf):
+        scores[rng.random(scores.shape) < 0.05] = value
+    scores[0] = 0.5
+    scores[1, 2:] = -np.inf
+    train, truth = [], []
+    for user in range(num_users):
+        items = rng.permutation(num_items)
+        n_train = num_items - 2 if user == 2 else int(rng.integers(0, num_items // 2))
+        train.append(np.sort(items[:n_train]))
+        truth.append(np.sort(items[n_train:n_train + int(rng.integers(0, num_items // 4 + 1))]))
+    parts = [dataio.UserItems(np.cumsum([0] + [len(p) for p in part]),
+                              np.concatenate(part).astype(np.int64)) for part in (train, truth)]
+    return scores, *parts
+
+
+def _row(part, user):
+    """One user's row of a split part, as a part of one row."""
+    from drrl import dataio
+
+    items = part.items[part.indptr[user]:part.indptr[user + 1]]
+    return dataio.UserItems(np.array([0, items.size]), items)
+
+
 def run_matrix():
     """Every output of the matrix, keyed "field | case"."""
-    from drrl import dataio, diagnostics, graphmodel, trainer
+    from drrl import dataio, diagnostics, graphmodel, metrics, trainer
     from drrl import losses as L
 
     out = {}
@@ -261,6 +297,32 @@ def run_matrix():
                     finally:
                         dataio.BLOCK_BYTES = budget
                     record_step(results, dtype, f"mf-{loss}-{regime}-2-row-chunks")
+
+    for users, items in ((40, 12), (300, 500)):
+        scores, train, truth = _ranking_case(users, items, users)
+        rows = np.flatnonzero(np.diff(truth.indptr))
+        for dtype in (np.float32, np.float64):
+            field, block = f"({np.dtype(dtype).name})", scores.astype(dtype)
+            # one K per call, so that each ranks to its own K + 1 picks, and
+            # the small Ks read off one top list
+            for ks in ([1], [3], [10], [items], [items + 5], [1, 3, 10]):
+                results = {"": metrics.evaluate_ranking(block, train, truth, ks)}
+                # two rows of the ranking block per slice, at BYTES_PER_SCORE each
+                dataio.BLOCK_BYTES = 2 * 2 * metrics.BYTES_PER_SCORE * items
+                try:
+                    results["-2-row-blocks"] = metrics.evaluate_ranking(block, train, truth, ks)
+                finally:
+                    dataio.BLOCK_BYTES = budget
+                if len(ks) == 1:
+                    results["-per-user"] = [metrics.evaluate_ranking(
+                        block[[u]], _row(train, u), _row(truth, u), ks) for u in rows]
+                for metric, k in results[""]:
+                    case = f"{users}x{items}-ks={ks}-k={k}"
+                    for name, result in results.items():
+                        value = ([r[(metric, k)] for r in result] if name == "-per-user"
+                                 else result[(metric, k)])
+                        out[f"evaluate_ranking.{metric} {field} | {case}{name}"] = np.array(
+                            value, dtype=np.float64)
     return out
 
 

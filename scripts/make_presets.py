@@ -201,16 +201,22 @@ def render(dataset, backbone, loss, lr, wd, extras, temporal):
     return "\n".join(body)
 
 
-def main():
-    PRESET_DIR.mkdir(exist_ok=True)
-    count = 0
+def presets():
+    """Each preset's file name and text, in table order."""
     for table, temporal in ((IID, False), (OOD, True)):
         for dataset, backbones in table.items():
             for backbone, losses in backbones.items():
                 for loss, (lr, wd, extras) in losses.items():
-                    path = PRESET_DIR / f"{dataset}-{backbone}-{loss}.cfg"
-                    path.write_text(render(dataset, backbone, loss, lr, wd, extras, temporal))
-                    count += 1
+                    yield (f"{dataset}-{backbone}-{loss}.cfg",
+                           render(dataset, backbone, loss, lr, wd, extras, temporal))
+
+
+def main():
+    PRESET_DIR.mkdir(exist_ok=True)
+    count = 0
+    for name, text in presets():
+        (PRESET_DIR / name).write_text(text)
+        count += 1
     print(f"wrote {count} presets to {PRESET_DIR}")
 
 

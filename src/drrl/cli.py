@@ -5,7 +5,19 @@ and its config's data.input names. `evaluate` and `stats` read the model
 from a run directory written by `train` (its checkpoint.bin and config.cfg)
 and the split from that config's data.input. Any config key, there and in
 `train`, can be overridden through DRRL_<SECTION>__<KEY> environment
-variables.
+variables; DRRL_DATA__INPUT reads a run against another split of the same
+user and item counts.
+
+A named error (a ValueError or OSError) prints one `error: ...` line and
+exits 1. `train` rejects a data.input that is not a split directory (a raw
+log included) with a message that says to run `drrl split`, and a value
+config.cfg could not hold, before it trains or writes anything; it records
+data.input as an absolute path. It removes a previous run's config.cfg and
+report.json before it replaces checkpoint.bin, and writes config.cfg last,
+so an interrupted run leaves a directory that `evaluate` and `stats` reject
+by name. `evaluate` names an empty --target part and its split.
+`stats --resolve-margin` warns at loss.c = 1 (CCL: loss.alpha = 1), where
+the margin objective has no minimizer, and refuses a value below 1.
 """
 
 from __future__ import annotations

@@ -1,5 +1,15 @@
 """Flat `key = value` run configuration with section headers, strict key
-validation and env-var overrides."""
+validation and env-var overrides.
+
+The sections `[data]`, `[backbone]`, `[loss]`, `[train]` and `[output]`
+parse into the dataclasses the modules own (`BackboneConfig`, `LossSpec`,
+`TrainConfig`); a header may repeat. A comment starts at a `#` that begins a
+line or follows whitespace. An unknown section or key, a key set twice (the
+error names both lines) and a float that reads nan or an infinity are
+errors, from a file or from a `DRRL_<SECTION>__<KEY>` variable alike; the
+`validate()` of a dataclass built through the API names a non-finite field.
+`dump_config` writes every field, and rejects a value that would not read
+back the same."""
 
 from __future__ import annotations
 

@@ -1,5 +1,22 @@
 """Interaction-log ingestion and IID / temporal / noise-injected splits
-with uniform negative sampling."""
+with uniform negative sampling.
+
+A log is three aligned int64 arrays (users, items, timestamps). A split's
+parts (`train`, `validation`, `test`) are `UserItems` CSR arrays, each
+user's items ascending, read by one `gather` for any list of users, plus
+`heldout_items`, each user's validation and test items, built once: the
+pool that held-out flips draw from and the diagnostics flag. Logs and split
+parts are read by one reader of integer-row text (`_int_rows`), which skips
+blank and `#` lines and names the first bad line with its file.
+
+`sample_batch` draws all `(B, n_neg)` negatives at once and redraws those
+that hit a train positive, walking the rows in `row_blocks`, so no
+batch-sized index array is formed; the optional false-negative flips are
+drawn last, from `heldout_items` or `train` through one path.
+`BLOCK_BYTES` is the one working-memory budget of every bounded kernel and
+`row_blocks` the row slices they all walk; `CACHE_BLOCK` is the cache-sized
+block of the element-wise kernels. Every file is written through
+`replace_file`, whole or not at all."""
 
 from __future__ import annotations
 

@@ -7,6 +7,14 @@ Users are diagnosed a block of score rows at a time, in its own dtype, with
 every score outside a user's candidates set to -inf, which the kernels weigh
 0. Where a margin truncates some candidate, only each row's untruncated and
 flagged candidates are weighed, packed to the left of a narrower block.
+
+`user_diagnostics` returns one record (`RECORD`) per user with a candidate,
+in user order; a value a user has none of is nan, and `aggregate` reads a
+mean over no users as None, so `drrl stats` prints strict JSON. A resolved
+margin minimizes the eps-free objective, whose optimum `worst_case_weights`
+weighs as a mean-one density. Truncation is each row's count of candidates
+at or below the margin over its candidate count. Under the held-out pool
+the flagged items are `heldout_items` less the user's train items.
 """
 
 from __future__ import annotations

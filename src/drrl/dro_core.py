@@ -6,7 +6,20 @@ The brute-force route is deliberately independent of the closed-form dual:
 it solves the primal directly, by a log-barrier interior-point method with
 Newton steps that uses only the divergence and its first two derivatives,
 starts from P and never sees a margin or a worst-case weight, so that the
-dual formulas can be certified numerically against it.
+dual formulas can be certified numerically against it. It takes the best
+vertex when that lies in the ball; otherwise each Newton step costs O(n)
+(Sherman-Morrison), down to a barrier gap of 1e-12.
+
+The module also holds the one margin solver and the two-multiplier
+certificate. `solve_margins` checks a block `(B, n)` by its row maxima alone
+(a NaN or +inf reaches the max; a row with no finite score reads -inf) and
+returns the margins with a function that forms the minima, so a caller that
+reads only the margins skips the passes the minima take. Its margins are
+-inf at c = 1 (the radius 0, whose worst case is P), CCL's exact quantile at
+g* = 1, and otherwise a bisection per row on the sign of the margin
+gradient, on terms divided by their largest so that no g* over- or
+underflows. `minimize_beta_objective` wraps it for one row or a
+-inf-padded block.
 """
 
 from __future__ import annotations

@@ -1,5 +1,17 @@
 """Embedding tables, backbone propagation (MF / LightGCN / XSimGCL),
-cosine scoring, the XSimGCL InfoNCE term, and binary checkpoints."""
+cosine scoring, the XSimGCL InfoNCE term, and binary checkpoints.
+
+Forward (a running sum of the layers) and backward compute in the table's
+dtype. XSimGCL perturbs each propagated layer with its published noise:
+each row's uniform [0, 1)^d draw, scaled to L2 norm `noise_modulus` and
+signed entrywise by the layer, so a zero entry gets none. Its InfoNCE term
+contrasts the batch's distinct users and distinct positive items, so it
+forms one `(n x n)` block with n <= B. `CosineScores` is the one noise-free
+scorer of a checkpoint: it normalizes both final tables once and gives the
+`(len(rows), items)` block `scores[rows]`, so no users x items array is
+formed. A checkpoint stores float32 tables and an optional float32 margin
+section, which `load_checkpoint` returns as float64; every error in reading
+one names the file."""
 
 from __future__ import annotations
 

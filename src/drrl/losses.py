@@ -1,5 +1,24 @@
 """Loss values and analytic gradients with respect to prediction scores,
-plus the learnable per-user margin machinery for the robust Renyi loss."""
+plus the learnable per-user margin machinery for the robust Renyi loss.
+
+One array kernel per loss kind maps positive and negative scores `(B, P)`,
+`(B, n)` to per-row values and score gradients. Every kernel takes P, n >= 1
+and raises a `ValueError` that names an empty block, unequal row counts, or
+a margin that is neither a scalar nor one value per row. The truncating
+kernels (CCL, DrRL), whose every negative at or below its margin weighs exactly 0,
+return their negative-score gradient as `LiveEntries` (the ascending flat
+slot indices of the nonzero entries, and their values); the other four
+return a dense `(B, n)` array; `dense` scatters live entries into zeros.
+
+The one DrRL formula, M = (mean [c (f - beta)_+ + eps]^{g*})^{1/g*}, and its
+score weights are one kernel (`_drrl_negative_weights`) that the loss, the
+margin objective, the margin gradient and the worst-case weights all call.
+It computes in float64 in `dataio.CACHE_BLOCK` blocks, so neither the loss
+nor the margin gradient forms a `(B, n)` array, and it scales a row whose
+largest term's g*-th power would leave float64's range by that term, so no
+power over- or underflows. `batch_loss` dispatches on the loss kind and
+averages over the batch; `worst_case_weights` is the one worst-case weight
+function, with a score of -inf weighing exactly 0."""
 
 from __future__ import annotations
 

@@ -1,4 +1,14 @@
-"""Top-K ranking metrics plus the diagnostic weight statistics."""
+"""Top-K ranking metrics plus the diagnostic weight statistics.
+
+`evaluate_ranking` ranks each block of users from `visit_score_blocks` in
+place in its own float dtype, to the largest K, and reads every K off that
+one top list. Excluded (train) items and non-finite scores never rank; ties go by
+ascending item id; a row with fewer ranked items than K pads its list with
+-1. `visit_score_blocks` is the one reader of a score array or a
+`CosineScores`: its products take half of `dataio.BLOCK_BYTES` and each
+block's working memory, the caller's bytes per score, the other half.
+`weight_stats` gives each row's k1 and k2 over its candidate count, so a
+packed block narrower than a row's candidates still averages over them."""
 
 from __future__ import annotations
 

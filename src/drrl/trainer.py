@@ -1,5 +1,20 @@
 """Mini-batch training: Adam on embeddings, SGD on per-user margins,
-weight decay, validation-based early stopping."""
+weight decay, validation-based early stopping.
+
+The step works on row-normalized embeddings in `row_blocks` within half of
+`dataio.BLOCK_BYTES`. On the user side it scores and pulls back only the
+batch's distinct users; the item side is whole-table. Under DrRL it first
+moves the batch users' margins by one SGD step (`margin_update=True`); the
+verify suites pass no step. One scorer reads the sampled slots off a BLAS
+product per row chunk. After the loss, the count of live slots (the B
+positives, plus every negative slot of an all-live loss or the live entries
+of CCL and DrRL) picks one of two pullbacks: a dense `(rows x items)` block
+per chunk where `items x B <= DENSE_ITEMS_PER_SLOT x live`, and one sparse
+matrix of the live entries otherwise. Either casts only what it scatters to
+the tables' dtype. Adam updates in place in `dataio.CACHE_BLOCK` blocks, and
+`evaluate_split` validates each epoch on a `CosineScores`. `train` trains
+float32 tables and Adam moments; the loss kernels and the margins stay
+float64."""
 
 from __future__ import annotations
 

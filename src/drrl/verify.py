@@ -7,8 +7,9 @@ also take `count`, and run the first `count` instances of that set. Each
 returns a list of check dicts, built by `_check` as {name, passed,
 ...detail, tolerance}, where "tolerance" records the bound the check was
 held to; the duality suites add a tolerance-free record for each instance
-over it. The CLI turns them into a JSON report and a nonzero exit on any
-failure.
+over it. Every gradient check compares against one central difference
+(`_fd_error`) by one relative error. `SUITES` names the nine suites; the CLI
+turns them into a JSON report and a nonzero exit on any failure.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -190,6 +192,19 @@ class TestConfigParse:
             assert cfg.data.input.startswith("data/"), path.name
             assert cfg.output.dir == f"runs/{path.stem}", path.name
 
+    def test_every_preset_is_the_text_its_generator_writes(self):
+        # imports scripts/make_presets.py without running its main, which writes
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location("make_presets",
+                                                      root / "scripts" / "make_presets.py")
+        make_presets = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_presets)
+        generated = list(make_presets.presets())
+        committed = {path.name: path.read_bytes() for path in (root / "presets").glob("*.cfg")}
+        assert sorted(name for name, _ in generated) == sorted(committed)
+        for name, text in generated:
+            assert text.encode() == committed[name], name
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = config.parse_config("# header\n\n[loss]\nkind = bpr  # inline\n")
         assert cfg.loss.kind == "bpr"
@@ -223,14 +238,52 @@ class TestConfigParse:
             config.apply_env_overrides(cfg, {"DRRL_LOSSS__TAU": "0.4"})
 
 
-@pytest.fixture(scope="module")
-def log_file(tmp_path_factory):
+# the toy LightGCN DrRL run of the installed-command smoke: at c = 1.2 the
+# bisection resolves its margins
+TOY_CFG = """
+[data]
+input = {input}
+
+[backbone]
+kind = lightgcn
+layers = 2
+
+[loss]
+kind = drrl
+c = 1.2
+eps = 0.1
+
+[train]
+batch_size = 64
+n_neg = 8
+max_epochs = 2
+embed_dim = 8
+metric_k = 5
+
+[output]
+dir = {outdir}
+"""
+
+
+def _block_log_file(tmp_path_factory, num_users, num_items):
     path = tmp_path_factory.mktemp("data") / "log.tsv"
-    log = make_block_log(num_users=30, num_items=20, seed=3)
+    log = make_block_log(num_users=num_users, num_items=num_items, seed=3)
     with open(path, "w") as fh:
         for row in zip(log.users, log.items, log.timestamps):
             fh.write("%d\t%d\t%d\n" % row)
     return path
+
+
+@pytest.fixture(scope="module")
+def log_file(tmp_path_factory):
+    return _block_log_file(tmp_path_factory, 30, 20)
+
+
+@pytest.fixture(scope="module")
+def toy_log(tmp_path_factory):
+    """30 items: at n_neg = 8 an all-live MF batch of 64 rows takes the dense
+    pullback (30 <= 8 (8 + 1)), and at n_neg = 2 the sparse one."""
+    return _block_log_file(tmp_path_factory, 40, 30)
 
 
 def _split(log_file, tmp_path_factory, seed):
@@ -258,6 +311,22 @@ def _train(text, split_dir, tmp_path_factory):
     code = cli.main(["train", "--config", str(cfg_path)])
     assert code == 0
     return outdir
+
+
+@pytest.fixture(scope="module")
+def toy_split(toy_log, tmp_path_factory):
+    return _split(toy_log, tmp_path_factory, seed=0)
+
+
+@pytest.fixture(scope="module")
+def toy_run(toy_split, tmp_path_factory):
+    return _train(TOY_CFG, toy_split, tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def noisy_toy_run(toy_split, tmp_path_factory):
+    """The toy run with a fifth of its negatives flipped to held-out items."""
+    return _train(TOY_CFG + "[train]\nnoise = 0.2\n", toy_split, tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +373,77 @@ def _stats_rows(run, split_dir, noise_pool=None):
 
 def _csv_rows(path):
     return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+# `drrl stats` settings of the toy runs: the run's fixture, the environment
+# overrides and whether the margins are resolved
+STATS_SETTINGS = {
+    "drrl-resolved": ("toy_run", {}, True),
+    "drrl-trained": ("toy_run", {}, False),
+    "sl": ("toy_run", {"DRRL_LOSS__KIND": "sl"}, False),
+    "ccl-resolved": ("toy_run", {"DRRL_LOSS__KIND": "ccl"}, True),
+    "drrl-c1-resolved": ("toy_run", {"DRRL_LOSS__C": "1.0"}, True),
+    # electronics-ood-mf-drrl.cfg's loss, whose margins the bisection resolves
+    "drrl-g7.25-c1.25-resolved": ("toy_run", {"DRRL_LOSS__GAMMA_STAR": "7.25",
+                                              "DRRL_LOSS__C": "1.25"}, True),
+    "train-pool-resolved": ("toy_run", {"DRRL_TRAIN__NOISE_POOL": "train"}, True),
+    "noisy-run-resolved": ("noisy_toy_run", {}, True),
+}
+
+# toy trainings: the environment overrides and the score pullbacks their steps take
+MF = {"DRRL_BACKBONE__KIND": "mf", "DRRL_TRAIN__WEIGHT_DECAY": "0.01"}
+TOY_TRAININGS = {
+    # the live count of the DrRL batches crosses the rule's line
+    "lightgcn": ({}, {"dense", "sparse"}),
+    "lightgcn-noisy": ({"DRRL_TRAIN__NOISE": "0.2"}, {"dense", "sparse"}),
+    "xsimgcl": ({"DRRL_BACKBONE__KIND": "xsimgcl"}, {"dense", "sparse"}),
+    # at most 60 live entries of a batch's 512 negatives
+    "mf-drrl": (MF, {"sparse"}),
+    # every slot live: 30 items <= 8 (n_neg + 1) = 72
+    "mf-sl": ({**MF, "DRRL_LOSS__KIND": "sl"}, {"dense"}),
+    # CCL at margin 0 leaves 200 to 280 of 512 live
+    "mf-ccl": ({**MF, "DRRL_LOSS__KIND": "ccl"}, {"dense"}),
+    # 30 items > 8 (n_neg + 1) = 24: the sparse pullback takes the dense array
+    "mf-sl-n_neg-2": ({"DRRL_BACKBONE__KIND": "mf", "DRRL_LOSS__KIND": "sl",
+                       "DRRL_TRAIN__N_NEG": "2"}, {"sparse"}),
+}
+
+
+def _bad_input(case, toy_log, toy_split, toy_run, tmp_path):
+    """The argv of a command given one bad input, the error it must print
+    and the output it must not write."""
+    if case == "config-key-twice":
+        text = TOY_CFG.format(input=toy_split, outdir=tmp_path / "run") + (
+            "[train]\nlr = 0.01\nlr = 0.02\n")
+        (tmp_path / "twice.cfg").write_text(text)
+        first = text.splitlines().index("lr = 0.01") + 1
+        return (["train", "--config", str(tmp_path / "twice.cfg")],
+                f"config errors: line {first + 1}: train.lr is already set on line {first}",
+                tmp_path / "run")
+    if case == "log-line-3":
+        lines = toy_log.read_text().splitlines(keepends=True)
+        log = tmp_path / "bad-log.tsv"
+        log.write_text("".join(lines[:2] + ["1\tx\n"] + lines[3:]))
+        return (["split", str(log), str(tmp_path / "split")],
+                f"{log}, line 3: expected two or three integer fields, got a non-integer "
+                "field in '1\\tx'", tmp_path / "split")
+    run = tmp_path / "run"
+    shutil.copytree(toy_run, run)
+    checkpoint = run / "checkpoint.bin"
+    data = bytearray(checkpoint.read_bytes())
+    if case == "checkpoint-magic":
+        data[:4] = b"nope"
+        command, message = "evaluate", (f"{checkpoint} is not a checkpoint file: "
+                                        "bad magic b'nope'")
+    else:
+        # the margin section follows the header, both blocks and its 4-byte tag
+        users, items, d = struct.unpack("<3I", data[8:20])
+        at = 20 + 4 * d * (users + items) + 4
+        data[at:at + 4] = struct.pack("<f", math.nan)
+        command, message = "stats", f"checkpoint {checkpoint}: margins must be finite"
+    checkpoint.write_bytes(bytes(data))
+    return [command, "--run", str(run), "--output", str(tmp_path / "out.csv")], message, (
+        tmp_path / "out.csv")
 
 
 class TestCli:
@@ -765,6 +905,59 @@ class TestCli:
         code = cli.main(["stats", "--run", str(run_dir)])
         assert code == 1
         assert "weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run, env, resolve", STATS_SETTINGS.values(), ids=STATS_SETTINGS)
+    def test_stats_rows_cover_each_user_once_with_truncation_and_k1_in_range(
+            self, run, env, resolve, toy_split, request, tmp_path, monkeypatch):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = tmp_path / "stats.csv"
+        assert cli.main(["stats", "--run", str(request.getfixturevalue(run)), "--output",
+                         str(out), *(["--resolve-margin"] if resolve else [])]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        users = json.loads((toy_split / "manifest.json").read_text())["num_users"]
+        assert [int(row["user"]) for row in rows] == list(range(users))
+        for row in rows:
+            assert row["truncation"] == "" or 0 <= float(row["truncation"]) <= 1, row
+            assert row["degenerate"] == "1" or float(row["k1"]) >= 1, row
+
+    @pytest.mark.parametrize("env, pullbacks", TOY_TRAININGS.values(), ids=TOY_TRAININGS)
+    def test_toy_run_trains_through_its_pullback_and_evaluates(self, env, pullbacks, toy_split,
+                                                                tmp_path, monkeypatch):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        taken = set()
+        for side in ("dense", "sparse"):
+            name = f"_{side}_score_pullback"
+            pullback = getattr(trainer, name)
+            monkeypatch.setattr(trainer, name, lambda *args, side=side, pullback=pullback:
+                                taken.add(side) or pullback(*args))
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TOY_CFG.format(input=toy_split, outdir=tmp_path / "run"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        assert taken == pullbacks
+        assert cli.main(["evaluate", "--run", str(tmp_path / "run"), "--k", "5"]) == 0
+
+    def test_split_skips_comment_and_blank_lines_and_a_missing_timestamp(self, toy_log,
+                                                                          toy_split, tmp_path):
+        log = tmp_path / "commented.tsv"
+        log.write_text("# header\n\n" + toy_log.read_text() + "0\t0\n")
+        assert cli.main(["split", str(log), str(tmp_path / "s"), "--seed", "0"]) == 0
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        plain = json.loads((toy_split / "manifest.json").read_text())
+        assert (manifest["num_users"], manifest["num_items"]) == (plain["num_users"],
+                                                                  plain["num_items"])
+
+    @pytest.mark.parametrize("case", ["config-key-twice", "log-line-3", "checkpoint-magic",
+                                      "checkpoint-nan-margin"])
+    def test_bad_input_exits_1_with_its_named_error_and_writes_nothing(
+            self, case, toy_log, toy_split, toy_run, tmp_path, capsys):
+        argv, message, output = _bad_input(case, toy_log, toy_split, toy_run, tmp_path)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not output.exists()
 
     def test_verify_passes_on_fast_suites(self, tmp_path):
         out = tmp_path / "verify.json"
