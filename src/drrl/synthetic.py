@@ -39,8 +39,3 @@ def make_block_log(
         num_items=num_items,
         has_timestamps=True,
     )
-
-
-def random_ranking_baseline(k, num_items):
-    """Expected Recall@K of a uniformly random ranking over all items."""
-    return k / num_items

@@ -406,6 +406,14 @@ TOY_TRAININGS = {
     # 30 items > 8 (n_neg + 1) = 24: the sparse pullback takes the dense array
     "mf-sl-n_neg-2": ({"DRRL_BACKBONE__KIND": "mf", "DRRL_LOSS__KIND": "sl",
                        "DRRL_TRAIN__N_NEG": "2"}, {"sparse"}),
+    # noise-free DrRL margins at lr_beta 1e-2 from beta0 0.3, with MF d = 16,
+    # batches of 256 at 16 negatives, lr 0.05 and K = 10; 2.75 or more live
+    # negatives a row keep 30 items x B <= 8 live
+    "mf-drrl-lr_beta-1e-2": ({"DRRL_BACKBONE__KIND": "mf", "DRRL_LOSS__LR_BETA": "0.01",
+                              "DRRL_LOSS__BETA0": "0.3", "DRRL_TRAIN__BATCH_SIZE": "256",
+                              "DRRL_TRAIN__N_NEG": "16", "DRRL_TRAIN__LR": "0.05",
+                              "DRRL_TRAIN__EMBED_DIM": "16", "DRRL_TRAIN__METRIC_K": "10"},
+                             {"dense"}),
 }
 
 
@@ -981,14 +989,16 @@ class TestCli:
         assert ran == [] and not out.exists()
 
     def test_verify_exits_nonzero_and_reports_a_failed_check(self, tmp_path, monkeypatch):
-        # a numpy bool, as the suites' comparisons produce
-        failed = {"name": "margin-convexity", "passed": np.bool_(False)}
+        # a numpy bool, as the suites' comparisons produce, in the record
+        # that every suite builds through `_check`
+        failed = verify._check("margin-convexity", np.bool_(False), 1e-10)
         monkeypatch.setitem(verify.SUITES, "convexity", lambda seed: [dict(failed)])
         out = tmp_path / "v.json"
         assert cli.main(["verify", "--suite", "convexity", "--output", str(out)]) == 1
         report = json.loads(out.read_text())
         assert report["passed"] is False
-        assert report["checks"] == [{"name": "margin-convexity", "passed": False}]
+        assert report["checks"] == [{"name": "margin-convexity", "passed": False,
+                                     "tolerance": 1e-10}]
 
 
 def test_run_suites_rejects_an_unknown_suite_before_running_any(monkeypatch):

@@ -82,6 +82,8 @@ def test_divergence_infinite_off_support():
     p = np.array([0.5, 0.5, 0.0])
     q = np.array([0.25, 0.25, 0.5])
     assert dc.divergence(q, p, dc.DivergenceKind.kl()) == np.inf
+    # a Q without support lies in no worst-case-regret ball
+    assert dc.divergence(np.zeros(3), p, dc.DivergenceKind.worst_regret()) == np.inf
 
 
 def test_divergence_kinds_name_bad_arguments():
@@ -417,6 +419,21 @@ def test_resolved_margin_is_globally_optimal(c, gamma_star, eps):
         grid = [L.drrl_beta_objective(f, gamma_star, c, eps, b)
                 for b in np.linspace(lo, f.max(), 400)]
         assert value <= min(grid) + 1e-9 * scale, (n, beta, value, min(grid))
+
+
+@pytest.mark.parametrize("offset", [1e9, 1e12])
+def test_margin_bisection_stops_between_adjacent_floats(offset):
+    # scores this large lie further apart than the bisection's final bracket
+    # width, so it stops where no float lies between its ends: below the top
+    # score, at a value no worse than a 400-point grid's
+    f = offset + np.random.default_rng(10).uniform(-1.0, 1.0, 20)
+    for gamma_star, c, eps in ((2.0, 1.2, 0.1), (7.25, 1.25, 0.0)):
+        beta, value = dc.minimize_beta_objective(f, gamma_star, c, eps)
+        assert beta < f.max()
+        lo = min(f.min(), (c * f.mean() - f.max()) / (c - 1.0))
+        grid = [L.drrl_beta_objective(f, gamma_star, c, eps, b)
+                for b in np.linspace(lo, f.max(), 400)]
+        assert value <= min(grid) + 4 * np.spacing(value), (gamma_star, beta, value)
 
 
 def test_ccl_ball_equivalence_boundary_cases():

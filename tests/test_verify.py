@@ -1,7 +1,9 @@
 import inspect
 
+import numpy as np
 import pytest
 
+from drrl import dro_core as dc
 from drrl import verify
 
 # each suite's checks and the tolerance each states; a suite whose bound is
@@ -32,3 +34,15 @@ def test_suite_passes_at_seed_0_and_states_its_tolerance(name):
     checks = suite(seed=0, **kwargs)
     assert [c for c in checks if not c["passed"]] == []
     assert {c["name"]: c["tolerance"] for c in checks} == TOLERANCES[name]
+
+
+def test_duality_checks_record_each_instance_over_the_tolerance_then_the_summary():
+    # every gap is at least 0, so each instance fails a tolerance of -1
+    instances = verify._random_instances(np.random.default_rng(0), 3)
+    gaps = [dc.solve_beta(inst, gamma).gap for inst, gamma in instances]
+    assert verify._duality_checks("duality", instances, -1.0) == [
+        *({"name": f"duality[{idx}]", "passed": False, "gap": gap, "gamma": gamma,
+           "eta": inst.eta, "n": inst.n}
+          for idx, ((inst, gamma), gap) in enumerate(zip(instances, gaps))),
+        {"name": "duality", "passed": False, "instances": 3, "worst_gap": max(gaps),
+         "tolerance": -1.0}]
